@@ -26,7 +26,7 @@ import numpy as np
 
 from . import denoiser
 from .bp import MIN_SUM, SUM_PRODUCT, BpConfig, EdgeIndex, decode_bp_batch
-from .channel import LLR_CLAMP, hard_decide, noise_scale
+from .channel import hard_decide, noise_scale, to_llr, transmit
 from .codebook import bipolar, derive_generator, encode
 from .diffusion import build_schedule
 
@@ -139,8 +139,7 @@ def run_ber(h, decoder, csnr_db, stop_errors=100, max_frames=None, seed=0,
 
     def simulate(rng, frames):
         code = encode(gen, rng.integers(0, 2, size=(frames, h.k)))
-        y = bipolar(code) + w * rng.standard_normal((frames, h.n))
-        llrs = np.clip(2.0 * y / w**2, -LLR_CLAMP, LLR_CLAMP)
+        llrs = to_llr(transmit(bipolar(code), w, rng), w)
         bits, steps = decoder.decode_batch(llrs, csnr_db)
         wrong = bits != code
         return int(wrong.sum()), int(wrong.any(axis=1).sum()), int(steps.sum())

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import LLR_CLAMP
 from .codebook import syndrome
 
 # Product clamp inside arctanh; keeps check messages finite (|u| <= ~28.4).
@@ -26,7 +27,7 @@ MIN_SUM = "min-sum"
 
 @dataclass(frozen=True)
 class BpConfig:
-    """Decoder knobs: iteration cap, check-update rule, clamping bounds.
+    """Decoder knobs: iteration cap, check-update rule, message clamp.
 
     ``early_exit`` stops a frame once its hard decision satisfies every
     parity check; disabling it runs all iterations (used when converged
@@ -35,7 +36,6 @@ class BpConfig:
 
     max_iters: int = 5
     variant: str = SUM_PRODUCT
-    llr_clamp: float = 1e9
     message_clamp: float = 30.0
     early_exit: bool = True
 
@@ -44,8 +44,8 @@ class BpConfig:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.variant not in (SUM_PRODUCT, MIN_SUM):
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.llr_clamp <= 0 or self.message_clamp <= 0:
-            raise ValueError("clamps must be positive")
+        if self.message_clamp <= 0:
+            raise ValueError("message_clamp must be positive")
 
 
 @dataclass(frozen=True)
@@ -150,21 +150,31 @@ def _check_sweep_sumproduct(v2c, ei):
     return c2v
 
 
+def check_minsum_terms(xc):
+    """Min-sum extrinsic messages of checks from their variables' beliefs.
+
+    ``xc`` has shape (..., d), one check per row.  Returns (u, signs,
+    sign_excl, i1, i2) where u[..., j] excludes position j, i1 is the
+    magnitude argmin (ties resolve to the lowest index), and i2 the argmin
+    with i1 masked out; the index data drives the training backward pass.
+    """
+    signs = np.where(xc < 0, -1.0, 1.0)
+    sign_excl = np.prod(signs, axis=-1, keepdims=True) * signs
+    mags = np.abs(xc)
+    i1 = np.argmin(mags, axis=-1, keepdims=True)
+    m1 = np.take_along_axis(mags, i1, axis=-1)
+    masked = mags.copy()
+    np.put_along_axis(masked, i1, np.inf, axis=-1)
+    i2 = np.argmin(masked, axis=-1, keepdims=True)
+    m2 = np.take_along_axis(mags, i2, axis=-1)
+    u = sign_excl * np.where(np.arange(xc.shape[-1]) == i1, m2, m1)
+    return u, signs, sign_excl, i1, i2
+
+
 def _check_sweep_minsum(v2c, ei):
-    signs = np.where(v2c < 0, -1.0, 1.0)
-    mags = np.abs(v2c)
     c2v = np.empty_like(v2c)
-    for d, eidx in ei.degree_groups.items():
-        s = signs[:, eidx]
-        a = mags[:, eidx]
-        s_excl = np.prod(s, axis=-1, keepdims=True) * s
-        i1 = np.argmin(a, axis=-1, keepdims=True)
-        m1 = np.take_along_axis(a, i1, axis=-1)
-        masked = a.copy()
-        np.put_along_axis(masked, i1, np.inf, axis=-1)
-        m2 = np.min(masked, axis=-1, keepdims=True)
-        here = np.arange(d) == i1
-        c2v[:, eidx] = s_excl * np.where(here, m2, m1)
+    for eidx in ei.degree_groups.values():
+        c2v[:, eidx] = check_minsum_terms(v2c[:, eidx])[0]
     return c2v
 
 
@@ -173,15 +183,18 @@ def decode_bp_batch(h, llrs, cfg=BpConfig(), edge_index=None):
 
     Returns (bits, beliefs, iterations, syndrome_zero) arrays; each frame
     exits as soon as its hard decision satisfies every parity check.
+    Channel LLRs are clamped to +-LLR_CLAMP; non-finite ones are rejected.
     """
     llrs = np.asarray(llrs, dtype=np.float64)
     if llrs.ndim != 2 or llrs.shape[1] != h.n:
         raise ValueError(f"expected (B, {h.n}) LLR array, got {llrs.shape}")
+    if not np.isfinite(llrs).all():
+        raise ValueError("LLRs must be finite")
     ei = edge_index if edge_index is not None else EdgeIndex(h)
     sweep = _check_sweep_sumproduct if cfg.variant == SUM_PRODUCT else _check_sweep_minsum
 
     nframes = llrs.shape[0]
-    l_all = np.clip(llrs, -cfg.llr_clamp, cfg.llr_clamp)
+    l_all = np.clip(llrs, -LLR_CLAMP, LLR_CLAMP)
     bits = (l_all < 0).astype(np.uint8)
     beliefs = l_all.copy()
     iters = np.full(nframes, cfg.max_iters, dtype=np.int64)
@@ -190,12 +203,11 @@ def decode_bp_batch(h, llrs, cfg=BpConfig(), edge_index=None):
     idx = np.arange(nframes)
     l = l_all
     v2c = np.clip(l[:, ei.edge_var], -cfg.message_clamp, cfg.message_clamp)
-    ht = h.rows.astype(np.int64).T
     for it in range(1, cfg.max_iters + 1):
         c2v = sweep(v2c, ei)
         s = l + ei.belief_sums(c2v)
         hard = (s < 0).astype(np.uint8)
-        syn_counts = (hard.astype(np.int64) @ ht % 2).sum(axis=1)
+        syn_counts = syndrome(h, hard)[1]
         done = (syn_counts == 0) if cfg.early_exit else np.zeros(len(s), dtype=bool)
         if not cfg.early_exit and it == cfg.max_iters:
             done = syn_counts == 0

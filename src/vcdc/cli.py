@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bench, codes
 from .bp import BpConfig
-from .channel import LLR_CLAMP, LlrWord
+from .channel import LlrWord
 from .codebook import load_alist, syndrome
 from .denoiser import load_checkpoint, save_checkpoint
 from .train import TrainConfig, train, write_loss_curve
@@ -179,8 +179,7 @@ def cmd_decode(args):
         from .denoiser import decode_vcdc
         from .diffusion import build_schedule
         sched = build_schedule(cfg["csnr"], cfg["timesteps"], cfg["step_db"], h.rate)
-        word = LlrWord(values=np.clip(values, -LLR_CLAMP, LLR_CLAMP), csnr_db=cfg["csnr"])
-        result = decode_vcdc(h, weights, sched, word)
+        result = decode_vcdc(h, weights, sched, LlrWord(values=values, csnr_db=cfg["csnr"]))
     else:
         raise ValueError(f"unknown decoder {cfg['decoder']!r}")
 

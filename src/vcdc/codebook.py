@@ -238,6 +238,17 @@ def derive_generator(h):
                            column_permutation=_frozen(perm))
 
 
+def gf2_matmul(a, b):
+    """Product of 0/1 arrays over GF(2), as uint8.
+
+    A float32 BLAS product followed by ``% 2``: every partial sum is an
+    integer below the inner dimension, so the result is exact while that
+    dimension is below 2**24.
+    """
+    prod = np.asarray(a, dtype=np.float32) @ np.asarray(b, dtype=np.float32)
+    return (prod % 2).astype(np.uint8)
+
+
 def encode(g, m):
     """Encode message bits (1-D length k, or a (B, k) batch) into codewords
     in the original column order of H."""
@@ -246,20 +257,24 @@ def encode(g, m):
     mm = np.atleast_2d(m)
     if mm.shape[1] != g.k:
         raise ValueError(f"message length {mm.shape[1]} != k={g.k}")
-    permuted = (mm.astype(np.int64) @ g.matrix.astype(np.int64)) % 2
+    permuted = gf2_matmul(mm, g.matrix)
     out = np.empty_like(permuted)
     out[:, g.column_permutation] = permuted
-    out = out.astype(np.uint8)
     return out[0] if single else out
 
 
 def syndrome(h, x):
-    """H x^T mod 2 and its number of nonzero entries (parity-check errors)."""
+    """H x^T mod 2 and its number of nonzero entries (parity-check errors).
+
+    For a (B, n) batch of words the syndromes have shape (B, n-k) and the
+    counts are an int64 array with one entry per word.
+    """
     x = _as_bits(x, "word")
     if x.shape[-1] != h.n:
         raise ValueError(f"word length {x.shape[-1]} != n={h.n}")
-    s = (h.rows.astype(np.int64) @ x.astype(np.int64)) % 2
-    return s.astype(np.uint8), int(s.sum())
+    s = gf2_matmul(x, h.rows.T)
+    counts = s.sum(axis=-1, dtype=np.int64)
+    return s, (int(counts) if x.ndim == 1 else counts)
 
 
 def bipolar(x_b):

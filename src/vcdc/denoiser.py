@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bp import DecodeResult
+from .bp import DecodeResult, check_minsum_terms
 from .channel import LlrWord
 from .codebook import syndrome
 from .diffusion import reverse_step
@@ -59,27 +59,6 @@ class NeuralBlockWeights:
                 f"weights trained for ({self.n},{self.k}) cannot decode ({h.n},{h.k})")
 
 
-def check_minsum_terms(xc):
-    """Min-sum extrinsic messages for one check from its variables' beliefs.
-
-    ``xc`` has shape (B, d).  Returns (u, signs, sign_excl, i1, i2) where
-    u[:, j] excludes position j, i1 is the magnitude argmin (ties resolve
-    to the lowest index), and i2 the argmin with i1 masked out; the index
-    data drives the training backward pass.
-    """
-    signs = np.where(xc < 0, -1.0, 1.0)
-    sign_excl = np.prod(signs, axis=-1, keepdims=True) * signs
-    mags = np.abs(xc)
-    i1 = np.argmin(mags, axis=-1, keepdims=True)
-    m1 = np.take_along_axis(mags, i1, axis=-1)
-    masked = mags.copy()
-    np.put_along_axis(masked, i1, np.inf, axis=-1)
-    i2 = np.argmin(masked, axis=-1, keepdims=True)
-    m2 = np.take_along_axis(mags, i2, axis=-1)
-    u = sign_excl * np.where(np.arange(xc.shape[-1]) == i1, m2, m1)
-    return u, signs, sign_excl, i1, i2
-
-
 def _check_columns(h):
     return [np.asarray(cols, dtype=np.int64) for cols in h.chk_adjacency]
 
@@ -113,53 +92,35 @@ def decode_vcdc_batch(h, weights, sched, llrs):
     Returns (bits, beliefs, reverse_steps, syndrome_zero) arrays.  Frames
     whose hard decision already satisfies the syndrome cost zero reverse
     steps; the rest stop at the first satisfied syndrome or after the
-    final block at the cleanest level.
+    final block at the cleanest level, which runs even when the schedule
+    has a single level.  Non-finite LLRs are rejected.
     """
     weights.check_code(h)
     llrs = np.asarray(llrs, dtype=np.float64)
     if llrs.ndim != 2 or llrs.shape[1] != h.n:
         raise ValueError(f"expected (B, {h.n}) LLR array, got {llrs.shape}")
-    nframes = llrs.shape[0]
-    cols = _check_columns(h)
-    ht = h.rows.astype(np.int64).T
-
-    bits = np.empty((nframes, h.n), dtype=np.uint8)
-    beliefs = np.empty_like(llrs)
-    steps = np.zeros(nframes, dtype=np.int64)
-    ok = np.zeros(nframes, dtype=bool)
-
-    def syndromes_zero(z):
-        hard = (z < 0).astype(np.int64)
-        return (hard @ ht % 2).sum(axis=1) == 0, hard.astype(np.uint8)
-
-    idx = np.arange(nframes)
-    z = llrs.copy()
-    done, hard = syndromes_zero(z)
-    bits[idx], beliefs[idx], ok[idx] = hard, z, done
-    idx, z = idx[~done], z[~done]
+    if not np.isfinite(llrs).all():
+        raise ValueError("LLRs must be finite")
+    bits = (llrs < 0).astype(np.uint8)
+    beliefs = llrs.copy()
+    steps = np.zeros(llrs.shape[0], dtype=np.int64)
+    ok = syndrome(h, bits)[1] == 0
+    idx, z = np.flatnonzero(~ok), llrs[~ok]
 
     used = 0
-    for t_index in range(len(sched) - 1, 0, -1):
+    for t_index in range(len(sched) - 1, -1, -1):
         if idx.size == 0:
-            return bits, beliefs, steps, ok
-        x = z.copy()
-        for w, c in zip(weights.values, cols):
-            xc = x[:, c]
-            x[:, c] = xc + w * check_minsum_terms(xc)[0]
-        z = reverse_step(sched, t_index, z, np.tanh(x / 2.0))
-        used += 1
-        done, hard = syndromes_zero(z)
-        bits[idx], beliefs[idx], steps[idx] = hard, z, used
-        ok[idx] = done
+            break
+        block_beliefs, x_hat = neural_block(h, weights, z)
+        if t_index:
+            z = reverse_step(sched, t_index, z, x_hat)
+            used += 1
+        else:  # the final block's beliefs are the decoder output
+            z = block_beliefs
+        hard = (z < 0).astype(np.uint8)
+        done = syndrome(h, hard)[1] == 0
+        bits[idx], beliefs[idx], steps[idx], ok[idx] = hard, z, used, done
         idx, z = idx[~done], z[~done]
-
-    if idx.size:
-        final_beliefs, _ = neural_block(h, weights, z)
-        hard = (final_beliefs < 0).astype(np.uint8)
-        bits[idx] = hard
-        beliefs[idx] = final_beliefs
-        steps[idx] = used
-        ok[idx] = (hard.astype(np.int64) @ ht % 2).sum(axis=1) == 0
     return bits, beliefs, steps, ok
 
 

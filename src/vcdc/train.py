@@ -1,4 +1,4 @@
-"""Training for the neural block: tape ops, loss, Adam, and the loop.
+"""Training for the neural block: loss, hand-written backward, Adam, the loop.
 
 Each iteration draws a fresh batch - per-example CSNR uniform over the
 configured range, random messages (or the all-zero codeword), AWGN
@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Var, add_at_cols, gather_cols
-from .channel import LLR_CLAMP, noise_scale
+from .bp import check_minsum_terms
+from .channel import noise_scale, to_llr, transmit
 from .codebook import bipolar, derive_generator, encode
-from .denoiser import NeuralBlockWeights, _check_columns, check_minsum_terms
+from .denoiser import NeuralBlockWeights, _check_columns
 
 
 class TrainingDiverged(RuntimeError):
@@ -44,68 +44,67 @@ def loss(beliefs, x_b):
     return float(np.mean(_softplus(-sym * b)))
 
 
-def bce_with_logits(beliefs, x_b):
-    """Tape node for ``loss``; adjoint of beliefs is -sym*sigmoid(-sym*b)/size."""
+def loss_with_adjoint(beliefs, x_b):
+    """``loss`` and its gradient with respect to the beliefs,
+    -sym * sigmoid(-sym * b) / size with sym = 1 - 2 x_b."""
     sym = 1.0 - 2.0 * np.asarray(x_b, dtype=np.float64)
-    z = -sym * beliefs.value
-    out = Var(np.mean(_softplus(z)), (beliefs,))
-
-    def backward(g):
-        # sigmoid(z) via the non-overflowing branch of exp
-        ez = np.exp(-np.abs(z))
-        sig = np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
-        beliefs._accumulate(g * (-sym) * sig / beliefs.value.size)
-
-    out._backward = backward
-    return out
+    z = -sym * beliefs
+    # sigmoid(z) via the non-overflowing branch of exp
+    ez = np.exp(-np.abs(z))
+    sig = np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+    return loss(beliefs, x_b), -sym * sig / beliefs.size
 
 
-def minsum_extrinsic(xc):
-    """Tape node for the min-sum check update on beliefs ``xc`` (B, d).
+def minsum_backward(g, terms):
+    """Adjoint of a check's beliefs (B, d) given the adjoint ``g`` of its
+    min-sum messages and the ``check_minsum_terms`` output ``terms``.
 
-    Forward matches denoiser.check_minsum_terms; backward routes each
-    outgoing adjoint to the variable whose magnitude attained the
-    (extrinsic) minimum, scaled by that variable's sign, with the sign
+    Each outgoing adjoint routes to the variable whose magnitude attained
+    the (extrinsic) minimum, scaled by that variable's sign, with the sign
     product held constant.
     """
-    u, signs, sign_excl, i1, i2 = check_minsum_terms(xc.value)
-    out = Var(u, (xc,))
-
-    def backward(g):
-        gs = g * sign_excl
-        grad = np.zeros_like(xc.value)
-        # edges j != i1 select magnitude |x_{i1}|; edge j == i1 selects |x_{i2}|
-        at_i1 = np.take_along_axis(gs, i1, axis=-1)
-        np.put_along_axis(grad, i1,
-                          (gs.sum(axis=-1, keepdims=True) - at_i1)
-                          * np.take_along_axis(signs, i1, axis=-1), axis=-1)
-        prev = np.take_along_axis(grad, i2, axis=-1)
-        np.put_along_axis(grad, i2,
-                          prev + at_i1 * np.take_along_axis(signs, i2, axis=-1), axis=-1)
-        xc._accumulate(grad)
-
-    out._backward = backward
-    return out
-
-
-def neural_block_tape(h, weight_vars, llrs):
-    """Forward pass of the block recorded on the tape; returns beliefs."""
-    if len(weight_vars) != h.num_checks:
-        raise ValueError(f"expected {h.num_checks} layer weights, got {len(weight_vars)}")
-    x = Var(np.atleast_2d(np.asarray(llrs, dtype=np.float64)))
-    for w, cols in zip(weight_vars, _check_columns(h)):
-        xc = gather_cols(x, cols)
-        x = add_at_cols(x, cols, w * minsum_extrinsic(xc))
-    return x
+    _, signs, sign_excl, i1, i2 = terms
+    gs = g * sign_excl
+    grad = np.zeros_like(gs)
+    # edges j != i1 select magnitude |x_{i1}|; edge j == i1 selects |x_{i2}|
+    at_i1 = np.take_along_axis(gs, i1, axis=-1)
+    np.put_along_axis(grad, i1,
+                      (gs.sum(axis=-1, keepdims=True) - at_i1)
+                      * np.take_along_axis(signs, i1, axis=-1), axis=-1)
+    prev = np.take_along_axis(grad, i2, axis=-1)
+    np.put_along_axis(grad, i2,
+                      prev + at_i1 * np.take_along_axis(signs, i2, axis=-1), axis=-1)
+    return grad
 
 
 def block_gradients(h, weights, llrs, x_b):
-    """Loss and d(loss)/d(layer weights) for one batch via the tape."""
-    weight_vars = [Var(w) for w in np.asarray(weights, dtype=np.float64)]
-    out = bce_with_logits(neural_block_tape(h, weight_vars, llrs), x_b)
-    out.backward()
-    grads = np.array([float(w.grad) if w.grad is not None else 0.0 for w in weight_vars])
-    return float(out.value), grads
+    """Loss and d(loss)/d(layer weights) for one batch.
+
+    Runs the block forward once, keeping each layer's min-sum terms, then
+    walks the layers in reverse: layer l's weight gradient is the adjoint
+    on its check's columns dotted with its messages u_l, and the adjoint
+    of the layer input adds the min-sum backward of w_l times that adjoint.
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.size != h.num_checks:
+        raise ValueError(f"expected {h.num_checks} layer weights, got {weights.size}")
+    columns = _check_columns(h)
+    x = np.atleast_2d(np.asarray(llrs, dtype=np.float64)).copy()
+    layers = []
+    for w, cols in zip(weights, columns):
+        xc = x[:, cols]
+        terms = check_minsum_terms(xc)
+        x[:, cols] = xc + w * terms[0]
+        layers.append(terms)
+    value, g = loss_with_adjoint(x, x_b)
+    grads = np.empty(h.num_checks)
+    for layer in reversed(range(h.num_checks)):
+        cols, terms = columns[layer], layers[layer]
+        # the gather comes out F-ordered; a C-ordered copy fixes the summation order
+        g_cols = np.ascontiguousarray(g[:, cols])
+        grads[layer] = (g_cols * terms[0]).sum(axis=(0, 1))
+        g[:, cols] += minsum_backward(g_cols * weights[layer], terms)
+    return value, grads
 
 
 @dataclass
@@ -191,9 +190,7 @@ def train(h, cfg=TrainConfig()):
             code = np.zeros((cfg.batch_size, h.n), dtype=np.uint8)
         else:
             code = encode(gen, rng.integers(0, 2, size=(cfg.batch_size, h.k)))
-        x = bipolar(code)
-        y = x + w[:, None] * rng.standard_normal(x.shape)
-        llrs = np.clip(2.0 * y / w[:, None]**2, -LLR_CLAMP, LLR_CLAMP)
+        llrs = to_llr(transmit(bipolar(code), w[:, None], rng), w[:, None])
         value, grads = block_gradients(h, params, llrs, code)
         if not np.isfinite(value):
             raise TrainingDiverged(f"loss became non-finite at iteration {it}")

@@ -1,4 +1,11 @@
-"""Reverse-mode gradient tape sufficient for the neural block.
+"""Reverse-mode gradient tape: the reference for the block backward.
+
+``vcdc.train.block_gradients`` differentiates the neural block by hand;
+``block_gradients`` here records the same forward pass on a general tape
+and lets the chain rule run, so tests can require the two to agree bit
+for bit.  The local rules of the two custom nodes (the loss adjoint and the
+min-sum backward) are the library's own, checked against finite
+differences in test_train.py.
 
 Nodes wrap numpy arrays (scalars included), record their parents and a
 local backward closure, and ``backward()`` walks the tape once in reverse
@@ -11,6 +18,10 @@ broadcast axes.
 from __future__ import annotations
 
 import numpy as np
+
+from vcdc.bp import check_minsum_terms
+from vcdc.denoiser import _check_columns
+from vcdc.train import loss_with_adjoint, minsum_backward
 
 
 def _unbroadcast(grad, shape):
@@ -167,3 +178,36 @@ def add_at_cols(x, cols, delta):
 
     out._backward = backward
     return out
+
+
+def bce_with_logits(beliefs, x_b):
+    """Tape node for ``vcdc.train.loss`` of the beliefs."""
+    value, adjoint = loss_with_adjoint(beliefs.value, x_b)
+    out = Var(value, (beliefs,))
+    out._backward = lambda g: beliefs._accumulate(g * adjoint)
+    return out
+
+
+def minsum_extrinsic(xc):
+    """Tape node for the min-sum check update on beliefs ``xc`` (B, d)."""
+    terms = check_minsum_terms(xc.value)
+    out = Var(terms[0], (xc,))
+    out._backward = lambda g: xc._accumulate(minsum_backward(g, terms))
+    return out
+
+
+def neural_block_tape(h, weight_vars, llrs):
+    """Forward pass of the block recorded on the tape; returns beliefs."""
+    x = Var(np.atleast_2d(np.asarray(llrs, dtype=np.float64)))
+    for w, cols in zip(weight_vars, _check_columns(h)):
+        xc = gather_cols(x, cols)
+        x = add_at_cols(x, cols, w * minsum_extrinsic(xc))
+    return x
+
+
+def block_gradients(h, weights, llrs, x_b):
+    """Loss and d(loss)/d(layer weights) for one batch via the tape."""
+    weight_vars = [Var(w) for w in np.asarray(weights, dtype=np.float64)]
+    out = bce_with_logits(neural_block_tape(h, weight_vars, llrs), x_b)
+    out.backward()
+    return float(out.value), np.array([float(w.grad) for w in weight_vars])

@@ -135,7 +135,7 @@ class TestCriterion4GradientCorrectness:
                 fd = (f(wp) - f(wm)) / (2 * eps)
                 assert abs(grads[i] - fd) <= 1e-4 * max(abs(fd), 1e-6)
             checked += 1
-        report(4, "100 random (7,4) inputs: tape gradients match central "
+        report(4, "100 random (7,4) inputs: hand-written gradients match central "
                   "finite differences within relative 1e-4")
 
 
@@ -143,7 +143,7 @@ def _near_min_tie(h, wvals, llr, gap):
     """True when any layer's two smallest check-input magnitudes nearly tie
     (finite differences are unreliable across the selection switch)."""
     x = np.atleast_2d(llr).astype(float).copy()
-    from vcdc.denoiser import check_minsum_terms
+    from vcdc.bp import check_minsum_terms
     for w, cols in zip(wvals, [np.asarray(c) for c in h.chk_adjacency]):
         mags = np.sort(np.abs(x[:, cols]), axis=-1)
         if (mags[..., 1] - mags[..., 0] < gap).any():

@@ -1,22 +1,8 @@
 import numpy as np
 import pytest
 
-from vcdc.autodiff import Var, add_at_cols, gather_cols
-
-
-def numeric_grad(fn, x, eps=1e-6):
-    """Central finite differences of a scalar function of an array."""
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    it = np.nditer(x, flags=["multi_index"])
-    while not it.finished:
-        idx = it.multi_index
-        xp, xm = x.copy(), x.copy()
-        xp[idx] += eps
-        xm[idx] -= eps
-        grad[idx] = (fn(xp) - fn(xm)) / (2 * eps)
-        it.iternext()
-    return grad
+from conftest import numeric_grad
+from tape import Var, add_at_cols, gather_cols
 
 
 class TestScalarChains:

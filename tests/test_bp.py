@@ -5,7 +5,7 @@ from vcdc.bp import (ATANH_EPS, BpConfig, EdgeIndex, MIN_SUM, belief,
                      check_update_minsum, check_update_sumproduct, decode_bp,
                      decode_bp_batch, variable_update)
 from vcdc.codebook import ParityCheckMatrix, bipolar, derive_generator, encode, syndrome
-from vcdc.channel import hard_decide
+from vcdc.channel import LLR_CLAMP, hard_decide
 
 from conftest import make_tree_code, map_marginals
 
@@ -13,7 +13,7 @@ from conftest import make_tree_code, map_marginals
 def reference_decode(h, llr, cfg):
     """Straightforward per-edge flooding BP mirroring the documented
     semantics; the vectorized decoder must agree with it."""
-    l = np.clip(np.asarray(llr, dtype=np.float64), -cfg.llr_clamp, cfg.llr_clamp)
+    l = np.clip(np.asarray(llr, dtype=np.float64), -LLR_CLAMP, LLR_CLAMP)
     v2c = {}
     for c, vs in enumerate(h.chk_adjacency):
         for v in vs:
@@ -90,6 +90,13 @@ class TestVariableUpdate:
 
 
 class TestDecodeBp:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_llrs_rejected(self, hamming, bad):
+        llrs = np.ones((2, hamming.n))
+        llrs[1, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            decode_bp_batch(hamming, llrs)
+
     def test_noiseless_exits_first_iteration(self, hamming):
         g = derive_generator(hamming)
         cw = encode(g, np.array([1, 0, 1, 1], dtype=np.uint8))

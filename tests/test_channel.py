@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from vcdc.channel import (LLR_CLAMP, ChannelParams, LlrWord, hard_decide, noise_scale,
-                          to_llr, transmit)
+from vcdc.channel import LLR_CLAMP, LlrWord, hard_decide, noise_scale, to_llr, transmit
 
 # frozen with a 40-digit mpmath evaluation of 1/sqrt(2 (k/n) 10^(s/10))
 W_4DB_121_60 = 0.633580879058
@@ -35,11 +34,6 @@ class TestNoiseScale:
         with pytest.raises(ValueError):
             noise_scale(4.0, 12, 10)
 
-    def test_channel_params_for_code(self):
-        p = ChannelParams.for_code(4.0, 60, 121)
-        assert p.rate == pytest.approx(60 / 121)
-        assert p.w == pytest.approx(W_4DB_121_60, abs=1e-9)
-
 
 class TestTransmit:
     def test_vanishing_noise_limit(self):
@@ -58,6 +52,21 @@ class TestTransmit:
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(ValueError):
             transmit(np.ones(3), 0.0, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            transmit(np.ones((2, 3)), np.array([[0.5], [0.0]]), np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            to_llr(np.ones((2, 3)), np.array([[0.5], [-1.0]]))
+
+    def test_per_frame_scales_match_scalar_calls(self):
+        # one scale per frame as a (B, 1) column: the same draws, frame by
+        # frame, as scalar calls on a generator in the same state
+        w = np.array([0.4, 0.9])
+        x = np.ones((2, 5))
+        y = transmit(x, w[:, None], np.random.default_rng(3))
+        noise = np.random.default_rng(3).standard_normal((2, 5))
+        for b in range(2):
+            np.testing.assert_array_equal(y[b], x[b] + w[b] * noise[b])
+            np.testing.assert_array_equal(to_llr(y, w[:, None])[b], to_llr(y[b], w[b]))
 
     def test_seeded_reproducibility(self):
         x = np.ones(1000)

@@ -105,6 +105,15 @@ class TestDecode:
         assert run_cli("decode", "--code", hamming_file, "--llr", llr_file) == 0
         assert capsys.readouterr().out.splitlines()[0] == "0000000"
 
+    def test_nan_llrs_exit_two(self, tmp_path, capsys):
+        # an all-NaN word must be rejected, never reported as a zero syndrome
+        llr_file = tmp_path / "nan.llr"
+        llr_file.write_text("nan " * 121)
+        assert run_cli("decode", "--code", "ldpc_121_60", "--llr", llr_file) == 2
+        captured = capsys.readouterr()
+        assert "finite" in captured.err
+        assert "syndrome" not in captured.out
+
     def test_wrong_length_errors(self, hamming_file, tmp_path, capsys):
         llr_file = tmp_path / "short.llr"
         llr_file.write_text("1 2 3 4 5 6")

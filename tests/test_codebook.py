@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vcdc import codes
-from vcdc.codebook import (AlistError, ParityCheckMatrix, bipolar, derive_generator,
-                           encode, gf2_rank, parse_alist, serialize_alist, syndrome)
+from vcdc.codebook import (AlistError, GeneratorMatrix, ParityCheckMatrix, bipolar,
+                           derive_generator, encode, gf2_matmul, gf2_rank, parse_alist,
+                           serialize_alist, syndrome)
 
 from conftest import enumerate_codewords
 
@@ -185,6 +188,76 @@ class TestSyndrome:
     def test_length_mismatch(self, hamming):
         with pytest.raises(ValueError):
             syndrome(hamming, np.zeros(6, dtype=np.uint8))
+        with pytest.raises(ValueError):
+            syndrome(hamming, np.zeros((3, 6), dtype=np.uint8))
+
+    def test_batch_counts_one_per_word(self, hamming):
+        words = np.zeros((3, 7), dtype=np.uint8)
+        words[1, 0] = 1
+        words[2, :2] = 1
+        s, counts = syndrome(hamming, words)
+        assert s.shape == (3, 3) and s.dtype == np.uint8
+        assert counts.tolist() == [0, len(hamming.var_adjacency[0]),
+                                   int(((hamming.rows[:, 0] + hamming.rows[:, 1]) % 2).sum())]
+
+
+def _bits(rng, shape, density):
+    return (rng.random(shape) < density).astype(np.uint8)
+
+
+def _gf2_reference(a, b):
+    return (a.astype(np.int64) @ b.astype(np.int64)) % 2
+
+
+class TestGf2ProductDifferential:
+    """The float32 GF(2) product and its users against int64 arithmetic."""
+
+    sizes = st.integers(1, 256)
+    seeds = st.integers(0, 2**32 - 1)
+    densities = st.sampled_from([0.02, 0.5, 0.98])
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=sizes, inner=sizes, cols=sizes, seed=seeds, density=densities)
+    def test_product_matches_int64(self, rows, inner, cols, seed, density):
+        rng = np.random.default_rng(seed)
+        a, b = _bits(rng, (rows, inner), density), _bits(rng, (inner, cols), density)
+        out = gf2_matmul(a, b)
+        assert out.dtype == np.uint8
+        np.testing.assert_array_equal(out, _gf2_reference(a, b))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 256), data=st.data(), seed=seeds, density=densities)
+    def test_encode_matches_int64(self, n, data, seed, density):
+        k = data.draw(st.integers(1, n - 1))
+        batch = data.draw(st.integers(1, 64))
+        rng = np.random.default_rng(seed)
+        g = GeneratorMatrix(matrix=_bits(rng, (k, n), density),
+                            column_permutation=rng.permutation(n))
+        msgs = _bits(rng, (batch, k), density)
+        expected = np.empty((batch, n), dtype=np.int64)
+        expected[:, g.column_permutation] = _gf2_reference(msgs, g.matrix)
+        np.testing.assert_array_equal(encode(g, msgs), expected)
+        np.testing.assert_array_equal(encode(g, msgs[0]), expected[0])
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(3, 256), data=st.data(), seed=seeds, density=densities)
+    def test_batch_syndrome_matches_int64_and_single_words(self, n, data, seed, density):
+        m = data.draw(st.integers(1, n - 1))
+        batch = data.draw(st.integers(1, 64))
+        rng = np.random.default_rng(seed)
+        rows = _bits(rng, (m, n), density)
+        rows[np.arange(m), np.arange(m) % n] = 1  # every check needs degree >= 2
+        rows[np.arange(m), (np.arange(m) + 1) % n] = 1
+        h = ParityCheckMatrix.from_rows(rows)
+        words = _bits(rng, (batch, n), density)
+        s, counts = syndrome(h, words)
+        expected = _gf2_reference(words, rows.T)
+        np.testing.assert_array_equal(s, expected)
+        np.testing.assert_array_equal(counts, expected.sum(axis=1))
+        for word, s_row, count in zip(words, s, counts):
+            s_one, count_one = syndrome(h, word)
+            np.testing.assert_array_equal(s_one, s_row)
+            assert count_one == count and isinstance(count_one, int)
 
 
 class TestBipolar:

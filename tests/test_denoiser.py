@@ -82,6 +82,14 @@ class TestDecodeVcdc:
         assert res.steps_used == 0
         assert res.syndrome_zero and np.array_equal(res.bits, cw)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_llrs_rejected(self, hamming, bad):
+        sched = build_schedule(4.0, 5, 0.5, hamming.rate)
+        llrs = np.ones((2, hamming.n))
+        llrs[0, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            decode_vcdc_batch(hamming, NeuralBlockWeights.zeros(hamming), sched, llrs)
+
     def test_zero_weights_reduce_to_channel_hard_decision(self, ldpc_49_24):
         rng = np.random.default_rng(5)
         sched = build_schedule(4.0, 10, 0.5, ldpc_49_24.rate)

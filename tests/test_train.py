@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from vcdc.autodiff import Var
+from vcdc import codes
+from vcdc.bp import check_minsum_terms
 from vcdc.denoiser import NeuralBlockWeights, neural_block
-from vcdc.train import (Adam, TrainConfig, TrainingDiverged, bce_with_logits,
-                        block_gradients, loss, minsum_extrinsic, train,
-                        write_loss_curve)
+from vcdc.train import (Adam, TrainConfig, TrainingDiverged, block_gradients, loss,
+                        minsum_backward, train, write_loss_curve)
 
-from test_autodiff import numeric_grad
+import tape
+from conftest import numeric_grad
+from tape import Var, bce_with_logits, minsum_extrinsic
 
 
 class TestLoss:
@@ -53,26 +55,33 @@ class TestMinsumOp:
         for _ in range(20):
             xc0 = rng.normal(0, 2, (3, 4))
             g0 = rng.normal(size=(3, 4))
-
-            def scalar_fn(xv):
-                return float((minsum_extrinsic(Var(xv)) * Var(g0)).sum().value)
-
-            x = Var(xc0)
-            ((minsum_extrinsic(x) * Var(g0)).sum()).backward()
-            fd = numeric_grad(scalar_fn, xc0)
-            np.testing.assert_allclose(x.grad, fd, atol=1e-5)
+            grad = minsum_backward(g0, check_minsum_terms(xc0))
+            # minsum_backward is the gradient of <g0, u(xc)>
+            fd = numeric_grad(lambda xv: float((check_minsum_terms(xv)[0] * g0).sum()), xc0)
+            np.testing.assert_allclose(grad, fd, atol=1e-5)
 
     def test_tie_broken_toward_lowest_index(self):
         # both magnitudes equal; the subgradient must route to index 0
         xc0 = np.array([[2.0, 2.0, 5.0]])
-        x = Var(xc0)
-        out = minsum_extrinsic(x)
-        (out * Var(np.array([[0.0, 0.0, 1.0]]))).sum().backward()
+        grad = minsum_backward(np.array([[0.0, 0.0, 1.0]]), check_minsum_terms(xc0))
         # outgoing edge 2 uses min over {|x0|, |x1|} = attained at index 0
-        np.testing.assert_allclose(x.grad, [[1.0, 0.0, 0.0]])
+        np.testing.assert_allclose(grad, [[1.0, 0.0, 0.0]])
 
 
 class TestBlockGradients:
+    @pytest.mark.parametrize("name", codes.available())
+    def test_matches_tape_bit_for_bit(self, name):
+        h = codes.load(name)
+        rng = np.random.default_rng(len(name))
+        for batch in (1, 5, 32):
+            wvals = rng.normal(0, 0.5, h.num_checks)
+            llr = rng.normal(1.0, 3.0, (batch, h.n))
+            bits = rng.integers(0, 2, (batch, h.n)).astype(np.uint8)
+            value, grads = block_gradients(h, wvals, llr, bits)
+            ref_value, ref_grads = tape.block_gradients(h, wvals, llr, bits)
+            assert value == ref_value
+            np.testing.assert_array_equal(grads, ref_grads)
+
     def test_full_block_matches_finite_differences(self, hamming):
         rng = np.random.default_rng(3)
         for _ in range(20):
