@@ -90,18 +90,10 @@ class VcdcDecoder:
         self.timesteps = timesteps
         self.step_db = step_db
         self.name = f"vcdc-t{timesteps}"
-        self._schedules = {}
-
-    def _schedule(self, csnr_db):
-        key = round(float(csnr_db), 9)
-        if key not in self._schedules:
-            self._schedules[key] = build_schedule(csnr_db, self.timesteps, self.step_db,
-                                                  self.h.rate)
-        return self._schedules[key]
 
     def decode_batch(self, llrs, csnr_db):
-        bits, _, steps, _ = denoiser.decode_vcdc_batch(self.h, self.weights,
-                                                       self._schedule(csnr_db), llrs)
+        sched = build_schedule(csnr_db, self.timesteps, self.step_db, self.h.rate)
+        bits, _, steps, _ = denoiser.decode_vcdc_batch(self.h, self.weights, sched, llrs)
         return bits, steps
 
 
@@ -130,6 +122,8 @@ def run_ber(h, decoder, csnr_db, stop_errors=100, max_frames=None, seed=0,
     """
     if stop_errors < 1:
         raise ValueError(f"stop_errors must be >= 1, got {stop_errors}")
+    if batch_frames < 1:
+        raise ValueError(f"batch_frames must be >= 1, got {batch_frames}")
     if max_frames is None:
         max_frames = max(1, 10**8 // h.n)
     workers = default_workers() if workers is None else max(1, int(workers))

@@ -58,6 +58,13 @@ class DecodeResult:
     syndrome_zero: bool
     parity_errors: int
 
+    @classmethod
+    def first_frame(cls, h, batch):
+        """Frame 0 of a batch decoder's (bits, beliefs, steps, syndrome_zero)."""
+        bits, beliefs, steps, ok = (a[0] for a in batch)
+        return cls(bits=bits, beliefs=beliefs, steps_used=int(steps),
+                   syndrome_zero=bool(ok), parity_errors=syndrome(h, bits)[1])
+
 
 class EdgeIndex:
     """Canonical edge enumeration of a Tanner graph plus gather/scatter maps.
@@ -178,6 +185,17 @@ def _check_sweep_minsum(v2c, ei):
     return c2v
 
 
+def check_llr_batch(h, llrs):
+    """``llrs`` as a float64 (B, n) array; ValueError on any other shape or a
+    non-finite entry.  A single word ``x`` is checked as the batch ``x[None]``."""
+    llrs = np.asarray(llrs, dtype=np.float64)
+    if llrs.ndim != 2 or llrs.shape[1] != h.n:
+        raise ValueError(f"expected (B, {h.n}) LLR array, got {llrs.shape}")
+    if not np.isfinite(llrs).all():
+        raise ValueError("LLRs must be finite")
+    return llrs
+
+
 def decode_bp_batch(h, llrs, cfg=BpConfig(), edge_index=None):
     """Flooding BP over a (B, n) batch of LLR vectors.
 
@@ -185,56 +203,36 @@ def decode_bp_batch(h, llrs, cfg=BpConfig(), edge_index=None):
     exits as soon as its hard decision satisfies every parity check.
     Channel LLRs are clamped to +-LLR_CLAMP; non-finite ones are rejected.
     """
-    llrs = np.asarray(llrs, dtype=np.float64)
-    if llrs.ndim != 2 or llrs.shape[1] != h.n:
-        raise ValueError(f"expected (B, {h.n}) LLR array, got {llrs.shape}")
-    if not np.isfinite(llrs).all():
-        raise ValueError("LLRs must be finite")
+    llrs = check_llr_batch(h, llrs)
     ei = edge_index if edge_index is not None else EdgeIndex(h)
     sweep = _check_sweep_sumproduct if cfg.variant == SUM_PRODUCT else _check_sweep_minsum
 
+    # every frame is written at the first iteration
     nframes = llrs.shape[0]
-    l_all = np.clip(llrs, -LLR_CLAMP, LLR_CLAMP)
-    bits = (l_all < 0).astype(np.uint8)
-    beliefs = l_all.copy()
-    iters = np.full(nframes, cfg.max_iters, dtype=np.int64)
-    ok = np.zeros(nframes, dtype=bool)
+    bits = np.empty(llrs.shape, dtype=np.uint8)
+    beliefs = np.empty_like(llrs)
+    iters = np.empty(nframes, dtype=np.int64)
+    ok = np.empty(nframes, dtype=bool)
 
     idx = np.arange(nframes)
-    l = l_all
+    l = np.clip(llrs, -LLR_CLAMP, LLR_CLAMP)
     v2c = np.clip(l[:, ei.edge_var], -cfg.message_clamp, cfg.message_clamp)
     for it in range(1, cfg.max_iters + 1):
         c2v = sweep(v2c, ei)
         s = l + ei.belief_sums(c2v)
         hard = (s < 0).astype(np.uint8)
-        syn_counts = syndrome(h, hard)[1]
-        done = (syn_counts == 0) if cfg.early_exit else np.zeros(len(s), dtype=bool)
-        if not cfg.early_exit and it == cfg.max_iters:
-            done = syn_counts == 0
-        if done.any():
-            sel = idx[done]
-            bits[sel] = hard[done]
-            beliefs[sel] = s[done]
-            iters[sel] = it
-            ok[sel] = True
-        if done.all() or it == cfg.max_iters:
-            if not done.all():
-                sel = idx[~done]
-                bits[sel] = hard[~done]
-                beliefs[sel] = s[~done]
+        done = syndrome(h, hard)[1] == 0
+        bits[idx], beliefs[idx], iters[idx], ok[idx] = hard, s, it, done
+        if cfg.early_exit:
+            keep = ~done
+            idx, l, s, c2v = idx[keep], l[keep], s[keep], c2v[keep]
+        if idx.size == 0 or it == cfg.max_iters:
             break
-        keep = ~done
-        idx, l, s = idx[keep], l[keep], s[keep]
-        v2c = np.clip(s[:, ei.edge_var] - c2v[keep], -cfg.message_clamp, cfg.message_clamp)
+        v2c = np.clip(s[:, ei.edge_var] - c2v, -cfg.message_clamp, cfg.message_clamp)
     return bits, beliefs, iters, ok
 
 
 def decode_bp(h, llr, cfg=BpConfig()):
     """Decode a single LLR word (LlrWord or length-n array)."""
     values = np.asarray(getattr(llr, "values", llr), dtype=np.float64)
-    if values.shape != (h.n,):
-        raise ValueError(f"expected length-{h.n} LLR word, got shape {values.shape}")
-    bits, beliefs, iters, ok = decode_bp_batch(h, values[None, :], cfg)
-    _, nerr = syndrome(h, bits[0])
-    return DecodeResult(bits=bits[0], beliefs=beliefs[0], steps_used=int(iters[0]),
-                        syndrome_zero=bool(ok[0]), parity_errors=nerr)
+    return DecodeResult.first_frame(h, decode_bp_batch(h, values[None], cfg))

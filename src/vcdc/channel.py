@@ -32,7 +32,7 @@ class LlrWord:
     csnr_db: float
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
+        values = np.array(self.values, dtype=np.float64)  # a copy: the caller's stays writable
         if not np.isfinite(values).all():
             raise ValueError("LLR values must be finite")
         values.setflags(write=False)
@@ -42,14 +42,19 @@ class LlrWord:
         return self.values.shape[-1]
 
 
+def _check_noise_scale(w):
+    # NaN fails ``w > 0`` and inf fails ``isfinite``
+    if not np.all(np.isfinite(w) & (w > 0)):
+        raise ValueError(f"noise scale must be finite and positive, got {w}")
+
+
 def transmit(x, w, rng):
     """Send bipolar symbols through AWGN: y = x + w*xi, xi ~ N(0, I).
 
     ``w`` is a scalar or an array that broadcasts against ``x`` (one noise
     scale per frame as a (B, 1) column, say).
     """
-    if np.any(w <= 0):
-        raise ValueError(f"noise scale must be positive, got {w}")
+    _check_noise_scale(w)
     x = np.asarray(x, dtype=np.float64)
     return x + w * rng.standard_normal(x.shape)
 
@@ -60,8 +65,7 @@ def to_llr(y, w, csnr_db=None):
     Returns a plain array, or an LlrWord tagged with the channel level when
     ``csnr_db`` is given.
     """
-    if np.any(w <= 0):
-        raise ValueError(f"noise scale must be positive, got {w}")
+    _check_noise_scale(w)
     # w**2 is pow() for a scalar and an exact square for an array; the
     # fixed-seed bench and training outputs depend on exactly these roundings
     values = np.clip(2.0 * np.asarray(y, dtype=np.float64) / w**2, -LLR_CLAMP, LLR_CLAMP)

@@ -16,10 +16,11 @@ import sys
 import numpy as np
 
 from . import bench, codes
-from .bp import BpConfig
+from .bp import BpConfig, decode_bp
 from .channel import LlrWord
 from .codebook import load_alist, syndrome
-from .denoiser import load_checkpoint, save_checkpoint
+from .denoiser import decode_vcdc, load_checkpoint, save_checkpoint
+from .diffusion import build_schedule
 from .train import TrainConfig, train, write_loss_curve
 
 
@@ -56,14 +57,19 @@ def _load_code(path):
     return load_alist(path)
 
 
-def _resolve(args, file_cfg, defaults):
-    """defaults < config file < explicit flags."""
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _resolve(args, defaults):
+    """defaults < config file (``--config``) < explicit flags."""
     resolved = dict(defaults)
-    for key, raw in file_cfg.items():
+    for key, raw in (_read_config(args.config) if args.config else {}).items():
         if key not in defaults:
             raise ValueError(f"unknown config key {key!r}")
         kind = type(defaults[key])
-        resolved[key] = (raw.lower() in ("1", "true", "yes")) if kind is bool else kind(raw)
+        if kind is bool and raw.lower() not in _BOOLS:
+            raise ValueError(f"config key {key!r}: expected 1/0/true/false/yes/no, got {raw!r}")
+        resolved[key] = _BOOLS[raw.lower()] if kind is bool else kind(raw)
     for key in defaults:
         value = getattr(args, key, None)
         if value is not None:
@@ -89,8 +95,7 @@ DECODE_DEFAULTS = {
 
 
 def cmd_train(args):
-    file_cfg = _read_config(args.config) if args.config else {}
-    cfg = _resolve(args, file_cfg, TRAIN_DEFAULTS)
+    cfg = _resolve(args, TRAIN_DEFAULTS)
     if not cfg["code"]:
         raise ValueError("train requires --code")
     h = _load_code(cfg["code"])
@@ -111,8 +116,7 @@ def cmd_train(args):
 
 
 def cmd_bench(args):
-    file_cfg = _read_config(args.config) if args.config else {}
-    cfg = _resolve(args, file_cfg, BENCH_DEFAULTS)
+    cfg = _resolve(args, BENCH_DEFAULTS)
     if not cfg["code"]:
         raise ValueError("bench requires --code")
     h = _load_code(cfg["code"])
@@ -157,8 +161,7 @@ def cmd_bench(args):
 
 
 def cmd_decode(args):
-    file_cfg = _read_config(args.config) if args.config else {}
-    cfg = _resolve(args, file_cfg, DECODE_DEFAULTS)
+    cfg = _resolve(args, DECODE_DEFAULTS)
     if not cfg["code"] or not cfg["llr"]:
         raise ValueError("decode requires --code and --llr")
     h = _load_code(cfg["code"])
@@ -168,7 +171,6 @@ def cmd_decode(args):
         raise ValueError(f"LLR file has {values.size} values, code needs {h.n}")
 
     if cfg["decoder"] == "bp":
-        from .bp import decode_bp
         result = decode_bp(h, values, BpConfig(max_iters=cfg["bp_iters"],
                                                variant=cfg["bp_variant"]))
     elif cfg["decoder"] == "vcdc":
@@ -176,8 +178,6 @@ def cmd_decode(args):
             raise ValueError("decoder 'vcdc' requires --checkpoint")
         with open(cfg["checkpoint"], "rb") as fh:
             weights = load_checkpoint(fh.read())
-        from .denoiser import decode_vcdc
-        from .diffusion import build_schedule
         sched = build_schedule(cfg["csnr"], cfg["timesteps"], cfg["step_db"], h.rate)
         result = decode_vcdc(h, weights, sched, LlrWord(values=values, csnr_db=cfg["csnr"]))
     else:
@@ -201,52 +201,30 @@ def cmd_inspect_code(args):
     return 0
 
 
+def _add_flags(parser, defaults):
+    """--config plus one --key-with-dashes flag per ``defaults`` key, parsed
+    to the default's type; a boolean key is a switch that sets True."""
+    parser.add_argument("--config")
+    for key, value in defaults.items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(value, bool):
+            parser.add_argument(flag, action="store_const", const=True)
+        else:
+            parser.add_argument(flag, type=type(value))
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="vcdc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_train = sub.add_parser("train", help="train block weights, write checkpoint + loss CSV")
-    p_train.add_argument("--config")
-    p_train.add_argument("--code")
-    p_train.add_argument("--out")
-    p_train.add_argument("--seed", type=int)
-    p_train.add_argument("--iterations", type=int)
-    p_train.add_argument("--batch-size", dest="batch_size", type=int)
-    p_train.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p_train.add_argument("--csnr-low", dest="csnr_low", type=float)
-    p_train.add_argument("--csnr-high", dest="csnr_high", type=float)
-    p_train.add_argument("--all-zero", dest="all_zero", action="store_const", const=True)
-    p_train.set_defaults(func=cmd_train)
-
-    p_bench = sub.add_parser("bench", help="Monte-Carlo BER runs, results CSV + plot data")
-    p_bench.add_argument("--config")
-    p_bench.add_argument("--code")
-    p_bench.add_argument("--out")
-    p_bench.add_argument("--seed", type=int)
-    p_bench.add_argument("--decoders", help="comma list: bp,vcdc,identity")
-    p_bench.add_argument("--csnr", help="comma list of dB levels")
-    p_bench.add_argument("--checkpoint")
-    p_bench.add_argument("--timesteps", help="comma list of reverse timesteps for vcdc")
-    p_bench.add_argument("--step-db", dest="step_db", type=float)
-    p_bench.add_argument("--bp-iters", dest="bp_iters", type=int)
-    p_bench.add_argument("--bp-variant", dest="bp_variant")
-    p_bench.add_argument("--stop-errors", dest="stop_errors", type=int)
-    p_bench.add_argument("--max-frames", dest="max_frames", type=int)
-    p_bench.add_argument("--batch-frames", dest="batch_frames", type=int)
-    p_bench.set_defaults(func=cmd_bench)
-
-    p_dec = sub.add_parser("decode", help="decode one LLR word from a file")
-    p_dec.add_argument("--config")
-    p_dec.add_argument("--code")
-    p_dec.add_argument("--llr")
-    p_dec.add_argument("--decoder", help="bp or vcdc")
-    p_dec.add_argument("--checkpoint")
-    p_dec.add_argument("--csnr", type=float)
-    p_dec.add_argument("--timesteps", type=int)
-    p_dec.add_argument("--step-db", dest="step_db", type=float)
-    p_dec.add_argument("--bp-iters", dest="bp_iters", type=int)
-    p_dec.add_argument("--bp-variant", dest="bp_variant")
-    p_dec.set_defaults(func=cmd_decode)
+    for name, func, defaults, help_text in (
+            ("train", cmd_train, TRAIN_DEFAULTS,
+             "train block weights, write checkpoint + loss CSV"),
+            ("bench", cmd_bench, BENCH_DEFAULTS,
+             "Monte-Carlo BER runs, results CSV + plot data"),
+            ("decode", cmd_decode, DECODE_DEFAULTS, "decode one LLR word from a file")):
+        p = sub.add_parser(name, help=help_text)
+        _add_flags(p, defaults)
+        p.set_defaults(func=func)
 
     p_ins = sub.add_parser("inspect-code", help="print code parameters and degree profile")
     p_ins.add_argument("--code", required=True)

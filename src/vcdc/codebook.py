@@ -97,25 +97,32 @@ class GeneratorMatrix:
         return self.matrix.shape[1]
 
 
+def _row_reduce(a):
+    """Reduce the 0/1 uint8 matrix ``a`` in place over GF(2); return the pivot
+    columns, on which ``a`` ends as an identity block.  Each pivot is the
+    first nonzero entry at or below the current row, columns left to right."""
+    m, n = a.shape
+    pivot_cols = []
+    for j in range(n):
+        r = len(pivot_cols)
+        if r == m:
+            break
+        hits = np.flatnonzero(a[r:, j])
+        if hits.size == 0:
+            continue
+        i = r + hits[0]
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        elim = np.flatnonzero(a[:, j])
+        elim = elim[elim != r]
+        a[elim] ^= a[r]
+        pivot_cols.append(j)
+    return pivot_cols
+
+
 def gf2_rank(mat):
     """Rank of a binary matrix over GF(2)."""
-    a = _as_bits(mat).copy()
-    m, n = a.shape
-    rank = 0
-    for j in range(n):
-        if rank == m:
-            break
-        pivots = np.flatnonzero(a[rank:, j])
-        if pivots.size == 0:
-            continue
-        i = rank + pivots[0]
-        if i != rank:
-            a[[rank, i]] = a[[i, rank]]
-        elim = np.flatnonzero(a[:, j])
-        elim = elim[elim != rank]
-        a[elim] ^= a[rank]
-        rank += 1
-    return rank
+    return len(_row_reduce(_as_bits(mat)))
 
 
 def parse_alist(text):
@@ -212,24 +219,10 @@ def derive_generator(h):
     """
     a = h.rows.copy()
     m, n = a.shape
-    pivot_cols = []
-    r = 0
-    for j in range(n):
-        if r == m:
-            break
-        hits = np.flatnonzero(a[r:, j])
-        if hits.size == 0:
-            continue
-        i = r + hits[0]
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        elim = np.flatnonzero(a[:, j])
-        elim = elim[elim != r]
-        a[elim] ^= a[r]
-        pivot_cols.append(j)
-        r += 1
-    if r < m:
-        raise ValueError(f"parity-check matrix is rank deficient: rank {r} < {m}")
+    pivot_cols = _row_reduce(a)
+    if len(pivot_cols) < m:
+        raise ValueError(
+            f"parity-check matrix is rank deficient: rank {len(pivot_cols)} < {m}")
     free_cols = [j for j in range(n) if j not in set(pivot_cols)]
     perm = np.array(pivot_cols + free_cols, dtype=np.int64)
     p_block = a[:, free_cols]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bp import DecodeResult, check_minsum_terms
+from .bp import DecodeResult, check_llr_batch, check_minsum_terms
 from .channel import LlrWord
 from .codebook import syndrome
 from .diffusion import reverse_step
@@ -63,6 +63,16 @@ def _check_columns(h):
     return [np.asarray(cols, dtype=np.int64) for cols in h.chk_adjacency]
 
 
+def block_layers(h, w, x):
+    """Run the layers over the (B, n) beliefs ``x`` in place, with layer
+    weights ``w``; yields each layer's (columns, check_minsum_terms output)."""
+    for wl, cols in zip(w, _check_columns(h)):
+        xc = x[:, cols]
+        terms = check_minsum_terms(xc)
+        x[:, cols] = xc + wl * terms[0]
+        yield cols, terms
+
+
 def neural_block(h, weights, llr):
     """Run one block: (final beliefs, soft estimate tanh(beliefs/2)).
 
@@ -75,10 +85,8 @@ def neural_block(h, weights, llr):
     x = np.atleast_2d(x).copy()
     if x.shape[1] != h.n:
         raise ValueError(f"expected length-{h.n} beliefs, got {x.shape[1]}")
-    for w, cols in zip(weights.values, _check_columns(h)):
-        xc = x[:, cols]
-        u = check_minsum_terms(xc)[0]
-        x[:, cols] = xc + w * u
+    for _ in block_layers(h, weights.values, x):
+        pass
     x_hat = np.tanh(x / 2.0)
     if single:
         return x[0], x_hat[0]
@@ -96,11 +104,7 @@ def decode_vcdc_batch(h, weights, sched, llrs):
     has a single level.  Non-finite LLRs are rejected.
     """
     weights.check_code(h)
-    llrs = np.asarray(llrs, dtype=np.float64)
-    if llrs.ndim != 2 or llrs.shape[1] != h.n:
-        raise ValueError(f"expected (B, {h.n}) LLR array, got {llrs.shape}")
-    if not np.isfinite(llrs).all():
-        raise ValueError("LLRs must be finite")
+    llrs = check_llr_batch(h, llrs)
     bits = (llrs < 0).astype(np.uint8)
     beliefs = llrs.copy()
     steps = np.zeros(llrs.shape[0], dtype=np.int64)
@@ -127,20 +131,11 @@ def decode_vcdc_batch(h, weights, sched, llrs):
 def decode_vcdc(h, weights, sched, llr):
     """Decode a single LLR word; an LlrWord must be referenced to the
     schedule's observed CSNR level."""
-    if isinstance(llr, LlrWord):
-        if abs(llr.csnr_db - sched.observed_csnr_db) > 1e-9:
-            raise ValueError(
-                f"LLR word at {llr.csnr_db} dB does not match schedule observed "
-                f"level {sched.observed_csnr_db} dB")
-        values = llr.values
-    else:
-        values = np.asarray(llr, dtype=np.float64)
-    if values.shape != (h.n,):
-        raise ValueError(f"expected length-{h.n} LLR word, got shape {values.shape}")
-    bits, beliefs, steps, ok = decode_vcdc_batch(h, weights, sched, values[None, :])
-    _, nerr = syndrome(h, bits[0])
-    return DecodeResult(bits=bits[0], beliefs=beliefs[0], steps_used=int(steps[0]),
-                        syndrome_zero=bool(ok[0]), parity_errors=nerr)
+    if isinstance(llr, LlrWord) and abs(llr.csnr_db - sched.observed_csnr_db) > 1e-9:
+        raise ValueError(f"LLR word at {llr.csnr_db} dB does not match schedule observed "
+                         f"level {sched.observed_csnr_db} dB")
+    values = np.asarray(getattr(llr, "values", llr), dtype=np.float64)
+    return DecodeResult.first_frame(h, decode_vcdc_batch(h, weights, sched, values[None]))
 
 
 CHECKPOINT_MAGIC = "VCDC1"

@@ -29,7 +29,7 @@ class DiffusionSchedule:
     sigmas: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        levels = np.asarray(self.csnr_levels, dtype=np.float64)
+        levels = np.array(self.csnr_levels, dtype=np.float64)  # a copy, frozen below
         if levels.ndim != 1 or levels.size < 1:
             raise ValueError("schedule needs at least one CSNR level")
         if levels.size > 1 and not (np.diff(levels) < 0).all():

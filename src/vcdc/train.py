@@ -19,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bp import check_minsum_terms
 from .channel import noise_scale, to_llr, transmit
 from .codebook import bipolar, derive_generator, encode
-from .denoiser import NeuralBlockWeights, _check_columns
+from .denoiser import NeuralBlockWeights, block_layers
 
 
 class TrainingDiverged(RuntimeError):
@@ -88,18 +87,12 @@ def block_gradients(h, weights, llrs, x_b):
     weights = np.asarray(weights, dtype=np.float64)
     if weights.size != h.num_checks:
         raise ValueError(f"expected {h.num_checks} layer weights, got {weights.size}")
-    columns = _check_columns(h)
     x = np.atleast_2d(np.asarray(llrs, dtype=np.float64)).copy()
-    layers = []
-    for w, cols in zip(weights, columns):
-        xc = x[:, cols]
-        terms = check_minsum_terms(xc)
-        x[:, cols] = xc + w * terms[0]
-        layers.append(terms)
+    layers = list(block_layers(h, weights, x))
     value, g = loss_with_adjoint(x, x_b)
     grads = np.empty(h.num_checks)
     for layer in reversed(range(h.num_checks)):
-        cols, terms = columns[layer], layers[layer]
+        cols, terms = layers[layer]
         # the gather comes out F-ordered; a C-ordered copy fixes the summation order
         g_cols = np.ascontiguousarray(g[:, cols])
         grads[layer] = (g_cols * terms[0]).sum(axis=(0, 1))
@@ -142,9 +135,6 @@ class TrainConfig:
     iterations: int = 20000
     csnr_low_db: float = 4.0
     csnr_high_db: float = 6.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     all_zero_codewords: bool = False
     forced_noise_scale: float | None = None
@@ -180,7 +170,7 @@ def train(h, cfg=TrainConfig()):
     rng = np.random.default_rng(cfg.seed)
     gen = derive_generator(h)
     params = np.zeros(h.num_checks)
-    adam = Adam(lr=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
+    adam = Adam(lr=cfg.learning_rate)
     raw = np.empty(cfg.iterations)
     for it in range(cfg.iterations):
         csnr = rng.uniform(cfg.csnr_low_db, cfg.csnr_high_db, size=cfg.batch_size)

@@ -56,6 +56,12 @@ class TestTransmit:
             transmit(np.ones((2, 3)), np.array([[0.5], [0.0]]), np.random.default_rng(0))
         with pytest.raises(ValueError):
             to_llr(np.ones((2, 3)), np.array([[0.5], [-1.0]]))
+        # NaN passes a "w <= 0" test; NaN and inf scales are rejected too
+        for bad in (np.nan, np.inf, np.array([[0.5], [np.nan]]), np.array([[np.inf], [0.5]])):
+            with pytest.raises(ValueError, match="finite"):
+                transmit(np.ones((2, 3)), bad, np.random.default_rng(0))
+            with pytest.raises(ValueError, match="finite"):
+                to_llr(np.ones((2, 3)), bad)
 
     def test_per_frame_scales_match_scalar_calls(self):
         # one scale per frame as a (B, 1) column: the same draws, frame by
@@ -94,6 +100,13 @@ class TestToLlr:
         assert isinstance(word, LlrWord)
         assert word.csnr_db == 4.0
         assert len(word) == 2
+
+    def test_llr_word_leaves_caller_array_writable(self):
+        values = np.array([1.5, -2.0, 0.25])
+        word = LlrWord(values=values, csnr_db=4.0)
+        values[0] = 9.0
+        assert word.values[0] == 1.5
+        assert not word.values.flags.writeable
 
     def test_llr_word_rejects_non_finite(self):
         with pytest.raises(ValueError):

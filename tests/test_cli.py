@@ -1,8 +1,15 @@
+import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import vcdc
 from vcdc import codes
-from vcdc.cli import main
+from vcdc.cli import build_parser, main
 from vcdc.codebook import bipolar, derive_generator, encode, serialize_alist
 from vcdc.bench import read_results_csv
 
@@ -86,6 +93,22 @@ class TestTrain:
         cfg.write_text("cleverness=11\n")
         assert run_cli("train", "--config", cfg, "--code", hamming_file,
                        "--out", tmp_path / "o") == 2
+
+    @pytest.mark.parametrize("raw, parsed", [("1", True), ("TRUE", True), ("Yes", True),
+                                             ("0", False), ("false", False), ("NO", False),
+                                             ("ture", None), ("", None), ("2", None)])
+    def test_config_booleans_validated(self, hamming_file, tmp_path, capsys, raw, parsed):
+        cfg = tmp_path / "run.config"
+        cfg.write_text(f"all_zero={raw}\niterations=2\nbatch_size=4\n")
+        out = tmp_path / "o"
+        code = run_cli("train", "--config", cfg, "--code", hamming_file, "--out", out)
+        if parsed is None:
+            assert code == 2
+            assert "all_zero" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert code == 0
+            assert f"all_zero={parsed}" in (out / "train.config").read_text()
 
 
 class TestDecode:
@@ -175,9 +198,65 @@ class TestBench:
                        "--decoders", "vcdc", "--csnr", "4") == 2
         assert "checkpoint" in capsys.readouterr().err
 
+    def test_nan_csnr_exits_two(self, tmp_path, capsys):
+        # a NaN noise scale used to decode as a BER of about 0.5 and exit 0
+        out = tmp_path / "bench"
+        assert run_cli("bench", "--code", "hamming_7_4", "--out", out,
+                       "--decoders", "identity", "--csnr", "nan", "--stop-errors", 3,
+                       "--batch-frames", 16) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
+    def test_zero_batch_frames_exits_two(self, tmp_path):
+        # in a child process with a timeout: an empty batch once looped forever
+        env = dict(os.environ)
+        src = str(Path(vcdc.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "vcdc.cli", "bench", "--code", "hamming_7_4",
+             "--out", str(tmp_path / "bench"), "--decoders", "identity", "--csnr", "2",
+             "--batch-frames", "0"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert "batch_frames" in proc.stderr
+
     def test_bundled_code_name_resolves(self, tmp_path):
         out = tmp_path / "bench"
         code = run_cli("bench", "--code", "hamming_7_4", "--out", out,
                        "--decoders", "identity", "--csnr", "2", "--stop-errors", 3,
                        "--batch-frames", 16, "--seed", 0)
         assert code == 0
+
+
+# every flag of train, bench and decode and the type its value parses to;
+# bool marks a switch that takes no value and sets True
+PINNED_FLAGS = {
+    "train": {"--config": str, "--code": str, "--out": str, "--seed": int,
+              "--iterations": int, "--batch-size": int, "--learning-rate": float,
+              "--csnr-low": float, "--csnr-high": float, "--all-zero": bool},
+    "bench": {"--config": str, "--code": str, "--out": str, "--seed": int,
+              "--decoders": str, "--csnr": str, "--checkpoint": str, "--timesteps": str,
+              "--step-db": float, "--bp-iters": int, "--bp-variant": str,
+              "--stop-errors": int, "--max-frames": int, "--batch-frames": int},
+    "decode": {"--config": str, "--code": str, "--llr": str, "--decoder": str,
+               "--checkpoint": str, "--csnr": float, "--timesteps": int,
+               "--step-db": float, "--bp-iters": int, "--bp-variant": str},
+}
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", sorted(PINNED_FLAGS))
+    def test_flags_and_parsed_types_are_pinned(self, command):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {opt for action in sub.choices[command]._actions
+                 for opt in action.option_strings if opt not in ("-h", "--help")}
+        assert flags == set(PINNED_FLAGS[command])
+        for flag, kind in PINNED_FLAGS[command].items():
+            dest = flag[2:].replace("-", "_")
+            if kind is bool:
+                assert getattr(parser.parse_args([command, flag]), dest) is True
+            else:
+                value = getattr(parser.parse_args([command, flag, "7"]), dest)
+                assert type(value) is kind and value == kind("7")
+            assert getattr(parser.parse_args([command]), dest) is None

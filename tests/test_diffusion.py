@@ -28,6 +28,13 @@ class TestBuildSchedule:
         for t in range(1, len(sched)):
             assert forward_transition(sched, t - 1, t).variance > 0
 
+    def test_caller_levels_stay_writable(self):
+        levels = np.array([5.0, 4.5, 4.0])
+        sched = DiffusionSchedule(csnr_levels=levels, rate=0.5)
+        levels[0] = 7.0
+        assert sched.csnr_levels[0] == 5.0
+        assert not sched.csnr_levels.flags.writeable
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             build_schedule(4.0, 0, 0.5, 0.5)
