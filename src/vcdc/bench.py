@@ -108,13 +108,8 @@ class IdentityDecoder:
         return hard_decide(llrs), np.zeros(llrs.shape[0], dtype=np.int64)
 
 
-def default_workers():
-    env = os.environ.get("VCDC_THREADS")
-    return max(1, int(env)) if env else 1
-
-
 def run_ber(h, decoder, csnr_db, stop_errors=100, max_frames=None, seed=0,
-            code_id="code", batch_frames=512, workers=None):
+            code_id="code", batch_frames=512, workers=1):
     """Simulate frames until ``stop_errors`` bit errors or ``max_frames``.
 
     ``max_frames`` defaults to the equivalent of 1e8 bits.  Runs stopped by
@@ -126,7 +121,7 @@ def run_ber(h, decoder, csnr_db, stop_errors=100, max_frames=None, seed=0,
         raise ValueError(f"batch_frames must be >= 1, got {batch_frames}")
     if max_frames is None:
         max_frames = max(1, 10**8 // h.n)
-    workers = default_workers() if workers is None else max(1, int(workers))
+    workers = max(1, int(workers))
     gen = derive_generator(h)
     w = float(noise_scale(csnr_db, h.k, h.n))
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(workers)]

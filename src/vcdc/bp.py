@@ -6,7 +6,8 @@ variable ascending within each check; message arrays, and any weights tied
 to them, are indexed by that canonical order.
 
 The module exposes the per-edge update rules as scalar functions and a
-batch decoder vectorized over codewords; a single decode is a batch of one.
+batch decoder vectorized over codewords; a single word ``x`` is decoded as
+the batch ``x[None]``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LLR_CLAMP
+from .channel import LLR_CLAMP, hard_decide
 from .codebook import syndrome
 
 # Product clamp inside arctanh; keeps check messages finite (|u| <= ~28.4).
@@ -46,24 +47,6 @@ class BpConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.message_clamp <= 0:
             raise ValueError("message_clamp must be positive")
-
-
-@dataclass(frozen=True)
-class DecodeResult:
-    """Hard decisions, final beliefs, work done, and syndrome status."""
-
-    bits: np.ndarray
-    beliefs: np.ndarray
-    steps_used: int
-    syndrome_zero: bool
-    parity_errors: int
-
-    @classmethod
-    def first_frame(cls, h, batch):
-        """Frame 0 of a batch decoder's (bits, beliefs, steps, syndrome_zero)."""
-        bits, beliefs, steps, ok = (a[0] for a in batch)
-        return cls(bits=bits, beliefs=beliefs, steps_used=int(steps),
-                   syndrome_zero=bool(ok), parity_errors=syndrome(h, bits)[1])
 
 
 class EdgeIndex:
@@ -220,7 +203,7 @@ def decode_bp_batch(h, llrs, cfg=BpConfig(), edge_index=None):
     for it in range(1, cfg.max_iters + 1):
         c2v = sweep(v2c, ei)
         s = l + ei.belief_sums(c2v)
-        hard = (s < 0).astype(np.uint8)
+        hard = hard_decide(s)
         done = syndrome(h, hard)[1] == 0
         bits[idx], beliefs[idx], iters[idx], ok[idx] = hard, s, it, done
         if cfg.early_exit:
@@ -230,9 +213,3 @@ def decode_bp_batch(h, llrs, cfg=BpConfig(), edge_index=None):
             break
         v2c = np.clip(s[:, ei.edge_var] - c2v, -cfg.message_clamp, cfg.message_clamp)
     return bits, beliefs, iters, ok
-
-
-def decode_bp(h, llr, cfg=BpConfig()):
-    """Decode a single LLR word (LlrWord or length-n array)."""
-    values = np.asarray(getattr(llr, "values", llr), dtype=np.float64)
-    return DecodeResult.first_frame(h, decode_bp_batch(h, values[None], cfg))

@@ -9,8 +9,6 @@ ziggurat), so a fixed seed reproduces y bit-for-bit on one platform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Keeps arctanh arguments finite downstream without measurable BER effect.
@@ -22,24 +20,6 @@ def noise_scale(csnr_db, k, n):
     if not 0 < k < n:
         raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
     return 1.0 / np.sqrt(2.0 * (k / n) * 10.0 ** (csnr_db / 10.0))
-
-
-@dataclass(frozen=True)
-class LlrWord:
-    """Length-n vector of natural-log LLRs referenced to a channel level."""
-
-    values: np.ndarray
-    csnr_db: float
-
-    def __post_init__(self):
-        values = np.array(self.values, dtype=np.float64)  # a copy: the caller's stays writable
-        if not np.isfinite(values).all():
-            raise ValueError("LLR values must be finite")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    def __len__(self):
-        return self.values.shape[-1]
 
 
 def _check_noise_scale(w):
@@ -59,22 +39,14 @@ def transmit(x, w, rng):
     return x + w * rng.standard_normal(x.shape)
 
 
-def to_llr(y, w, csnr_db=None):
-    """Channel LLRs 2y/w^2, clamped to +-LLR_CLAMP; ``w`` as in transmit.
-
-    Returns a plain array, or an LlrWord tagged with the channel level when
-    ``csnr_db`` is given.
-    """
+def to_llr(y, w):
+    """Channel LLRs 2y/w^2, clamped to +-LLR_CLAMP; ``w`` as in transmit."""
     _check_noise_scale(w)
     # w**2 is pow() for a scalar and an exact square for an array; the
     # fixed-seed bench and training outputs depend on exactly these roundings
-    values = np.clip(2.0 * np.asarray(y, dtype=np.float64) / w**2, -LLR_CLAMP, LLR_CLAMP)
-    if csnr_db is None:
-        return values
-    return LlrWord(values=values, csnr_db=float(csnr_db))
+    return np.clip(2.0 * np.asarray(y, dtype=np.float64) / w**2, -LLR_CLAMP, LLR_CLAMP)
 
 
 def hard_decide(llr):
     """Hard decisions from LLRs: bit 0 where the LLR is >= 0, else bit 1."""
-    values = llr.values if isinstance(llr, LlrWord) else np.asarray(llr)
-    return (values < 0).astype(np.uint8)
+    return (np.asarray(llr) < 0).astype(np.uint8)

@@ -3,8 +3,7 @@
 Every subcommand reads defaults from an optional flat key=value config file
 (``--config``); command-line flags override file values.  Subcommands that
 write an output directory capture the fully resolved configuration there,
-so a run is reproducible from its output alone.  The VCDC_THREADS
-environment variable caps bench worker count.
+so a run is reproducible from its output alone.
 """
 
 from __future__ import annotations
@@ -16,10 +15,9 @@ import sys
 import numpy as np
 
 from . import bench, codes
-from .bp import BpConfig, decode_bp
-from .channel import LlrWord
+from .bp import BpConfig, decode_bp_batch
 from .codebook import load_alist, syndrome
-from .denoiser import decode_vcdc, load_checkpoint, save_checkpoint
+from .denoiser import decode_vcdc_batch, load_checkpoint, save_checkpoint
 from .diffusion import build_schedule
 from .train import TrainConfig, train, write_loss_curve
 
@@ -120,11 +118,14 @@ def cmd_bench(args):
     if not cfg["code"]:
         raise ValueError("bench requires --code")
     h = _load_code(cfg["code"])
-    _capture_config(cfg["out"], "bench", cfg)
     code_id = os.path.splitext(os.path.basename(cfg["code"]))[0]
     decoder_ids = [d.strip() for d in cfg["decoders"].split(",") if d.strip()]
     csnrs = [float(s) for s in str(cfg["csnr"]).split(",") if s.strip()]
     timesteps = [int(t) for t in str(cfg["timesteps"]).split(",") if t.strip()]
+    # an empty list would write a results.csv that measured nothing
+    if not decoder_ids or not csnrs or ("vcdc" in decoder_ids and not timesteps):
+        raise ValueError("bench needs at least one decoder, CSNR and (for vcdc) timestep count")
+    _capture_config(cfg["out"], "bench", cfg)
 
     decoders = []
     for choice in decoder_ids:
@@ -171,22 +172,23 @@ def cmd_decode(args):
         raise ValueError(f"LLR file has {values.size} values, code needs {h.n}")
 
     if cfg["decoder"] == "bp":
-        result = decode_bp(h, values, BpConfig(max_iters=cfg["bp_iters"],
-                                               variant=cfg["bp_variant"]))
+        batch = decode_bp_batch(h, values[None], BpConfig(max_iters=cfg["bp_iters"],
+                                                          variant=cfg["bp_variant"]))
     elif cfg["decoder"] == "vcdc":
         if not cfg["checkpoint"]:
             raise ValueError("decoder 'vcdc' requires --checkpoint")
         with open(cfg["checkpoint"], "rb") as fh:
             weights = load_checkpoint(fh.read())
         sched = build_schedule(cfg["csnr"], cfg["timesteps"], cfg["step_db"], h.rate)
-        result = decode_vcdc(h, weights, sched, LlrWord(values=values, csnr_db=cfg["csnr"]))
+        batch = decode_vcdc_batch(h, weights, sched, values[None])
     else:
         raise ValueError(f"unknown decoder {cfg['decoder']!r}")
 
-    print("".join(str(b) for b in result.bits))
-    print(f"syndrome: {'zero' if result.syndrome_zero else 'nonzero'} "
-          f"({result.parity_errors} parity errors, {result.steps_used} steps)")
-    return 0 if result.syndrome_zero else 1
+    bits, _, steps, ok = (a[0] for a in batch)
+    print("".join(str(b) for b in bits))
+    print(f"syndrome: {'zero' if ok else 'nonzero'} "
+          f"({syndrome(h, bits)[1]} parity errors, {steps} steps)")
+    return 0 if ok else 1
 
 
 def cmd_inspect_code(args):

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bp import DecodeResult, check_llr_batch, check_minsum_terms
-from .channel import LlrWord
+from .bp import check_llr_batch, check_minsum_terms
+from .channel import hard_decide
 from .codebook import syndrome
 from .diffusion import reverse_step
 
@@ -73,24 +73,18 @@ def block_layers(h, w, x):
         yield cols, terms
 
 
-def neural_block(h, weights, llr):
-    """Run one block: (final beliefs, soft estimate tanh(beliefs/2)).
-
-    Accepts a length-n LLR vector or a (B, n) batch.  With all weights
-    zero the block is the identity on beliefs.
+def neural_block(h, weights, llrs):
+    """Run one block on a (B, n) batch of beliefs: (final beliefs, soft
+    estimate tanh(beliefs/2)).  With all weights zero the block is the
+    identity on beliefs.
     """
     weights.check_code(h)
-    x = np.asarray(getattr(llr, "values", llr), dtype=np.float64)
-    single = x.ndim == 1
-    x = np.atleast_2d(x).copy()
-    if x.shape[1] != h.n:
-        raise ValueError(f"expected length-{h.n} beliefs, got {x.shape[1]}")
+    x = np.array(llrs, dtype=np.float64)  # a copy: the layers run in place
+    if x.ndim != 2 or x.shape[1] != h.n:
+        raise ValueError(f"expected (B, {h.n}) beliefs, got {x.shape}")
     for _ in block_layers(h, weights.values, x):
         pass
-    x_hat = np.tanh(x / 2.0)
-    if single:
-        return x[0], x_hat[0]
-    return x, x_hat
+    return x, np.tanh(x / 2.0)
 
 
 def decode_vcdc_batch(h, weights, sched, llrs):
@@ -105,7 +99,7 @@ def decode_vcdc_batch(h, weights, sched, llrs):
     """
     weights.check_code(h)
     llrs = check_llr_batch(h, llrs)
-    bits = (llrs < 0).astype(np.uint8)
+    bits = hard_decide(llrs)
     beliefs = llrs.copy()
     steps = np.zeros(llrs.shape[0], dtype=np.int64)
     ok = syndrome(h, bits)[1] == 0
@@ -121,32 +115,25 @@ def decode_vcdc_batch(h, weights, sched, llrs):
             used += 1
         else:  # the final block's beliefs are the decoder output
             z = block_beliefs
-        hard = (z < 0).astype(np.uint8)
+        hard = hard_decide(z)
         done = syndrome(h, hard)[1] == 0
         bits[idx], beliefs[idx], steps[idx], ok[idx] = hard, z, used, done
         idx, z = idx[~done], z[~done]
     return bits, beliefs, steps, ok
 
 
-def decode_vcdc(h, weights, sched, llr):
-    """Decode a single LLR word; an LlrWord must be referenced to the
-    schedule's observed CSNR level."""
-    if isinstance(llr, LlrWord) and abs(llr.csnr_db - sched.observed_csnr_db) > 1e-9:
-        raise ValueError(f"LLR word at {llr.csnr_db} dB does not match schedule observed "
-                         f"level {sched.observed_csnr_db} dB")
-    values = np.asarray(getattr(llr, "values", llr), dtype=np.float64)
-    return DecodeResult.first_frame(h, decode_vcdc_batch(h, weights, sched, values[None]))
-
-
 CHECKPOINT_MAGIC = "VCDC1"
+
+
+def _checkpoint_header(weights):
+    return f"{CHECKPOINT_MAGIC} {weights.n} {weights.k} {weights.values.size}\n"
 
 
 def save_checkpoint(weights):
     """Serialize weights: header "VCDC1 <n> <k> <L>" then one weight per
     line with 17 significant digits (round-trips float64 exactly)."""
-    lines = [f"{CHECKPOINT_MAGIC} {weights.n} {weights.k} {weights.values.size}"]
-    lines.extend(f"{w:.17g}" for w in weights.values)
-    return ("\n".join(lines) + "\n").encode("ascii")
+    body = "".join(f"{w:.17g}\n" for w in weights.values)
+    return (_checkpoint_header(weights) + body).encode("ascii")
 
 
 def load_checkpoint(data):
@@ -178,5 +165,4 @@ def load_checkpoint(data):
 
 def model_size_bytes(weights):
     """Deployed model size: 4 bytes per weight plus the ASCII header."""
-    header = f"{CHECKPOINT_MAGIC} {weights.n} {weights.k} {weights.values.size}\n"
-    return 4 * weights.values.size + len(header)
+    return 4 * weights.values.size + len(_checkpoint_header(weights))

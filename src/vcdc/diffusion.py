@@ -32,6 +32,8 @@ class DiffusionSchedule:
         levels = np.array(self.csnr_levels, dtype=np.float64)  # a copy, frozen below
         if levels.ndim != 1 or levels.size < 1:
             raise ValueError("schedule needs at least one CSNR level")
+        if not np.isfinite(levels).all():
+            raise ValueError(f"CSNR levels must be finite, got {levels}")
         if levels.size > 1 and not (np.diff(levels) < 0).all():
             raise ValueError("CSNR levels must be strictly decreasing")
         if not 0 < self.rate < 1:
@@ -47,10 +49,6 @@ class DiffusionSchedule:
 
     def __len__(self):
         return self.csnr_levels.size
-
-    @property
-    def observed_csnr_db(self):
-        return float(self.csnr_levels[-1])
 
     def vsnr(self):
         """Diffusion SNR alpha^2/sigma^2 per level; strictly decreasing."""

@@ -38,9 +38,8 @@ def loss(beliefs, x_b):
     Positive belief is evidence for bit 0; computed in stabilized softplus
     form, softplus(-(1 - 2 x_b) * belief), averaged over all entries.
     """
-    b = np.asarray(getattr(beliefs, "values", beliefs), dtype=np.float64)
     sym = 1.0 - 2.0 * np.asarray(x_b, dtype=np.float64)
-    return float(np.mean(_softplus(-sym * b)))
+    return float(np.mean(_softplus(-sym * np.asarray(beliefs, dtype=np.float64))))
 
 
 def loss_with_adjoint(beliefs, x_b):

@@ -100,13 +100,6 @@ class TestRunBer:
         with pytest.raises(ValueError):
             run_ber(hamming, BpDecoder(hamming), 4.0, stop_errors=0)
 
-    def test_vcdc_threads_env_caps_default_workers(self, monkeypatch):
-        from vcdc.bench import default_workers
-        monkeypatch.delenv("VCDC_THREADS", raising=False)
-        assert default_workers() == 1
-        monkeypatch.setenv("VCDC_THREADS", "3")
-        assert default_workers() == 3
-
     def test_vcdc_decoder_records_steps(self, hamming):
         weights = NeuralBlockWeights.zeros(hamming)
         dec = VcdcDecoder(hamming, weights, timesteps=6)

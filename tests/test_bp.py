@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from vcdc.bp import (ATANH_EPS, BpConfig, EdgeIndex, MIN_SUM, belief,
-                     check_update_minsum, check_update_sumproduct, decode_bp,
-                     decode_bp_batch, variable_update)
+                     check_update_minsum, check_update_sumproduct, decode_bp_batch,
+                     variable_update)
 from vcdc.codebook import ParityCheckMatrix, bipolar, derive_generator, encode, syndrome
 from vcdc.channel import LLR_CLAMP, hard_decide
 
@@ -100,19 +100,21 @@ class TestDecodeBp:
     def test_noiseless_exits_first_iteration(self, hamming):
         g = derive_generator(hamming)
         cw = encode(g, np.array([1, 0, 1, 1], dtype=np.uint8))
-        res = decode_bp(hamming, 20.0 * bipolar(cw), BpConfig(max_iters=5))
-        assert res.steps_used == 1
-        assert res.syndrome_zero and res.parity_errors == 0
-        assert np.array_equal(res.bits, cw)
+        bits, _, iters, ok = decode_bp_batch(hamming, 20.0 * bipolar(cw)[None],
+                                             BpConfig(max_iters=5))
+        assert iters[0] == 1
+        assert ok[0] and syndrome(hamming, bits[0])[1] == 0
+        assert np.array_equal(bits[0], cw)
 
     def test_repetition_toy_conflicting_llrs(self):
         # single degree-2 check; hand simulation: after one exchange both
         # beliefs equal -2, so the stronger (negative) evidence wins
         h = ParityCheckMatrix.from_rows(np.array([[1, 1]], dtype=np.uint8))
-        res = decode_bp(h, np.array([1.0, -3.0]), BpConfig(max_iters=5))
-        assert res.bits.tolist() == [1, 1]
-        np.testing.assert_allclose(res.beliefs, [-2.0, -2.0], atol=1e-12)
-        assert res.steps_used == 1 and res.syndrome_zero
+        bits, beliefs, iters, ok = decode_bp_batch(h, np.array([[1.0, -3.0]]),
+                                                   BpConfig(max_iters=5))
+        assert bits[0].tolist() == [1, 1]
+        np.testing.assert_allclose(beliefs[0], [-2.0, -2.0], atol=1e-12)
+        assert iters[0] == 1 and ok[0]
 
     @pytest.mark.parametrize("variant", ["sum-product", "min-sum"])
     def test_matches_reference_implementation(self, hamming, variant):
@@ -120,11 +122,11 @@ class TestDecodeBp:
         cfg = BpConfig(max_iters=4, variant=variant)
         for _ in range(40):
             llr = rng.normal(0, 2.5, hamming.n)
-            res = decode_bp(hamming, llr, cfg)
-            bits, beliefs, iters, ok = reference_decode(hamming, llr, cfg)
-            assert np.array_equal(res.bits, bits)
-            np.testing.assert_allclose(res.beliefs, beliefs, atol=1e-9)
-            assert res.steps_used == iters and res.syndrome_zero == ok
+            bits, beliefs, iters, ok = decode_bp_batch(hamming, llr[None], cfg)
+            ref_bits, ref_beliefs, ref_iters, ref_ok = reference_decode(hamming, llr, cfg)
+            assert np.array_equal(bits[0], ref_bits)
+            np.testing.assert_allclose(beliefs[0], ref_beliefs, atol=1e-9)
+            assert iters[0] == ref_iters and ok[0] == ref_ok
 
     def test_matches_reference_on_tree_code(self):
         h = make_tree_code(5)
@@ -132,10 +134,10 @@ class TestDecodeBp:
         cfg = BpConfig(max_iters=6)
         for _ in range(20):
             llr = rng.normal(0, 2, h.n)
-            res = decode_bp(h, llr, cfg)
-            bits, beliefs, iters, ok = reference_decode(h, llr, cfg)
-            assert np.array_equal(res.bits, bits)
-            np.testing.assert_allclose(res.beliefs, beliefs, atol=1e-9)
+            bits, beliefs, _, _ = decode_bp_batch(h, llr[None], cfg)
+            ref_bits, ref_beliefs, _, _ = reference_decode(h, llr, cfg)
+            assert np.array_equal(bits[0], ref_bits)
+            np.testing.assert_allclose(beliefs[0], ref_beliefs, atol=1e-9)
 
     def test_batch_equals_sequential(self, ldpc_49_24):
         rng = np.random.default_rng(13)
@@ -143,14 +145,17 @@ class TestDecodeBp:
         cfg = BpConfig(max_iters=5)
         bits, beliefs, iters, ok = decode_bp_batch(ldpc_49_24, llrs, cfg)
         for i in range(32):
-            res = decode_bp(ldpc_49_24, llrs[i], cfg)
-            assert np.array_equal(res.bits, bits[i])
-            np.testing.assert_allclose(res.beliefs, beliefs[i], atol=1e-12)
-            assert res.steps_used == iters[i]
+            # a batch of one: early-exit compaction must keep frames independent
+            b1, bel1, it1, ok1 = decode_bp_batch(ldpc_49_24, llrs[i:i + 1], cfg)
+            assert np.array_equal(b1[0], bits[i])
+            np.testing.assert_allclose(bel1[0], beliefs[i], atol=1e-12)
+            assert it1[0] == iters[i] and ok1[0] == ok[i]
 
     def test_dimension_mismatch(self, hamming):
         with pytest.raises(ValueError):
-            decode_bp(hamming, np.zeros(6))
+            decode_bp_batch(hamming, np.zeros((1, 6)))
+        with pytest.raises(ValueError):
+            decode_bp_batch(hamming, np.zeros(hamming.n))  # a word, not a batch
 
     def test_early_exit_returns_valid_codewords(self, ldpc_49_24):
         rng = np.random.default_rng(14)
@@ -173,10 +178,10 @@ class TestTreeExactness:
                        early_exit=False)
         for _ in range(10):
             llr = rng.uniform(-3, 3, h.n)
-            res = decode_bp(h, llr, cfg)
+            bits, beliefs, _, _ = decode_bp_batch(h, llr[None], cfg)
             exact = map_marginals(h, llr)
-            np.testing.assert_allclose(res.beliefs, exact, atol=1e-6)
-            assert np.array_equal(res.bits, hard_decide(exact))
+            np.testing.assert_allclose(beliefs[0], exact, atol=1e-6)
+            assert np.array_equal(bits[0], hard_decide(exact))
 
 
 class TestExtrinsicIdentity:
@@ -209,9 +214,10 @@ class TestVariantAgreement:
         for _ in range(trials):
             cw = encode(g, rng.integers(0, 2, ldpc_49_24.k))
             llr = bipolar(cw) * rng.uniform(10, 20, ldpc_49_24.n)
-            r1 = decode_bp(ldpc_49_24, llr, BpConfig(max_iters=5))
-            r2 = decode_bp(ldpc_49_24, llr, BpConfig(max_iters=5, variant=MIN_SUM))
-            agree += np.array_equal(r1.bits, r2.bits)
+            b1 = decode_bp_batch(ldpc_49_24, llr[None], BpConfig(max_iters=5))[0]
+            b2 = decode_bp_batch(ldpc_49_24, llr[None],
+                                 BpConfig(max_iters=5, variant=MIN_SUM))[0]
+            agree += np.array_equal(b1, b2)
         assert agree / trials >= 0.99
 
 
@@ -249,6 +255,6 @@ def test_edge_index_is_check_major_sorted():
 
 def test_isolated_variable_keeps_channel_belief():
     h = ParityCheckMatrix.from_rows(np.array([[1, 1, 0]], dtype=np.uint8))
-    res = decode_bp(h, np.array([2.0, 1.0, -0.7]), BpConfig(max_iters=3))
-    assert res.beliefs[2] == pytest.approx(-0.7)
-    assert res.bits[2] == 1
+    bits, beliefs, _, _ = decode_bp_batch(h, np.array([[2.0, 1.0, -0.7]]), BpConfig(max_iters=3))
+    assert beliefs[0, 2] == pytest.approx(-0.7)
+    assert bits[0, 2] == 1

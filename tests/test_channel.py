@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vcdc.channel import LLR_CLAMP, LlrWord, hard_decide, noise_scale, to_llr, transmit
+from vcdc.channel import LLR_CLAMP, hard_decide, noise_scale, to_llr, transmit
 
 # frozen with a 40-digit mpmath evaluation of 1/sqrt(2 (k/n) 10^(s/10))
 W_4DB_121_60 = 0.633580879058
@@ -94,23 +94,6 @@ class TestToLlr:
     def test_clamped_to_finite_bound(self):
         vals = to_llr(np.array([1e12]), 1e-3)
         assert vals[0] == LLR_CLAMP
-
-    def test_tagged_word(self):
-        word = to_llr(np.array([0.1, -0.2]), 0.5, csnr_db=4.0)
-        assert isinstance(word, LlrWord)
-        assert word.csnr_db == 4.0
-        assert len(word) == 2
-
-    def test_llr_word_leaves_caller_array_writable(self):
-        values = np.array([1.5, -2.0, 0.25])
-        word = LlrWord(values=values, csnr_db=4.0)
-        values[0] = 9.0
-        assert word.values[0] == 1.5
-        assert not word.values.flags.writeable
-
-    def test_llr_word_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            LlrWord(values=np.array([np.inf]), csnr_db=4.0)
 
 
 class TestHardDecide:

@@ -12,6 +12,7 @@ from vcdc import codes
 from vcdc.cli import build_parser, main
 from vcdc.codebook import bipolar, derive_generator, encode, serialize_alist
 from vcdc.bench import read_results_csv
+from vcdc.denoiser import NeuralBlockWeights, save_checkpoint
 
 
 @pytest.fixture()
@@ -157,6 +158,21 @@ class TestDecode:
                        "--csnr", 4.0) == 0
         assert capsys.readouterr().out.splitlines()[0] == "".join(str(b) for b in cw)
 
+    @pytest.mark.parametrize("timesteps", [1, 3])
+    @pytest.mark.parametrize("csnr", ["nan", "inf"])
+    def test_non_finite_csnr_exits_two(self, hamming_file, tmp_path, capsys, csnr, timesteps):
+        # a non-finite CSNR is never decoded, whatever the number of levels
+        ckpt = tmp_path / "zeros.vcdc"
+        ckpt.write_bytes(save_checkpoint(NeuralBlockWeights.zeros(codes.load("hamming_7_4"))))
+        llr_file = tmp_path / "word.llr"
+        llr_file.write_text("1.5 -0.5 2 0.25 -3 1 0.5")
+        assert run_cli("decode", "--code", hamming_file, "--llr", llr_file,
+                       "--decoder", "vcdc", "--checkpoint", ckpt, "--csnr", csnr,
+                       "--timesteps", timesteps) == 2
+        captured = capsys.readouterr()
+        assert "finite" in captured.err
+        assert captured.out == ""
+
 
 class TestBench:
     def test_row_cardinality_and_censoring(self, hamming_file, tmp_path, capsys):
@@ -219,6 +235,31 @@ class TestBench:
             env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 2
         assert "batch_frames" in proc.stderr
+
+    @pytest.mark.parametrize("flags", [("--decoders", "identity", "--csnr", ","),
+                                       ("--decoders", "", "--csnr", "2"),
+                                       ("--decoders", "vcdc", "--csnr", "2",
+                                        "--timesteps", ",")])
+    def test_empty_list_exits_two(self, tmp_path, capsys, flags):
+        # a run that measured nothing must not read as a success
+        out = tmp_path / "bench"
+        assert run_cli("bench", "--code", "hamming_7_4", "--out", out, *flags,
+                       "--stop-errors", 3, "--batch-frames", 16) == 2
+        assert "at least one" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
+    def test_captured_config_reproduces_run(self, hamming_file, tmp_path, monkeypatch):
+        # a run depends on its captured config alone, not on the environment
+        # (VCDC_THREADS once set the worker count)
+        monkeypatch.setenv("VCDC_THREADS", "2")
+        out = tmp_path / "first"
+        assert run_cli("bench", "--code", hamming_file, "--out", out, "--decoders", "bp",
+                       "--csnr", "2", "--stop-errors", 60, "--batch-frames", 16,
+                       "--seed", 3) == 0
+        monkeypatch.delenv("VCDC_THREADS")
+        replay_out = tmp_path / "replay"
+        assert run_cli("bench", "--config", out / "bench.config", "--out", replay_out) == 0
+        assert (replay_out / "results.csv").read_bytes() == (out / "results.csv").read_bytes()
 
     def test_bundled_code_name_resolves(self, tmp_path):
         out = tmp_path / "bench"

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from vcdc.bp import BpConfig, decode_bp
-from vcdc.channel import LlrWord, hard_decide
+from vcdc.bp import BpConfig, decode_bp_batch
+from vcdc.channel import hard_decide
 from vcdc.codebook import bipolar, derive_generator, encode, syndrome
-from vcdc.denoiser import (CheckpointError, NeuralBlockWeights, decode_vcdc,
-                           decode_vcdc_batch, load_checkpoint, model_size_bytes,
-                           neural_block, save_checkpoint)
+from vcdc.denoiser import (CheckpointError, NeuralBlockWeights, decode_vcdc_batch,
+                           load_checkpoint, model_size_bytes, neural_block, save_checkpoint)
 from vcdc.diffusion import build_schedule
 
 from conftest import make_tree_code
@@ -19,7 +18,7 @@ def rand_weights(h, rng, scale=0.4):
 class TestNeuralBlock:
     def test_zero_weights_is_identity_on_beliefs(self, hamming):
         rng = np.random.default_rng(0)
-        l = rng.normal(0, 3, hamming.n)
+        l = rng.normal(0, 3, (1, hamming.n))
         beliefs, x_hat = neural_block(hamming, NeuralBlockWeights.zeros(hamming), l)
         np.testing.assert_array_equal(beliefs, l)
         np.testing.assert_allclose(x_hat, np.tanh(l / 2.0))
@@ -27,7 +26,7 @@ class TestNeuralBlock:
     def test_soft_estimate_stays_in_open_interval(self, ldpc_49_24):
         rng = np.random.default_rng(1)
         w = rand_weights(ldpc_49_24, rng)
-        l = rng.normal(0, 8, ldpc_49_24.n)
+        l = rng.normal(0, 8, (1, ldpc_49_24.n))
         _, x_hat = neural_block(ldpc_49_24, w, l)
         assert (np.abs(x_hat) <= 1.0).all()
         assert (np.abs(x_hat) < 1.0).any()
@@ -39,17 +38,17 @@ class TestNeuralBlock:
         weights = NeuralBlockWeights(values=np.ones(h.num_checks), n=h.n, k=h.k)
         for _ in range(10):
             cw = encode(g, rng.integers(0, 2, h.k))
-            l = 4.0 * bipolar(cw)
+            l = 4.0 * bipolar(cw)[None]
             beliefs, _ = neural_block(h, weights, l)
-            oracle = decode_bp(h, l, BpConfig(max_iters=1))
-            assert np.array_equal(hard_decide(beliefs), oracle.bits)
+            oracle_bits = decode_bp_batch(h, l, BpConfig(max_iters=1))[0]
+            assert np.array_equal(hard_decide(beliefs), oracle_bits)
 
     def test_scale_equivariance(self, hamming):
         # min-sum layers are positively homogeneous, so scaling the input
         # scales the beliefs
         rng = np.random.default_rng(3)
         w = rand_weights(hamming, rng)
-        l = rng.normal(0, 2, hamming.n)
+        l = rng.normal(0, 2, (1, hamming.n))
         b1, _ = neural_block(hamming, w, l)
         b2, _ = neural_block(hamming, w, 3.5 * l)
         np.testing.assert_allclose(b2, 3.5 * b1, rtol=1e-12)
@@ -60,16 +59,23 @@ class TestNeuralBlock:
         batch = rng.normal(0, 3, (6, ldpc_49_24.n))
         bel, xh = neural_block(ldpc_49_24, w, batch)
         for i in range(6):
-            b1, x1 = neural_block(ldpc_49_24, w, batch[i])
-            np.testing.assert_array_equal(bel[i], b1)
-            np.testing.assert_array_equal(xh[i], x1)
+            b1, x1 = neural_block(ldpc_49_24, w, batch[i:i + 1])
+            np.testing.assert_array_equal(bel[i], b1[0])
+            np.testing.assert_array_equal(xh[i], x1[0])
 
     def test_weight_count_mismatch_rejected(self, hamming, ldpc_49_24):
         w = NeuralBlockWeights.zeros(ldpc_49_24)
         with pytest.raises(ValueError, match="cannot decode"):
-            neural_block(hamming, w, np.zeros(hamming.n))
+            neural_block(hamming, w, np.zeros((1, hamming.n)))
         with pytest.raises(ValueError):
             NeuralBlockWeights(values=np.zeros(5), n=7, k=4)
+
+    def test_rejects_word_and_wrong_width(self, hamming):
+        w = NeuralBlockWeights.zeros(hamming)
+        n = hamming.n
+        for bad in (np.zeros(n), np.zeros((2, n + 1)), np.zeros((1, 2, n))):
+            with pytest.raises(ValueError, match="beliefs"):
+                neural_block(hamming, w, bad)
 
 
 class TestDecodeVcdc:
@@ -77,10 +83,10 @@ class TestDecodeVcdc:
         g = derive_generator(hamming)
         cw = encode(g, np.array([1, 1, 0, 0], dtype=np.uint8))
         sched = build_schedule(4.0, 20, 0.5, hamming.rate)
-        word = LlrWord(values=10.0 * bipolar(cw), csnr_db=4.0)
-        res = decode_vcdc(hamming, NeuralBlockWeights.zeros(hamming), sched, word)
-        assert res.steps_used == 0
-        assert res.syndrome_zero and np.array_equal(res.bits, cw)
+        bits, _, steps, ok = decode_vcdc_batch(hamming, NeuralBlockWeights.zeros(hamming),
+                                               sched, 10.0 * bipolar(cw)[None])
+        assert steps[0] == 0
+        assert ok[0] and np.array_equal(bits[0], cw)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_llrs_rejected(self, hamming, bad):
@@ -95,10 +101,9 @@ class TestDecodeVcdc:
         sched = build_schedule(4.0, 10, 0.5, ldpc_49_24.rate)
         weights = NeuralBlockWeights.zeros(ldpc_49_24)
         for _ in range(10):
-            l = rng.normal(0, 3, ldpc_49_24.n)
-            res = decode_vcdc(ldpc_49_24, weights, sched,
-                              LlrWord(values=l, csnr_db=4.0))
-            assert np.array_equal(res.bits, hard_decide(l))
+            l = rng.normal(0, 3, (1, ldpc_49_24.n))
+            bits = decode_vcdc_batch(ldpc_49_24, weights, sched, l)[0]
+            assert np.array_equal(bits, hard_decide(l))
 
     def test_early_stopping_returns_valid_codewords(self, polar_64_32):
         rng = np.random.default_rng(6)
@@ -120,9 +125,9 @@ class TestDecodeVcdc:
         sched = build_schedule(4.0, 5, 0.5, hamming.rate)
         w = rand_weights(hamming, rng)
         for _ in range(20):
-            l = rng.normal(0, 2, hamming.n)
-            res = decode_vcdc(hamming, w, sched, LlrWord(values=l, csnr_db=4.0))
-            assert res.syndrome_zero == (res.parity_errors == 0)
+            l = rng.normal(0, 2, (1, hamming.n))
+            bits, _, _, ok = decode_vcdc_batch(hamming, w, sched, l)
+            assert ok[0] == (syndrome(hamming, bits[0])[1] == 0)
 
     def test_batch_matches_single(self, ldpc_49_24):
         rng = np.random.default_rng(8)
@@ -132,28 +137,23 @@ class TestDecodeVcdc:
         llrs = rng.normal(0.8, 2.5, (12, h.n))
         bits, beliefs, steps, ok = decode_vcdc_batch(h, w, sched, llrs)
         for i in range(12):
-            res = decode_vcdc(h, w, sched, llrs[i])
-            assert np.array_equal(res.bits, bits[i])
-            np.testing.assert_allclose(res.beliefs, beliefs[i], atol=1e-12)
-            assert res.steps_used == steps[i]
-            assert res.syndrome_zero == ok[i]
-
-    def test_csnr_mismatch_rejected(self, hamming):
-        sched = build_schedule(4.0, 5, 0.5, hamming.rate)
-        word = LlrWord(values=np.zeros(hamming.n), csnr_db=6.0)
-        with pytest.raises(ValueError, match="does not match schedule"):
-            decode_vcdc(hamming, NeuralBlockWeights.zeros(hamming), sched, word)
+            # a batch of one: early-exit compaction must keep frames independent
+            b1, bel1, steps1, ok1 = decode_vcdc_batch(h, w, sched, llrs[i:i + 1])
+            assert np.array_equal(b1[0], bits[i])
+            np.testing.assert_allclose(bel1[0], beliefs[i], atol=1e-12)
+            assert steps1[0] == steps[i]
+            assert ok1[0] == ok[i]
 
     def test_single_level_schedule_runs_one_block(self, hamming):
         rng = np.random.default_rng(9)
         w = rand_weights(hamming, rng)
         sched = build_schedule(4.0, 1, 0.5, hamming.rate)
-        l = rng.normal(0, 2, hamming.n)
-        res = decode_vcdc(hamming, w, sched, LlrWord(values=l, csnr_db=4.0))
-        beliefs, _ = neural_block(hamming, w, l)
-        if not np.array_equal(hard_decide(l), res.bits):
-            np.testing.assert_allclose(res.beliefs, beliefs, atol=1e-12)
-        assert res.steps_used == 0
+        l = rng.normal(0, 2, (1, hamming.n))
+        bits, beliefs, steps, _ = decode_vcdc_batch(hamming, w, sched, l)
+        block_beliefs, _ = neural_block(hamming, w, l)
+        if not np.array_equal(hard_decide(l), bits):
+            np.testing.assert_allclose(beliefs, block_beliefs, atol=1e-12)
+        assert steps[0] == 0
 
 
 class TestCheckpoint:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ class TestBuildSchedule:
     def test_single_level_equals_observed(self):
         sched = build_schedule(4.0, 1, 0.5, 0.5)
         assert sched.csnr_levels.tolist() == [4.0]
-        assert sched.observed_csnr_db == 4.0
 
     def test_default_shape_t20(self):
         sched = build_schedule(4.0, 20, 0.5, RATE_121_60)
@@ -42,6 +43,19 @@ class TestBuildSchedule:
             build_schedule(4.0, 5, -0.1, 0.5)
         with pytest.raises(ValueError):
             DiffusionSchedule(csnr_levels=np.array([4.0, 5.0]), rate=0.5)
+
+    @pytest.mark.parametrize("steps", [1, 3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_levels(self, bad, steps):
+        # checked before the order: one NaN level passes an order check, and
+        # among several levels NaN and inf would be reported as out of order
+        levels = [6.0, bad, 4.0] if steps == 3 else [bad]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                build_schedule(bad, steps, 0.5, 0.5)
+            with pytest.raises(ValueError, match="finite"):
+                DiffusionSchedule(csnr_levels=np.array(levels), rate=0.5)
 
     def test_alpha_sigma_match_channel_law(self):
         sched = build_schedule(4.0, 8, 0.75, RATE_121_60)
