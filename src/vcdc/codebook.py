@@ -10,6 +10,7 @@ the symbol 1 - 2b.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +38,8 @@ class ParityCheckMatrix:
     ``var_adjacency[v]`` holds the check indices incident to variable v and
     ``chk_adjacency[c]`` the variable indices incident to check c, both
     sorted ascending and exactly matching the nonzero pattern of ``rows``.
-    Instances are immutable and safe to share across threads.
+    Instances are immutable and safe to share across threads (``layer_groups``
+    is built on first use; a race builds it twice, identically).
     """
 
     n: int
@@ -74,6 +76,28 @@ class ParityCheckMatrix:
     @property
     def rate(self):
         return self.k / self.n
+
+    @cached_property
+    def layer_groups(self):
+        """The checks split, in order, into maximal runs of consecutive checks
+        of one degree whose variable sets are pairwise disjoint: a tuple of
+        (slice of checks, read-only int64 columns) pairs.  A run of g > 1
+        checks of degree d has (g, d) columns, row i those of check start + i;
+        a single check has its (d,) columns.
+        """
+        adj = self.chk_adjacency
+        starts, seen = [0], set()
+        for c, cols in enumerate(adj):
+            if len(cols) != len(adj[starts[-1]]) or not seen.isdisjoint(cols):
+                starts.append(c)
+                seen = set()
+            seen.update(cols)
+        groups = []
+        for start, stop in zip(starts, starts[1:] + [len(adj)]):
+            cols = np.array(adj[start] if stop - start == 1 else adj[start:stop],
+                            dtype=np.int64)
+            groups.append((slice(start, stop), _frozen(cols)))
+        return tuple(groups)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,13 @@ weight, as a residual correction.  Layer 1 starts from the channel LLRs
 and the block's soft codeword estimate is tanh(beliefs / 2), the posterior
 mean of a bipolar symbol under an LLR belief.
 
+The layers run in check order, but a run of consecutive checks of one
+degree with pairwise disjoint variables (``ParityCheckMatrix.layer_groups``)
+runs as one vectorized update: no layer of the run reads a belief another
+one writes, so every belief is bit-identical to the one-check-at-a-time
+walk.  This is the order-preserving layered schedule of Hocevar (2004) and
+Zhang & Fossorier (2005); checks are never reordered.
+
 Decoding walks the diffusion schedule from the observed (noisiest) level
 upward, feeding each block estimate to the deterministic reverse update
 and stopping as soon as the running hard decision satisfies every parity
@@ -59,14 +66,19 @@ class NeuralBlockWeights:
                 f"weights trained for ({self.n},{self.k}) cannot decode ({h.n},{h.k})")
 
 
-def _check_columns(h):
-    return [np.asarray(cols, dtype=np.int64) for cols in h.chk_adjacency]
-
-
 def block_layers(h, w, x):
     """Run the layers over the (B, n) beliefs ``x`` in place, with layer
-    weights ``w``; yields each layer's (columns, check_minsum_terms output)."""
-    for wl, cols in zip(w, _check_columns(h)):
+    weights ``w``, one layer group of ``h.layer_groups`` at a time; yields
+    each group's (columns, check_minsum_terms output).
+
+    A group of g checks of degree d gathers its beliefs as one (B, g, d)
+    array and adds its weights ``w[start:stop]`` times its messages back
+    in one scatter; a single check keeps the (B, d) form and a scalar
+    weight.  The checks of a group share no variable, so this equals
+    running them one by one.
+    """
+    for checks, cols in h.layer_groups:
+        wl = w[checks.start] if cols.ndim == 1 else w[checks, None]
         xc = x[:, cols]
         terms = check_minsum_terms(xc)
         x[:, cols] = xc + wl * terms[0]

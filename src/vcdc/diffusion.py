@@ -38,9 +38,16 @@ class DiffusionSchedule:
             raise ValueError("CSNR levels must be strictly decreasing")
         if not 0 < self.rate < 1:
             raise ValueError(f"rate must be in (0, 1), got {self.rate}")
-        w = 1.0 / np.sqrt(2.0 * self.rate * 10.0 ** (levels / 10.0))
-        alphas = 2.0 / w**2
-        sigmas = 2.0 / w
+        # levels beyond about +-3,000 dB overflow or underflow float64; they
+        # are rejected below, so numpy's warnings about them are not raised
+        with np.errstate(over="ignore", under="ignore", divide="ignore"):
+            w = 1.0 / np.sqrt(2.0 * self.rate * 10.0 ** (levels / 10.0))
+            alphas = 2.0 / w**2
+            sigmas = 2.0 / w
+        bad = ~(np.isfinite(alphas) & (alphas > 0))  # sigma = sqrt(2 alpha) follows
+        if bad.any():
+            raise ValueError(f"CSNR levels {levels[bad]} dB give an alpha or sigma "
+                             "that is not finite and positive")
         for a in (levels, alphas, sigmas):
             a.setflags(write=False)
         object.__setattr__(self, "csnr_levels", levels)

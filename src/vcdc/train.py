@@ -78,10 +78,13 @@ def minsum_backward(g, terms):
 def block_gradients(h, weights, llrs, x_b):
     """Loss and d(loss)/d(layer weights) for one batch.
 
-    Runs the block forward once, keeping each layer's min-sum terms, then
-    walks the layers in reverse: layer l's weight gradient is the adjoint
-    on its check's columns dotted with its messages u_l, and the adjoint
-    of the layer input adds the min-sum backward of w_l times that adjoint.
+    Runs the block forward once, keeping each layer group's min-sum terms,
+    then walks the groups in reverse: layer l's weight gradient is the
+    adjoint on its check's columns dotted with its messages u_l, and the
+    adjoint of the layer input adds the min-sum backward of w_l times that
+    adjoint.  The checks of a group share no variable, so neither step of
+    one check reads what another check of its group writes, and a group
+    steps back at once exactly as its checks would one by one.
     """
     weights = np.asarray(weights, dtype=np.float64)
     if weights.size != h.num_checks:
@@ -90,12 +93,17 @@ def block_gradients(h, weights, llrs, x_b):
     layers = list(block_layers(h, weights, x))
     value, g = loss_with_adjoint(x, x_b)
     grads = np.empty(h.num_checks)
-    for layer in reversed(range(h.num_checks)):
-        cols, terms = layers[layer]
+    for (checks, _), (cols, terms) in zip(reversed(h.layer_groups), reversed(layers)):
         # the gather comes out F-ordered; a C-ordered copy fixes the summation order
         g_cols = np.ascontiguousarray(g[:, cols])
-        grads[layer] = (g_cols * terms[0]).sum(axis=(0, 1))
-        g[:, cols] += minsum_backward(g_cols * weights[layer], terms)
+        p = g_cols * terms[0]
+        if cols.ndim == 1:  # a single check
+            grads[checks] = p.sum(axis=(0, 1))
+            wl = weights[checks.start]
+        else:  # each check's (B, d) block C-ordered, so summed as a single check's
+            grads[checks] = np.ascontiguousarray(p.transpose(1, 0, 2)).sum(axis=(1, 2))
+            wl = weights[checks, None]
+        g[:, cols] += minsum_backward(g_cols * wl, terms)
     return value, grads
 
 

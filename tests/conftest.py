@@ -61,6 +61,28 @@ def make_tree_code(num_checks):
     return ParityCheckMatrix.from_rows(h)
 
 
+def random_layered_code(seed, n, m):
+    """A random m x n parity-check matrix whose consecutive checks mix
+    degrees (2 to 5) and mix disjoint with overlapping variable sets, so its
+    layer groups mix single checks with runs of several.  Neither full rank
+    nor cycle free."""
+    rng = np.random.default_rng(seed)
+    rows = np.zeros((m, n), dtype=np.uint8)
+    degree, run = 2, set()
+    for c in range(m):
+        if rng.random() < 0.3:
+            degree = int(rng.integers(2, min(5, n) + 1))
+        free = np.setdiff1d(np.arange(n), sorted(run))
+        if rng.random() < 0.7 and free.size >= degree:
+            cols = rng.choice(free, degree, replace=False)
+        else:
+            cols = rng.choice(n, degree, replace=False)
+            run = set()
+        run.update(cols.tolist())
+        rows[c, cols] = 1
+    return ParityCheckMatrix.from_rows(rows)
+
+
 def enumerate_codewords(h):
     """All 2^k codewords by exhaustive message enumeration."""
     g = derive_generator(h)

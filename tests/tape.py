@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from vcdc.bp import check_minsum_terms
-from vcdc.denoiser import _check_columns
+from serial import check_columns as _check_columns
 from vcdc.train import loss_with_adjoint, minsum_backward
 
 

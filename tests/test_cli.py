@@ -159,9 +159,11 @@ class TestDecode:
         assert capsys.readouterr().out.splitlines()[0] == "".join(str(b) for b in cw)
 
     @pytest.mark.parametrize("timesteps", [1, 3])
-    @pytest.mark.parametrize("csnr", ["nan", "inf"])
+    @pytest.mark.parametrize("csnr", ["nan", "inf", "4000", "-4000"])
     def test_non_finite_csnr_exits_two(self, hamming_file, tmp_path, capsys, csnr, timesteps):
-        # a non-finite CSNR is never decoded, whatever the number of levels
+        # a non-finite CSNR is never decoded, whatever the number of levels;
+        # nor is one whose alpha overflows to inf (4000 dB used to decode to
+        # NaN beliefs reported as a zero syndrome) or underflows to zero
         ckpt = tmp_path / "zeros.vcdc"
         ckpt.write_bytes(save_checkpoint(NeuralBlockWeights.zeros(codes.load("hamming_7_4"))))
         llr_file = tmp_path / "word.llr"

@@ -8,7 +8,7 @@ from vcdc.codebook import (AlistError, GeneratorMatrix, ParityCheckMatrix, bipol
                            derive_generator, encode, gf2_matmul, gf2_rank, parse_alist,
                            serialize_alist, syndrome)
 
-from conftest import enumerate_codewords
+from conftest import enumerate_codewords, random_layered_code
 
 # canonical (7,4) Hamming: columns are the binary digits of 1..7
 HAMMING_ALIST = """\
@@ -275,3 +275,55 @@ class TestBipolar:
     def test_rejects_non_bits(self):
         with pytest.raises(ValueError):
             bipolar(np.array([0, 2]))
+
+
+def assert_layer_partition(h):
+    """``h.layer_groups`` splits the checks, in order, into maximal runs of
+    consecutive checks of one degree with pairwise disjoint variables."""
+    adj = h.chk_adjacency
+    groups = h.layer_groups
+    assert [checks.start for checks, _ in groups] == [0] + [c.stop for c, _ in groups[:-1]]
+    assert groups[-1][0].stop == h.num_checks
+    for checks, cols in groups:
+        assert checks.step is None and checks.stop > checks.start
+        members = [list(adj[c]) for c in range(checks.start, checks.stop)]
+        if len(members) == 1:
+            assert cols.ndim == 1 and cols.tolist() == members[0]
+        else:  # a (g, d) array: one degree, row i is check start + i
+            assert cols.shape == (len(members), len(members[0]))
+            assert cols.tolist() == members
+        assert cols.dtype == np.int64 and not cols.flags.writeable
+        flat = [v for m in members for v in m]
+        assert len(set(flat)) == len(flat)
+        if checks.stop < h.num_checks:  # the next check cannot join the run
+            nxt = adj[checks.stop]
+            assert len(nxt) != len(members[0]) or not set(nxt).isdisjoint(flat)
+
+
+class TestLayerGroups:
+    @pytest.mark.parametrize("name, count", [
+        ("ldpc_121_60", 6), ("ldpc_121_70", 5), ("ldpc_121_80", 4), ("ldpc_49_24", 4),
+        ("hamming_7_4", 3), ("polar_64_32", 32), ("polar_128_64", 64)])
+    def test_bundled_codes(self, name, count):
+        # the LDPC array codes merge; Hamming and polar checks overlap their
+        # neighbours, one group per check
+        h = codes.load(name)
+        assert len(h.layer_groups) == count
+        assert_layer_partition(h)
+
+    def test_built_once_per_code(self, hamming):
+        assert hamming.layer_groups is hamming.layer_groups
+
+    def test_overlap_and_degree_split_runs(self):
+        rows = np.zeros((5, 10), dtype=np.uint8)
+        for c, cols in enumerate([(0, 1), (2, 3), (4, 5, 6), (7, 8, 9), (6, 9)]):
+            rows[c, list(cols)] = 1
+        groups = ParityCheckMatrix.from_rows(rows).layer_groups
+        assert [(c.start, c.stop) for c, _ in groups] == [(0, 2), (2, 4), (4, 5)]
+        assert groups[0][1].tolist() == [[0, 1], [2, 3]]
+        assert groups[2][1].tolist() == [6, 9]
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(3, 48), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_random_codes(self, n, data, seed):
+        assert_layer_partition(random_layered_code(seed, n, data.draw(st.integers(1, n - 1))))

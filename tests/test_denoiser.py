@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vcdc.bp import BpConfig, decode_bp_batch
 from vcdc.channel import hard_decide
@@ -7,8 +9,13 @@ from vcdc.codebook import bipolar, derive_generator, encode, syndrome
 from vcdc.denoiser import (CheckpointError, NeuralBlockWeights, decode_vcdc_batch,
                            load_checkpoint, model_size_bytes, neural_block, save_checkpoint)
 from vcdc.diffusion import build_schedule
+from vcdc.train import block_gradients
 
-from conftest import make_tree_code
+import serial
+import tape
+from conftest import make_tree_code, random_layered_code
+
+SEEDS = st.integers(0, 2**32 - 1)
 
 
 def rand_weights(h, rng, scale=0.4):
@@ -78,6 +85,42 @@ class TestNeuralBlock:
                 neural_block(hamming, w, bad)
 
 
+def assert_same_bits(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(np.ascontiguousarray(a).view(np.uint64),
+                                  np.ascontiguousarray(b).view(np.uint64))
+
+
+def random_llrs(rng, shape, ties):
+    llrs = rng.normal(1.0, 3.0, shape)
+    # whole numbers give equal magnitudes and zeros, the min-sum ties
+    return np.round(llrs) if ties else llrs
+
+
+class TestGroupedWalk:
+    """The grouped layer walk against the one-check-at-a-time walk in
+    tests/serial.py, on codes mixing single checks with merged runs."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(3, 40), data=st.data(), seed=SEEDS, ties=st.booleans())
+    def test_matches_serial_walk_and_tape_bit_for_bit(self, n, data, seed, ties):
+        h = random_layered_code(seed, n, data.draw(st.integers(1, n - 1)))
+        batch = data.draw(st.integers(1, 9))
+        rng = np.random.default_rng(seed)
+        w = rand_weights(h, rng, scale=0.5)
+        llrs = random_llrs(rng, (batch, n), ties)
+        beliefs, x_hat = neural_block(h, w, llrs)
+        ref_beliefs, ref_x_hat = serial.neural_block(h, w, llrs)
+        assert_same_bits(beliefs, ref_beliefs)
+        assert_same_bits(x_hat, ref_x_hat)
+        bits = rng.integers(0, 2, (batch, n)).astype(np.uint8)
+        value, grads = block_gradients(h, w.values, llrs, bits)
+        ref_value, ref_grads = tape.block_gradients(h, w.values, llrs, bits)
+        assert_same_bits(value, ref_value)
+        assert_same_bits(grads, ref_grads)
+
+
 class TestDecodeVcdc:
     def test_noiseless_input_costs_zero_steps(self, hamming):
         g = derive_generator(hamming)
@@ -119,6 +162,22 @@ class TestDecodeVcdc:
             _, nerr = syndrome(h, bits[i])
             assert nerr == 0
         assert (steps <= len(sched) - 1).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(3, 40), data=st.data(), seed=SEEDS, ties=st.booleans(),
+           steps=st.integers(1, 8), csnr=st.floats(-2.0, 8.0))
+    def test_steps_in_range_beliefs_finite_flag_honest(self, n, data, seed, ties, steps, csnr):
+        h = random_layered_code(seed, n, data.draw(st.integers(1, n - 1)))
+        batch = data.draw(st.integers(1, 16))
+        rng = np.random.default_rng(seed)
+        sched = build_schedule(csnr, steps, 0.5, h.rate)
+        bits, beliefs, used, ok = decode_vcdc_batch(
+            h, rand_weights(h, rng, scale=0.5), sched, random_llrs(rng, (batch, n), ties))
+        assert ((used >= 0) & (used <= steps - 1)).all()
+        assert np.isfinite(beliefs).all()
+        np.testing.assert_array_equal(bits, hard_decide(beliefs))
+        # flagged exactly when the returned word satisfies every check
+        np.testing.assert_array_equal(ok, syndrome(h, bits)[1] == 0)
 
     def test_syndrome_flag_matches_parity_errors(self, hamming):
         rng = np.random.default_rng(7)

@@ -57,6 +57,18 @@ class TestBuildSchedule:
             with pytest.raises(ValueError, match="finite"):
                 DiffusionSchedule(csnr_levels=np.array(levels), rate=0.5)
 
+    @pytest.mark.parametrize("levels", [[4000.0, 3999.0, 3998.0], [4000.0], [-4000.0],
+                                        [-3100.0, -3100.5], [6.0, 5.0, -4000.0]])
+    def test_rejects_levels_beyond_float_range(self, levels):
+        # 10 ** (4000 / 10) overflows, so alpha is inf and a reverse step's
+        # gain inf - inf is NaN; far below 0 dB alpha underflows to zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not finite and positive"):
+                DiffusionSchedule(csnr_levels=np.array(levels), rate=0.5)
+            with pytest.raises(ValueError, match="not finite and positive"):
+                build_schedule(levels[-1], len(levels), 0.5, 0.5)
+
     def test_alpha_sigma_match_channel_law(self):
         sched = build_schedule(4.0, 8, 0.75, RATE_121_60)
         for level, alpha, sigma in zip(sched.csnr_levels, sched.alphas, sched.sigmas):

@@ -7,6 +7,13 @@ metric timed through it then reads 0 without any error.
 
 import os
 
+import numpy as np
+import pytest
+
+from vcdc import codes, denoiser
+from vcdc.denoiser import NeuralBlockWeights
+from vcdc.diffusion import build_schedule
+
 # names the harness wraps that the program no longer has; they are mended
 # with the benchmark itself
 KNOWN_STALE = {"vcdc.train.neural_block_tape", "vcdc.train.check_minsum_terms"}
@@ -23,3 +30,26 @@ def test_harness_wraps_only_existing_names(monkeypatch):
     with spans.Patches() as patches:
         harness.instrument(patches, spans.Tracer())
     assert set(patches.missing) <= KNOWN_STALE
+
+
+@pytest.mark.parametrize("name, per_block", [("ldpc_121_60", 6), ("polar_64_32", 32)])
+def test_check_update_span_sees_every_group(monkeypatch, name, per_block):
+    # one min-sum call per layer group (ldpc_121_60 merges its 61 checks
+    # into 6 groups, polar_64_32's 32 checks stay single); a walk that
+    # stopped calling through the module global would count 0 here
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import harness
+    import spans
+
+    h = codes.load(name)
+    rng = np.random.default_rng(0)
+    weights = NeuralBlockWeights(values=rng.normal(0.3, 0.1, h.num_checks), n=h.n, k=h.k)
+    llrs = rng.normal(2.0, 2.0, (64, h.n))
+    tracer = spans.Tracer()
+    with spans.Patches() as patches:
+        harness.instrument(patches, tracer)
+        denoiser.decode_vcdc_batch(h, weights, build_schedule(2.0, 5, 0.5, h.rate), llrs)
+    calls = tracer.summary()[0]
+    blocks = calls["denoiser.final_block"]
+    assert calls["denoiser.decode"] == 1 and blocks > 1
+    assert calls["denoiser.check_update"] == per_block * blocks

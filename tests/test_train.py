@@ -8,7 +8,7 @@ from vcdc.train import (Adam, TrainConfig, TrainingDiverged, block_gradients, lo
                         minsum_backward, train, write_loss_curve)
 
 import tape
-from conftest import numeric_grad
+from conftest import numeric_grad, random_layered_code
 from tape import Var, bce_with_logits, minsum_extrinsic
 
 
@@ -68,10 +68,14 @@ class TestMinsumOp:
         np.testing.assert_allclose(grad, [[1.0, 0.0, 0.0]])
 
 
+# (seed, n, m) of random codes whose layer groups mix single checks and runs
+RANDOM_CODES = {"random_0": (0, 30, 20), "random_1": (1, 40, 30), "random_2": (2, 25, 12)}
+
+
 class TestBlockGradients:
-    @pytest.mark.parametrize("name", codes.available())
+    @pytest.mark.parametrize("name", codes.available() + sorted(RANDOM_CODES))
     def test_matches_tape_bit_for_bit(self, name):
-        h = codes.load(name)
+        h = random_layered_code(*RANDOM_CODES[name]) if name in RANDOM_CODES else codes.load(name)
         rng = np.random.default_rng(len(name))
         for batch in (1, 5, 32):
             wvals = rng.normal(0, 0.5, h.num_checks)
