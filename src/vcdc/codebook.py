@@ -81,9 +81,9 @@ class ParityCheckMatrix:
     def layer_groups(self):
         """The checks split, in order, into maximal runs of consecutive checks
         of one degree whose variable sets are pairwise disjoint: a tuple of
-        (slice of checks, read-only int64 columns) pairs.  A run of g > 1
-        checks of degree d has (g, d) columns, row i those of check start + i;
-        a single check has its (d,) columns.
+        (slice of checks, read-only int64 columns) pairs.  A run of g checks
+        of degree d, a single check included, has (g, d) columns, row i those
+        of check start + i.
         """
         adj = self.chk_adjacency
         starts, seen = [0], set()
@@ -94,8 +94,7 @@ class ParityCheckMatrix:
             seen.update(cols)
         groups = []
         for start, stop in zip(starts, starts[1:] + [len(adj)]):
-            cols = np.array(adj[start] if stop - start == 1 else adj[start:stop],
-                            dtype=np.int64)
+            cols = np.array(adj[start:stop], dtype=np.int64)
             groups.append((slice(start, stop), _frozen(cols)))
         return tuple(groups)
 

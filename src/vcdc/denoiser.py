@@ -69,20 +69,22 @@ class NeuralBlockWeights:
 def block_layers(h, w, x):
     """Run the layers over the (B, n) beliefs ``x`` in place, with layer
     weights ``w``, one layer group of ``h.layer_groups`` at a time; yields
-    each group's (columns, check_minsum_terms output).
+    each group's (slice of checks, columns, check_minsum_terms output).
 
-    A group of g checks of degree d gathers its beliefs as one (B, g, d)
-    array and adds its weights ``w[start:stop]`` times its messages back
-    in one scatter; a single check keeps the (B, d) form and a scalar
-    weight.  The checks of a group share no variable, so this equals
-    running them one by one.
+    A group of g checks of degree d gathers its beliefs as one (B g, d)
+    array, row b g + i holding check i of frame b, and adds its weights
+    ``w[checks]`` times its messages back in one scatter.  The checks of a
+    group share no variable, so this equals running them one by one.  The
+    kernel sees the same 2-D rows whatever g is, so a single check runs as
+    fast as it does alone (as (B, 1, d) arrays, polar_64_32 checks trained
+    about 4% slower).
     """
     for checks, cols in h.layer_groups:
-        wl = w[checks.start] if cols.ndim == 1 else w[checks, None]
-        xc = x[:, cols]
+        shape = (-1,) + cols.shape
+        xc = x[:, cols].reshape(-1, cols.shape[1])
         terms = check_minsum_terms(xc)
-        x[:, cols] = xc + wl * terms[0]
-        yield cols, terms
+        x[:, cols] = xc.reshape(shape) + w[checks, None] * terms[0].reshape(shape)
+        yield checks, cols, terms
 
 
 def neural_block(h, weights, llrs):

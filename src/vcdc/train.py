@@ -93,17 +93,15 @@ def block_gradients(h, weights, llrs, x_b):
     layers = list(block_layers(h, weights, x))
     value, g = loss_with_adjoint(x, x_b)
     grads = np.empty(h.num_checks)
-    for (checks, _), (cols, terms) in zip(reversed(h.layer_groups), reversed(layers)):
-        # the gather comes out F-ordered; a C-ordered copy fixes the summation order
+    for checks, cols, terms in reversed(layers):
+        shape = (-1,) + cols.shape
+        # the gather comes out F-ordered; C-ordered copies of the adjoint and
+        # of each check's (B, d) products fix the order its sum rounds in
         g_cols = np.ascontiguousarray(g[:, cols])
-        p = g_cols * terms[0]
-        if cols.ndim == 1:  # a single check
-            grads[checks] = p.sum(axis=(0, 1))
-            wl = weights[checks.start]
-        else:  # each check's (B, d) block C-ordered, so summed as a single check's
-            grads[checks] = np.ascontiguousarray(p.transpose(1, 0, 2)).sum(axis=(1, 2))
-            wl = weights[checks, None]
-        g[:, cols] += minsum_backward(g_cols * wl, terms)
+        p = np.ascontiguousarray((g_cols * terms[0].reshape(shape)).transpose(1, 0, 2))
+        grads[checks] = p.sum(axis=(1, 2))
+        wg = (g_cols * weights[checks, None]).reshape(terms[0].shape)
+        g[:, cols] += minsum_backward(wg, terms).reshape(shape)
     return value, grads
 
 

@@ -287,11 +287,9 @@ def assert_layer_partition(h):
     for checks, cols in groups:
         assert checks.step is None and checks.stop > checks.start
         members = [list(adj[c]) for c in range(checks.start, checks.stop)]
-        if len(members) == 1:
-            assert cols.ndim == 1 and cols.tolist() == members[0]
-        else:  # a (g, d) array: one degree, row i is check start + i
-            assert cols.shape == (len(members), len(members[0]))
-            assert cols.tolist() == members
+        # a (g, d) array, a single check included: one degree, row i is check start + i
+        assert cols.shape == (len(members), len(members[0]))
+        assert cols.tolist() == members
         assert cols.dtype == np.int64 and not cols.flags.writeable
         flat = [v for m in members for v in m]
         assert len(set(flat)) == len(flat)
@@ -321,7 +319,7 @@ class TestLayerGroups:
         groups = ParityCheckMatrix.from_rows(rows).layer_groups
         assert [(c.start, c.stop) for c, _ in groups] == [(0, 2), (2, 4), (4, 5)]
         assert groups[0][1].tolist() == [[0, 1], [2, 3]]
-        assert groups[2][1].tolist() == [6, 9]
+        assert groups[2][1].tolist() == [[6, 9]]
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(3, 48), data=st.data(), seed=st.integers(0, 2**32 - 1))

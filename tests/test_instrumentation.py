@@ -35,13 +35,17 @@ def test_harness_wraps_only_existing_names(monkeypatch):
 @pytest.mark.parametrize("name, per_block", [("ldpc_121_60", 6), ("polar_64_32", 32)])
 def test_check_update_span_sees_every_group(monkeypatch, name, per_block):
     # one min-sum call per layer group (ldpc_121_60 merges its 61 checks
-    # into 6 groups, polar_64_32's 32 checks stay single); a walk that
-    # stopped calling through the module global would count 0 here
+    # into 6 groups, polar_64_32's 32 checks stay single), and one kernel
+    # row per frame and check, as when the checks ran one by one; a walk
+    # that stopped calling through the module global would count 0 here
     monkeypatch.syspath_prepend(PERFBENCH)
     import harness
     import spans
 
     h = codes.load(name)
+    frames, block = [], denoiser.neural_block
+    monkeypatch.setattr(denoiser, "neural_block",
+                        lambda h, w, z: frames.append(len(z)) or block(h, w, z))
     rng = np.random.default_rng(0)
     weights = NeuralBlockWeights(values=rng.normal(0.3, 0.1, h.num_checks), n=h.n, k=h.k)
     llrs = rng.normal(2.0, 2.0, (64, h.n))
@@ -50,6 +54,6 @@ def test_check_update_span_sees_every_group(monkeypatch, name, per_block):
         harness.instrument(patches, tracer)
         denoiser.decode_vcdc_batch(h, weights, build_schedule(2.0, 5, 0.5, h.rate), llrs)
     calls = tracer.summary()[0]
-    blocks = calls["denoiser.final_block"]
-    assert calls["denoiser.decode"] == 1 and blocks > 1
-    assert calls["denoiser.check_update"] == per_block * blocks
+    assert calls["denoiser.decode"] == 1 and calls["denoiser.final_block"] == len(frames) > 1
+    assert calls["denoiser.check_update"] == per_block * len(frames)
+    assert tracer.counts["denoiser.check_update.rows"] == h.num_checks * sum(frames)
