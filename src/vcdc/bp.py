@@ -5,9 +5,10 @@ updates and syndrome-based early exit.  Edges are enumerated check-major,
 variable ascending within each check; message arrays, and any weights tied
 to them, are indexed by that canonical order.
 
-The module exposes the per-edge update rules as scalar functions and a
-batch decoder vectorized over codewords; a single word ``x`` is decoded as
-the batch ``x[None]``.
+The module exposes a batch decoder vectorized over codewords (a single
+word ``x`` is decoded as the batch ``x[None]``) and the min-sum check
+kernel ``check_minsum_terms``, which the neural block and its training
+share with BP min-sum.
 """
 
 from __future__ import annotations
@@ -91,35 +92,6 @@ class EdgeIndex:
         return out
 
 
-def check_update_sumproduct(incoming):
-    """Exact extrinsic check update 2*arctanh(prod tanh(u/2)) for one edge."""
-    incoming = np.asarray(incoming, dtype=np.float64)
-    if incoming.size == 0:
-        raise ValueError("check update needs at least one incoming message")
-    prod = np.clip(np.prod(np.tanh(incoming / 2.0)), -(1 - ATANH_EPS), 1 - ATANH_EPS)
-    return float(2.0 * np.arctanh(prod))
-
-
-def check_update_minsum(incoming):
-    """Min-sum approximation: sign product times minimum magnitude, sign(0)=+1."""
-    incoming = np.asarray(incoming, dtype=np.float64)
-    if incoming.size == 0:
-        raise ValueError("check update needs at least one incoming message")
-    signs = np.where(incoming < 0, -1.0, 1.0)
-    return float(np.prod(signs) * np.min(np.abs(incoming)))
-
-
-def variable_update(l_v, incoming, message_clamp=30.0):
-    """Extrinsic variable-to-check message: channel LLR plus incoming sum."""
-    total = float(l_v) + float(np.sum(incoming))
-    return float(np.clip(total, -message_clamp, message_clamp))
-
-
-def belief(l_v, incoming):
-    """Posterior LLR: channel LLR plus all incoming check messages."""
-    return float(l_v) + float(np.sum(incoming))
-
-
 def _check_sweep_sumproduct(v2c, ei):
     t = np.tanh(v2c / 2.0)
     c2v = np.empty_like(v2c)
@@ -140,31 +112,57 @@ def _check_sweep_sumproduct(v2c, ei):
     return c2v
 
 
+def _two_least(mags):
+    """The least and second least entries m1 <= m2 along axis 0 of ``mags``
+    (length >= 2), ties counted: a tournament that keeps both."""
+    m1 = np.minimum(mags[0], mags[1])
+    m2 = np.maximum(mags[0], mags[1])
+    for m in mags[2:]:
+        np.minimum(m2, np.maximum(m1, m), out=m2)
+        np.minimum(m1, m, out=m1)
+    return m1, m2
+
+
 def check_minsum_terms(xc):
     """Min-sum extrinsic messages of checks from their variables' beliefs.
 
-    ``xc`` has shape (..., d), one check per row.  Returns (u, signs,
-    sign_excl, i1, i2) where u[..., j] excludes position j, i1 is the
-    magnitude argmin (ties resolve to the lowest index), and i2 the argmin
-    with i1 masked out; the index data drives the training backward pass.
+    ``xc`` is a float64 array of shape (..., d), d >= 2, one check per row
+    and no NaN entry.
+    Returns the messages ``u`` of the same shape: u[..., j] is the product
+    of the signs of the other entries (sign(0) = +1 for either zero) times
+    their least magnitude.
+
+    Only the two least magnitudes m1 <= m2 of a row are needed (the
+    compressed check message of layered min-sum decoders, Mansour &
+    Shanbhag 2003): position j gets m2 if |x_j| == m1, else m1.  This is
+    exact, ties included: a position with |x_j| == m1 that is not the first
+    minimizer sees m2 == m1 either way.  ``u`` is C-ordered whatever the
+    order of ``xc``, since the order of an array fixes the order in which a
+    sum over it rounds, and the training backward sums over ``u``.
     """
-    signs = np.where(xc < 0, -1.0, 1.0)
-    sign_excl = np.prod(signs, axis=-1, keepdims=True) * signs
-    mags = np.abs(xc)
-    i1 = np.argmin(mags, axis=-1, keepdims=True)
-    m1 = np.take_along_axis(mags, i1, axis=-1)
-    masked = mags.copy()
-    np.put_along_axis(masked, i1, np.inf, axis=-1)
-    i2 = np.argmin(masked, axis=-1, keepdims=True)
-    m2 = np.take_along_axis(mags, i2, axis=-1)
-    u = sign_excl * np.where(np.arange(xc.shape[-1]) == i1, m2, m1)
-    return u, signs, sign_excl, i1, i2
+    # work on a contiguous (d, rows) copy, so every step is one long loop;
+    # adding +0.0 turns -0.0 into +0.0, after which the sign bit is the
+    # min-sum sign
+    x = np.add(np.moveaxis(xc, -1, 0), 0.0, order="C")
+    odd = np.logical_xor.reduce(x < 0, axis=0)
+    mags = np.abs(x)
+    m1, m2 = _two_least(mags)
+    # clamping at m2 leaves m1 on a row's minimizers and m2 elsewhere;
+    # xor with the bits of m1 ^ m2 swaps the two values exactly
+    np.minimum(mags, m2, out=mags)
+    bits = mags.view(np.uint64)
+    bits ^= m1.view(np.uint64) ^ m2.view(np.uint64)
+    # x_j times the row's sign product carries the sign of the other entries
+    x *= np.where(odd, -1.0, 1.0)
+    u = np.empty(xc.shape)
+    np.copysign(mags, x, out=np.moveaxis(u, -1, 0))
+    return u
 
 
 def _check_sweep_minsum(v2c, ei):
     c2v = np.empty_like(v2c)
     for eidx in ei.degree_groups.values():
-        c2v[:, eidx] = check_minsum_terms(v2c[:, eidx])[0]
+        c2v[:, eidx] = check_minsum_terms(v2c[:, eidx])
     return c2v
 
 

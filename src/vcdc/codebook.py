@@ -26,7 +26,7 @@ def _frozen(a):
 
 def _as_bits(x, name="bits"):
     x = np.asarray(x)
-    if not np.isin(x, (0, 1)).all():
+    if not ((x == 0) | (x == 1)).all():
         raise ValueError(f"{name} entries must be 0 or 1")
     return x.astype(np.uint8)
 
@@ -257,12 +257,12 @@ def derive_generator(h):
 def gf2_matmul(a, b):
     """Product of 0/1 arrays over GF(2), as uint8.
 
-    A float32 BLAS product followed by ``% 2``: every partial sum is an
-    integer below the inner dimension, so the result is exact while that
-    dimension is below 2**24.
+    A float32 BLAS product whose parity is the low bit of its int32 cast:
+    every partial sum is an integer below the inner dimension, so both the
+    product and the cast are exact while that dimension is below 2**24.
     """
     prod = np.asarray(a, dtype=np.float32) @ np.asarray(b, dtype=np.float32)
-    return (prod % 2).astype(np.uint8)
+    return (prod.astype(np.int32) & 1).astype(np.uint8)
 
 
 def encode(g, m):

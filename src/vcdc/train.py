@@ -28,6 +28,11 @@ class TrainingDiverged(RuntimeError):
     """Loss became non-finite."""
 
 
+def _sign(x):
+    """+-1 by the sign of ``x``, +1 for either zero."""
+    return np.where(x < 0, -1.0, 1.0)
+
+
 def _softplus(z):
     return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
@@ -53,38 +58,44 @@ def loss_with_adjoint(beliefs, x_b):
     return loss(beliefs, x_b), -sym * sig / beliefs.size
 
 
-def minsum_backward(g, terms):
-    """Adjoint of a check's beliefs (B, d) given the adjoint ``g`` of its
-    min-sum messages and the ``check_minsum_terms`` output ``terms``.
+def minsum_backward(g, xc, u):
+    """Adjoint of checks' beliefs ``xc`` (rows, d) given the adjoint ``g`` of
+    their min-sum messages ``u = check_minsum_terms(xc)``.
 
     Each outgoing adjoint routes to the variable whose magnitude attained
     the (extrinsic) minimum, scaled by that variable's sign, with the sign
-    product held constant.
+    product held constant.  The forward keeps only ``u``, so the routing is
+    rebuilt from it here: i1 is the first magnitude argmin of a row, every
+    edge but i1 carries m1 = |x_i1|, edge i1 carries m2 = |u_i1|, and i2 is
+    the first j != i1 with |x_j| == m2.  ``u`` is a nonnegative magnitude
+    times the exclusive sign product, so copysign(1, u) is that sign
+    product, exact for either zero.
     """
-    _, signs, sign_excl, i1, i2 = terms
-    gs = g * sign_excl
+    rows = np.arange(xc.shape[0])
+    mags = np.abs(xc)
+    i1 = mags.argmin(axis=1)
+    m2 = np.abs(u[rows, i1])
+    mags[rows, i1] = np.nan  # equal to nothing, so i2 skips i1
+    i2 = (mags == m2[:, None]).argmax(axis=1)
+    gs = g * np.copysign(1.0, u)
+    at_i1 = gs[rows, i1]
     grad = np.zeros_like(gs)
     # edges j != i1 select magnitude |x_{i1}|; edge j == i1 selects |x_{i2}|
-    at_i1 = np.take_along_axis(gs, i1, axis=-1)
-    np.put_along_axis(grad, i1,
-                      (gs.sum(axis=-1, keepdims=True) - at_i1)
-                      * np.take_along_axis(signs, i1, axis=-1), axis=-1)
-    prev = np.take_along_axis(grad, i2, axis=-1)
-    np.put_along_axis(grad, i2,
-                      prev + at_i1 * np.take_along_axis(signs, i2, axis=-1), axis=-1)
+    grad[rows, i1] = (gs.sum(axis=1) - at_i1) * _sign(xc[rows, i1])
+    grad[rows, i2] += at_i1 * _sign(xc[rows, i2])
     return grad
 
 
 def block_gradients(h, weights, llrs, x_b):
     """Loss and d(loss)/d(layer weights) for one batch.
 
-    Runs the block forward once, keeping each layer group's min-sum terms,
-    then walks the groups in reverse: layer l's weight gradient is the
-    adjoint on its check's columns dotted with its messages u_l, and the
-    adjoint of the layer input adds the min-sum backward of w_l times that
-    adjoint.  The checks of a group share no variable, so neither step of
-    one check reads what another check of its group writes, and a group
-    steps back at once exactly as its checks would one by one.
+    Runs the block forward once, keeping each layer group's gathered
+    beliefs and min-sum messages u_l, then walks the groups in reverse:
+    layer l's weight gradient is the adjoint on its check's columns dotted
+    with u_l, and the adjoint of the layer input adds the min-sum backward
+    of w_l times that adjoint.  The checks of a group share no variable, so
+    neither step of one check reads what another check of its group writes,
+    and a group steps back at once exactly as its checks would one by one.
     """
     weights = np.asarray(weights, dtype=np.float64)
     if weights.size != h.num_checks:
@@ -93,15 +104,15 @@ def block_gradients(h, weights, llrs, x_b):
     layers = list(block_layers(h, weights, x))
     value, g = loss_with_adjoint(x, x_b)
     grads = np.empty(h.num_checks)
-    for checks, cols, terms in reversed(layers):
+    for checks, cols, xc, u in reversed(layers):
         shape = (-1,) + cols.shape
         # the gather comes out F-ordered; C-ordered copies of the adjoint and
         # of each check's (B, d) products fix the order its sum rounds in
         g_cols = np.ascontiguousarray(g[:, cols])
-        p = np.ascontiguousarray((g_cols * terms[0].reshape(shape)).transpose(1, 0, 2))
+        p = np.ascontiguousarray((g_cols * u.reshape(shape)).transpose(1, 0, 2))
         grads[checks] = p.sum(axis=(1, 2))
-        wg = (g_cols * weights[checks, None]).reshape(terms[0].shape)
-        g[:, cols] += minsum_backward(wg, terms).reshape(shape)
+        wg = (g_cols * weights[checks, None]).reshape(u.shape)
+        g[:, cols] += minsum_backward(wg, xc, u).reshape(shape)
     return value, grads
 
 

@@ -20,6 +20,15 @@ def numeric_grad(fn, x, eps=1e-6):
     return grad
 
 
+def assert_same_bits(a, b):
+    """``a`` and ``b`` are float64 arrays of one shape with equal bit patterns
+    (so -0.0 differs from 0.0)."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(np.ascontiguousarray(a).view(np.uint64),
+                                  np.ascontiguousarray(b).view(np.uint64))
+
+
 @pytest.fixture(scope="session")
 def hamming():
     return codes.load("hamming_7_4")

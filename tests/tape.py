@@ -190,9 +190,9 @@ def bce_with_logits(beliefs, x_b):
 
 def minsum_extrinsic(xc):
     """Tape node for the min-sum check update on beliefs ``xc`` (B, d)."""
-    terms = check_minsum_terms(xc.value)
-    out = Var(terms[0], (xc,))
-    out._backward = lambda g: xc._accumulate(minsum_backward(g, terms))
+    u = check_minsum_terms(xc.value)
+    out = Var(u, (xc,))
+    out._backward = lambda g: xc._accumulate(minsum_backward(g, xc.value, u))
     return out
 
 

@@ -148,7 +148,7 @@ def _near_min_tie(h, wvals, llr, gap):
         mags = np.sort(np.abs(x[:, cols]), axis=-1)
         if (mags[..., 1] - mags[..., 0] < gap).any():
             return True
-        u = check_minsum_terms(x[:, cols])[0]
+        u = check_minsum_terms(x[:, cols])
         x[:, cols] = x[:, cols] + w * u
     return False
 

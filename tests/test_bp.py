@@ -1,13 +1,48 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vcdc.bp import (ATANH_EPS, BpConfig, EdgeIndex, MIN_SUM, belief,
-                     check_update_minsum, check_update_sumproduct, decode_bp_batch,
-                     variable_update)
+from vcdc.bp import (ATANH_EPS, BpConfig, EdgeIndex, MIN_SUM, check_minsum_terms,
+                     decode_bp_batch)
 from vcdc.codebook import ParityCheckMatrix, bipolar, derive_generator, encode, syndrome
 from vcdc.channel import LLR_CLAMP, hard_decide
+from vcdc.train import minsum_backward
 
-from conftest import make_tree_code, map_marginals
+import serial
+from conftest import assert_same_bits, make_tree_code, map_marginals
+
+
+# Per-edge BP update rules as scalar functions: the semantics the batch
+# decoder vectorizes, spelled out one message at a time.
+
+def check_update_sumproduct(incoming):
+    """Exact extrinsic check update 2*arctanh(prod tanh(u/2)) for one edge."""
+    incoming = np.asarray(incoming, dtype=np.float64)
+    if incoming.size == 0:
+        raise ValueError("check update needs at least one incoming message")
+    prod = np.clip(np.prod(np.tanh(incoming / 2.0)), -(1 - ATANH_EPS), 1 - ATANH_EPS)
+    return float(2.0 * np.arctanh(prod))
+
+
+def check_update_minsum(incoming):
+    """Min-sum approximation: sign product times minimum magnitude, sign(0)=+1."""
+    incoming = np.asarray(incoming, dtype=np.float64)
+    if incoming.size == 0:
+        raise ValueError("check update needs at least one incoming message")
+    signs = np.where(incoming < 0, -1.0, 1.0)
+    return float(np.prod(signs) * np.min(np.abs(incoming)))
+
+
+def variable_update(l_v, incoming, message_clamp=30.0):
+    """Extrinsic variable-to-check message: channel LLR plus incoming sum."""
+    total = float(l_v) + float(np.sum(incoming))
+    return float(np.clip(total, -message_clamp, message_clamp))
+
+
+def belief(l_v, incoming):
+    """Posterior LLR: channel LLR plus all incoming check messages."""
+    return float(l_v) + float(np.sum(incoming))
 
 
 def reference_decode(h, llr, cfg):
@@ -66,6 +101,38 @@ class TestCheckUpdates:
     def test_minsum_sign_of_zero_is_positive(self):
         assert check_update_minsum([0.0, -2.0]) == 0.0
         assert check_update_minsum([-3.0, -4.0]) == 3.0
+
+
+# whole numbers and both zeros force tied magnitudes, zero magnitudes and
+# every sign pattern; other floats fill the rest
+MINSUM_ENTRIES = (st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0])
+                  | st.floats(-8.0, 8.0, allow_nan=False, width=64))
+
+
+class TestMinsumKernel:
+    """The two-minimum kernel and the backward that rebuilds its index
+    terms against the argmin kernel and backward of tests/serial.py."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(d=st.integers(2, 12), rows=st.integers(1, 6), data=st.data(),
+           fortran=st.booleans())
+    def test_matches_argmin_reference_bit_for_bit(self, d, rows, data, fortran):
+        values = data.draw(st.lists(MINSUM_ENTRIES, min_size=rows * d, max_size=rows * d))
+        xc = np.array(values, dtype=np.float64).reshape(rows, d)
+        if fortran:
+            xc = np.asfortranarray(xc)
+        g = np.array(data.draw(st.lists(st.floats(-4.0, 4.0, width=64), min_size=rows * d,
+                                        max_size=rows * d))).reshape(rows, d)
+        terms = serial.check_minsum_terms(xc)
+        u = check_minsum_terms(xc)
+        assert_same_bits(u, terms[0])
+        # the order of u fixes how the weight-gradient sums over it round
+        assert u.flags.c_contiguous
+        assert_same_bits(check_minsum_terms(xc[None]), u[None])
+        assert_same_bits(minsum_backward(g, xc, u), serial.minsum_backward(g, terms))
+        for r in range(rows):
+            for j in range(d):
+                assert_same_bits(check_update_minsum(np.delete(xc[r], j)), u[r, j])
 
 
 class TestVariableUpdate:

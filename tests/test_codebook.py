@@ -260,6 +260,19 @@ class TestGf2ProductDifferential:
             assert count_one == count and isinstance(count_one, int)
 
 
+# every entry point that takes bits checks them: (uint8 bits, call) per code
+BIT_CONSUMERS = {
+    "syndrome": lambda h: (h.rows[:2].copy(), lambda x: syndrome(h, x)),
+    "encode": lambda h: (np.array([[1, 0, 1, 1], [0, 1, 1, 0]], dtype=np.uint8),
+                         lambda m: encode(derive_generator(h), m)),
+    "bipolar": lambda h: (h.rows[:2].copy(), bipolar),
+    "from_rows": lambda h: (h.rows.copy(),
+                            lambda r: ParityCheckMatrix.from_rows(r).chk_adjacency),
+}
+NON_BITS = [(2, np.int64), (-1, np.int64), (255, np.uint8), (0.5, np.float64),
+            (np.nan, np.float64)]
+
+
 class TestBipolar:
     def test_mapping(self):
         assert bipolar(np.array([0])) == [1.0]
@@ -272,9 +285,20 @@ class TestBipolar:
         recovered = (bipolar(bits) < 0).astype(np.uint8)
         assert np.array_equal(recovered, bits)
 
-    def test_rejects_non_bits(self):
-        with pytest.raises(ValueError):
-            bipolar(np.array([0, 2]))
+    @pytest.mark.parametrize("value, dtype", NON_BITS)
+    @pytest.mark.parametrize("consumer", sorted(BIT_CONSUMERS))
+    def test_rejects_non_bits(self, hamming, consumer, value, dtype):
+        template, call = BIT_CONSUMERS[consumer](hamming)
+        bad = template.astype(dtype)
+        bad.flat[1] = value
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            call(bad)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, bool, np.int64, np.float64])
+    @pytest.mark.parametrize("consumer", sorted(BIT_CONSUMERS))
+    def test_accepts_bits_of_any_dtype(self, hamming, consumer, dtype):
+        template, call = BIT_CONSUMERS[consumer](hamming)
+        np.testing.assert_equal(call(template.astype(dtype)), call(template))
 
 
 def assert_layer_partition(h):

@@ -13,7 +13,7 @@ from vcdc.train import block_gradients
 
 import serial
 import tape
-from conftest import make_tree_code, random_layered_code
+from conftest import assert_same_bits, make_tree_code, random_layered_code
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -83,13 +83,6 @@ class TestNeuralBlock:
         for bad in (np.zeros(n), np.zeros((2, n + 1)), np.zeros((1, 2, n))):
             with pytest.raises(ValueError, match="beliefs"):
                 neural_block(hamming, w, bad)
-
-
-def assert_same_bits(a, b):
-    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    assert a.shape == b.shape
-    np.testing.assert_array_equal(np.ascontiguousarray(a).view(np.uint64),
-                                  np.ascontiguousarray(b).view(np.uint64))
 
 
 def random_llrs(rng, shape, ties):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from vcdc import codes, denoiser
+from vcdc import train as vtrain
 from vcdc.denoiser import NeuralBlockWeights
 from vcdc.diffusion import build_schedule
 
@@ -57,3 +58,15 @@ def test_check_update_span_sees_every_group(monkeypatch, name, per_block):
     assert calls["denoiser.decode"] == 1 and calls["denoiser.final_block"] == len(frames) > 1
     assert calls["denoiser.check_update"] == per_block * len(frames)
     assert tracer.counts["denoiser.check_update.rows"] == h.num_checks * sum(frames)
+
+    # training runs the same kernel once per group and iteration: its
+    # backward rebuilds what it needs from the forward's messages
+    iters, batch = 2, 16
+    tracer = spans.Tracer()
+    with spans.Patches() as patches:
+        harness.instrument(patches, tracer)
+        vtrain.train(h, vtrain.TrainConfig(iterations=iters, batch_size=batch))
+    calls = tracer.summary()[0]
+    assert calls["train.adam"] == iters
+    assert calls["denoiser.check_update"] == len(h.layer_groups) * iters == per_block * iters
+    assert tracer.counts["denoiser.check_update.rows"] == h.num_checks * batch * iters

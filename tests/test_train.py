@@ -48,22 +48,22 @@ class TestMinsumOp:
         rng = np.random.default_rng(1)
         xc0 = rng.normal(0, 2, (4, 5))
         node = minsum_extrinsic(Var(xc0))
-        np.testing.assert_array_equal(node.value, check_minsum_terms(xc0)[0])
+        np.testing.assert_array_equal(node.value, check_minsum_terms(xc0))
 
     def test_gradient_matches_finite_differences_away_from_ties(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             xc0 = rng.normal(0, 2, (3, 4))
             g0 = rng.normal(size=(3, 4))
-            grad = minsum_backward(g0, check_minsum_terms(xc0))
+            grad = minsum_backward(g0, xc0, check_minsum_terms(xc0))
             # minsum_backward is the gradient of <g0, u(xc)>
-            fd = numeric_grad(lambda xv: float((check_minsum_terms(xv)[0] * g0).sum()), xc0)
+            fd = numeric_grad(lambda xv: float((check_minsum_terms(xv) * g0).sum()), xc0)
             np.testing.assert_allclose(grad, fd, atol=1e-5)
 
     def test_tie_broken_toward_lowest_index(self):
         # both magnitudes equal; the subgradient must route to index 0
         xc0 = np.array([[2.0, 2.0, 5.0]])
-        grad = minsum_backward(np.array([[0.0, 0.0, 1.0]]), check_minsum_terms(xc0))
+        grad = minsum_backward(np.array([[0.0, 0.0, 1.0]]), xc0, check_minsum_terms(xc0))
         # outgoing edge 2 uses min over {|x0|, |x1|} = attained at index 0
         np.testing.assert_allclose(grad, [[1.0, 0.0, 0.0]])
 
