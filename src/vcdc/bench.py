@@ -267,18 +267,3 @@ def emit_results(runs, out_dir):
                 writer.writerow([r.decoder_id, f"{r.csnr_db:.17g}", f"{r.ber:.17g}"])
         paths.append(plot_path)
     return paths
-
-
-def read_results_csv(path):
-    """Parse a results.csv back into BerRun records."""
-    runs = []
-    with open(path, newline="", encoding="ascii") as fh:
-        for row in csv.DictReader(fh):
-            runs.append(BerRun(
-                code_id=row["code"], n=int(row["n"]), k=int(row["k"]),
-                decoder_id=row["decoder"], csnr_db=float(row["csnr_db"]),
-                bit_errors=int(row["bit_errors"]), bits_simulated=int(row["bits"]),
-                frames_simulated=int(row["frames"]), frame_errors=int(row["frame_errors"]),
-                mean_steps_used=float(row["mean_steps"]),
-                censored=bool(int(row["censored"])), seed=int(row["seed"])))
-    return runs

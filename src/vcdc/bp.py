@@ -2,8 +2,11 @@
 
 Flooding schedule with sum-product (exact, tanh/arctanh) or min-sum check
 updates and syndrome-based early exit.  Edges are enumerated check-major,
-variable ascending within each check; message arrays, and any weights tied
-to them, are indexed by that canonical order.
+variable ascending within each check.  Inside the decoder, frames are
+columns: beliefs are (n, B) and messages edge-major (E, B) arrays, whose
+rows ``EdgeIndex`` orders so that each check-degree group is a reshaped
+(d, checks, B) view; the sweeps work on its (checks, B) slabs in place,
+with no gather or scatter.
 
 The module exposes a batch decoder vectorized over codewords (a single
 word ``x`` is decoded as the batch ``x[None]``) and the min-sum check
@@ -13,6 +16,7 @@ share with BP min-sum.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,20 +46,31 @@ class BpConfig:
     early_exit: bool = True
 
     def __post_init__(self):
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.variant not in (SUM_PRODUCT, MIN_SUM):
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.message_clamp <= 0:
-            raise ValueError("message_clamp must be positive")
+        if not self.message_clamp > 0:
+            raise ValueError(f"message_clamp must be positive, got {self.message_clamp!r}")
 
 
 class EdgeIndex:
-    """Canonical edge enumeration of a Tanner graph plus gather/scatter maps.
+    """Edge enumeration of a Tanner graph and the row layout of BP messages.
 
     Edge e runs between check edge_chk[e] and variable edge_var[e]; edges
-    are sorted by (check, variable).  Checks are grouped by degree so check
-    updates vectorize as (batch, checks_of_degree_d, d) blocks.
+    are sorted by (check, variable).
+
+    BP keeps its messages edge-major, as (E, B) arrays with one row per edge
+    and one column per frame, so gathers by edge and by variable copy whole
+    rows.  The rows are ordered for the check updates: checks are grouped by
+    degree, and the rows ``degree_groups[d]`` hold, slot by slot, the edge
+    of every degree-d check to its j-th variable, so that a reshape views
+    them as a (d, checks, B) block of contiguous (checks, B) slabs.  Row r
+    carries edge ``row_edge[r]``, to variable ``row_var[r]``.  Belief sums
+    take the rows by ``var_order`` in the same way: variables grouped by
+    degree d, each ``var_groups`` entry a (d, variables, B) block.
     """
 
     def __init__(self, h):
@@ -69,46 +84,104 @@ class EdgeIndex:
         self.num_edges = self.edge_var.size
 
         degrees = np.asarray([len(vs) for vs in h.chk_adjacency])
-        row_splits = np.concatenate([[0], np.cumsum(degrees)])
-        self.degree_groups = {}
+        first_edge = np.concatenate([[0], np.cumsum(degrees)[:-1]])
+        self.degree_groups, blocks, start = {}, [], 0
         for d in sorted(set(degrees.tolist())):
-            checks = np.flatnonzero(degrees == d)
-            eidx = np.stack([np.arange(row_splits[c], row_splits[c] + d) for c in checks])
-            self.degree_groups[int(d)] = eidx
+            blocks.append(np.add.outer(np.arange(d), first_edge[degrees == d]).ravel())
+            self.degree_groups[d] = slice(start, start + blocks[-1].size)
+            start += blocks[-1].size
+        self.row_edge = np.concatenate(blocks)
+        self.row_var = self.edge_var[self.row_edge]
 
-        # var-major view for belief sums; variables of degree zero are legal
-        # in principle, so reduceat output is scattered by nonempty index
-        order = np.lexsort((self.edge_chk, self.edge_var))
-        self.var_order = order
-        var_ids = self.edge_var[order]
-        self.nonempty_vars = np.unique(var_ids)
-        self.var_starts = np.searchsorted(var_ids, self.nonempty_vars)
+        # each variable's rows in check order; variables of degree zero are
+        # legal in principle and keep a zero sum
+        var_degrees = np.bincount(self.edge_var, minlength=h.n)
+        by_var = np.lexsort((self.edge_chk[self.row_edge], self.row_var,
+                             var_degrees[self.row_var]))
+        self.var_groups, blocks, start = [], [], 0
+        for d in sorted(set(var_degrees.tolist()) - {0}):
+            variables = np.flatnonzero(var_degrees == d)
+            stop = start + d * variables.size
+            blocks.append(by_var[start:stop].reshape(variables.size, d).T.ravel())
+            self.var_groups.append((d, variables))
+            start = stop
+        self.var_order = np.concatenate(blocks)
+
+    def check_blocks(self, msgs):
+        """(d, checks, B) views of the (E, B) messages ``msgs``, one per
+        degree group; the j-th slab holds each check's edge to its j-th
+        variable."""
+        return [msgs[rows].reshape(d, (rows.stop - rows.start) // d, msgs.shape[1])
+                for d, rows in self.degree_groups.items()]
 
     def belief_sums(self, c2v):
-        """Per-variable sums of check-to-variable messages, shape (B, n)."""
-        out = np.zeros((c2v.shape[0], self.h.n), dtype=c2v.dtype)
-        sums = np.add.reduceat(c2v[:, self.var_order], self.var_starts, axis=1)
-        out[:, self.nonempty_vars] = sums
+        """Per-variable sums of the (E, B) check-to-variable messages, shape
+        (n, B), each added in check order as ``np.add.reduceat`` adds it."""
+        out = np.zeros((self.h.n, c2v.shape[1]), dtype=c2v.dtype)
+        msgs = np.take(c2v, self.var_order, axis=0)
+        start = 0
+        for d, variables in self.var_groups:
+            stop = start + d * variables.size
+            block = msgs[start:stop].reshape(d, variables.size, c2v.shape[1])
+            out[variables] = block[0] if d == 1 else block[0] + _pairwise_sum(block[1:])
+            start = stop
         return out
 
 
+def _pairwise_sum(a):
+    """Sum over axis 0 of ``a`` (length >= 1), term for term as numpy's
+    pairwise summation adds the terms after the first of a reduction: in
+    order below 8 terms, as 8 interleaved partial sums up to 128, and by
+    halves above.  Beliefs so keep the bits they had when ``np.add.reduceat``
+    summed them, at about a fifth of its cost, since reduceat makes one
+    call per variable and frame."""
+    m = a.shape[0]
+    if m < 8:
+        res = a[0].copy()
+        for x in a[1:]:
+            res += x
+        return res
+    if m <= 128:
+        r = a[:8].copy()
+        tail = m - m % 8
+        for i in range(8, tail, 8):
+            r += a[i:i + 8]
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for x in a[tail:]:
+            res += x
+        return res
+    half = m // 2 - m // 2 % 8
+    return _pairwise_sum(a[:half]) + _pairwise_sum(a[half:])
+
+
+def _exclusive_products(t, out):
+    """out[j] = the product of t[k] over k != j, for (d, checks, B) blocks.
+
+    The same chain of multiplications as a forward and a backward
+    ``cumprod`` along d: slot j first takes t[d-1] ... t[j+1] from the back,
+    then one running (checks, B) product multiplies in t[0] ... t[j-1].
+    """
+    d = len(t)
+    out[d - 2] = t[d - 1]
+    for j in range(d - 3, -1, -1):
+        np.multiply(out[j + 1], t[j + 1], out=out[j])
+    fwd = t[0].copy()
+    for j in range(1, d - 1):
+        out[j] *= fwd
+        fwd *= t[j]
+    out[d - 1] = fwd
+
+
 def _check_sweep_sumproduct(v2c, ei):
-    t = np.tanh(v2c / 2.0)
-    c2v = np.empty_like(v2c)
-    for d, eidx in ei.degree_groups.items():
-        tt = t[:, eidx]
-        excl = np.empty_like(tt)
-        if d == 2:
-            excl[..., 0] = tt[..., 1]
-            excl[..., 1] = tt[..., 0]
-        else:
-            fwd = np.cumprod(tt, axis=-1)
-            bwd = np.cumprod(tt[..., ::-1], axis=-1)[..., ::-1]
-            excl[..., 0] = bwd[..., 1]
-            excl[..., -1] = fwd[..., -2]
-            excl[..., 1:-1] = fwd[..., :-2] * bwd[..., 2:]
-        np.clip(excl, -(1 - ATANH_EPS), 1 - ATANH_EPS, out=excl)
-        c2v[:, eidx] = 2.0 * np.arctanh(excl)
+    """Sum-product check-to-variable messages (E, B) from the messages
+    ``v2c``, which are overwritten."""
+    t = np.tanh(np.divide(v2c, 2.0, out=v2c), out=v2c)
+    c2v = np.empty(t.shape)
+    for tb, excl in zip(ei.check_blocks(t), ei.check_blocks(c2v)):
+        _exclusive_products(tb, excl)
+    np.clip(c2v, -(1 - ATANH_EPS), 1 - ATANH_EPS, out=c2v)
+    np.arctanh(c2v, out=c2v)
+    c2v *= 2.0
     return c2v
 
 
@@ -160,9 +233,10 @@ def check_minsum_terms(xc):
 
 
 def _check_sweep_minsum(v2c, ei):
-    c2v = np.empty_like(v2c)
-    for eidx in ei.degree_groups.values():
-        c2v[:, eidx] = check_minsum_terms(v2c[:, eidx])
+    """Min-sum check-to-variable messages (E, B) from the messages ``v2c``."""
+    c2v = np.empty(v2c.shape)
+    for xb, ub in zip(ei.check_blocks(v2c), ei.check_blocks(c2v)):
+        ub[...] = np.moveaxis(check_minsum_terms(np.moveaxis(xb, 0, -1)), -1, 0)
     return c2v
 
 
@@ -195,19 +269,24 @@ def decode_bp_batch(h, llrs, cfg=BpConfig(), edge_index=None):
     iters = np.empty(nframes, dtype=np.int64)
     ok = np.empty(nframes, dtype=bool)
 
+    # frames are columns from here on: beliefs (n, B), messages (E, B)
     idx = np.arange(nframes)
-    l = np.clip(llrs, -LLR_CLAMP, LLR_CLAMP)
-    v2c = np.clip(l[:, ei.edge_var], -cfg.message_clamp, cfg.message_clamp)
+    l = llrs.T.copy()
+    np.clip(l, -LLR_CLAMP, LLR_CLAMP, out=l)
+    v2c = np.take(l, ei.row_var, axis=0)
     for it in range(1, cfg.max_iters + 1):
+        np.clip(v2c, -cfg.message_clamp, cfg.message_clamp, out=v2c)
         c2v = sweep(v2c, ei)
-        s = l + ei.belief_sums(c2v)
+        s = ei.belief_sums(c2v)
+        s += l
         hard = hard_decide(s)
-        done = syndrome(h, hard)[1] == 0
-        bits[idx], beliefs[idx], iters[idx], ok[idx] = hard, s, it, done
+        done = syndrome(h, hard.T)[1] == 0
+        bits[idx], beliefs[idx], iters[idx], ok[idx] = hard.T, s.T, it, done
         if cfg.early_exit:
             keep = ~done
-            idx, l, s, c2v = idx[keep], l[keep], s[keep], c2v[keep]
+            idx, l, s, c2v = (np.compress(keep, a, axis=-1) for a in (idx, l, s, c2v))
         if idx.size == 0 or it == cfg.max_iters:
             break
-        v2c = np.clip(s[:, ei.edge_var] - c2v, -cfg.message_clamp, cfg.message_clamp)
+        v2c = np.take(s, ei.row_var, axis=0)
+        v2c -= c2v
     return bits, beliefs, iters, ok

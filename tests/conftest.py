@@ -1,7 +1,10 @@
+import csv
+
 import numpy as np
 import pytest
 
 from vcdc import codes
+from vcdc.bench import BerRun
 from vcdc.codebook import ParityCheckMatrix, derive_generator, encode
 
 
@@ -27,6 +30,21 @@ def assert_same_bits(a, b):
     assert a.shape == b.shape
     np.testing.assert_array_equal(np.ascontiguousarray(a).view(np.uint64),
                                   np.ascontiguousarray(b).view(np.uint64))
+
+
+def read_results_csv(path):
+    """Parse a results.csv back into BerRun records."""
+    runs = []
+    with open(path, newline="", encoding="ascii") as fh:
+        for row in csv.DictReader(fh):
+            runs.append(BerRun(
+                code_id=row["code"], n=int(row["n"]), k=int(row["k"]),
+                decoder_id=row["decoder"], csnr_db=float(row["csnr_db"]),
+                bit_errors=int(row["bit_errors"]), bits_simulated=int(row["bits"]),
+                frames_simulated=int(row["frames"]), frame_errors=int(row["frame_errors"]),
+                mean_steps_used=float(row["mean_steps"]),
+                censored=bool(int(row["censored"])), seed=int(row["seed"])))
+    return runs
 
 
 @pytest.fixture(scope="session")

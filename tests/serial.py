@@ -1,38 +1,48 @@
-"""The one-check-at-a-time block walk: the reference for the grouped walk.
+"""Row-major reference forms of the fast paths, checked against bit for bit.
 
-``vcdc.denoiser.block_layers`` updates each run of consecutive checks with
-disjoint variables (``ParityCheckMatrix.layer_groups``) at once.  The walk
-here updates one check per layer, as the model defines the block, so tests
-can require the two to agree bit for bit.
+The one-check-at-a-time block walk: ``vcdc.denoiser.block_layers`` updates
+each run of consecutive checks with disjoint variables
+(``ParityCheckMatrix.layer_groups``) at once.  The walk here updates one
+check per layer, as the model defines the block, so tests can require the
+two to agree bit for bit.
 
 The walk runs on its own min-sum kernel, ``check_minsum_terms``: the
 argmin form that builds every index term the backward reads, against which
 ``vcdc.bp.check_minsum_terms`` (the two-minimum form) and
 ``vcdc.train.minsum_backward`` (which rebuilds the index terms from the
 messages) are checked bit for bit.
+
+``decode_bp_batch`` is flooding BP with frame-major (B, E) messages in
+canonical edge order, the check products from two ``cumprod`` sweeps and the
+belief sums from ``np.add.reduceat``: the reference for ``vcdc.bp``'s
+edge-major decoder.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from vcdc.bp import ATANH_EPS, SUM_PRODUCT, check_llr_batch
+from vcdc.channel import LLR_CLAMP, hard_decide
+from vcdc.codebook import syndrome
+
 
 def check_minsum_terms(xc):
     """Min-sum extrinsic messages of checks from their variables' beliefs.
 
-    ``xc`` has shape (..., d), one check per row.  Returns (u, signs,
-    sign_excl, i1, i2) where u[..., j] excludes position j, i1 is the
-    magnitude argmin (ties resolve to the lowest index), and i2 the argmin
-    with i1 masked out.
+    ``xc`` has shape (..., d), d >= 2, one check per row and no NaN entry.
+    Returns (u, signs, sign_excl, i1, i2) where u[..., j] excludes position
+    j, i1 is the magnitude argmin (ties resolve to the lowest index), and i2
+    the argmin over the other positions.
     """
     signs = np.where(xc < 0, -1.0, 1.0)
     sign_excl = np.prod(signs, axis=-1, keepdims=True) * signs
     mags = np.abs(xc)
-    i1 = np.argmin(mags, axis=-1, keepdims=True)
+    # the first two positions in stable magnitude order: masking i1 by a
+    # value instead would tie an infinite magnitude
+    order = np.argsort(mags, axis=-1, kind="stable")
+    i1, i2 = order[..., :1], order[..., 1:2]
     m1 = np.take_along_axis(mags, i1, axis=-1)
-    masked = mags.copy()
-    np.put_along_axis(masked, i1, np.inf, axis=-1)
-    i2 = np.argmin(masked, axis=-1, keepdims=True)
     m2 = np.take_along_axis(mags, i2, axis=-1)
     u = sign_excl * np.where(np.arange(xc.shape[-1]) == i1, m2, m1)
     return u, signs, sign_excl, i1, i2
@@ -81,3 +91,86 @@ def neural_block(h, weights, llrs):
     for _ in block_layers(h, weights.values, x):
         pass
     return x, np.tanh(x / 2.0)
+
+
+class RowMajorEdges:
+    """Canonical (check-major) edges with each degree group's (g, d) edge
+    indices and the variable-major order and segment starts for reduceat."""
+
+    def __init__(self, h):
+        self.edge_var = np.asarray([v for vs in h.chk_adjacency for v in vs], dtype=np.int64)
+        edge_chk = np.asarray([c for c, vs in enumerate(h.chk_adjacency) for _ in vs],
+                              dtype=np.int64)
+        degrees = np.asarray([len(vs) for vs in h.chk_adjacency])
+        row_splits = np.concatenate([[0], np.cumsum(degrees)])
+        self.degree_groups = {
+            int(d): np.stack([np.arange(row_splits[c], row_splits[c] + d)
+                              for c in np.flatnonzero(degrees == d)])
+            for d in sorted(set(degrees.tolist()))}
+        self.n = h.n
+        self.var_order = np.lexsort((edge_chk, self.edge_var))
+        var_ids = self.edge_var[self.var_order]
+        self.nonempty_vars = np.unique(var_ids)
+        self.var_starts = np.searchsorted(var_ids, self.nonempty_vars)
+
+    def belief_sums(self, c2v):
+        out = np.zeros((c2v.shape[0], self.n), dtype=c2v.dtype)
+        out[:, self.nonempty_vars] = np.add.reduceat(c2v[:, self.var_order],
+                                                     self.var_starts, axis=1)
+        return out
+
+
+def _sweep_sumproduct(v2c, ei):
+    t = np.tanh(v2c / 2.0)
+    c2v = np.empty_like(v2c)
+    for d, eidx in ei.degree_groups.items():
+        tt = t[:, eidx]
+        excl = np.empty_like(tt)
+        if d == 2:
+            excl[..., 0] = tt[..., 1]
+            excl[..., 1] = tt[..., 0]
+        else:
+            fwd = np.cumprod(tt, axis=-1)
+            bwd = np.cumprod(tt[..., ::-1], axis=-1)[..., ::-1]
+            excl[..., 0] = bwd[..., 1]
+            excl[..., -1] = fwd[..., -2]
+            excl[..., 1:-1] = fwd[..., :-2] * bwd[..., 2:]
+        np.clip(excl, -(1 - ATANH_EPS), 1 - ATANH_EPS, out=excl)
+        c2v[:, eidx] = 2.0 * np.arctanh(excl)
+    return c2v
+
+
+def _sweep_minsum(v2c, ei):
+    c2v = np.empty_like(v2c)
+    for eidx in ei.degree_groups.values():
+        c2v[:, eidx] = check_minsum_terms(v2c[:, eidx])[0]
+    return c2v
+
+
+def decode_bp_batch(h, llrs, cfg):
+    """``vcdc.bp.decode_bp_batch`` on frame-major (B, E) messages."""
+    llrs = check_llr_batch(h, llrs)
+    ei = RowMajorEdges(h)
+    sweep = _sweep_sumproduct if cfg.variant == SUM_PRODUCT else _sweep_minsum
+    nframes = llrs.shape[0]
+    bits = np.empty(llrs.shape, dtype=np.uint8)
+    beliefs = np.empty_like(llrs)
+    iters = np.empty(nframes, dtype=np.int64)
+    ok = np.empty(nframes, dtype=bool)
+
+    idx = np.arange(nframes)
+    l = np.clip(llrs, -LLR_CLAMP, LLR_CLAMP)
+    v2c = np.clip(l[:, ei.edge_var], -cfg.message_clamp, cfg.message_clamp)
+    for it in range(1, cfg.max_iters + 1):
+        c2v = sweep(v2c, ei)
+        s = l + ei.belief_sums(c2v)
+        hard = hard_decide(s)
+        done = syndrome(h, hard)[1] == 0
+        bits[idx], beliefs[idx], iters[idx], ok[idx] = hard, s, it, done
+        if cfg.early_exit:
+            keep = ~done
+            idx, l, s, c2v = idx[keep], l[keep], s[keep], c2v[keep]
+        if idx.size == 0 or it == cfg.max_iters:
+            break
+        v2c = np.clip(s[:, ei.edge_var] - c2v, -cfg.message_clamp, cfg.message_clamp)
+    return bits, beliefs, iters, ok

@@ -5,10 +5,12 @@ import pytest
 
 from vcdc.bench import (BerRun, BpDecoder, IdentityDecoder, VcdcDecoder,
                         count_flops_bp, count_flops_vcdc, emit_results, neg_ln_ber,
-                        read_results_csv, run_ber)
+                        run_ber)
 from vcdc.bp import BpConfig, MIN_SUM
 from vcdc.channel import hard_decide
 from vcdc.denoiser import NeuralBlockWeights
+
+from conftest import read_results_csv
 
 # Gaussian tail oracle Q(1/w) for the raw channel at 4 dB, rate 60/121
 # (40-digit erfc evaluation)

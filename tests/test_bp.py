@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vcdc.bp import (ATANH_EPS, BpConfig, EdgeIndex, MIN_SUM, check_minsum_terms,
-                     decode_bp_batch)
+from vcdc import codes
+from vcdc.bp import (ATANH_EPS, BpConfig, EdgeIndex, MIN_SUM, SUM_PRODUCT,
+                     check_minsum_terms, decode_bp_batch)
 from vcdc.codebook import ParityCheckMatrix, bipolar, derive_generator, encode, syndrome
 from vcdc.channel import LLR_CLAMP, hard_decide
 from vcdc.train import minsum_backward
@@ -103,9 +106,9 @@ class TestCheckUpdates:
         assert check_update_minsum([-3.0, -4.0]) == 3.0
 
 
-# whole numbers and both zeros force tied magnitudes, zero magnitudes and
-# every sign pattern; other floats fill the rest
-MINSUM_ENTRIES = (st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0])
+# whole numbers, both zeros and both infinities force tied magnitudes, zero
+# and infinite magnitudes and every sign pattern; other floats fill the rest
+MINSUM_ENTRIES = (st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, np.inf, -np.inf])
                   | st.floats(-8.0, 8.0, allow_nan=False, width=64))
 
 
@@ -133,6 +136,12 @@ class TestMinsumKernel:
         for r in range(rows):
             for j in range(d):
                 assert_same_bits(check_update_minsum(np.delete(xc[r], j)), u[r, j])
+
+    def test_infinite_magnitude_is_an_extrinsic_minimum(self):
+        # the other entry's magnitude, even when it is infinite
+        xc = np.array([[-0.4, -np.inf]])
+        assert_same_bits(check_minsum_terms(xc), [[-np.inf, -0.4]])
+        assert_same_bits(serial.check_minsum_terms(xc)[0], [[-np.inf, -0.4]])
 
 
 class TestVariableUpdate:
@@ -313,6 +322,22 @@ def test_config_validation():
         BpConfig(message_clamp=-1.0)
 
 
+def test_config_rejects_nan_message_clamp():
+    # a NaN clamp would decode to NaN beliefs and all-zero bits flagged
+    # syndrome_zero
+    with pytest.raises(ValueError, match="message_clamp"):
+        BpConfig(message_clamp=np.nan)
+    assert BpConfig(message_clamp=np.inf).message_clamp == np.inf
+
+
+@pytest.mark.parametrize("bad", [2.5, True, "5"])
+def test_config_rejects_non_integer_max_iters(bad):
+    # 2.5 would raise TypeError inside the decode, and True run one iteration
+    with pytest.raises(ValueError, match="max_iters"):
+        BpConfig(max_iters=bad)
+    assert BpConfig(max_iters=np.int64(3)).max_iters == 3
+
+
 def test_edge_index_is_check_major_sorted():
     rows = np.array([[1, 1, 0, 1], [0, 1, 1, 1]], dtype=np.uint8)
     ei = EdgeIndex(ParityCheckMatrix.from_rows(rows))
@@ -325,3 +350,92 @@ def test_isolated_variable_keeps_channel_belief():
     bits, beliefs, _, _ = decode_bp_batch(h, np.array([[2.0, 1.0, -0.7]]), BpConfig(max_iters=3))
     assert beliefs[0, 2] == pytest.approx(-0.7)
     assert bits[0, 2] == 1
+
+
+def assert_check_blocks(h, ei):
+    """BP's message rows are a permutation of the edges, and each degree
+    group's (d, checks, B) block is a view whose slab j holds the edge of
+    each of its checks to that check's j-th variable."""
+    assert np.array_equal(np.sort(ei.row_edge), np.arange(ei.num_edges))
+    assert np.array_equal(ei.row_var, ei.edge_var[ei.row_edge])
+    msgs = np.zeros((ei.num_edges, 3))
+    for (d, rows), block in zip(ei.degree_groups.items(), ei.check_blocks(msgs)):
+        assert np.shares_memory(block, msgs)
+        edges = ei.row_edge[rows].reshape(d, -1)
+        checks = ei.edge_chk[edges[0]]
+        assert np.array_equal(ei.edge_chk[edges], np.broadcast_to(checks, edges.shape))
+        assert np.array_equal(ei.edge_var[edges].T, [h.chk_adjacency[c] for c in checks])
+    assert sorted(ei.degree_groups) == sorted({len(vs) for vs in h.chk_adjacency})
+    assert sum(rows.stop - rows.start for rows in ei.degree_groups.values()) == ei.num_edges
+
+
+@pytest.mark.parametrize("name", codes.available())
+def test_every_degree_group_is_a_view(name):
+    h = codes.load(name)
+    assert_check_blocks(h, EdgeIndex(h))
+
+
+@st.composite
+def sparse_codes(draw):
+    """Parity-check matrices whose check degrees (2 to 12) interleave, with
+    a repeated row (so rank < rows), a variable in no check, and at times a
+    variable in every check."""
+    n = draw(st.integers(6, 20))
+    m = draw(st.integers(2, min(n - 2, 14)))
+    rows = np.zeros((m, n), dtype=np.uint8)
+    for r in range(m):
+        d = draw(st.integers(2, min(12, n - 1)))
+        rows[r, draw(st.lists(st.integers(0, n - 2), min_size=d, max_size=d, unique=True))] = 1
+    if draw(st.booleans()):
+        rows[:, draw(st.integers(0, n - 2))] = 1
+    rows[draw(st.integers(1, m - 1))] = rows[0]
+    return ParityCheckMatrix.from_rows(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(h=sparse_codes(), variant=st.sampled_from([SUM_PRODUCT, MIN_SUM]),
+       early_exit=st.booleans(), frames=st.integers(1, 40), iters=st.integers(1, 8),
+       clamp=st.sampled_from([30.0, 3.0]), seed=st.integers(0, 2 ** 32 - 1))
+def test_matches_row_major_oracle_on_random_codes(h, variant, early_exit, frames, iters,
+                                                  clamp, seed):
+    ei = EdgeIndex(h)
+    assert_check_blocks(h, ei)
+    rng = np.random.default_rng(seed)
+    llrs = rng.normal(1.0, 2.5, (frames, h.n))
+    llrs[rng.random(llrs.shape) < 0.05] = 0.0
+    llrs[rng.random(llrs.shape) < 0.05] = -0.0
+    cfg = BpConfig(max_iters=iters, variant=variant, message_clamp=clamp,
+                   early_exit=early_exit)
+    bits, beliefs, its, ok = decode_bp_batch(h, llrs, cfg, edge_index=ei)
+    want = serial.decode_bp_batch(h, llrs, cfg)
+    assert np.array_equal(bits, want[0])
+    assert_same_bits(beliefs, want[1])
+    assert np.array_equal(its, want[2]) and np.array_equal(ok, want[3])
+
+    # the scalar rules, at a clamp that keeps check products clear of the
+    # arctanh clip, where rounding differences would outgrow the tolerance
+    cfg = dataclasses.replace(cfg, message_clamp=3.0, early_exit=True)
+    bits, beliefs, its, ok = decode_bp_batch(h, llrs[:3], cfg, edge_index=ei)
+    for i, llr in enumerate(llrs[:3]):
+        ref_bits, ref_beliefs, ref_iters, ref_ok = reference_decode(h, llr, cfg)
+        assert np.array_equal(bits[i], ref_bits)
+        np.testing.assert_allclose(beliefs[i], ref_beliefs, atol=1e-9)
+        assert its[i] == ref_iters and ok[i] == ref_ok
+
+
+def test_belief_sums_round_as_reduceat():
+    # degrees from 1 to 300 take numpy's pairwise summation through all
+    # three of its regimes (under 8 terms, up to 128, halved above)
+    rng = np.random.default_rng(3)
+    m, n = 300, 320
+    rows = np.zeros((m, n), dtype=np.uint8)
+    rows[:, :2] = 1
+    for v in range(2, n - 1):
+        rows[rng.choice(m, size=rng.integers(1, 140), replace=False), v] = 1
+    h = ParityCheckMatrix.from_rows(rows)
+    ei = EdgeIndex(h)
+    c2v = rng.normal(size=(ei.num_edges, 4)) * 10.0 ** rng.integers(-8, 17, (ei.num_edges, 4))
+    c2v[rng.random(c2v.shape) < 0.05] = -0.0
+    canonical = np.empty_like(c2v.T)
+    canonical[:, ei.row_edge] = c2v.T
+    assert_same_bits(ei.belief_sums(c2v), serial.RowMajorEdges(h).belief_sums(canonical).T)

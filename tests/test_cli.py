@@ -11,8 +11,9 @@ import vcdc
 from vcdc import codes
 from vcdc.cli import build_parser, main
 from vcdc.codebook import bipolar, derive_generator, encode, serialize_alist
-from vcdc.bench import read_results_csv
 from vcdc.denoiser import NeuralBlockWeights, save_checkpoint
+
+from conftest import read_results_csv
 
 
 @pytest.fixture()
