@@ -196,27 +196,28 @@ def _two_least(mags):
     return m1, m2
 
 
-def check_minsum_terms(xc):
+def check_minsum_terms(xc, out=None):
     """Min-sum extrinsic messages of checks from their variables' beliefs.
 
     ``xc`` is a float64 array of shape (..., d), d >= 2, one check per row
     and no NaN entry.
     Returns the messages ``u`` of the same shape: u[..., j] is the product
     of the signs of the other entries (sign(0) = +1 for either zero) times
-    their least magnitude.
+    their least magnitude.  ``u`` is written into ``out`` when it is given,
+    else into a new array with the memory layout of ``xc``.
 
     Only the two least magnitudes m1 <= m2 of a row are needed (the
     compressed check message of layered min-sum decoders, Mansour &
     Shanbhag 2003): position j gets m2 if |x_j| == m1, else m1.  This is
     exact, ties included: a position with |x_j| == m1 that is not the first
-    minimizer sees m2 == m1 either way.  ``u`` is C-ordered whatever the
-    order of ``xc``, since the order of an array fixes the order in which a
-    sum over it rounds, and the training backward sums over ``u``.
+    minimizer sees m2 == m1 either way.  The kernel works on ``xc.T``, d
+    leading: callers that hold their checks as a (d, rows) block pass its
+    transpose, and then every step, copy-in and write-out included, runs
+    over contiguous rows.
     """
-    # work on a contiguous (d, rows) copy, so every step is one long loop;
-    # adding +0.0 turns -0.0 into +0.0, after which the sign bit is the
-    # min-sum sign
-    x = np.add(np.moveaxis(xc, -1, 0), 0.0, order="C")
+    # a contiguous (d, ...) copy; adding +0.0 turns -0.0 into +0.0, after
+    # which the sign bit is the min-sum sign
+    x = np.add(xc.T, 0.0, order="C")
     odd = np.logical_xor.reduce(x < 0, axis=0)
     mags = np.abs(x)
     m1, m2 = _two_least(mags)
@@ -227,16 +228,18 @@ def check_minsum_terms(xc):
     bits ^= m1.view(np.uint64) ^ m2.view(np.uint64)
     # x_j times the row's sign product carries the sign of the other entries
     x *= np.where(odd, -1.0, 1.0)
-    u = np.empty(xc.shape)
-    np.copysign(mags, x, out=np.moveaxis(u, -1, 0))
+    u = np.empty_like(xc, dtype=np.float64) if out is None else out
+    np.copysign(mags, x, out=u.T)
     return u
 
 
 def _check_sweep_minsum(v2c, ei):
-    """Min-sum check-to-variable messages (E, B) from the messages ``v2c``."""
+    """Min-sum check-to-variable messages (E, B) from the messages ``v2c``:
+    each (d, checks, B) block goes to the kernel as (checks B, d) rows, and
+    the kernel writes straight into the matching block of the output."""
     c2v = np.empty(v2c.shape)
     for xb, ub in zip(ei.check_blocks(v2c), ei.check_blocks(c2v)):
-        ub[...] = np.moveaxis(check_minsum_terms(np.moveaxis(xb, 0, -1)), -1, 0)
+        check_minsum_terms(xb.reshape(len(xb), -1).T, out=ub.reshape(len(ub), -1).T)
     return c2v
 
 

@@ -12,7 +12,10 @@ degree with pairwise disjoint variables (``ParityCheckMatrix.layer_groups``)
 runs as one vectorized update: no layer of the run reads a belief another
 one writes, so every belief is bit-identical to the one-check-at-a-time
 walk.  This is the order-preserving layered schedule of Hocevar (2004) and
-Zhang & Fossorier (2005); checks are never reordered.
+Zhang & Fossorier (2005); checks are never reordered.  Frames are columns
+inside the block, as in ``vcdc.bp``: beliefs are a C-ordered (n, B) array,
+which callers see through its (B, n) transpose, so a group reads and
+writes whole rows of it.
 
 Decoding walks the diffusion schedule from the observed (noisiest) level
 upward, feeding each block estimate to the deterministic reverse update
@@ -66,41 +69,44 @@ class NeuralBlockWeights:
                 f"weights trained for ({self.n},{self.k}) cannot decode ({h.n},{h.k})")
 
 
-def block_layers(h, w, x):
-    """Run the layers over the (B, n) beliefs ``x`` in place, with layer
-    weights ``w``, one layer group of ``h.layer_groups`` at a time; yields
-    each group's (slice of checks, columns, gathered beliefs xc, min-sum
-    messages u), xc and u of shape (B g, d), as the training backward reads
-    them.
+def block_layers(h, w, xt):
+    """Run the layers over the beliefs ``xt`` in place, with layer weights
+    ``w``, one layer group of ``h.layer_groups`` at a time.  ``xt`` is a
+    C-ordered (n, B) array, frames as columns.  Yields each group's (slice
+    of checks, columns, gathered beliefs xc, min-sum messages u), as the
+    training backward reads them: xc and u are (g B, d) rows, row i B + b
+    holding check i of frame b, whose transposes are C-ordered (d, g B)
+    arrays.
 
-    A group of g checks of degree d gathers its beliefs as one C-ordered
-    (B g, d) array, row b g + i holding check i of frame b (``np.take``
-    gathers in C order, so the reshape is a view), and adds its weights
-    ``w[checks]`` times its messages back in one scatter.  The checks of a
-    group share no variable, so this equals running them one by one.  The
-    kernel sees the same 2-D rows whatever g is, so a single check runs as
-    fast as it does alone.
+    A group of g checks of degree d takes whole belief rows into one
+    (d, g, B) block, slab j holding the j-th variable of every check, hands
+    the kernel that block as (g B, d) rows and writes its rows back plus
+    the weights ``w[checks]`` times the messages.  The checks of a group
+    share no variable, so this equals running them one by one.
     """
     for checks, cols in h.layer_groups:
-        shape = (-1,) + cols.shape
-        xc = np.take(x, cols, axis=1).reshape(-1, cols.shape[1])
+        block = np.take(xt, cols.T, axis=0)
+        xc = block.reshape(len(block), -1).T
         u = check_minsum_terms(xc)
-        x[:, cols] = xc.reshape(shape) + w[checks, None] * u.reshape(shape)
+        step = u.T.reshape(block.shape) * w[checks, None]
+        step += block
+        xt[cols.T] = step
         yield checks, cols, xc, u
 
 
 def neural_block(h, weights, llrs):
     """Run one block on a (B, n) batch of beliefs: (final beliefs, soft
-    estimate tanh(beliefs/2)).  With all weights zero the block is the
-    identity on beliefs.
+    estimate tanh(beliefs/2)), both (B, n) views of frames-as-columns
+    arrays.  With all weights zero the block is the identity on beliefs.
     """
     weights.check_code(h)
-    x = np.array(llrs, dtype=np.float64)  # a copy: the layers run in place
+    x = np.asarray(llrs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != h.n:
         raise ValueError(f"expected (B, {h.n}) beliefs, got {x.shape}")
-    for _ in block_layers(h, weights.values, x):
+    xt = np.array(x.T, order="C")  # a copy: the layers run in place
+    for _ in block_layers(h, weights.values, xt):
         pass
-    return x, np.tanh(x / 2.0)
+    return xt.T, np.tanh(xt / 2.0).T
 
 
 def decode_vcdc_batch(h, weights, sched, llrs):
@@ -111,7 +117,9 @@ def decode_vcdc_batch(h, weights, sched, llrs):
     whose hard decision already satisfies the syndrome cost zero reverse
     steps; the rest stop at the first satisfied syndrome or after the
     final block at the cleanest level, which runs even when the schedule
-    has a single level.  Non-finite LLRs are rejected.
+    has a single level.  Non-finite LLRs are rejected.  Between blocks the
+    running frames are the columns of an (n, B) array, which the block and
+    the reverse step see through its (B, n) transpose.
     """
     weights.check_code(h)
     llrs = check_llr_batch(h, llrs)
@@ -119,7 +127,7 @@ def decode_vcdc_batch(h, weights, sched, llrs):
     beliefs = llrs.copy()
     steps = np.zeros(llrs.shape[0], dtype=np.int64)
     ok = syndrome(h, bits)[1] == 0
-    idx, z = np.flatnonzero(~ok), llrs[~ok]
+    idx, z = np.flatnonzero(~ok), np.compress(~ok, llrs.T, axis=1).T
 
     used = 0
     for t_index in range(len(sched) - 1, -1, -1):
@@ -134,7 +142,7 @@ def decode_vcdc_batch(h, weights, sched, llrs):
         hard = hard_decide(z)
         done = syndrome(h, hard)[1] == 0
         bits[idx], beliefs[idx], steps[idx], ok[idx] = hard, z, used, done
-        idx, z = idx[~done], z[~done]
+        idx, z = idx[~done], np.compress(~done, z.T, axis=1).T
     return bits, beliefs, steps, ok
 
 

@@ -10,6 +10,7 @@ schedule.  The reverse update is deterministic: no noise is re-injected.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,7 +76,11 @@ def build_schedule(observed_csnr_db, steps, step_db=0.5, rate=0.5):
 
     Levels are observed + (steps-1)*step_db, ..., observed + step_db,
     observed, so the noisiest end coincides with the physical channel.
+    ``steps`` must be an integer: a fractional count would shift every
+    level off the channel, and a bool is not a count.
     """
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
+        raise ValueError(f"steps must be an integer, got {steps!r}")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if step_db <= 0:
@@ -116,7 +121,7 @@ def reverse_step(sched, t_index, z_t, x_hat):
         raise ValueError(f"t_index {t_index} cannot step past the schedule start")
     z_t = np.asarray(z_t, dtype=np.float64)
     x_hat = np.asarray(x_hat, dtype=np.float64)
-    if np.abs(x_hat).max(initial=0.0) > 1.0:
+    if not np.abs(x_hat).max(initial=0.0) <= 1.0:  # NaN fails this too
         raise ValueError("x_hat entries must lie in [-1, 1]")
     gain = sched.alphas[t_index - 1] - sched.alphas[t_index]
     return z_t + gain * x_hat

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bp import _pairwise_sum
 from .channel import noise_scale, to_llr, transmit
 from .codebook import bipolar, derive_generator, encode
 from .denoiser import NeuralBlockWeights, block_layers
@@ -60,7 +61,8 @@ def loss_with_adjoint(beliefs, x_b):
 
 def minsum_backward(g, xc, u):
     """Adjoint of checks' beliefs ``xc`` (rows, d) given the adjoint ``g`` of
-    their min-sum messages ``u = check_minsum_terms(xc)``.
+    their min-sum messages ``u = check_minsum_terms(xc)``, as an array whose
+    transpose is a C-ordered (d, rows) array.
 
     Each outgoing adjoint routes to the variable whose magnitude attained
     the (extrinsic) minimum, scaled by that variable's sign, with the sign
@@ -70,49 +72,60 @@ def minsum_backward(g, xc, u):
     the first j != i1 with |x_j| == m2.  ``u`` is a nonnegative magnitude
     times the exclusive sign product, so copysign(1, u) is that sign
     product, exact for either zero.
+
+    The work runs on the (d, rows) transposes, and the sum of a row's d
+    adjoints is ``_pairwise_sum`` over all d of them: term for term the sum
+    numpy takes along the last axis of a C-ordered (rows, d) array.
     """
-    rows = np.arange(xc.shape[0])
-    mags = np.abs(xc)
-    i1 = mags.argmin(axis=1)
-    m2 = np.abs(u[rows, i1])
-    mags[rows, i1] = np.nan  # equal to nothing, so i2 skips i1
-    i2 = (mags == m2[:, None]).argmax(axis=1)
-    gs = g * np.copysign(1.0, u)
-    at_i1 = gs[rows, i1]
-    grad = np.zeros_like(gs)
+    gt, xt, ut = g.T, xc.T, u.T
+    rows = xt.shape[1]
+    mags = np.abs(xt)
+    # i1 and i2 as flat indices into the (d, rows) arrays
+    i1 = mags.argmin(axis=0) * rows + np.arange(rows)
+    m2 = np.abs(ut.take(i1))
+    mags.flat[i1] = np.nan  # equal to nothing, so i2 skips i1
+    i2 = (mags == m2).argmax(axis=0) * rows + np.arange(rows)
+    gs = gt * np.copysign(1.0, ut)
+    at_i1 = gs.take(i1)
+    grad = np.zeros(gs.shape)
     # edges j != i1 select magnitude |x_{i1}|; edge j == i1 selects |x_{i2}|
-    grad[rows, i1] = (gs.sum(axis=1) - at_i1) * _sign(xc[rows, i1])
-    grad[rows, i2] += at_i1 * _sign(xc[rows, i2])
-    return grad
+    grad.flat[i1] = (_pairwise_sum(gs) - at_i1) * _sign(xt.take(i1))
+    grad.flat[i2] += at_i1 * _sign(xt.take(i2))
+    return grad.T
 
 
 def block_gradients(h, weights, llrs, x_b):
     """Loss and d(loss)/d(layer weights) for one batch.
 
-    Runs the block forward once, keeping each layer group's gathered
-    beliefs and min-sum messages u_l, then walks the groups in reverse:
-    layer l's weight gradient is the adjoint on its check's columns dotted
-    with u_l, and the adjoint of the layer input adds the min-sum backward
-    of w_l times that adjoint.  The checks of a group share no variable, so
-    neither step of one check reads what another check of its group writes,
-    and a group steps back at once exactly as its checks would one by one.
+    Runs the block forward once on frames-as-columns (n, B) beliefs,
+    keeping each layer group's gathered beliefs and min-sum messages u_l,
+    then walks the groups in reverse: layer l's weight gradient is the
+    adjoint on its check's columns dotted with u_l, and the adjoint of the
+    layer input adds the min-sum backward of w_l times that adjoint.  The
+    checks of a group share no variable, so neither step of one check reads
+    what another check of its group writes, and a group steps back at once
+    exactly as its checks would one by one.
+
+    Every reduction keeps one fixed order: the loss is the mean over a
+    C-ordered (B, n) array, each check's gradient the sum over a C-ordered
+    (B, d) array of its products, and each row of the min-sum backward sums
+    its d adjoints as ``minsum_backward`` documents.
     """
     weights = np.asarray(weights, dtype=np.float64)
     if weights.size != h.num_checks:
         raise ValueError(f"expected {h.num_checks} layer weights, got {weights.size}")
-    x = np.atleast_2d(np.asarray(llrs, dtype=np.float64)).copy()
-    layers = list(block_layers(h, weights, x))
-    value, g = loss_with_adjoint(x, x_b)
+    xt = np.array(np.atleast_2d(np.asarray(llrs, dtype=np.float64)).T, order="C")
+    layers = list(block_layers(h, weights, xt))
+    value, g = loss_with_adjoint(np.ascontiguousarray(xt.T), x_b)
+    gt = np.array(g.T, order="C")
     grads = np.empty(h.num_checks)
     for checks, cols, xc, u in reversed(layers):
-        shape = (-1,) + cols.shape
-        # the gather comes out F-ordered; C-ordered copies of the adjoint and
-        # of each check's (B, d) products fix the order its sum rounds in
-        g_cols = np.ascontiguousarray(g[:, cols])
-        p = np.ascontiguousarray((g_cols * u.reshape(shape)).transpose(1, 0, 2))
+        g_cols = np.take(gt, cols.T, axis=0)  # (d, g, B)
+        p = np.ascontiguousarray((g_cols * u.T.reshape(g_cols.shape)).transpose(1, 2, 0))
         grads[checks] = p.sum(axis=(1, 2))
-        wg = (g_cols * weights[checks, None]).reshape(u.shape)
-        g[:, cols] += minsum_backward(wg, xc, u).reshape(shape)
+        g_cols *= weights[checks, None]
+        wg = g_cols.reshape(len(g_cols), -1).T
+        gt[cols.T] += minsum_backward(wg, xc, u).T.reshape(g_cols.shape)
     return value, grads
 
 

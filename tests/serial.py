@@ -12,6 +12,14 @@ argmin form that builds every index term the backward reads, against which
 ``vcdc.train.minsum_backward`` (which rebuilds the index terms from the
 messages) are checked bit for bit.
 
+``grouped_block_layers``, ``block_gradients`` and ``decode_vcdc_batch``
+run the layer groups on frame-major rows: each group's beliefs are gathered
+from a (B, n) array into C-ordered (B g, d) rows, and the backward
+(``grouped_minsum_backward``) sums each row's adjoints along its contiguous
+last axis.  They are the reference for the frames-as-columns walk, kernel
+call and backward of ``vcdc.denoiser`` and ``vcdc.train``, which must keep
+every bit, reduction orders included.
+
 ``decode_bp_batch`` is flooding BP with frame-major (B, E) messages in
 canonical edge order, the check products from two ``cumprod`` sweeps and the
 belief sums from ``np.add.reduceat``: the reference for ``vcdc.bp``'s
@@ -22,9 +30,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from vcdc import bp
 from vcdc.bp import ATANH_EPS, SUM_PRODUCT, check_llr_batch
 from vcdc.channel import LLR_CLAMP, hard_decide
 from vcdc.codebook import syndrome
+from vcdc.diffusion import reverse_step
+from vcdc.train import loss_with_adjoint
 
 
 def check_minsum_terms(xc):
@@ -91,6 +102,87 @@ def neural_block(h, weights, llrs):
     for _ in block_layers(h, weights.values, x):
         pass
     return x, np.tanh(x / 2.0)
+
+
+def grouped_block_layers(h, w, x):
+    """Run the layer groups over the (B, n) beliefs ``x`` in place; yields
+    each group's (checks, columns, rows xc, messages u), xc and u C-ordered
+    (B g, d) arrays, row b g + i holding check i of frame b."""
+    for checks, cols in h.layer_groups:
+        shape = (-1,) + cols.shape
+        xc = np.take(x, cols, axis=1).reshape(-1, cols.shape[1])
+        u = bp.check_minsum_terms(xc)
+        x[:, cols] = xc.reshape(shape) + w[checks, None] * u.reshape(shape)
+        yield checks, cols, xc, u
+
+
+def grouped_minsum_backward(g, xc, u):
+    """``vcdc.train.minsum_backward`` on C-ordered (rows, d) arrays, each
+    row's adjoints summed along the last axis."""
+    rows = np.arange(xc.shape[0])
+    mags = np.abs(xc)
+    i1 = mags.argmin(axis=1)
+    m2 = np.abs(u[rows, i1])
+    mags[rows, i1] = np.nan
+    i2 = (mags == m2[:, None]).argmax(axis=1)
+    gs = g * np.copysign(1.0, u)
+    at_i1 = gs[rows, i1]
+    signs = np.where(xc < 0, -1.0, 1.0)
+    grad = np.zeros_like(gs)
+    grad[rows, i1] = (gs.sum(axis=1) - at_i1) * signs[rows, i1]
+    grad[rows, i2] += at_i1 * signs[rows, i2]
+    return grad
+
+
+def block_gradients(h, weights, llrs, x_b):
+    """``vcdc.train.block_gradients`` on the frame-major grouped walk."""
+    weights = np.asarray(weights, dtype=np.float64)
+    x = np.atleast_2d(np.asarray(llrs, dtype=np.float64)).copy()
+    layers = list(grouped_block_layers(h, weights, x))
+    value, g = loss_with_adjoint(x, x_b)
+    grads = np.empty(h.num_checks)
+    for checks, cols, xc, u in reversed(layers):
+        shape = (-1,) + cols.shape
+        # the gather comes out F-ordered; C-ordered copies of the adjoint and
+        # of each check's (B, d) products fix the order its sum rounds in
+        g_cols = np.ascontiguousarray(g[:, cols])
+        p = np.ascontiguousarray((g_cols * u.reshape(shape)).transpose(1, 0, 2))
+        grads[checks] = p.sum(axis=(1, 2))
+        wg = (g_cols * weights[checks, None]).reshape(u.shape)
+        g[:, cols] += grouped_minsum_backward(wg, xc, u).reshape(shape)
+    return value, grads
+
+
+def _grouped_neural_block(h, weights, llrs):
+    x = np.array(llrs, dtype=np.float64)
+    for _ in grouped_block_layers(h, weights.values, x):
+        pass
+    return x, np.tanh(x / 2.0)
+
+
+def decode_vcdc_batch(h, weights, sched, llrs):
+    """``vcdc.denoiser.decode_vcdc_batch`` on the frame-major grouped walk."""
+    llrs = check_llr_batch(h, llrs)
+    bits = hard_decide(llrs)
+    beliefs = llrs.copy()
+    steps = np.zeros(llrs.shape[0], dtype=np.int64)
+    ok = syndrome(h, bits)[1] == 0
+    idx, z = np.flatnonzero(~ok), llrs[~ok]
+    used = 0
+    for t_index in range(len(sched) - 1, -1, -1):
+        if idx.size == 0:
+            break
+        block_beliefs, x_hat = _grouped_neural_block(h, weights, z)
+        if t_index:
+            z = reverse_step(sched, t_index, z, x_hat)
+            used += 1
+        else:
+            z = block_beliefs
+        hard = hard_decide(z)
+        done = syndrome(h, hard)[1] == 0
+        bits[idx], beliefs[idx], steps[idx], ok[idx] = hard, z, used, done
+        idx, z = idx[~done], z[~done]
+    return bits, beliefs, steps, ok
 
 
 class RowMajorEdges:

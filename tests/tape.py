@@ -189,8 +189,12 @@ def bce_with_logits(beliefs, x_b):
 
 
 def minsum_extrinsic(xc):
-    """Tape node for the min-sum check update on beliefs ``xc`` (B, d)."""
-    u = check_minsum_terms(xc.value)
+    """Tape node for the min-sum check update on beliefs ``xc`` (B, d).
+
+    The kernel gives ``u`` the layout of its input, and the weight adjoint
+    sums over ``u`` in memory order, so the input is C-ordered: the order in
+    which ``vcdc.train.block_gradients`` sums a check's products."""
+    u = check_minsum_terms(np.ascontiguousarray(xc.value))
     out = Var(u, (xc,))
     out._backward = lambda g: xc._accumulate(minsum_backward(g, xc.value, u))
     return out

@@ -112,6 +112,12 @@ MINSUM_ENTRIES = (st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, np.inf, -np.
                   | st.floats(-8.0, 8.0, allow_nan=False, width=64))
 
 
+def same_layout(a, b):
+    """``a`` and ``b`` are C-ordered alike and F-ordered alike."""
+    return ((a.flags.c_contiguous, a.flags.f_contiguous)
+            == (b.flags.c_contiguous, b.flags.f_contiguous))
+
+
 class TestMinsumKernel:
     """The two-minimum kernel and the backward that rebuilds its index
     terms against the argmin kernel and backward of tests/serial.py."""
@@ -129,13 +135,32 @@ class TestMinsumKernel:
         terms = serial.check_minsum_terms(xc)
         u = check_minsum_terms(xc)
         assert_same_bits(u, terms[0])
-        # the order of u fixes how the weight-gradient sums over it round
-        assert u.flags.c_contiguous
+        assert same_layout(u, xc)
         assert_same_bits(check_minsum_terms(xc[None]), u[None])
         assert_same_bits(minsum_backward(g, xc, u), serial.minsum_backward(g, terms))
         for r in range(rows):
             for j in range(d):
                 assert_same_bits(check_update_minsum(np.delete(xc[r], j)), u[r, j])
+
+    @pytest.mark.parametrize("d, checks, frames", [(2, 1, 1), (3, 4, 5), (11, 10, 64)])
+    def test_output_keeps_the_layout_of_the_input(self, d, checks, frames):
+        # C- and F-ordered rows and the (checks B, d) view of a (d, checks,
+        # B) block, as the block walk and BP min-sum pass it, give one u in
+        # the input's layout; with ``out`` u goes straight into that block
+        rng = np.random.default_rng(d)
+        block = np.round(rng.normal(0.0, 2.0, (d, checks, frames)))
+        block[rng.random(block.shape) < 0.1] = -0.0
+        rows = block.reshape(d, -1).T
+        assert rows.base is not None and rows.T.flags.c_contiguous
+        want = check_minsum_terms(np.ascontiguousarray(rows))
+        for xc in (np.ascontiguousarray(rows), np.asfortranarray(rows), rows):
+            u = check_minsum_terms(xc)
+            assert_same_bits(u, want)
+            assert same_layout(u, xc)
+        out = np.full(block.shape, np.nan)
+        u = check_minsum_terms(rows, out=out.reshape(d, -1).T)
+        assert np.shares_memory(u, out)
+        assert_same_bits(out.reshape(d, -1).T, want)
 
     def test_infinite_magnitude_is_an_extrinsic_minimum(self):
         # the other entry's magnitude, even when it is infinite

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from vcdc.bp import BpConfig, decode_bp_batch
 from vcdc.channel import hard_decide
-from vcdc.codebook import bipolar, derive_generator, encode, syndrome
+from vcdc.codebook import ParityCheckMatrix, bipolar, derive_generator, encode, syndrome
 from vcdc.denoiser import (CheckpointError, NeuralBlockWeights, decode_vcdc_batch,
                            load_checkpoint, model_size_bytes, neural_block, save_checkpoint)
 from vcdc.diffusion import build_schedule
@@ -110,6 +110,71 @@ class TestGroupedWalk:
         bits = rng.integers(0, 2, (batch, n)).astype(np.uint8)
         value, grads = block_gradients(h, w.values, llrs, bits)
         ref_value, ref_grads = tape.block_gradients(h, w.values, llrs, bits)
+        assert_same_bits(value, ref_value)
+        assert_same_bits(grads, ref_grads)
+
+
+# check degrees in each regime of numpy's pairwise summation, which the
+# backward's per-row sum of d adjoints reproduces: in order below 8 terms,
+# 8 interleaved partial sums up to 128, halved above
+DEGREES = st.integers(2, 7) | st.integers(8, 128) | st.integers(129, 140)
+
+
+@st.composite
+def wide_degree_codes(draw):
+    """Parity-check matrices whose runs of equal-degree checks interleave
+    degrees from 2 to 140; within a run, checks are mostly disjoint, so
+    layer groups of several checks alternate with single checks."""
+    runs = draw(st.lists(st.tuples(DEGREES, st.integers(1, 3)), min_size=1, max_size=5))
+    degrees = [d for d, count in runs for _ in range(count)]
+    low = max(max(degrees), len(degrees)) + 1
+    n = draw(st.integers(low, low + 40))
+    rng = np.random.default_rng(draw(SEEDS))
+    rows = np.zeros((len(degrees), n), dtype=np.uint8)
+    taken = set()
+    for c, d in enumerate(degrees):
+        free = np.setdiff1d(np.arange(n), sorted(taken))
+        if c and d == degrees[c - 1] and free.size >= d and rng.random() < 0.7:
+            cols = rng.choice(free, d, replace=False)
+        else:
+            cols = rng.choice(n, d, replace=False)
+            taken = set()
+        taken.update(cols.tolist())
+        rows[c, cols] = 1
+    return ParityCheckMatrix.from_rows(rows)
+
+
+def tied_llrs(rng, shape):
+    """LLRs with tied magnitudes, +-0 and mixed signs in most rows."""
+    llrs = rng.normal(0.5, 3.0, shape)
+    pick = rng.random(shape)
+    llrs[pick < 0.3] = np.round(llrs[pick < 0.3])
+    llrs[pick < 0.1] = rng.choice([0.0, -0.0, 1.0, -1.0], int((pick < 0.1).sum()))
+    return llrs
+
+
+class TestFramesAsColumns:
+    """The frames-as-columns walk, kernel call and backward against the
+    frame-major grouped walk of tests/serial.py, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(h=wide_degree_codes(), data=st.data(), seed=SEEDS)
+    def test_matches_frame_major_oracle_on_random_codes(self, h, data, seed):
+        rng = np.random.default_rng(seed)
+        batch = data.draw(st.integers(1, 6))
+        w = rand_weights(h, rng, scale=0.5)
+        llrs = tied_llrs(rng, (batch, h.n))
+        sched = build_schedule(data.draw(st.floats(-2.0, 6.0)), data.draw(st.integers(1, 6)),
+                               0.5, h.rate)
+        bits, beliefs, steps, ok = decode_vcdc_batch(h, w, sched, llrs)
+        want = serial.decode_vcdc_batch(h, w, sched, llrs)
+        assert np.array_equal(bits, want[0])
+        assert_same_bits(beliefs, want[1])
+        assert np.array_equal(steps, want[2]) and np.array_equal(ok, want[3])
+
+        x_b = rng.integers(0, 2, (batch, h.n)).astype(np.uint8)
+        value, grads = block_gradients(h, w.values, llrs, x_b)
+        ref_value, ref_grads = serial.block_gradients(h, w.values, llrs, x_b)
         assert_same_bits(value, ref_value)
         assert_same_bits(grads, ref_grads)
 

@@ -44,6 +44,17 @@ class TestBuildSchedule:
         with pytest.raises(ValueError):
             DiffusionSchedule(csnr_levels=np.array([4.0, 5.0]), rate=0.5)
 
+    @pytest.mark.parametrize("bad", [2.5, True, "5", np.float64(3.0)])
+    def test_rejects_steps_that_are_not_integers(self, bad):
+        # 2.5 would give levels 4.75, 4.25, 3.75 at an observed 4 dB, so the
+        # noisiest level would no longer be the channel; True, one level
+        with pytest.raises(ValueError, match="steps"):
+            build_schedule(4.0, bad, 0.5, 0.5)
+
+    def test_accepts_numpy_integer_steps(self):
+        sched = build_schedule(4.0, np.int64(3), 0.5, 0.5)
+        assert sched.csnr_levels.tolist() == [5.0, 4.5, 4.0]
+
     @pytest.mark.parametrize("steps", [1, 3])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_levels(self, bad, steps):
@@ -166,3 +177,9 @@ class TestReverseStep:
         sched = build_schedule(4.0, 3, 0.5, 0.5)
         with pytest.raises(ValueError):
             reverse_step(sched, 1, np.zeros(2), np.array([1.5, 0.0]))
+
+    def test_rejects_nan_estimate(self):
+        # a NaN fails no `> 1` test, and would come back as NaN beliefs
+        sched = build_schedule(4.0, 6, 0.5, 0.5)
+        with pytest.raises(ValueError, match="x_hat"):
+            reverse_step(sched, 3, np.zeros(3), np.full(3, np.nan))
