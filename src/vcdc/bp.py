@@ -16,6 +16,7 @@ share with BP min-sum.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass
 
@@ -187,16 +188,42 @@ def _check_sweep_sumproduct(v2c, ei):
 
 def _two_least(mags):
     """The least and second least entries m1 <= m2 along axis 0 of ``mags``
-    (length >= 2), ties counted: a tournament that keeps both."""
+    (length >= 2), ties counted: a tournament that keeps both, in place."""
     m1 = np.minimum(mags[0], mags[1])
     m2 = np.maximum(mags[0], mags[1])
     for m in mags[2:]:
-        np.minimum(m2, np.maximum(m1, m), out=m2)
+        # the second least of m1 <= m2 and m is max(min(m2, m), m1)
+        np.minimum(m2, m, out=m2)
+        np.maximum(m2, m1, out=m2)
         np.minimum(m1, m, out=m1)
     return m1, m2
 
 
-def check_minsum_terms(xc, out=None):
+def _exclude_least(mags):
+    """Replace each entry of the (d, ...) magnitudes ``mags`` by the least
+    of the other entries along axis 0, in place.
+
+    Only the two least magnitudes m1 <= m2 are needed: clamping at m2
+    leaves m1 on the minimizers and m2 elsewhere, and xor with the bits of
+    m1 ^ m2 swaps the two values exactly.  A position with |x_j| == m1 that
+    is not the first minimizer sees m2 == m1 either way.
+    """
+    m1, m2 = _two_least(mags)
+    np.minimum(mags, m2, out=mags)
+    swap = m2.view(np.uint64)
+    swap ^= m1.view(np.uint64)
+    bits = mags.view(np.uint64)
+    bits ^= swap
+
+
+def minsum_work_size(size):
+    """Float64 entries of the ``work`` buffer ``check_minsum_terms`` needs
+    for ``size`` belief entries: their magnitudes, then their signs as one
+    bool each."""
+    return size + -(-size // 8)
+
+
+def check_minsum_terms(xc, out=None, work=None):
     """Min-sum extrinsic messages of checks from their variables' beliefs.
 
     ``xc`` is a float64 array of shape (..., d), d >= 2, one check per row
@@ -204,42 +231,43 @@ def check_minsum_terms(xc, out=None):
     Returns the messages ``u`` of the same shape: u[..., j] is the product
     of the signs of the other entries (sign(0) = +1 for either zero) times
     their least magnitude.  ``u`` is written into ``out`` when it is given,
-    else into a new array with the memory layout of ``xc``.
+    else into a new array with the memory layout of ``xc``.  ``work``, a
+    flat float64 array of at least ``minsum_work_size(xc.size)`` entries,
+    or a new one, holds the magnitudes and signs; with ``out`` and ``work``
+    given the kernel allocates only a few vectors of one entry per check.
 
-    Only the two least magnitudes m1 <= m2 of a row are needed (the
-    compressed check message of layered min-sum decoders, Mansour &
-    Shanbhag 2003): position j gets m2 if |x_j| == m1, else m1.  This is
-    exact, ties included: a position with |x_j| == m1 that is not the first
-    minimizer sees m2 == m1 either way.  The kernel works on ``xc.T``, d
-    leading: callers that hold their checks as a (d, rows) block pass its
-    transpose, and then every step, copy-in and write-out included, runs
-    over contiguous rows.
+    The messages come from each row's two least magnitudes (the compressed
+    check message of layered min-sum decoders, Mansour & Shanbhag 2003),
+    exactly, ties included.  The kernel works on ``xc.T``, d leading:
+    callers that hold their checks as a (d, rows) block pass its transpose,
+    and then every step, copy-in and write-out included, runs over
+    contiguous rows.
     """
-    # a contiguous (d, ...) copy; adding +0.0 turns -0.0 into +0.0, after
-    # which the sign bit is the min-sum sign
-    x = np.add(xc.T, 0.0, order="C")
-    odd = np.logical_xor.reduce(x < 0, axis=0)
-    mags = np.abs(x)
-    m1, m2 = _two_least(mags)
-    # clamping at m2 leaves m1 on a row's minimizers and m2 elsewhere;
-    # xor with the bits of m1 ^ m2 swaps the two values exactly
-    np.minimum(mags, m2, out=mags)
-    bits = mags.view(np.uint64)
-    bits ^= m1.view(np.uint64) ^ m2.view(np.uint64)
+    u = np.empty_like(xc, dtype=np.float64) if out is None else out
+    # u's own memory takes the copy; adding +0.0 turns -0.0 into +0.0,
+    # after which the sign bit is the min-sum sign
+    x = np.add(xc.T, 0.0, out=u.T)
+    if work is None:
+        work = np.empty(minsum_work_size(x.size))
+    mags = np.abs(x, out=work[:x.size].reshape(x.shape))
+    neg = np.less(x, 0.0, out=work[x.size:].view(bool)[:x.size].reshape(x.shape))
+    odd = np.logical_xor.reduce(neg, axis=0)
+    _exclude_least(mags)
     # x_j times the row's sign product carries the sign of the other entries
     x *= np.where(odd, -1.0, 1.0)
-    u = np.empty_like(xc, dtype=np.float64) if out is None else out
-    np.copysign(mags, x, out=u.T)
+    np.copysign(mags, x, out=x)
     return u
 
 
-def _check_sweep_minsum(v2c, ei):
+def _check_sweep_minsum(v2c, ei, work):
     """Min-sum check-to-variable messages (E, B) from the messages ``v2c``:
     each (d, checks, B) block goes to the kernel as (checks B, d) rows, and
-    the kernel writes straight into the matching block of the output."""
+    the kernel writes straight into the matching block of the output, with
+    ``work`` as its workspace."""
     c2v = np.empty(v2c.shape)
     for xb, ub in zip(ei.check_blocks(v2c), ei.check_blocks(c2v)):
-        check_minsum_terms(xb.reshape(len(xb), -1).T, out=ub.reshape(len(ub), -1).T)
+        check_minsum_terms(xb.reshape(len(xb), -1).T, out=ub.reshape(len(ub), -1).T,
+                           work=work)
     return c2v
 
 
@@ -263,7 +291,12 @@ def decode_bp_batch(h, llrs, cfg=BpConfig(), edge_index=None):
     """
     llrs = check_llr_batch(h, llrs)
     ei = edge_index if edge_index is not None else EdgeIndex(h)
-    sweep = _check_sweep_sumproduct if cfg.variant == SUM_PRODUCT else _check_sweep_minsum
+    if cfg.variant == SUM_PRODUCT:
+        sweep = _check_sweep_sumproduct
+    else:  # one kernel workspace per call, sized for the widest degree group
+        rows = max(r.stop - r.start for r in ei.degree_groups.values())
+        work = np.empty(minsum_work_size(rows * llrs.shape[0]))
+        sweep = functools.partial(_check_sweep_minsum, work=work)
 
     # every frame is written at the first iteration
     nframes = llrs.shape[0]

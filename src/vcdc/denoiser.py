@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bp import check_llr_batch, check_minsum_terms
+from .bp import check_llr_batch, check_minsum_terms, minsum_work_size
 from .channel import hard_decide
 from .codebook import syndrome
 from .diffusion import reverse_step
@@ -69,7 +69,16 @@ class NeuralBlockWeights:
                 f"weights trained for ({self.n},{self.k}) cannot decode ({h.n},{h.k})")
 
 
-def block_layers(h, w, xt):
+def walk_size(h, frames, keep=False):
+    """Float64 entries of the ``work`` buffer ``block_layers`` needs for
+    ``frames`` frames: the min-sum kernel's workspace for the largest layer
+    group, then one slot of a gathered block and its messages, sized for
+    the largest group or, with ``keep``, one slot for every group."""
+    edges = [cols.size * frames for _, cols in h.layer_groups]
+    return minsum_work_size(max(edges)) + 2 * (sum(edges) if keep else max(edges))
+
+
+def block_layers(h, w, xt, work, keep=False):
     """Run the layers over the beliefs ``xt`` in place, with layer weights
     ``w``, one layer group of ``h.layer_groups`` at a time.  ``xt`` is a
     C-ordered (n, B) array, frames as columns.  Yields each group's (slice
@@ -83,30 +92,56 @@ def block_layers(h, w, xt):
     the kernel that block as (g B, d) rows and writes its rows back plus
     the weights ``w[checks]`` times the messages.  The checks of a group
     share no variable, so this equals running them one by one.
+
+    Every array the walk writes besides ``xt`` is a view of ``work``, a flat
+    float64 array of at least ``walk_size(h, B, keep)`` entries.  Without
+    ``keep`` every group reuses one slot, so a group's xc and u hold only
+    until the walk resumes; with ``keep`` each group has its own slot at its
+    edge offset, and all of them stay valid.
     """
+    frames = xt.shape[1]
+    at = minsum_work_size(max(cols.size for _, cols in h.layer_groups) * frames)
+    kernel = work[:at]
     for checks, cols in h.layer_groups:
-        block = np.take(xt, cols.T, axis=0)
-        xc = block.reshape(len(block), -1).T
-        u = check_minsum_terms(xc)
-        step = u.T.reshape(block.shape) * w[checks, None]
+        d, size = cols.shape[1], cols.size * frames
+        block = work[at:at + size].reshape(d, len(cols), frames)
+        # mode="clip" keeps take from buffering its output; every index is valid
+        np.take(xt, cols.T, axis=0, out=block, mode="clip")
+        xc = block.reshape(d, -1).T
+        u = check_minsum_terms(xc, out=work[at + size:at + 2 * size].reshape(d, -1).T,
+                               work=kernel)
+        # the kernel's magnitudes are spent: they take the step block + w u
+        step = np.multiply(u.T.reshape(block.shape), w[checks, None],
+                           out=kernel[:size].reshape(block.shape))
         step += block
         xt[cols.T] = step
         yield checks, cols, xc, u
+        if keep:
+            at += 2 * size
 
 
-def neural_block(h, weights, llrs):
+def neural_block(h, weights, llrs, work=None):
     """Run one block on a (B, n) batch of beliefs: (final beliefs, soft
     estimate tanh(beliefs/2)), both (B, n) views of frames-as-columns
     arrays.  With all weights zero the block is the identity on beliefs.
+
+    Both arrays, and every one the walk writes, are views of ``work``, a
+    flat float64 array of at least ``2 n B + walk_size(h, B)`` entries, or
+    of one new array of that size.
     """
     weights.check_code(h)
     x = np.asarray(llrs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != h.n:
         raise ValueError(f"expected (B, {h.n}) beliefs, got {x.shape}")
-    xt = np.array(x.T, order="C")  # a copy: the layers run in place
-    for _ in block_layers(h, weights.values, xt):
+    if work is None:
+        work = np.empty(2 * x.size + walk_size(h, len(x)))
+    xt = work[:x.size].reshape(h.n, -1)
+    x_hat = work[x.size:2 * x.size].reshape(h.n, -1)
+    np.copyto(xt, x.T)  # the layers run in place
+    for _ in block_layers(h, weights.values, xt, work[2 * x.size:]):
         pass
-    return xt.T, np.tanh(xt / 2.0).T
+    np.tanh(np.divide(xt, 2.0, out=x_hat), out=x_hat)
+    return xt.T, x_hat.T
 
 
 def decode_vcdc_batch(h, weights, sched, llrs):
@@ -117,9 +152,14 @@ def decode_vcdc_batch(h, weights, sched, llrs):
     whose hard decision already satisfies the syndrome cost zero reverse
     steps; the rest stop at the first satisfied syndrome or after the
     final block at the cleanest level, which runs even when the schedule
-    has a single level.  Non-finite LLRs are rejected.  Between blocks the
-    running frames are the columns of an (n, B) array, which the block and
-    the reverse step see through its (B, n) transpose.
+    has a single level.  Non-finite LLRs are rejected.
+
+    Between blocks the running frames are the columns of an (n, B) array
+    zt, which the block and the reverse step see through its (B, n)
+    transpose.  The call makes one work allocation: zt, then the block's
+    beliefs, estimate and walk.  The reverse step writes into the
+    estimate, and the frames still running are taken from the block's
+    output back into zt.
     """
     weights.check_code(h)
     llrs = check_llr_batch(h, llrs)
@@ -127,22 +167,29 @@ def decode_vcdc_batch(h, weights, sched, llrs):
     beliefs = llrs.copy()
     steps = np.zeros(llrs.shape[0], dtype=np.int64)
     ok = syndrome(h, bits)[1] == 0
-    idx, z = np.flatnonzero(~ok), np.compress(~ok, llrs.T, axis=1).T
+    idx = np.flatnonzero(~ok)
+    work = np.empty(3 * h.n * idx.size + walk_size(h, idx.size))
+    block_work = work[h.n * idx.size:]
+    # mode="clip" keeps take from buffering its output; every index is valid
+    zt = np.take(llrs.T, idx, axis=1, out=work[:h.n * idx.size].reshape(h.n, -1), mode="clip")
 
     used = 0
     for t_index in range(len(sched) - 1, -1, -1):
         if idx.size == 0:
             break
-        block_beliefs, x_hat = neural_block(h, weights, z)
+        block_beliefs, x_hat = neural_block(h, weights, zt.T, work=block_work)
         if t_index:
-            z = reverse_step(sched, t_index, z, x_hat)
+            z = reverse_step(sched, t_index, zt.T, x_hat, out=x_hat)
             used += 1
         else:  # the final block's beliefs are the decoder output
             z = block_beliefs
         hard = hard_decide(z)
         done = syndrome(h, hard)[1] == 0
         bits[idx], beliefs[idx], steps[idx], ok[idx] = hard, z, used, done
-        idx, z = idx[~done], np.compress(~done, z.T, axis=1).T
+        running = np.flatnonzero(~done)
+        idx = idx[running]
+        zt = np.take(z.T, running, axis=1, out=work[:h.n * idx.size].reshape(h.n, -1),
+                     mode="clip")
     return bits, beliefs, steps, ok
 
 

@@ -110,18 +110,21 @@ def forward_transition(sched, from_index, to_index):
     return TransitionParams(alpha_ratio=float(ratio), variance=float(variance))
 
 
-def reverse_step(sched, t_index, z_t, x_hat):
+def reverse_step(sched, t_index, z_t, x_hat, out=None):
     """Deterministic reverse update from level t_index to t_index - 1.
 
     z_s = z_t + (alpha_s - alpha_t) * x_hat, the mean of the reverse
     transition with the noise-injection step skipped; x_hat must be a
-    bipolar-valued estimate with entries in [-1, 1].
+    bipolar-valued estimate with entries in [-1, 1].  z_s goes into
+    ``out`` when it is given, which may be ``x_hat`` itself but must not
+    overlap ``z_t``; nothing is written when x_hat is out of range.
     """
     if not 1 <= t_index < len(sched):
         raise ValueError(f"t_index {t_index} cannot step past the schedule start")
     z_t = np.asarray(z_t, dtype=np.float64)
     x_hat = np.asarray(x_hat, dtype=np.float64)
-    if not np.abs(x_hat).max(initial=0.0) <= 1.0:  # NaN fails this too
+    # NaN fails both tests
+    if not (x_hat.min(initial=0.0) >= -1.0 and x_hat.max(initial=0.0) <= 1.0):
         raise ValueError("x_hat entries must lie in [-1, 1]")
     gain = sched.alphas[t_index - 1] - sched.alphas[t_index]
-    return z_t + gain * x_hat
+    return np.add(z_t, np.multiply(gain, x_hat, out=out), out=out)

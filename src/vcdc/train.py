@@ -22,7 +22,7 @@ import numpy as np
 from .bp import _pairwise_sum
 from .channel import noise_scale, to_llr, transmit
 from .codebook import bipolar, derive_generator, encode
-from .denoiser import NeuralBlockWeights, block_layers
+from .denoiser import NeuralBlockWeights, block_layers, walk_size
 
 
 class TrainingDiverged(RuntimeError):
@@ -114,8 +114,12 @@ def block_gradients(h, weights, llrs, x_b):
     weights = np.asarray(weights, dtype=np.float64)
     if weights.size != h.num_checks:
         raise ValueError(f"expected {h.num_checks} layer weights, got {weights.size}")
-    xt = np.array(np.atleast_2d(np.asarray(llrs, dtype=np.float64)).T, order="C")
-    layers = list(block_layers(h, weights, xt))
+    x = np.atleast_2d(np.asarray(llrs, dtype=np.float64))
+    # one allocation holds the beliefs and the walk, every group's blocks kept
+    work = np.empty(x.size + walk_size(h, len(x), keep=True))
+    xt = work[:x.size].reshape(h.n, -1)
+    np.copyto(xt, x.T)
+    layers = list(block_layers(h, weights, xt, work[x.size:], keep=True))
     value, g = loss_with_adjoint(np.ascontiguousarray(xt.T), x_b)
     gt = np.array(g.T, order="C")
     grads = np.empty(h.num_checks)

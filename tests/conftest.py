@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,20 @@ def assert_same_bits(a, b):
     assert a.shape == b.shape
     np.testing.assert_array_equal(np.ascontiguousarray(a).view(np.uint64),
                                   np.ascontiguousarray(b).view(np.uint64))
+
+
+def traced_peak(fn):
+    """Bytes by which a second call of ``fn()`` raises the traced memory peak
+    above what was allocated before it; numpy reports its data buffers to
+    ``tracemalloc``."""
+    fn()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def read_results_csv(path):

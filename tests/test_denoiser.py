@@ -7,13 +7,14 @@ from vcdc.bp import BpConfig, decode_bp_batch
 from vcdc.channel import hard_decide
 from vcdc.codebook import ParityCheckMatrix, bipolar, derive_generator, encode, syndrome
 from vcdc.denoiser import (CheckpointError, NeuralBlockWeights, decode_vcdc_batch,
-                           load_checkpoint, model_size_bytes, neural_block, save_checkpoint)
+                           load_checkpoint, model_size_bytes, neural_block, save_checkpoint,
+                           walk_size)
 from vcdc.diffusion import build_schedule
 from vcdc.train import block_gradients
 
 import serial
 import tape
-from conftest import assert_same_bits, make_tree_code, random_layered_code
+from conftest import assert_same_bits, make_tree_code, random_layered_code, traced_peak
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -69,6 +70,19 @@ class TestNeuralBlock:
             b1, x1 = neural_block(ldpc_49_24, w, batch[i:i + 1])
             np.testing.assert_array_equal(bel[i], b1[0])
             np.testing.assert_array_equal(xh[i], x1[0])
+
+    def test_block_on_a_workspace_allocates_less_than_one_belief_array(self, ldpc_121_60):
+        h = ldpc_121_60
+        rng = np.random.default_rng(11)
+        w = rand_weights(h, rng)
+        llrs = rng.normal(2.0, 2.0, (512, h.n))
+        work = np.full(2 * llrs.size + walk_size(h, len(llrs)), np.nan)
+        assert traced_peak(lambda: neural_block(h, w, llrs, work=work)) < llrs.nbytes
+        beliefs, x_hat = neural_block(h, w, llrs, work=work)
+        assert np.shares_memory(beliefs, work) and np.shares_memory(x_hat, work)
+        want = neural_block(h, w, llrs)
+        assert_same_bits(beliefs, want[0])
+        assert_same_bits(x_hat, want[1])
 
     def test_weight_count_mismatch_rejected(self, hamming, ldpc_49_24):
         w = NeuralBlockWeights.zeros(ldpc_49_24)
@@ -177,6 +191,30 @@ class TestFramesAsColumns:
         ref_value, ref_grads = serial.block_gradients(h, w.values, llrs, x_b)
         assert_same_bits(value, ref_value)
         assert_same_bits(grads, ref_grads)
+
+
+    def test_back_to_back_calls_match_the_oracle(self, ldpc_121_60):
+        # calls of every batch size and schedule length in turn, and one
+        # batch valid at entry: a buffer read after a swap, or left over
+        # from an earlier call, would show here
+        h = ldpc_121_60
+        rng = np.random.default_rng(12)
+        w = rand_weights(h, rng, scale=0.3)
+        g = derive_generator(h)
+        cases = [(frames, levels) for frames in (1, 7, 512) for levels in (1, 2, 20)]
+        for frames, levels in cases + [(7, 0)]:
+            x = bipolar(encode(g, rng.integers(0, 2, (frames, h.k))))
+            if levels:
+                llrs = 2.0 * x + tied_llrs(rng, x.shape)
+            else:
+                llrs, levels = 8.0 * x, 20
+            sched = build_schedule(2.0, levels, 0.5, h.rate)
+            got = decode_vcdc_batch(h, w, sched, llrs)
+            want = serial.decode_vcdc_batch(h, w, sched, llrs)
+            assert np.array_equal(got[0], want[0])
+            assert_same_bits(got[1], want[1])
+            assert np.array_equal(got[2], want[2]) and np.array_equal(got[3], want[3])
+        assert not got[2].any() and got[3].all()
 
 
 class TestDecodeVcdc:

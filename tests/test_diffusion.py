@@ -7,6 +7,8 @@ from vcdc.channel import noise_scale
 from vcdc.diffusion import (DiffusionSchedule, TransitionParams, build_schedule,
                             forward_transition, reverse_step)
 
+from conftest import assert_same_bits
+
 RATE_121_60 = 60 / 121
 
 
@@ -183,3 +185,30 @@ class TestReverseStep:
         sched = build_schedule(4.0, 6, 0.5, 0.5)
         with pytest.raises(ValueError, match="x_hat"):
             reverse_step(sched, 3, np.zeros(3), np.full(3, np.nan))
+
+    def test_out_matches_the_allocating_form(self):
+        # into a separate array and into the estimate itself, on the (B, n)
+        # transposes the decoder passes
+        sched = build_schedule(4.0, 6, 0.5, 0.5)
+        rng = np.random.default_rng(5)
+        z = rng.normal(0, 3, (5, 7)).T
+        x_hat = np.tanh(rng.normal(0, 2, (5, 7))).T
+        x_hat[:3, 0] = [1.0, -1.0, -0.0]
+        want = reverse_step(sched, 3, z, x_hat)
+        out = np.full(x_hat.shape, np.nan)
+        assert reverse_step(sched, 3, z, x_hat, out=out) is out
+        assert_same_bits(out, want)
+        est = x_hat.copy(order="K")
+        reverse_step(sched, 3, z, est, out=est)
+        assert_same_bits(est, want)
+
+    @pytest.mark.parametrize("bad", [np.nan, 1.5, -1.0 - 1e-12])
+    def test_rejected_estimate_writes_nothing(self, bad):
+        sched = build_schedule(4.0, 6, 0.5, 0.5)
+        x_hat = np.array([0.5, bad, -0.25])
+        out = np.full(3, 7.0)
+        for target in (out, x_hat):
+            before = target.copy()
+            with pytest.raises(ValueError, match="x_hat"):
+                reverse_step(sched, 3, np.zeros(3), x_hat, out=target)
+            assert_same_bits(target, before)

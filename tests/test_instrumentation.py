@@ -46,16 +46,19 @@ def test_check_update_span_sees_every_group(monkeypatch, name, per_block):
     h = codes.load(name)
     frames, block = [], denoiser.neural_block
     monkeypatch.setattr(denoiser, "neural_block",
-                        lambda h, w, z: frames.append(len(z)) or block(h, w, z))
+                        lambda h, w, z, **kw: frames.append(len(z)) or block(h, w, z, **kw))
     rng = np.random.default_rng(0)
     weights = NeuralBlockWeights(values=rng.normal(0.3, 0.1, h.num_checks), n=h.n, k=h.k)
     llrs = rng.normal(2.0, 2.0, (64, h.n))
+    sched = build_schedule(2.0, 5, 0.5, h.rate)
     tracer = spans.Tracer()
     with spans.Patches() as patches:
         harness.instrument(patches, tracer)
-        denoiser.decode_vcdc_batch(h, weights, build_schedule(2.0, 5, 0.5, h.rate), llrs)
+        denoiser.decode_vcdc_batch(h, weights, sched, llrs)
     calls = tracer.summary()[0]
     assert calls["denoiser.decode"] == 1 and calls["denoiser.final_block"] == len(frames) > 1
+    # each block feeds one reverse step, but the block at the cleanest level
+    assert calls["diffusion.reverse_step"] == min(len(frames), len(sched) - 1)
     assert calls["denoiser.check_update"] == per_block * len(frames)
     assert tracer.counts["denoiser.check_update.rows"] == h.num_checks * sum(frames)
 
