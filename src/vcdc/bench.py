@@ -2,12 +2,10 @@
 
 A run simulates random-message frames through the AWGN channel and a
 decoder until the configured number of bit errors has been observed (the
-stopping rule) or a frame budget censors the run.  Frames are distributed
-over one or more worker streams with independent seeded generators;
-streams are merged in a fixed round-robin order, so results depend only on
-(seed, workers, batch_frames), not on thread scheduling.  The stopping
-check runs between rounds, so the error count may slightly overshoot the
-threshold.
+stopping rule) or a frame budget censors the run.  Every frame is drawn
+from one seeded stream, up to ``batch_frames`` frames a round, so results
+depend only on (seed, batch_frames).  The stopping check runs between
+rounds, so the error count may slightly overshoot the threshold.
 
 FLOPs are static worst-case counts (no early stopping) with the
 convention: add = mul = compare = 1 and tanh/arctanh = a configurable
@@ -19,13 +17,12 @@ from __future__ import annotations
 import csv
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import denoiser
-from .bp import MIN_SUM, SUM_PRODUCT, BpConfig, EdgeIndex, decode_bp_batch
+from .bp import MIN_SUM, SUM_PRODUCT, BpConfig, EdgeIndex, check_llr_batch, decode_bp_batch
 from .channel import hard_decide, noise_scale, to_llr, transmit
 from .codebook import bipolar, derive_generator, encode
 from .diffusion import build_schedule
@@ -98,14 +95,14 @@ class VcdcDecoder:
 
 
 class IdentityDecoder:
-    """Hard decision on the raw channel LLRs."""
+    """Hard decision on the raw channel LLRs; non-finite ones are rejected."""
 
     def __init__(self, h):
         self.h = h
         self.name = "identity"
 
     def decode_batch(self, llrs, csnr_db):
-        return hard_decide(llrs), np.zeros(llrs.shape[0], dtype=np.int64)
+        return hard_decide(check_llr_batch(self.h, llrs)), np.zeros(len(llrs), dtype=np.int64)
 
 
 def run_ber(h, decoder, csnr_db, stop_errors=100, max_frames=None, seed=0,
@@ -114,48 +111,33 @@ def run_ber(h, decoder, csnr_db, stop_errors=100, max_frames=None, seed=0,
 
     ``max_frames`` defaults to the equivalent of 1e8 bits.  Runs stopped by
     the frame budget before reaching the error target are flagged censored.
+    ``workers`` must be 1: it stays only because ``perfbench/harness.py``
+    passes ``workers=1``, and goes with the benchmark's mending (ROADMAP
+    item 1).
     """
     if stop_errors < 1:
         raise ValueError(f"stop_errors must be >= 1, got {stop_errors}")
     if batch_frames < 1:
         raise ValueError(f"batch_frames must be >= 1, got {batch_frames}")
+    if workers != 1:
+        raise ValueError(f"run_ber draws one stream; workers must be 1, got {workers!r}")
     if max_frames is None:
         max_frames = max(1, 10**8 // h.n)
-    workers = max(1, int(workers))
     gen = derive_generator(h)
     w = float(noise_scale(csnr_db, h.k, h.n))
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(workers)]
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
 
-    def simulate(rng, frames):
+    bit_errors = frames_done = frame_errors = steps_total = 0
+    while bit_errors < stop_errors and frames_done < max_frames:
+        frames = min(batch_frames, max_frames - frames_done)
         code = encode(gen, rng.integers(0, 2, size=(frames, h.k)))
         llrs = to_llr(transmit(bipolar(code), w, rng), w)
         bits, steps = decoder.decode_batch(llrs, csnr_db)
         wrong = bits != code
-        return int(wrong.sum()), int(wrong.any(axis=1).sum()), int(steps.sum())
-
-    bit_errors = frames_done = frame_errors = steps_total = 0
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        while bit_errors < stop_errors and frames_done < max_frames:
-            quota = max_frames - frames_done
-            sizes = []
-            for _ in range(workers):
-                take = min(batch_frames, quota)
-                quota -= take
-                sizes.append(take)
-            jobs = [(rngs[i], sz) for i, sz in enumerate(sizes) if sz > 0]
-            if pool is not None:
-                outcomes = list(pool.map(lambda job: simulate(*job), jobs))
-            else:
-                outcomes = [simulate(*job) for job in jobs]
-            for (_, sz), (errs, ferrs, steps) in zip(jobs, outcomes):
-                bit_errors += errs
-                frame_errors += ferrs
-                steps_total += steps
-                frames_done += sz
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        bit_errors += int(wrong.sum())
+        frame_errors += int(wrong.any(axis=1).sum())
+        steps_total += int(steps.sum())
+        frames_done += frames
 
     return BerRun(code_id=code_id, n=h.n, k=h.k, decoder_id=decoder.name,
                   csnr_db=float(csnr_db), bit_errors=bit_errors,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import LLR_CLAMP, hard_decide
-from .codebook import syndrome
+from .codebook import gf2_matmul
 
 # Product clamp inside arctanh; keeps check messages finite (|u| <= ~28.4).
 ATANH_EPS = 1e-12
@@ -282,6 +282,18 @@ def check_llr_batch(h, llrs):
     return llrs
 
 
+def settle(h, s, idx, count, bits, beliefs, counts, ok):
+    """Both decoders' exit test: record the hard decisions of the running
+    frames' (n, B') belief columns ``s`` as frames ``idx`` of the outputs,
+    with ``count`` and their zero-syndrome flag, and return the positions
+    in ``idx`` of the frames that still fail a check.  The decoder made the
+    bits, so their parity is taken with no bit check."""
+    hard = hard_decide(s)
+    fails = gf2_matmul(h.rows, hard).any(axis=0)
+    bits[idx], beliefs[idx], counts[idx], ok[idx] = hard.T, s.T, count, ~fails
+    return np.flatnonzero(fails)
+
+
 def decode_bp_batch(h, llrs, cfg=BpConfig(), edge_index=None):
     """Flooding BP over a (B, n) batch of LLR vectors.
 
@@ -315,12 +327,9 @@ def decode_bp_batch(h, llrs, cfg=BpConfig(), edge_index=None):
         c2v = sweep(v2c, ei)
         s = ei.belief_sums(c2v)
         s += l
-        hard = hard_decide(s)
-        done = syndrome(h, hard.T)[1] == 0
-        bits[idx], beliefs[idx], iters[idx], ok[idx] = hard.T, s.T, it, done
+        running = settle(h, s, idx, it, bits, beliefs, iters, ok)
         if cfg.early_exit:
-            keep = ~done
-            idx, l, s, c2v = (np.compress(keep, a, axis=-1) for a in (idx, l, s, c2v))
+            idx, l, s, c2v = (np.take(a, running, axis=-1) for a in (idx, l, s, c2v))
         if idx.size == 0 or it == cfg.max_iters:
             break
         v2c = np.take(s, ei.row_var, axis=0)

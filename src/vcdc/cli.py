@@ -15,10 +15,9 @@ import sys
 import numpy as np
 
 from . import bench, codes
-from .bp import BpConfig, decode_bp_batch
+from .bp import BpConfig
 from .codebook import load_alist, syndrome
-from .denoiser import decode_vcdc_batch, load_checkpoint, save_checkpoint
-from .diffusion import build_schedule
+from .denoiser import load_checkpoint, save_checkpoint
 from .train import TrainConfig, train, write_loss_curve
 
 
@@ -113,6 +112,22 @@ def cmd_train(args):
     return 0
 
 
+def _decoder(h, cfg, choice, timesteps):
+    """The ``bench`` decoder named ``choice``, configured from the resolved
+    ``cfg``; ``timesteps`` sets the reverse-process length of ``vcdc``."""
+    if choice == "bp":
+        return bench.BpDecoder(h, BpConfig(max_iters=cfg["bp_iters"], variant=cfg["bp_variant"]))
+    if choice == "vcdc":
+        if not cfg["checkpoint"]:
+            raise ValueError("decoder 'vcdc' requires --checkpoint")
+        with open(cfg["checkpoint"], "rb") as fh:
+            weights = load_checkpoint(fh.read())
+        return bench.VcdcDecoder(h, weights, timesteps=timesteps, step_db=cfg["step_db"])
+    if choice == "identity":
+        return bench.IdentityDecoder(h)
+    raise ValueError(f"unknown decoder {choice!r}")
+
+
 def cmd_bench(args):
     cfg = _resolve(args, BENCH_DEFAULTS)
     if not cfg["code"]:
@@ -127,23 +142,8 @@ def cmd_bench(args):
         raise ValueError("bench needs at least one decoder, CSNR and (for vcdc) timestep count")
     _capture_config(cfg["out"], "bench", cfg)
 
-    decoders = []
-    for choice in decoder_ids:
-        if choice == "bp":
-            decoders.append(bench.BpDecoder(h, BpConfig(max_iters=cfg["bp_iters"],
-                                                        variant=cfg["bp_variant"])))
-        elif choice == "vcdc":
-            if not cfg["checkpoint"]:
-                raise ValueError("decoder 'vcdc' requires --checkpoint")
-            with open(cfg["checkpoint"], "rb") as fh:
-                weights = load_checkpoint(fh.read())
-            weights.check_code(h)
-            decoders.extend(bench.VcdcDecoder(h, weights, timesteps=t,
-                                              step_db=cfg["step_db"]) for t in timesteps)
-        elif choice == "identity":
-            decoders.append(bench.IdentityDecoder(h))
-        else:
-            raise ValueError(f"unknown decoder {choice!r}")
+    decoders = [_decoder(h, cfg, choice, t) for choice in decoder_ids
+                for t in (timesteps if choice == "vcdc" else [None])]
 
     runs = []
     max_frames = cfg["max_frames"] if cfg["max_frames"] > 0 else None
@@ -171,24 +171,13 @@ def cmd_decode(args):
     if values.size != h.n:
         raise ValueError(f"LLR file has {values.size} values, code needs {h.n}")
 
-    if cfg["decoder"] == "bp":
-        batch = decode_bp_batch(h, values[None], BpConfig(max_iters=cfg["bp_iters"],
-                                                          variant=cfg["bp_variant"]))
-    elif cfg["decoder"] == "vcdc":
-        if not cfg["checkpoint"]:
-            raise ValueError("decoder 'vcdc' requires --checkpoint")
-        with open(cfg["checkpoint"], "rb") as fh:
-            weights = load_checkpoint(fh.read())
-        sched = build_schedule(cfg["csnr"], cfg["timesteps"], cfg["step_db"], h.rate)
-        batch = decode_vcdc_batch(h, weights, sched, values[None])
-    else:
-        raise ValueError(f"unknown decoder {cfg['decoder']!r}")
-
-    bits, _, steps, ok = (a[0] for a in batch)
+    decoder = _decoder(h, cfg, cfg["decoder"], cfg["timesteps"])
+    bits, steps = (a[0] for a in decoder.decode_batch(values[None], cfg["csnr"]))
+    _, errors = syndrome(h, bits)
     print("".join(str(b) for b in bits))
-    print(f"syndrome: {'zero' if ok else 'nonzero'} "
-          f"({syndrome(h, bits)[1]} parity errors, {steps} steps)")
-    return 0 if ok else 1
+    print(f"syndrome: {'zero' if errors == 0 else 'nonzero'} "
+          f"({errors} parity errors, {steps} steps)")
+    return 0 if errors == 0 else 1
 
 
 def cmd_inspect_code(args):

@@ -38,8 +38,7 @@ class ParityCheckMatrix:
     ``var_adjacency[v]`` holds the check indices incident to variable v and
     ``chk_adjacency[c]`` the variable indices incident to check c, both
     sorted ascending and exactly matching the nonzero pattern of ``rows``.
-    Instances are immutable and safe to share across threads (``layer_groups``
-    is built on first use; a race builds it twice, identically).
+    Instances are immutable; ``layer_groups`` is built on first use.
     """
 
     n: int

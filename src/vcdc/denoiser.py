@@ -29,9 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bp import check_llr_batch, check_minsum_terms, minsum_work_size
-from .channel import hard_decide
-from .codebook import syndrome
+from .bp import check_llr_batch, check_minsum_terms, minsum_work_size, settle
 from .diffusion import reverse_step
 
 
@@ -163,11 +161,12 @@ def decode_vcdc_batch(h, weights, sched, llrs):
     """
     weights.check_code(h)
     llrs = check_llr_batch(h, llrs)
-    bits = hard_decide(llrs)
-    beliefs = llrs.copy()
-    steps = np.zeros(llrs.shape[0], dtype=np.int64)
-    ok = syndrome(h, bits)[1] == 0
-    idx = np.flatnonzero(~ok)
+    bits = np.empty(llrs.shape, dtype=np.uint8)
+    beliefs = np.empty_like(llrs)
+    steps = np.empty(llrs.shape[0], dtype=np.int64)
+    ok = np.empty(llrs.shape[0], dtype=bool)
+    # the entry test: frames that already satisfy every check take 0 steps
+    idx = settle(h, llrs.T, np.arange(llrs.shape[0]), 0, bits, beliefs, steps, ok)
     work = np.empty(3 * h.n * idx.size + walk_size(h, idx.size))
     block_work = work[h.n * idx.size:]
     # mode="clip" keeps take from buffering its output; every index is valid
@@ -183,10 +182,7 @@ def decode_vcdc_batch(h, weights, sched, llrs):
             used += 1
         else:  # the final block's beliefs are the decoder output
             z = block_beliefs
-        hard = hard_decide(z)
-        done = syndrome(h, hard)[1] == 0
-        bits[idx], beliefs[idx], steps[idx], ok[idx] = hard, z, used, done
-        running = np.flatnonzero(~done)
+        running = settle(h, z.T, idx, used, bits, beliefs, steps, ok)
         idx = idx[running]
         zt = np.take(z.T, running, axis=1, out=work[:h.n * idx.size].reshape(h.n, -1),
                      mode="clip")

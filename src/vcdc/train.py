@@ -56,7 +56,7 @@ def loss_with_adjoint(beliefs, x_b):
     # sigmoid(z) via the non-overflowing branch of exp
     ez = np.exp(-np.abs(z))
     sig = np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
-    return loss(beliefs, x_b), -sym * sig / beliefs.size
+    return float(np.mean(_softplus(z))), -sym * sig / beliefs.size
 
 
 def minsum_backward(g, xc, u):
@@ -170,12 +170,9 @@ class TrainConfig:
     csnr_high_db: float = 6.0
     seed: int = 0
     all_zero_codewords: bool = False
-    forced_noise_scale: float | None = None
-    smoothing_window: int = 100
 
     def __post_init__(self):
-        if min(self.learning_rate, self.batch_size, self.iterations,
-               self.smoothing_window) <= 0:
+        if min(self.learning_rate, self.batch_size, self.iterations) <= 0:
             raise ValueError("hyperparameters must be positive")
         if self.csnr_high_db < self.csnr_low_db:
             raise ValueError("empty CSNR range")
@@ -191,10 +188,14 @@ class TrainResult:
         return float(self.smoothed_loss[-1])
 
 
-def _smooth(raw, window):
+# iterations in the trailing mean of the smoothed loss curve
+SMOOTHING_WINDOW = 100
+
+
+def _smooth(raw):
     csum = np.concatenate([[0.0], np.cumsum(raw)])
     idx = np.arange(1, raw.size + 1)
-    start = np.maximum(idx - window, 0)
+    start = np.maximum(idx - SMOOTHING_WINDOW, 0)
     return (csum[idx] - csum[start]) / (idx - start)
 
 
@@ -207,8 +208,7 @@ def train(h, cfg=TrainConfig()):
     raw = np.empty(cfg.iterations)
     for it in range(cfg.iterations):
         csnr = rng.uniform(cfg.csnr_low_db, cfg.csnr_high_db, size=cfg.batch_size)
-        w = (np.full(cfg.batch_size, cfg.forced_noise_scale)
-             if cfg.forced_noise_scale is not None else noise_scale(csnr, h.k, h.n))
+        w = noise_scale(csnr, h.k, h.n)
         if cfg.all_zero_codewords:
             code = np.zeros((cfg.batch_size, h.n), dtype=np.uint8)
         else:
@@ -221,7 +221,7 @@ def train(h, cfg=TrainConfig()):
         raw[it] = value
     weights = NeuralBlockWeights(values=params, n=h.n, k=h.k)
     return TrainResult(weights=weights, raw_loss=raw,
-                       smoothed_loss=_smooth(raw, cfg.smoothing_window))
+                       smoothed_loss=_smooth(raw))
 
 
 def write_loss_curve(path, result):

@@ -90,12 +90,14 @@ class TestRunBer:
         r2 = run_ber(ldpc_49_24, dec, 3.0, stop_errors=60, seed=9, batch_frames=128)
         assert r1 == r2
 
-    def test_worker_streams_deterministic(self, ldpc_49_24):
+    def test_one_stream_only(self, ldpc_49_24):
         dec = BpDecoder(ldpc_49_24)
+        with pytest.raises(ValueError, match="workers"):
+            run_ber(ldpc_49_24, dec, 3.0, stop_errors=40, seed=4, batch_frames=64,
+                    workers=2)
         r1 = run_ber(ldpc_49_24, dec, 3.0, stop_errors=40, seed=4, batch_frames=64,
-                     workers=2)
-        r2 = run_ber(ldpc_49_24, dec, 3.0, stop_errors=40, seed=4, batch_frames=64,
-                     workers=2)
+                     workers=1)
+        r2 = run_ber(ldpc_49_24, dec, 3.0, stop_errors=40, seed=4, batch_frames=64)
         assert r1 == r2
 
     def test_bad_stop_errors(self, hamming):

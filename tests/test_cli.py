@@ -139,6 +139,30 @@ class TestDecode:
         assert "finite" in captured.err
         assert "syndrome" not in captured.out
 
+    def test_identity_decoder(self, hamming_file, tmp_path, capsys):
+        # one flipped bit: identity reports it, BP corrects it
+        h = codes.load("hamming_7_4")
+        cw = encode(derive_generator(h), np.array([1, 1, 0, 1], dtype=np.uint8))
+        llrs = 4.0 * bipolar(cw)
+        llrs[2] = -llrs[2]
+        llr_file = tmp_path / "word.llr"
+        llr_file.write_text(" ".join(f"{v:.1f}" for v in llrs))
+        assert run_cli("decode", "--code", hamming_file, "--llr", llr_file,
+                       "--decoder", "identity") == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "".join(str(int(v < 0)) for v in llrs)
+        assert out[1].startswith("syndrome: nonzero (") and out[1].endswith(" 0 steps)")
+        assert run_cli("decode", "--code", hamming_file, "--llr", llr_file) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "".join(str(b) for b in cw)
+
+    def test_identity_decoder_rejects_nan_llrs(self, hamming_file, tmp_path, capsys):
+        llr_file = tmp_path / "nan.llr"
+        llr_file.write_text("nan " * 7)
+        assert run_cli("decode", "--code", hamming_file, "--llr", llr_file,
+                       "--decoder", "identity") == 2
+        captured = capsys.readouterr()
+        assert "finite" in captured.err and "syndrome" not in captured.out
+
     def test_wrong_length_errors(self, hamming_file, tmp_path, capsys):
         llr_file = tmp_path / "short.llr"
         llr_file.write_text("1 2 3 4 5 6")
