@@ -1,4 +1,4 @@
-"""Monte-Carlo BER evaluation, complexity accounting, and result emission.
+"""Monte-Carlo BER evaluation and result emission.
 
 A run simulates random-message frames through the AWGN channel and a
 decoder until the configured number of bit errors has been observed (the
@@ -6,10 +6,6 @@ stopping rule) or a frame budget censors the run.  Every frame is drawn
 from one seeded stream, up to ``batch_frames`` frames a round, so results
 depend only on (seed, batch_frames).  The stopping check runs between
 rounds, so the error count may slightly overshoot the threshold.
-
-FLOPs are static worst-case counts (no early stopping) with the
-convention: add = mul = compare = 1 and tanh/arctanh = a configurable
-constant (default 1).
 """
 
 from __future__ import annotations
@@ -22,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import denoiser
-from .bp import MIN_SUM, SUM_PRODUCT, BpConfig, EdgeIndex, check_llr_batch, decode_bp_batch
+from .bp import BpConfig, EdgeIndex, check_llr_batch, decode_bp_batch
 from .channel import hard_decide, noise_scale, to_llr, transmit
 from .codebook import bipolar, derive_generator, encode
 from .diffusion import build_schedule
@@ -119,6 +115,8 @@ def run_ber(h, decoder, csnr_db, stop_errors=100, max_frames=None, seed=0,
         raise ValueError(f"stop_errors must be >= 1, got {stop_errors}")
     if batch_frames < 1:
         raise ValueError(f"batch_frames must be >= 1, got {batch_frames}")
+    if max_frames is not None and max_frames < 1:
+        raise ValueError(f"max_frames must be >= 1, got {max_frames}")
     if workers != 1:
         raise ValueError(f"run_ber draws one stream; workers must be 1, got {workers!r}")
     if max_frames is None:
@@ -145,83 +143,6 @@ def run_ber(h, decoder, csnr_db, stop_errors=100, max_frames=None, seed=0,
                   frame_errors=frame_errors,
                   mean_steps_used=steps_total / frames_done if frames_done else 0.0,
                   censored=bit_errors < stop_errors, seed=seed)
-
-
-@dataclass(frozen=True)
-class FlopsReport:
-    """Per-decode operation counts by category plus model storage."""
-
-    adds: int
-    muls: int
-    compares: int
-    transcendentals: int
-    transcendental_cost: float = 1.0
-    model_bytes: int = 0
-
-    @property
-    def total(self):
-        return self.adds + self.muls + self.compares \
-            + self.transcendental_cost * self.transcendentals
-
-
-def _degree_sums(h):
-    degrees = [len(a) for a in h.chk_adjacency]
-    return sum(degrees), degrees
-
-
-def count_flops_bp(h, iters, variant=SUM_PRODUCT, transcendental_cost=1.0):
-    """Static worst-case FLOPs of flooding BP for ``iters`` iterations.
-
-    Per iteration: one check sweep, belief/extrinsic variable stage
-    (2E + n adds, E clamp compares), and one syndrome check.
-    """
-    if iters < 0:
-        raise ValueError("iters must be >= 0")
-    e, degrees = _degree_sums(h)
-    chk_muls = chk_compares = chk_transc = 0
-    for d in degrees:
-        if variant == SUM_PRODUCT:
-            # halve, prefix/suffix exclusive products, double; tanh + arctanh
-            chk_muls += d + max(3 * d - 4, 0) + d
-            chk_transc += 2 * d
-            chk_compares += d  # product clamp
-        elif variant == MIN_SUM:
-            chk_muls += 3 * d - 1  # sign product, exclusion, apply sign
-            chk_compares += 5 * d - 2  # signs, abs, min1, min2, select
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
-    adds = (2 * e + h.n) + e  # variable stage + syndrome xors
-    compares = chk_compares + e + (h.n + h.num_checks)  # clamp + hard decision/zero test
-    return FlopsReport(adds=adds * iters, muls=chk_muls * iters,
-                       compares=compares * iters, transcendentals=chk_transc * iters,
-                       transcendental_cost=transcendental_cost, model_bytes=0)
-
-
-def count_flops_vcdc(h, timesteps, transcendental_cost=1.0):
-    """Static worst-case FLOPs of the reverse-process decoder.
-
-    Counts ``timesteps`` block applications, ``timesteps - 1`` reverse
-    updates, and ``timesteps + 1`` syndrome checks (no early stopping).
-    """
-    if timesteps < 0:
-        raise ValueError("timesteps must be >= 0")
-    e, degrees = _degree_sums(h)
-    block_adds = e  # residual additions
-    block_muls = sum(4 * d - 1 for d in degrees) + h.n  # min-sum, weights, tanh(x/2)
-    block_compares = sum(5 * d - 2 for d in degrees)
-    block_transc = h.n
-
-    t = timesteps
-    n_reverse = max(t - 1, 0)
-    n_syndrome = t + 1 if t else 0
-    adds = block_adds * t + h.n * n_reverse + e * n_syndrome
-    muls = block_muls * t + h.n * n_reverse
-    compares = block_compares * t + (h.n + h.num_checks) * n_syndrome
-    transc = block_transc * t
-    dummy = denoiser.NeuralBlockWeights(values=np.zeros(h.num_checks), n=h.n, k=h.k)
-    return FlopsReport(adds=adds, muls=muls, compares=compares, transcendentals=transc,
-                       transcendental_cost=transcendental_cost,
-                       model_bytes=denoiser.model_size_bytes(dummy) if t else 0)
 
 
 def emit_results(runs, out_dir):

@@ -1,17 +1,9 @@
 """Belief propagation on the Tanner graph.
 
 Flooding schedule with sum-product (exact, tanh/arctanh) or min-sum check
-updates and syndrome-based early exit.  Edges are enumerated check-major,
-variable ascending within each check.  Inside the decoder, frames are
-columns: beliefs are (n, B) and messages edge-major (E, B) arrays, whose
-rows ``EdgeIndex`` orders so that each check-degree group is a reshaped
-(d, checks, B) view; the sweeps work on its (checks, B) slabs in place,
-with no gather or scatter.
-
-The module exposes a batch decoder vectorized over codewords (a single
-word ``x`` is decoded as the batch ``x[None]``) and the min-sum check
-kernel ``check_minsum_terms``, which the neural block and its training
-share with BP min-sum.
+updates and syndrome-based early exit, vectorized over a batch of frames.
+The min-sum check kernel ``check_minsum_terms`` is shared with the neural
+block and its training.
 """
 
 from __future__ import annotations
@@ -32,6 +24,14 @@ SUM_PRODUCT = "sum-product"
 MIN_SUM = "min-sum"
 
 
+def check_count(name, value):
+    """ValueError unless ``value`` is an integer >= 1; a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 @dataclass(frozen=True)
 class BpConfig:
     """Decoder knobs: iteration cap, check-update rule, message clamp.
@@ -47,10 +47,7 @@ class BpConfig:
     early_exit: bool = True
 
     def __post_init__(self):
-        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
-            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        check_count("max_iters", self.max_iters)
         if self.variant not in (SUM_PRODUCT, MIN_SUM):
             raise ValueError(f"unknown variant {self.variant!r}")
         if not self.message_clamp > 0:
@@ -110,8 +107,7 @@ class EdgeIndex:
 
     def check_blocks(self, msgs):
         """(d, checks, B) views of the (E, B) messages ``msgs``, one per
-        degree group; the j-th slab holds each check's edge to its j-th
-        variable."""
+        degree group."""
         return [msgs[rows].reshape(d, (rows.stop - rows.start) // d, msgs.shape[1])
                 for d, rows in self.degree_groups.items()]
 
@@ -218,8 +214,7 @@ def _exclude_least(mags):
 
 def minsum_work_size(size):
     """Float64 entries of the ``work`` buffer ``check_minsum_terms`` needs
-    for ``size`` belief entries: their magnitudes, then their signs as one
-    bool each."""
+    for ``size`` belief entries."""
     return size + -(-size // 8)
 
 
@@ -233,8 +228,9 @@ def check_minsum_terms(xc, out=None, work=None):
     their least magnitude.  ``u`` is written into ``out`` when it is given,
     else into a new array with the memory layout of ``xc``.  ``work``, a
     flat float64 array of at least ``minsum_work_size(xc.size)`` entries,
-    or a new one, holds the magnitudes and signs; with ``out`` and ``work``
-    given the kernel allocates only a few vectors of one entry per check.
+    or a new one, holds the magnitudes, then the signs as one bool each;
+    with ``out`` and ``work`` given the kernel allocates only a few vectors
+    of one entry per check.
 
     The messages come from each row's two least magnitudes (the compressed
     check message of layered min-sum decoders, Mansour & Shanbhag 2003),

@@ -96,12 +96,13 @@ def cmd_train(args):
     if not cfg["code"]:
         raise ValueError("train requires --code")
     h = _load_code(cfg["code"])
-    _capture_config(cfg["out"], "train", cfg)
-    result = train(h, TrainConfig(
+    train_cfg = TrainConfig(
         learning_rate=cfg["learning_rate"], batch_size=cfg["batch_size"],
         iterations=cfg["iterations"], csnr_low_db=cfg["csnr_low"],
         csnr_high_db=cfg["csnr_high"], seed=cfg["seed"],
-        all_zero_codewords=cfg["all_zero"]))
+        all_zero_codewords=cfg["all_zero"])
+    _capture_config(cfg["out"], "train", cfg)
+    result = train(h, train_cfg)
     ckpt_path = os.path.join(cfg["out"], "weights.vcdc")
     with open(ckpt_path, "wb") as fh:
         fh.write(save_checkpoint(result.weights))
@@ -184,11 +185,9 @@ def cmd_inspect_code(args):
     h = _load_code(args.code)
     chk_degs = sorted({len(a) for a in h.chk_adjacency})
     var_degs = sorted({len(a) for a in h.var_adjacency})
-    _, nerr = syndrome(h, np.zeros(h.n, dtype=np.uint8))
     print(f"n={h.n} k={h.k} rate={h.rate:.4f} checks={h.num_checks} edges={h.num_edges}")
     print(f"check degrees: {chk_degs}")
     print(f"variable degrees: {var_degs}")
-    print(f"zero-word syndrome errors: {nerr}")
     return 0
 
 

@@ -3,8 +3,9 @@
 Parses MacKay-style alist files into parity-check matrices with their
 Tanner-graph adjacency, derives generator matrices by Gaussian elimination
 over GF(2), encodes messages, and computes syndromes.  Bit vectors are
-numpy uint8 arrays with entries in {0, 1}; the bipolar map sends bit b to
-the symbol 1 - 2b.
+numpy uint8 arrays with entries in {0, 1}, and every entry point that
+takes bits rejects any other value; the bipolar map sends bit b to the
+symbol 1 - 2b.
 """
 
 from __future__ import annotations
@@ -113,10 +114,6 @@ class GeneratorMatrix:
     @property
     def k(self):
         return self.matrix.shape[0]
-
-    @property
-    def n(self):
-        return self.matrix.shape[1]
 
 
 def _row_reduce(a):
@@ -265,17 +262,18 @@ def gf2_matmul(a, b):
 
 
 def encode(g, m):
-    """Encode message bits (1-D length k, or a (B, k) batch) into codewords
-    in the original column order of H."""
+    """Encode a (B, k) batch of message bits into (B, n) codewords in the
+    original column order of H; a single message ``m`` is the batch
+    ``m[None]``."""
     m = _as_bits(m, "message")
-    single = m.ndim == 1
-    mm = np.atleast_2d(m)
-    if mm.shape[1] != g.k:
-        raise ValueError(f"message length {mm.shape[1]} != k={g.k}")
-    permuted = gf2_matmul(mm, g.matrix)
+    if m.ndim != 2:
+        raise ValueError(f"expected a (B, {g.k}) message batch, got shape {m.shape}")
+    if m.shape[1] != g.k:
+        raise ValueError(f"message length {m.shape[1]} != k={g.k}")
+    permuted = gf2_matmul(m, g.matrix)
     out = np.empty_like(permuted)
     out[:, g.column_permutation] = permuted
-    return out[0] if single else out
+    return out
 
 
 def syndrome(h, x):

@@ -12,15 +12,7 @@ degree with pairwise disjoint variables (``ParityCheckMatrix.layer_groups``)
 runs as one vectorized update: no layer of the run reads a belief another
 one writes, so every belief is bit-identical to the one-check-at-a-time
 walk.  This is the order-preserving layered schedule of Hocevar (2004) and
-Zhang & Fossorier (2005); checks are never reordered.  Frames are columns
-inside the block, as in ``vcdc.bp``: beliefs are a C-ordered (n, B) array,
-which callers see through its (B, n) transpose, so a group reads and
-writes whole rows of it.
-
-Decoding walks the diffusion schedule from the observed (noisiest) level
-upward, feeding each block estimate to the deterministic reverse update
-and stopping as soon as the running hard decision satisfies every parity
-check - once before the first reverse step and again after every step.
+Zhang & Fossorier (2005); checks are never reordered.
 """
 
 from __future__ import annotations
@@ -69,9 +61,7 @@ class NeuralBlockWeights:
 
 def walk_size(h, frames, keep=False):
     """Float64 entries of the ``work`` buffer ``block_layers`` needs for
-    ``frames`` frames: the min-sum kernel's workspace for the largest layer
-    group, then one slot of a gathered block and its messages, sized for
-    the largest group or, with ``keep``, one slot for every group."""
+    ``frames`` frames, with or without ``keep``."""
     edges = [cols.size * frames for _, cols in h.layer_groups]
     return minsum_work_size(max(edges)) + 2 * (sum(edges) if keep else max(edges))
 
@@ -88,14 +78,15 @@ def block_layers(h, w, xt, work, keep=False):
     A group of g checks of degree d takes whole belief rows into one
     (d, g, B) block, slab j holding the j-th variable of every check, hands
     the kernel that block as (g B, d) rows and writes its rows back plus
-    the weights ``w[checks]`` times the messages.  The checks of a group
-    share no variable, so this equals running them one by one.
+    the weights ``w[checks]`` times the messages.
 
     Every array the walk writes besides ``xt`` is a view of ``work``, a flat
-    float64 array of at least ``walk_size(h, B, keep)`` entries.  Without
-    ``keep`` every group reuses one slot, so a group's xc and u hold only
-    until the walk resumes; with ``keep`` each group has its own slot at its
-    edge offset, and all of them stay valid.
+    float64 array of at least ``walk_size(h, B, keep)`` entries: the
+    kernel's workspace for the largest group, then slots of a gathered block
+    and its messages.  Without ``keep`` every group reuses one slot, sized
+    for the largest group, so a group's xc and u hold only until the walk
+    resumes; with ``keep`` each group has its own slot at its edge offset,
+    and all of them stay valid.
     """
     frames = xt.shape[1]
     at = minsum_work_size(max(cols.size for _, cols in h.layer_groups) * frames)
@@ -143,8 +134,9 @@ def neural_block(h, weights, llrs, work=None):
 
 
 def decode_vcdc_batch(h, weights, sched, llrs):
-    """Reverse-process decode of a (B, n) LLR batch at the schedule's
-    observed level.
+    """Reverse-process decode of a (B, n) LLR batch: walk the schedule from
+    its observed (noisiest) level up, feeding each block's estimate to the
+    deterministic reverse update.
 
     Returns (bits, beliefs, reverse_steps, syndrome_zero) arrays.  Frames
     whose hard decision already satisfies the syndrome cost zero reverse
@@ -192,15 +184,12 @@ def decode_vcdc_batch(h, weights, sched, llrs):
 CHECKPOINT_MAGIC = "VCDC1"
 
 
-def _checkpoint_header(weights):
-    return f"{CHECKPOINT_MAGIC} {weights.n} {weights.k} {weights.values.size}\n"
-
-
 def save_checkpoint(weights):
     """Serialize weights: header "VCDC1 <n> <k> <L>" then one weight per
     line with 17 significant digits (round-trips float64 exactly)."""
+    header = f"{CHECKPOINT_MAGIC} {weights.n} {weights.k} {weights.values.size}\n"
     body = "".join(f"{w:.17g}\n" for w in weights.values)
-    return (_checkpoint_header(weights) + body).encode("ascii")
+    return (header + body).encode("ascii")
 
 
 def load_checkpoint(data):
@@ -229,7 +218,3 @@ def load_checkpoint(data):
         raise CheckpointError("checkpoint contains non-finite weights")
     return NeuralBlockWeights(values=values, n=n, k=k)
 
-
-def model_size_bytes(weights):
-    """Deployed model size: 4 bytes per weight plus the ASCII header."""
-    return 4 * weights.values.size + len(_checkpoint_header(weights))

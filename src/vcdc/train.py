@@ -15,11 +15,12 @@ flows only through the minimum-magnitude path and the residual sum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bp import _pairwise_sum
+from .bp import _pairwise_sum, check_count, check_llr_batch
 from .channel import noise_scale, to_llr, transmit
 from .codebook import bipolar, derive_generator, encode
 from .denoiser import NeuralBlockWeights, block_layers, walk_size
@@ -34,29 +35,16 @@ def _sign(x):
     return np.where(x < 0, -1.0, 1.0)
 
 
-def _softplus(z):
-    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
-
-
-def loss(beliefs, x_b):
-    """Mean binary cross-entropy between sigmoid(beliefs) and 1 - x_b.
-
-    Positive belief is evidence for bit 0; computed in stabilized softplus
-    form, softplus(-(1 - 2 x_b) * belief), averaged over all entries.
-    """
-    sym = 1.0 - 2.0 * np.asarray(x_b, dtype=np.float64)
-    return float(np.mean(_softplus(-sym * np.asarray(beliefs, dtype=np.float64))))
-
-
 def loss_with_adjoint(beliefs, x_b):
-    """``loss`` and its gradient with respect to the beliefs,
-    -sym * sigmoid(-sym * b) / size with sym = 1 - 2 x_b."""
+    """Mean binary cross-entropy between sigmoid(beliefs) and 1 - x_b
+    (positive belief is evidence for bit 0), the mean of softplus(-sym * b)
+    with sym = 1 - 2 x_b, and its gradient -sym * sigmoid(-sym * b) / size."""
     sym = 1.0 - 2.0 * np.asarray(x_b, dtype=np.float64)
     z = -sym * beliefs
-    # sigmoid(z) via the non-overflowing branch of exp
+    # softplus(z) and sigmoid(z) via the non-overflowing branch of exp
     ez = np.exp(-np.abs(z))
     sig = np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
-    return float(np.mean(_softplus(z))), -sym * sig / beliefs.size
+    return float(np.mean(np.maximum(z, 0.0) + np.log1p(ez))), -sym * sig / beliefs.size
 
 
 def minsum_backward(g, xc, u):
@@ -95,7 +83,7 @@ def minsum_backward(g, xc, u):
 
 
 def block_gradients(h, weights, llrs, x_b):
-    """Loss and d(loss)/d(layer weights) for one batch.
+    """Loss and d(loss)/d(layer weights) for one (B, n) batch of LLRs.
 
     Runs the block forward once on frames-as-columns (n, B) beliefs,
     keeping each layer group's gathered beliefs and min-sum messages u_l,
@@ -114,7 +102,7 @@ def block_gradients(h, weights, llrs, x_b):
     weights = np.asarray(weights, dtype=np.float64)
     if weights.size != h.num_checks:
         raise ValueError(f"expected {h.num_checks} layer weights, got {weights.size}")
-    x = np.atleast_2d(np.asarray(llrs, dtype=np.float64))
+    x = check_llr_batch(h, llrs)
     # one allocation holds the beliefs and the walk, every group's blocks kept
     work = np.empty(x.size + walk_size(h, len(x), keep=True))
     xt = work[:x.size].reshape(h.n, -1)
@@ -133,14 +121,15 @@ def block_gradients(h, weights, llrs, x_b):
     return value, grads
 
 
+# Adam's moment decay rates and denominator offset, at their standard values
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class Adam:
     """Standard Adam update with bias correction."""
 
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         self.m = None
@@ -152,11 +141,11 @@ class Adam:
             self.m = np.zeros_like(params)
             self.v = np.zeros_like(params)
         self.t += 1
-        self.m = self.beta1 * self.m + (1 - self.beta1) * grads
-        self.v = self.beta2 * self.v + (1 - self.beta2) * grads**2
-        m_hat = self.m / (1 - self.beta1**self.t)
-        v_hat = self.v / (1 - self.beta2**self.t)
-        return params - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m = BETA1 * self.m + (1 - BETA1) * grads
+        self.v = BETA2 * self.v + (1 - BETA2) * grads**2
+        m_hat = self.m / (1 - BETA1**self.t)
+        v_hat = self.v / (1 - BETA2**self.t)
+        return params - self.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 @dataclass(frozen=True)
@@ -172,8 +161,14 @@ class TrainConfig:
     all_zero_codewords: bool = False
 
     def __post_init__(self):
-        if min(self.learning_rate, self.batch_size, self.iterations) <= 0:
-            raise ValueError("hyperparameters must be positive")
+        check_count("batch_size", self.batch_size)
+        check_count("iterations", self.iterations)
+        for name in ("learning_rate", "csnr_low_db", "csnr_high_db"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        if self.learning_rate <= 0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate!r}")
         if self.csnr_high_db < self.csnr_low_db:
             raise ValueError("empty CSNR range")
 

@@ -181,7 +181,7 @@ def add_at_cols(x, cols, delta):
 
 
 def bce_with_logits(beliefs, x_b):
-    """Tape node for ``vcdc.train.loss`` of the beliefs."""
+    """Tape node for the BCE loss of the beliefs (``analysis.loss``)."""
     value, adjoint = loss_with_adjoint(beliefs.value, x_b)
     out = Var(value, (beliefs,))
     out._backward = lambda g: beliefs._accumulate(g * adjoint)

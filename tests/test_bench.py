@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from vcdc.bench import (BerRun, BpDecoder, IdentityDecoder, VcdcDecoder,
-                        count_flops_bp, count_flops_vcdc, emit_results, neg_ln_ber,
-                        run_ber)
+from vcdc.bench import (BerRun, BpDecoder, IdentityDecoder, VcdcDecoder, emit_results,
+                        neg_ln_ber, run_ber)
 from vcdc.bp import BpConfig, MIN_SUM
 from vcdc.channel import hard_decide
 from vcdc.denoiser import NeuralBlockWeights
 
+from analysis import count_flops_bp, count_flops_vcdc
 from conftest import read_results_csv
 
 # Gaussian tail oracle Q(1/w) for the raw channel at 4 dB, rate 60/121
@@ -100,9 +100,12 @@ class TestRunBer:
         r2 = run_ber(ldpc_49_24, dec, 3.0, stop_errors=40, seed=4, batch_frames=64)
         assert r1 == r2
 
-    def test_bad_stop_errors(self, hamming):
-        with pytest.raises(ValueError):
-            run_ber(hamming, BpDecoder(hamming), 4.0, stop_errors=0)
+    # max_frames < 1 would measure nothing and report a censored BER of 0
+    @pytest.mark.parametrize("key, value", [("stop_errors", 0), ("max_frames", 0),
+                                            ("max_frames", -1)])
+    def test_bad_stop_errors(self, hamming, key, value):
+        with pytest.raises(ValueError, match=key):
+            run_ber(hamming, BpDecoder(hamming), 4.0, **{key: value})
 
     def test_vcdc_decoder_records_steps(self, hamming):
         weights = NeuralBlockWeights.zeros(hamming)

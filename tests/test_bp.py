@@ -228,7 +228,7 @@ class TestDecodeBp:
 
     def test_noiseless_exits_first_iteration(self, hamming):
         g = derive_generator(hamming)
-        cw = encode(g, np.array([1, 0, 1, 1], dtype=np.uint8))
+        cw = encode(g, np.array([1, 0, 1, 1], dtype=np.uint8)[None])[0]
         bits, _, iters, ok = decode_bp_batch(hamming, 20.0 * bipolar(cw)[None],
                                              BpConfig(max_iters=5))
         assert iters[0] == 1
@@ -289,7 +289,7 @@ class TestDecodeBp:
     def test_early_exit_returns_valid_codewords(self, ldpc_49_24):
         rng = np.random.default_rng(14)
         g = derive_generator(ldpc_49_24)
-        cw = encode(g, rng.integers(0, 2, ldpc_49_24.k))
+        cw = encode(g, rng.integers(0, 2, ldpc_49_24.k)[None])[0]
         llr = 2.2 * bipolar(cw) + rng.normal(0, 1.4, ldpc_49_24.n)
         bits, _, _, ok = decode_bp_batch(ldpc_49_24, llr[None, :] + np.zeros((64, 1)),
                                          BpConfig(max_iters=10))
@@ -341,7 +341,7 @@ class TestVariantAgreement:
         agree = 0
         trials = 300
         for _ in range(trials):
-            cw = encode(g, rng.integers(0, 2, ldpc_49_24.k))
+            cw = encode(g, rng.integers(0, 2, ldpc_49_24.k)[None])[0]
             llr = bipolar(cw) * rng.uniform(10, 20, ldpc_49_24.n)
             b1 = decode_bp_batch(ldpc_49_24, llr[None], BpConfig(max_iters=5))[0]
             b2 = decode_bp_batch(ldpc_49_24, llr[None],

@@ -75,6 +75,17 @@ class TestTrain:
                        "--out", tmp_path / "o") == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--csnr-low", "nan"), ("--csnr-high", "inf"),
+                                             ("--learning-rate", "nan")])
+    def test_non_finite_hyperparameter_exits_two(self, tmp_path, capsys, flag, value):
+        # these once wrote train.config and then died in the CSNR draw or
+        # diverged at the first step
+        out = tmp_path / "o"
+        assert run_cli("train", "--code", "hamming_7_4", "--out", out,
+                       "--iterations", 5, flag, value) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_ldpc_49_24_checkpoint_carries_25_weights(self, tmp_path):
         out = tmp_path / "run"
         assert run_cli("train", "--code", "ldpc_49_24", "--out", out,
@@ -116,7 +127,7 @@ class TestTrain:
 class TestDecode:
     def test_noiseless_codeword_exits_zero(self, hamming_file, tmp_path, capsys):
         h = codes.load("hamming_7_4")
-        cw = encode(derive_generator(h), np.array([1, 0, 1, 1], dtype=np.uint8))
+        cw = encode(derive_generator(h), np.array([1, 0, 1, 1], dtype=np.uint8)[None])[0]
         llr_file = tmp_path / "word.llr"
         llr_file.write_text(" ".join(f"{v:.1f}" for v in 9.0 * bipolar(cw)))
         assert run_cli("decode", "--code", hamming_file, "--llr", llr_file) == 0
@@ -142,7 +153,7 @@ class TestDecode:
     def test_identity_decoder(self, hamming_file, tmp_path, capsys):
         # one flipped bit: identity reports it, BP corrects it
         h = codes.load("hamming_7_4")
-        cw = encode(derive_generator(h), np.array([1, 1, 0, 1], dtype=np.uint8))
+        cw = encode(derive_generator(h), np.array([1, 1, 0, 1], dtype=np.uint8)[None])[0]
         llrs = 4.0 * bipolar(cw)
         llrs[2] = -llrs[2]
         llr_file = tmp_path / "word.llr"
@@ -175,7 +186,7 @@ class TestDecode:
                 "--iterations", 5, "--batch-size", 8, "--seed", 1)
         capsys.readouterr()  # drop the train subcommand's output
         h = codes.load("hamming_7_4")
-        cw = encode(derive_generator(h), np.array([0, 1, 1, 0], dtype=np.uint8))
+        cw = encode(derive_generator(h), np.array([0, 1, 1, 0], dtype=np.uint8)[None])[0]
         llr_file = tmp_path / "word.llr"
         llr_file.write_text(" ".join(f"{v:.1f}" for v in 8.0 * bipolar(cw)))
         assert run_cli("decode", "--code", hamming_file, "--llr", llr_file,

@@ -130,7 +130,7 @@ class TestDeriveGenerator:
 class TestEncode:
     def test_all_zero_message(self, hamming):
         g = derive_generator(hamming)
-        assert not encode(g, np.zeros(4, dtype=np.uint8)).any()
+        assert not encode(g, np.zeros((1, 4), dtype=np.uint8)).any()
 
     def test_systematic_extension_unique_in_codebook(self, hamming):
         # oracle: the full codeword set from exhaustive enumeration
@@ -138,7 +138,7 @@ class TestEncode:
         cws = enumerate_codewords(hamming)
         info_positions = g.column_permutation[hamming.num_checks:]
         m = np.array([1, 0, 0, 0], dtype=np.uint8)
-        cw = encode(g, m)
+        cw = encode(g, m[None])[0]
         assert any(np.array_equal(cw, c) for c in cws)
         assert np.array_equal(cw[info_positions], m)
         matches = [c for c in cws if np.array_equal(c[info_positions], m)]
@@ -148,14 +148,14 @@ class TestEncode:
         g = derive_generator(ldpc_49_24)
         rng = np.random.default_rng(0)
         for _ in range(20):
-            m1 = rng.integers(0, 2, ldpc_49_24.k).astype(np.uint8)
-            m2 = rng.integers(0, 2, ldpc_49_24.k).astype(np.uint8)
+            m1 = rng.integers(0, 2, (1, ldpc_49_24.k)).astype(np.uint8)
+            m2 = rng.integers(0, 2, (1, ldpc_49_24.k)).astype(np.uint8)
             assert np.array_equal(encode(g, m1 ^ m2), encode(g, m1) ^ encode(g, m2))
 
     def test_length_mismatch(self, hamming):
         g = derive_generator(hamming)
         with pytest.raises(ValueError, match="length"):
-            encode(g, np.zeros(5, dtype=np.uint8))
+            encode(g, np.zeros((1, 5), dtype=np.uint8))
 
     def test_batch_matches_single(self, hamming):
         g = derive_generator(hamming)
@@ -163,7 +163,7 @@ class TestEncode:
         batch = rng.integers(0, 2, (8, 4)).astype(np.uint8)
         enc = encode(g, batch)
         for row, m in zip(enc, batch):
-            assert np.array_equal(row, encode(g, m))
+            assert np.array_equal(row, encode(g, m[None])[0])
 
 
 class TestSyndrome:
@@ -174,7 +174,7 @@ class TestSyndrome:
 
     def test_single_flip_count_equals_column_degree(self, hamming):
         g = derive_generator(hamming)
-        cw = encode(g, np.array([1, 0, 1, 1], dtype=np.uint8))
+        cw = encode(g, np.array([1, 0, 1, 1], dtype=np.uint8)[None])[0]
         for v in range(hamming.n):
             flipped = cw.copy()
             flipped[v] ^= 1
@@ -237,7 +237,9 @@ class TestGf2ProductDifferential:
         expected = np.empty((batch, n), dtype=np.int64)
         expected[:, g.column_permutation] = _gf2_reference(msgs, g.matrix)
         np.testing.assert_array_equal(encode(g, msgs), expected)
-        np.testing.assert_array_equal(encode(g, msgs[0]), expected[0])
+        # one message is the batch msgs[:1]; a 1-D message is rejected
+        with pytest.raises(ValueError, match="batch"):
+            encode(g, msgs[0])
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(3, 256), data=st.data(), seed=seeds, density=densities)

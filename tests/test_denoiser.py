@@ -7,13 +7,13 @@ from vcdc.bp import BpConfig, decode_bp_batch
 from vcdc.channel import hard_decide
 from vcdc.codebook import ParityCheckMatrix, bipolar, derive_generator, encode, syndrome
 from vcdc.denoiser import (CheckpointError, NeuralBlockWeights, decode_vcdc_batch,
-                           load_checkpoint, model_size_bytes, neural_block, save_checkpoint,
-                           walk_size)
+                           load_checkpoint, neural_block, save_checkpoint, walk_size)
 from vcdc.diffusion import build_schedule
 from vcdc.train import block_gradients
 
 import serial
 import tape
+from analysis import model_size_bytes
 from conftest import assert_same_bits, make_tree_code, random_layered_code, traced_peak
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -45,7 +45,7 @@ class TestNeuralBlock:
         rng = np.random.default_rng(2)
         weights = NeuralBlockWeights(values=np.ones(h.num_checks), n=h.n, k=h.k)
         for _ in range(10):
-            cw = encode(g, rng.integers(0, 2, h.k))
+            cw = encode(g, rng.integers(0, 2, h.k)[None])[0]
             l = 4.0 * bipolar(cw)[None]
             beliefs, _ = neural_block(h, weights, l)
             oracle_bits = decode_bp_batch(h, l, BpConfig(max_iters=1))[0]
@@ -97,6 +97,9 @@ class TestNeuralBlock:
         for bad in (np.zeros(n), np.zeros((2, n + 1)), np.zeros((1, 2, n))):
             with pytest.raises(ValueError, match="beliefs"):
                 neural_block(hamming, w, bad)
+            # the training backward takes the same (B, n) batches only
+            with pytest.raises(ValueError, match="LLR"):
+                block_gradients(hamming, w.values, bad, np.zeros(bad.shape, dtype=np.uint8))
 
 
 def random_llrs(rng, shape, ties):
@@ -220,7 +223,7 @@ class TestFramesAsColumns:
 class TestDecodeVcdc:
     def test_noiseless_input_costs_zero_steps(self, hamming):
         g = derive_generator(hamming)
-        cw = encode(g, np.array([1, 1, 0, 0], dtype=np.uint8))
+        cw = encode(g, np.array([1, 1, 0, 0], dtype=np.uint8)[None])[0]
         sched = build_schedule(4.0, 20, 0.5, hamming.rate)
         bits, _, steps, ok = decode_vcdc_batch(hamming, NeuralBlockWeights.zeros(hamming),
                                                sched, 10.0 * bipolar(cw)[None])

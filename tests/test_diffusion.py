@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from vcdc.channel import noise_scale
-from vcdc.diffusion import (DiffusionSchedule, TransitionParams, build_schedule,
-                            forward_transition, reverse_step)
+from vcdc.diffusion import DiffusionSchedule, build_schedule, reverse_step
 
+from analysis import TransitionParams, forward_transition, sigmas, vsnr
 from conftest import assert_same_bits
 
 RATE_121_60 = 60 / 121
@@ -23,8 +23,7 @@ class TestBuildSchedule:
         assert sched.csnr_levels[0] == pytest.approx(13.5)
         assert sched.csnr_levels[-1] == pytest.approx(4.0)
         assert (np.diff(sched.csnr_levels) < 0).all()
-        vsnr = sched.vsnr()
-        assert (np.diff(vsnr) < 0).all()
+        assert (np.diff(vsnr(sched)) < 0).all()
 
     def test_adjacent_transitions_have_positive_variance(self):
         sched = build_schedule(4.0, 20, 0.5, RATE_121_60)
@@ -84,7 +83,7 @@ class TestBuildSchedule:
 
     def test_alpha_sigma_match_channel_law(self):
         sched = build_schedule(4.0, 8, 0.75, RATE_121_60)
-        for level, alpha, sigma in zip(sched.csnr_levels, sched.alphas, sched.sigmas):
+        for level, alpha, sigma in zip(sched.csnr_levels, sched.alphas, sigmas(sched)):
             w = noise_scale(level, 60, 121)
             assert alpha == pytest.approx(2.0 / w**2, rel=1e-12)
             assert sigma == pytest.approx(2.0 / w, rel=1e-12)
@@ -131,7 +130,7 @@ class TestForwardTransition:
         rng = np.random.default_rng(9)
         nsamples = 10**6
         x = 1.0
-        a, s = sched.alphas, sched.sigmas
+        a, s = sched.alphas, sigmas(sched)
         z0 = a[0] * x + s[0] * rng.standard_normal(nsamples)
         p01 = forward_transition(sched, 0, 1)
         z1 = p01.alpha_ratio * z0 + np.sqrt(p01.variance) * rng.standard_normal(nsamples)

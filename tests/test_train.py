@@ -4,10 +4,11 @@ import pytest
 from vcdc import codes
 from vcdc.bp import check_minsum_terms
 from vcdc.denoiser import NeuralBlockWeights, neural_block
-from vcdc.train import (Adam, TrainConfig, TrainingDiverged, block_gradients, loss,
-                        minsum_backward, train, write_loss_curve)
+from vcdc.train import (Adam, TrainConfig, TrainingDiverged, block_gradients, minsum_backward,
+                        train, write_loss_curve)
 
 import tape
+from analysis import loss
 from conftest import numeric_grad, random_layered_code
 from tape import Var, bce_with_logits, minsum_extrinsic
 
@@ -121,7 +122,7 @@ class TestBlockGradients:
 class TestAdam:
     def test_three_steps_match_hand_computed_recurrence(self):
         lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
-        adam = Adam(lr=lr, beta1=b1, beta2=b2, eps=eps)
+        adam = Adam(lr=lr)
         params = np.array([1.0, 2.0])
         grad_seq = [np.array([0.1, -0.2]), np.array([0.3, 0.1]), np.array([-0.1, 0.2])]
         m = np.zeros(2)
@@ -169,6 +170,16 @@ class TestTrainLoop:
             TrainConfig(iterations=0)
         with pytest.raises(ValueError):
             TrainConfig(csnr_low_db=6.0, csnr_high_db=4.0)
+        # a non-finite value would reach the CSNR draw or the first Adam step
+        for key in ("learning_rate", "csnr_low_db", "csnr_high_db"):
+            for bad in (np.nan, np.inf, -np.inf):
+                with pytest.raises(ValueError, match=key):
+                    TrainConfig(**{key: bad})
+        # a count that is not an integer would fail inside numpy
+        for key in ("batch_size", "iterations"):
+            for bad in (2.5, True, 256.0, "256"):
+                with pytest.raises(ValueError, match=key):
+                    TrainConfig(**{key: bad})
 
     def test_divergence_guard_aborts_on_non_finite_loss(self, hamming):
         # an absurd learning rate overflows the beliefs within two steps
