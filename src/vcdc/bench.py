@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import denoiser
-from .bp import BpConfig, EdgeIndex, check_llr_batch, decode_bp_batch
+from .bp import BpConfig, EdgeIndex, check_count, check_llr_batch, decode_bp_batch
 from .channel import hard_decide, noise_scale, to_llr, transmit
 from .codebook import bipolar, derive_generator, encode
 from .diffusion import build_schedule
@@ -111,12 +111,10 @@ def run_ber(h, decoder, csnr_db, stop_errors=100, max_frames=None, seed=0,
     passes ``workers=1``, and goes with the benchmark's mending (ROADMAP
     item 1).
     """
-    if stop_errors < 1:
-        raise ValueError(f"stop_errors must be >= 1, got {stop_errors}")
-    if batch_frames < 1:
-        raise ValueError(f"batch_frames must be >= 1, got {batch_frames}")
-    if max_frames is not None and max_frames < 1:
-        raise ValueError(f"max_frames must be >= 1, got {max_frames}")
+    check_count("stop_errors", stop_errors)
+    check_count("batch_frames", batch_frames)
+    if max_frames is not None:
+        check_count("max_frames", max_frames)
     if workers != 1:
         raise ValueError(f"run_ber draws one stream; workers must be 1, got {workers!r}")
     if max_frames is None:

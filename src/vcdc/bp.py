@@ -94,6 +94,7 @@ class EdgeIndex:
         # each variable's rows in check order; variables of degree zero are
         # legal in principle and keep a zero sum
         var_degrees = np.bincount(self.edge_var, minlength=h.n)
+        self.isolated = np.flatnonzero(var_degrees == 0)
         by_var = np.lexsort((self.edge_chk[self.row_edge], self.row_var,
                              var_degrees[self.row_var]))
         self.var_groups, blocks, start = [], [], 0
@@ -111,11 +112,17 @@ class EdgeIndex:
         return [msgs[rows].reshape(d, (rows.stop - rows.start) // d, msgs.shape[1])
                 for d, rows in self.degree_groups.items()]
 
-    def belief_sums(self, c2v):
+    def belief_sums(self, c2v, out=None, gather=None):
         """Per-variable sums of the (E, B) check-to-variable messages, shape
-        (n, B), each added in check order as ``np.add.reduceat`` adds it."""
-        out = np.zeros((self.h.n, c2v.shape[1]), dtype=c2v.dtype)
-        msgs = np.take(c2v, self.var_order, axis=0)
+        (n, B), each added in check order as ``np.add.reduceat`` adds it.
+        The sums go into ``out`` and the messages are gathered, by variable,
+        into ``gather`` when these float64 (n, B) and (E, B) arrays are
+        given, else into new arrays."""
+        if out is None:
+            out = np.empty((self.h.n, c2v.shape[1]))
+        # mode="clip" keeps take from buffering its output; every index is valid
+        msgs = np.take(c2v, self.var_order, axis=0, out=gather, mode="clip")
+        out[self.isolated] = 0.0
         start = 0
         for d, variables in self.var_groups:
             stop = start + d * variables.size
@@ -169,11 +176,10 @@ def _exclusive_products(t, out):
     out[d - 1] = fwd
 
 
-def _check_sweep_sumproduct(v2c, ei):
-    """Sum-product check-to-variable messages (E, B) from the messages
-    ``v2c``, which are overwritten."""
+def _check_sweep_sumproduct(v2c, ei, c2v):
+    """Sum-product check-to-variable messages from the (E, B) messages
+    ``v2c``, which are overwritten, into the (E, B) array ``c2v``."""
     t = np.tanh(np.divide(v2c, 2.0, out=v2c), out=v2c)
-    c2v = np.empty(t.shape)
     for tb, excl in zip(ei.check_blocks(t), ei.check_blocks(c2v)):
         _exclusive_products(tb, excl)
     np.clip(c2v, -(1 - ATANH_EPS), 1 - ATANH_EPS, out=c2v)
@@ -255,12 +261,11 @@ def check_minsum_terms(xc, out=None, work=None):
     return u
 
 
-def _check_sweep_minsum(v2c, ei, work):
-    """Min-sum check-to-variable messages (E, B) from the messages ``v2c``:
-    each (d, checks, B) block goes to the kernel as (checks B, d) rows, and
-    the kernel writes straight into the matching block of the output, with
-    ``work`` as its workspace."""
-    c2v = np.empty(v2c.shape)
+def _check_sweep_minsum(v2c, ei, c2v, work):
+    """Min-sum check-to-variable messages from the (E, B) messages ``v2c``
+    into the (E, B) array ``c2v``: each (d, checks, B) block goes to the
+    kernel as (checks B, d) rows, and the kernel writes straight into the
+    matching block of ``c2v``, with ``work`` as its workspace."""
     for xb, ub in zip(ei.check_blocks(v2c), ei.check_blocks(c2v)):
         check_minsum_terms(xb.reshape(len(xb), -1).T, out=ub.reshape(len(ub), -1).T,
                            work=work)
@@ -290,44 +295,67 @@ def settle(h, s, idx, count, bits, beliefs, counts, ok):
     return np.flatnonzero(fails)
 
 
+def _head(flat, rows, cols):
+    """The C-ordered (rows, cols) view of the head of the flat array ``flat``."""
+    return flat[:rows * cols].reshape(rows, cols)
+
+
 def decode_bp_batch(h, llrs, cfg=BpConfig(), edge_index=None):
     """Flooding BP over a (B, n) batch of LLR vectors.
 
     Returns (bits, beliefs, iterations, syndrome_zero) arrays; each frame
     exits as soon as its hard decision satisfies every parity check.
     Channel LLRs are clamped to +-LLR_CLAMP; non-finite ones are rejected.
+
+    Frames are columns.  The call makes one float64 work allocation, and
+    the running frames' messages (E, B'), LLRs and beliefs (n, B') are
+    C-ordered views of the heads of its slabs: two message slabs, one for
+    the beliefs and one for the LLRs with a spare of each, and for min-sum
+    the kernel's workspace.  The sweep reads v2c from one message slab and
+    writes c2v into the other; the belief sums gather into the spent v2c
+    slab.  When frames exit, c2v is taken into that slab too, the next v2c
+    goes into the slab c2v left, and the two swap roles; the beliefs and
+    the LLRs are taken into their spares, and the LLRs swap with theirs.
     """
     llrs = check_llr_batch(h, llrs)
     ei = edge_index if edge_index is not None else EdgeIndex(h)
+    (nframes, n), edges = llrs.shape, ei.num_edges
+    # min-sum's kernel workspace is sized for the widest degree group
+    kernel = 0 if cfg.variant == SUM_PRODUCT else minsum_work_size(
+        max(r.stop - r.start for r in ei.degree_groups.values()) * nframes)
+    work = np.empty((2 * edges + 4 * n) * nframes + kernel)
+    v2c_slab, c2v_slab, s_slab, s_spare, l_slab, l_spare = np.split(
+        work[:work.size - kernel], np.cumsum([edges, edges, n, n, n]) * nframes)
     if cfg.variant == SUM_PRODUCT:
         sweep = _check_sweep_sumproduct
-    else:  # one kernel workspace per call, sized for the widest degree group
-        rows = max(r.stop - r.start for r in ei.degree_groups.values())
-        work = np.empty(minsum_work_size(rows * llrs.shape[0]))
-        sweep = functools.partial(_check_sweep_minsum, work=work)
+    else:
+        sweep = functools.partial(_check_sweep_minsum, work=work[work.size - kernel:])
 
     # every frame is written at the first iteration
-    nframes = llrs.shape[0]
     bits = np.empty(llrs.shape, dtype=np.uint8)
     beliefs = np.empty_like(llrs)
     iters = np.empty(nframes, dtype=np.int64)
     ok = np.empty(nframes, dtype=bool)
 
-    # frames are columns from here on: beliefs (n, B), messages (E, B)
     idx = np.arange(nframes)
-    l = llrs.T.copy()
-    np.clip(l, -LLR_CLAMP, LLR_CLAMP, out=l)
-    v2c = np.take(l, ei.row_var, axis=0)
+    l = np.clip(llrs.T, -LLR_CLAMP, LLR_CLAMP, out=_head(l_slab, n, nframes))
+    # mode="clip" keeps take from buffering its output; every index is valid
+    v2c = np.take(l, ei.row_var, axis=0, out=_head(v2c_slab, edges, nframes), mode="clip")
     for it in range(1, cfg.max_iters + 1):
         np.clip(v2c, -cfg.message_clamp, cfg.message_clamp, out=v2c)
-        c2v = sweep(v2c, ei)
-        s = ei.belief_sums(c2v)
+        c2v = sweep(v2c, ei, _head(c2v_slab, edges, idx.size))
+        s = ei.belief_sums(c2v, out=_head(s_slab, n, idx.size), gather=v2c)
         s += l
         running = settle(h, s, idx, it, bits, beliefs, iters, ok)
-        if cfg.early_exit:
-            idx, l, s, c2v = (np.take(a, running, axis=-1) for a in (idx, l, s, c2v))
+        if cfg.early_exit and running.size < idx.size:
+            idx = idx[running]
+            c2v = np.take(c2v, running, axis=1, out=_head(v2c_slab, edges, idx.size),
+                          mode="clip")
+            s = np.take(s, running, axis=1, out=_head(s_spare, n, idx.size), mode="clip")
+            l = np.take(l, running, axis=1, out=_head(l_spare, n, idx.size), mode="clip")
+            v2c_slab, c2v_slab, l_slab, l_spare = c2v_slab, v2c_slab, l_spare, l_slab
         if idx.size == 0 or it == cfg.max_iters:
             break
-        v2c = np.take(s, ei.row_var, axis=0)
+        v2c = np.take(s, ei.row_var, axis=0, out=_head(v2c_slab, edges, idx.size), mode="clip")
         v2c -= c2v
     return bits, beliefs, iters, ok

@@ -18,7 +18,7 @@ from . import bench, codes
 from .bp import BpConfig
 from .codebook import load_alist, syndrome
 from .denoiser import load_checkpoint, save_checkpoint
-from .train import TrainConfig, train, write_loss_curve
+from .train import TrainConfig, TrainingDiverged, train, write_loss_curve
 
 
 def _read_config(path):
@@ -102,7 +102,8 @@ def cmd_train(args):
         csnr_high_db=cfg["csnr_high"], seed=cfg["seed"],
         all_zero_codewords=cfg["all_zero"])
     _capture_config(cfg["out"], "train", cfg)
-    result = train(h, train_cfg)
+    with np.errstate(over="ignore", invalid="ignore"):  # the divergence guard reports these
+        result = train(h, train_cfg)
     ckpt_path = os.path.join(cfg["out"], "weights.vcdc")
     with open(ckpt_path, "wb") as fh:
         fh.write(save_checkpoint(result.weights))
@@ -226,7 +227,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

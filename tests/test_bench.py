@@ -100,9 +100,12 @@ class TestRunBer:
         r2 = run_ber(ldpc_49_24, dec, 3.0, stop_errors=40, seed=4, batch_frames=64)
         assert r1 == r2
 
-    # max_frames < 1 would measure nothing and report a censored BER of 0
-    @pytest.mark.parametrize("key, value", [("stop_errors", 0), ("max_frames", 0),
-                                            ("max_frames", -1)])
+    # max_frames < 1 would measure nothing and report a censored BER of 0;
+    # 2.5 frames would fail inside numpy, and True run as a count of 1
+    @pytest.mark.parametrize("key, value", [
+        ("stop_errors", 0), ("max_frames", 0), ("max_frames", -1),
+        *((key, bad) for key in ("stop_errors", "batch_frames", "max_frames")
+          for bad in (2.5, True))])
     def test_bad_stop_errors(self, hamming, key, value):
         with pytest.raises(ValueError, match=key):
             run_ber(hamming, BpDecoder(hamming), 4.0, **{key: value})

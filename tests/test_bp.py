@@ -506,3 +506,37 @@ def test_belief_sums_round_as_reduceat():
     canonical = np.empty_like(c2v.T)
     canonical[:, ei.row_edge] = c2v.T
     assert_same_bits(ei.belief_sums(c2v), serial.RowMajorEdges(h).belief_sums(canonical).T)
+
+
+def test_belief_sums_into_out_match_the_allocating_form():
+    # variable 0 is in no check, 1 in one, 2 in five and 3 and 4 in all
+    # twelve: the NaN in ``out`` must not survive on the one of degree zero
+    rng = np.random.default_rng(8)
+    m, n = 12, 20
+    rows = np.zeros((m, n), dtype=np.uint8)
+    rows[0, 1] = rows[:5, 2] = rows[:, 3] = rows[:, 4] = 1
+    for v in range(5, n):
+        rows[rng.choice(m, size=rng.integers(1, m), replace=False), v] = 1
+    h = ParityCheckMatrix.from_rows(rows)
+    assert [len(h.var_adjacency[v]) for v in range(4)] == [0, 1, 5, 12]
+    ei = EdgeIndex(h)
+    c2v = rng.normal(size=(ei.num_edges, 6))
+    out, gather = np.full((n, 6), np.nan), np.full_like(c2v, np.nan)
+    assert ei.belief_sums(c2v, out=out, gather=gather) is out
+    assert_same_bits(out, ei.belief_sums(c2v))
+
+
+@pytest.mark.parametrize("variant, bound", [(SUM_PRODUCT, 3.5), (MIN_SUM, 4.5)])
+def test_decode_allocates_one_workspace(ldpc_121_60, variant, bound):
+    # two (E, B) message slabs, small (n, B) ones and, for min-sum, the
+    # kernel's workspace; message arrays made per iteration exceed the bound
+    from vcdc.channel import noise_scale, to_llr, transmit
+    h, frames = ldpc_121_60, 512
+    rng = np.random.default_rng(12)
+    w = noise_scale(4.0, h.k, h.n)
+    cw = encode(derive_generator(h), rng.integers(0, 2, (frames, h.k)))
+    llrs = to_llr(transmit(bipolar(cw), w, rng), w)
+    ei = EdgeIndex(h)
+    cfg = BpConfig(variant=variant)
+    peak = traced_peak(lambda: decode_bp_batch(h, llrs, cfg, edge_index=ei))
+    assert peak < bound * ei.num_edges * frames * 8

@@ -2,6 +2,7 @@ import argparse
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +86,16 @@ class TestTrain:
                        "--iterations", 5, flag, value) == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_divergence_exits_two_with_one_line(self, tmp_path, capsys):
+        # a finite learning rate the config accepts, whose first update makes
+        # the next loss overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("train", "--code", "hamming_7_4", "--out", tmp_path / "o",
+                           "--iterations", 5, "--learning-rate", "1e200") == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: loss became non-finite at iteration 1"]
 
     def test_ldpc_49_24_checkpoint_carries_25_weights(self, tmp_path):
         out = tmp_path / "run"
