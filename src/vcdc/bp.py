@@ -146,11 +146,14 @@ def _pairwise_sum(a):
             res += x
         return res
     if m <= 128:
-        r = a[:8].copy()
         tail = m - m % 8
-        for i in range(8, tail, 8):
+        r = a[:8] if tail == 8 else a[:8] + a[8:16]
+        for i in range(16, tail, 8):
             r += a[i:i + 8]
-        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), a level a call
+        r = r[0::2] + r[1::2]
+        r = r[0::2] + r[1::2]
+        res = r[0] + r[1]
         for x in a[tail:]:
             res += x
         return res
@@ -188,34 +191,66 @@ def _check_sweep_sumproduct(v2c, ei, c2v):
     return c2v
 
 
-def _two_least(mags):
+def _merge_least(a1, a2, b1, b2):
+    """Fold the two least values b1 <= b2 of one set into those a1 <= a2 of
+    another, in place: a1, a2 become the two least of the union, and b2 is
+    spent as scratch."""
+    np.minimum(a2, b2, out=a2)
+    np.maximum(a1, b1, out=b2)
+    np.minimum(a2, b2, out=a2)
+    np.minimum(a1, b1, out=a1)
+
+
+def _two_least(mags, scratch):
     """The least and second least entries m1 <= m2 along axis 0 of ``mags``
-    (length >= 2), ties counted: a tournament that keeps both, in place."""
-    m1 = np.minimum(mags[0], mags[1])
-    m2 = np.maximum(mags[0], mags[1])
-    for m in mags[2:]:
-        # the second least of m1 <= m2 and m is max(min(m2, m), m1)
-        np.minimum(m2, m, out=m2)
-        np.maximum(m2, m1, out=m2)
-        np.minimum(m1, m, out=m1)
-    return m1, m2
+    (length d >= 2), ties counted, as views of ``scratch``, an array of the
+    shape of ``mags`` that it overwrites; ``mags`` is only read.
+
+    An exact halving tournament: level one takes the min and max of the
+    two halves of ``mags``, so slot i holds the two least of a pair, and
+    each later level folds the back half of the slots into the front half.
+    An odd entry or slot left over folds into slot 0.  min and max return
+    one of their operands, so m1 and m2 do not depend on the order.
+    """
+    half = len(mags) // 2
+    lo = np.minimum(mags[:half], mags[half:2 * half], out=scratch[:half])
+    hi = np.maximum(mags[:half], mags[half:2 * half], out=scratch[half:2 * half])
+    if len(mags) % 2:
+        # the second least of lo <= hi and m is max(min(hi, m), lo)
+        m = mags[-1]
+        np.minimum(hi[0], m, out=hi[0])
+        np.maximum(hi[0], lo[0], out=hi[0])
+        np.minimum(lo[0], m, out=lo[0])
+    while len(lo) > 1:
+        slots, half = len(lo), len(lo) // 2
+        if slots % 2:
+            _merge_least(lo[:1], hi[:1], lo[-1:], hi[-1:])
+        _merge_least(lo[:half], hi[:half], lo[half:2 * half], hi[half:2 * half])
+        lo, hi = lo[:half], hi[:half]
+    return lo[0], hi[0]
 
 
-def _exclude_least(mags):
+def _exclude_least(mags, scratch):
     """Replace each entry of the (d, ...) magnitudes ``mags`` by the least
-    of the other entries along axis 0, in place.
+    of the other entries along axis 0, in place, with ``scratch``, an array
+    of the shape of ``mags`` that it overwrites.
 
     Only the two least magnitudes m1 <= m2 are needed: clamping at m2
     leaves m1 on the minimizers and m2 elsewhere, and xor with the bits of
     m1 ^ m2 swaps the two values exactly.  A position with |x_j| == m1 that
-    is not the first minimizer sees m2 == m1 either way.
+    is not the first minimizer sees m2 == m1 either way.  m2 and the swap
+    bits are each spread over ``scratch`` before they apply: numpy buffers
+    a ufunc that broadcasts a row over rows shorter than half its 8,192-entry
+    buffer, and that buffer would be an allocation the size of ``mags``.
     """
-    m1, m2 = _two_least(mags)
-    np.minimum(mags, m2, out=mags)
-    swap = m2.view(np.uint64)
-    swap ^= m1.view(np.uint64)
-    bits = mags.view(np.uint64)
-    bits ^= swap
+    m1, m2 = _two_least(mags, scratch)
+    m2 = m2.copy()
+    swap = np.bitwise_xor(m1.view(np.uint64), m2.view(np.uint64))
+    np.copyto(scratch, m2)
+    np.minimum(mags, scratch, out=mags)
+    bits = scratch.view(np.uint64)
+    np.copyto(bits, swap)
+    np.bitwise_xor(mags.view(np.uint64), bits, out=mags.view(np.uint64))
 
 
 def minsum_work_size(size):
@@ -236,28 +271,33 @@ def check_minsum_terms(xc, out=None, work=None):
     flat float64 array of at least ``minsum_work_size(xc.size)`` entries,
     or a new one, holds the magnitudes, then the signs as one bool each;
     with ``out`` and ``work`` given the kernel allocates only a few vectors
-    of one entry per check.
+    of one entry per check, and numpy at most one buffer of the signs.
 
     The messages come from each row's two least magnitudes (the compressed
     check message of layered min-sum decoders, Mansour & Shanbhag 2003),
     exactly, ties included.  The kernel works on ``xc.T``, d leading:
     callers that hold their checks as a (d, rows) block pass its transpose,
-    and then every step, copy-in and write-out included, runs over
-    contiguous rows.
+    and then every step, the reads of ``xc`` and the write-out included,
+    runs over contiguous rows.  ``u``'s own memory is the scratch of the
+    halving tournament and of ``_exclude_least`` before it takes the
+    messages, whose bits are built by bit operations: the magnitude's bits
+    or'ed with a sign bit, the entry's sign xor its row's sign product.
     """
     u = np.empty_like(xc, dtype=np.float64) if out is None else out
-    # u's own memory takes the copy; adding +0.0 turns -0.0 into +0.0,
-    # after which the sign bit is the min-sum sign
-    x = np.add(xc.T, 0.0, out=u.T)
+    x, ut = xc.T, u.T
     if work is None:
         work = np.empty(minsum_work_size(x.size))
     mags = np.abs(x, out=work[:x.size].reshape(x.shape))
+    # -0.0 < 0 is false, so either zero counts as positive
     neg = np.less(x, 0.0, out=work[x.size:].view(bool)[:x.size].reshape(x.shape))
     odd = np.logical_xor.reduce(neg, axis=0)
-    _exclude_least(mags)
-    # x_j times the row's sign product carries the sign of the other entries
-    x *= np.where(odd, -1.0, 1.0)
-    np.copysign(mags, x, out=x)
+    _exclude_least(mags, ut)
+    # x_j's sign xor the row's sign product is the sign of the other entries;
+    # copyto casts the bools without the buffer a casting ufunc would take
+    bits = ut.view(np.uint64)
+    np.copyto(bits, np.not_equal(neg, odd, out=neg))
+    bits <<= 63
+    bits |= mags.view(np.uint64)
     return u
 
 

@@ -101,9 +101,10 @@ def cmd_train(args):
         iterations=cfg["iterations"], csnr_low_db=cfg["csnr_low"],
         csnr_high_db=cfg["csnr_high"], seed=cfg["seed"],
         all_zero_codewords=cfg["all_zero"])
-    _capture_config(cfg["out"], "train", cfg)
     with np.errstate(over="ignore", invalid="ignore"):  # the divergence guard reports these
         result = train(h, train_cfg)
+    # only a run that trained leaves an output directory
+    _capture_config(cfg["out"], "train", cfg)
     ckpt_path = os.path.join(cfg["out"], "weights.vcdc")
     with open(ckpt_path, "wb") as fh:
         fh.write(save_checkpoint(result.weights))

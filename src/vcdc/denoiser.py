@@ -95,7 +95,7 @@ def block_layers(h, w, xt, work, keep=False):
         d, size = cols.shape[1], cols.size * frames
         block = work[at:at + size].reshape(d, len(cols), frames)
         # mode="clip" keeps take from buffering its output; every index is valid
-        np.take(xt, cols.T, axis=0, out=block, mode="clip")
+        xt.take(cols.T, axis=0, out=block, mode="clip")
         xc = block.reshape(d, -1).T
         u = check_minsum_terms(xc, out=work[at + size:at + 2 * size].reshape(d, -1).T,
                                work=kernel)

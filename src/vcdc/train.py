@@ -30,11 +30,6 @@ class TrainingDiverged(RuntimeError):
     """Loss became non-finite."""
 
 
-def _sign(x):
-    """+-1 by the sign of ``x``, +1 for either zero."""
-    return np.where(x < 0, -1.0, 1.0)
-
-
 def loss_with_adjoint(beliefs, x_b):
     """Mean binary cross-entropy between sigmoid(beliefs) and 1 - x_b
     (positive belief is evidence for bit 0), the mean of softplus(-sym * b)
@@ -58,27 +53,44 @@ def minsum_backward(g, xc, u):
     rebuilt from it here: i1 is the first magnitude argmin of a row, every
     edge but i1 carries m1 = |x_i1|, edge i1 carries m2 = |u_i1|, and i2 is
     the first j != i1 with |x_j| == m2.  ``u`` is a nonnegative magnitude
-    times the exclusive sign product, so copysign(1, u) is that sign
-    product, exact for either zero.
+    times the exclusive sign product (the forward builds its sign bit as
+    the xor of the entry's sign and the row's), so copysign(1, u) is that
+    sign product, exact for either zero.
 
-    The work runs on the (d, rows) transposes, and the sum of a row's d
-    adjoints is ``_pairwise_sum`` over all d of them: term for term the sum
-    numpy takes along the last axis of a C-ordered (rows, d) array.
+    The work runs on the (d, rows) transposes, which it indexes with flat
+    indices through ``take`` and ``put``, and the sum of a row's d adjoints
+    is ``_pairwise_sum`` over all d of them: term for term the sum numpy
+    takes along the last axis of a C-ordered (rows, d) array.  The
+    magnitudes' memory takes the sign products in turn.
     """
     gt, xt, ut = g.T, xc.T, u.T
     rows = xt.shape[1]
+    offsets = np.arange(rows)
     mags = np.abs(xt)
-    # i1 and i2 as flat indices into the (d, rows) arrays
-    i1 = mags.argmin(axis=0) * rows + np.arange(rows)
+    # i1 and i2 as flat indices into the (d, rows) arrays, one row each
+    idx = np.empty((2, rows), dtype=np.intp)
+    i1, i2 = idx
+    mags.argmin(axis=0, out=i1)
+    i1 *= rows
+    i1 += offsets
     m2 = np.abs(ut.take(i1))
-    mags.flat[i1] = np.nan  # equal to nothing, so i2 skips i1
-    i2 = (mags == m2).argmax(axis=0) * rows + np.arange(rows)
-    gs = gt * np.copysign(1.0, ut)
-    at_i1 = gs.take(i1)
+    mags.put(i1, np.nan)  # equal to nothing, so i2 skips i1
+    np.equal(mags, m2).argmax(axis=0, out=i2)
+    i2 *= rows
+    i2 += offsets
+    gs = np.copysign(1.0, ut, out=mags)
+    gs *= gt
+    # edge i1 takes the adjoints of every other edge, which select
+    # magnitude |x_i1|, and edge i2 the adjoint of edge i1, which selects
+    # |x_i2|; each times the sign of its belief
+    routed = np.empty((2, rows))
+    gs.take(i1, out=routed[1])
+    np.subtract(_pairwise_sum(gs), routed[1], out=routed[0])
+    routed *= np.where(xt.take(idx) < 0, -1.0, 1.0)
+    # as in the argmin form, i2's adjoint adds to a zero: -0.0 becomes +0.0
+    routed[1] += 0.0
     grad = np.zeros(gs.shape)
-    # edges j != i1 select magnitude |x_{i1}|; edge j == i1 selects |x_{i2}|
-    grad.flat[i1] = (_pairwise_sum(gs) - at_i1) * _sign(xt.take(i1))
-    grad.flat[i2] += at_i1 * _sign(xt.take(i2))
+    grad.put(idx, routed)
     return grad.T
 
 
@@ -112,12 +124,14 @@ def block_gradients(h, weights, llrs, x_b):
     gt = np.array(g.T, order="C")
     grads = np.empty(h.num_checks)
     for checks, cols, xc, u in reversed(layers):
-        g_cols = np.take(gt, cols.T, axis=0)  # (d, g, B)
+        g_cols = gt.take(cols.T, axis=0)  # (d, g, B)
         p = np.ascontiguousarray((g_cols * u.T.reshape(g_cols.shape)).transpose(1, 2, 0))
         grads[checks] = p.sum(axis=(1, 2))
-        g_cols *= weights[checks, None]
-        wg = g_cols.reshape(len(g_cols), -1).T
-        gt[cols.T] += minsum_backward(wg, xc, u).T.reshape(g_cols.shape)
+        # p is spent: its memory takes the adjoint of the messages, w times g
+        wg = np.multiply(g_cols, weights[checks, None], out=p.reshape(g_cols.shape))
+        wg = wg.reshape(len(g_cols), -1).T
+        g_cols += minsum_backward(wg, xc, u).T.reshape(g_cols.shape)
+        gt[cols.T] = g_cols
     return value, grads
 
 

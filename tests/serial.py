@@ -10,7 +10,9 @@ The walk runs on its own min-sum kernel, ``check_minsum_terms``: the
 argmin form that builds every index term the backward reads, against which
 ``vcdc.bp.check_minsum_terms`` (the two-minimum form) and
 ``vcdc.train.minsum_backward`` (which rebuilds the index terms from the
-messages) are checked bit for bit.
+messages) are checked bit for bit.  ``two_least`` is the sequential scan
+for a row's two least magnitudes, the reference for the halving tournament
+of ``vcdc.bp._two_least``.
 
 ``grouped_block_layers``, ``block_gradients`` and ``decode_vcdc_batch``
 run the layer groups on frame-major rows: each group's beliefs are gathered
@@ -57,6 +59,19 @@ def check_minsum_terms(xc):
     m2 = np.take_along_axis(mags, i2, axis=-1)
     u = sign_excl * np.where(np.arange(xc.shape[-1]) == i1, m2, m1)
     return u, signs, sign_excl, i1, i2
+
+
+def two_least(mags):
+    """The least and second least entries m1 <= m2 along axis 0 of ``mags``
+    (length >= 2), ties counted: one entry at a time, the second least of
+    m1 <= m2 and m being max(min(m2, m), m1)."""
+    m1 = np.minimum(mags[0], mags[1])
+    m2 = np.maximum(mags[0], mags[1])
+    for m in mags[2:]:
+        np.minimum(m2, m, out=m2)
+        np.maximum(m2, m1, out=m2)
+        np.minimum(m1, m, out=m1)
+    return m1, m2
 
 
 def minsum_backward(g, terms):

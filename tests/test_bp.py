@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vcdc import codes
-from vcdc.bp import (ATANH_EPS, BpConfig, EdgeIndex, MIN_SUM, SUM_PRODUCT,
+from vcdc.bp import (ATANH_EPS, BpConfig, EdgeIndex, MIN_SUM, SUM_PRODUCT, _two_least,
                      check_minsum_terms, decode_bp_batch, minsum_work_size)
 from vcdc.codebook import ParityCheckMatrix, bipolar, derive_generator, encode, syndrome
 from vcdc.channel import LLR_CLAMP, hard_decide
@@ -190,11 +190,71 @@ class TestMinsumKernel:
         out, work = np.empty((d, rows)).T, np.empty(minsum_work_size(xc.size))
         assert traced_peak(lambda: check_minsum_terms(xc, out=out, work=work)) < xc.nbytes // 4
 
+    def test_polar_check_leaves_only_per_check_vectors(self):
+        # the degree-64 check of polar_64_32 at B=256, a single-check group
+        d, rows = 64, 256
+        xc = np.random.default_rng(2).normal(size=(d, rows)).T
+        out, work = np.empty((d, rows)).T, np.empty(minsum_work_size(xc.size))
+        assert traced_peak(lambda: check_minsum_terms(xc, out=out, work=work)) < xc.nbytes // 4
+
     def test_infinite_magnitude_is_an_extrinsic_minimum(self):
         # the other entry's magnitude, even when it is infinite
         xc = np.array([[-0.4, -np.inf]])
         assert_same_bits(check_minsum_terms(xc), [[-np.inf, -0.4]])
         assert_same_bits(serial.check_minsum_terms(xc)[0], [[-np.inf, -0.4]])
+
+
+def tied_magnitudes(rng, d, rows, pool):
+    """(d, rows) magnitudes, about half drawn from ``pool`` (ties, +0.0 and
+    inf among them) and the rest from a continuous distribution."""
+    mags = rng.exponential(size=(d, rows))
+    pick = rng.random((d, rows)) < 0.5
+    mags[pick] = rng.choice(np.asarray(pool, dtype=np.float64), size=int(pick.sum()))
+    return mags
+
+
+class TestTwoLeastTournament:
+    """The halving tournament of ``vcdc.bp._two_least`` against the
+    sequential scan of tests/serial.py, bit for bit."""
+
+    POOL = st.sampled_from([0.0, 1.0, 2.0, 0.5, np.inf])
+
+    def check(self, mags):
+        before = mags.copy()
+        scratch = np.full(mags.shape, np.nan)
+        m1, m2 = _two_least(mags, scratch)
+        want1, want2 = serial.two_least(mags)
+        assert_same_bits(m1, want1)
+        assert_same_bits(m2, want2)
+        assert_same_bits(mags, before)  # the tournament only reads the magnitudes
+        assert np.shares_memory(m1, scratch) and np.shares_memory(m2, scratch)
+
+    @settings(max_examples=150, deadline=None)
+    @given(d=st.integers(2, 140), rows=st.integers(1, 300),
+           pool=st.lists(POOL, min_size=1, max_size=4), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_sequential_scan(self, d, rows, pool, seed):
+        self.check(tied_magnitudes(np.random.default_rng(seed), d, rows, pool))
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 7, 15, 16, 31, 63, 64, 127, 128, 140])
+    def test_odd_carries_at_every_level(self, d):
+        # 2**k - 1 entries leave an odd entry or slot at every level
+        rng = np.random.default_rng(d)
+        self.check(tied_magnitudes(rng, d, 37, [0.0, 1.0, np.inf]))
+        self.check(np.full((d, 5), np.inf))
+        self.check(np.zeros((d, 5)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(d=st.integers(2, 70), rows=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+           odd=st.booleans())
+    def test_kernel_signs_on_signed_zeros(self, d, rows, seed, odd):
+        # rows of +-0.0, either zero counting as positive, among an odd or
+        # an even count of negative entries, so zero messages take both signs
+        rng = np.random.default_rng(seed)
+        xc = np.where(rng.random((rows, d)) < 0.5, -0.0, 0.0)
+        for r, count in enumerate(rng.integers(0, d // 2, size=rows) * 2 + odd):
+            picked = rng.choice(d, size=count, replace=False)
+            xc[r, picked] = -rng.choice([1.0, np.inf], size=count)
+        assert_same_bits(check_minsum_terms(xc), serial.check_minsum_terms(xc)[0])
 
 
 class TestVariableUpdate:
