@@ -55,10 +55,7 @@ class BpConfig:
 
 
 class EdgeIndex:
-    """Edge enumeration of a Tanner graph and the row layout of BP messages.
-
-    Edge e runs between check edge_chk[e] and variable edge_var[e]; edges
-    are sorted by (check, variable).
+    """The row layout of BP messages on a Tanner graph.
 
     BP keeps its messages edge-major, as (E, B) arrays with one row per edge
     and one column per frame, so gathers by edge and by variable copy whole
@@ -66,36 +63,31 @@ class EdgeIndex:
     degree, and the rows ``degree_groups[d]`` hold, slot by slot, the edge
     of every degree-d check to its j-th variable, so that a reshape views
     them as a (d, checks, B) block of contiguous (checks, B) slabs.  Row r
-    carries edge ``row_edge[r]``, to variable ``row_var[r]``.  Belief sums
-    take the rows by ``var_order`` in the same way: variables grouped by
-    degree d, each ``var_groups`` entry a (d, variables, B) block.
+    runs to variable ``row_var[r]``.  Belief sums take the rows by
+    ``var_order`` in the same way: variables grouped by degree d, each
+    ``var_groups`` entry a (d, variables, B) block.
     """
 
     def __init__(self, h):
         self.h = h
-        chks, vars_ = [], []
-        for c, vs in enumerate(h.chk_adjacency):
-            chks.extend([c] * len(vs))
-            vars_.extend(vs)
-        self.edge_chk = np.asarray(chks, dtype=np.int64)
-        self.edge_var = np.asarray(vars_, dtype=np.int64)
-        self.num_edges = self.edge_var.size
-
-        degrees = np.asarray([len(vs) for vs in h.chk_adjacency])
-        first_edge = np.concatenate([[0], np.cumsum(degrees)[:-1]])
-        self.degree_groups, blocks, start = {}, [], 0
+        adj = h.chk_adjacency
+        degrees = np.asarray([len(vs) for vs in adj])
+        self.degree_groups, row_vars, row_chks, start = {}, [], [], 0
         for d in sorted(set(degrees.tolist())):
-            blocks.append(np.add.outer(np.arange(d), first_edge[degrees == d]).ravel())
-            self.degree_groups[d] = slice(start, start + blocks[-1].size)
-            start += blocks[-1].size
-        self.row_edge = np.concatenate(blocks)
-        self.row_var = self.edge_var[self.row_edge]
+            checks = np.flatnonzero(degrees == d)
+            cols = np.array([adj[c] for c in checks], dtype=np.int64)
+            row_vars.append(cols.T.ravel())
+            row_chks.append(np.tile(checks, d))
+            self.degree_groups[d] = slice(start, start + cols.size)
+            start += cols.size
+        self.row_var = np.concatenate(row_vars)
+        self.num_edges = self.row_var.size
 
         # each variable's rows in check order; variables of degree zero are
         # legal in principle and keep a zero sum
-        var_degrees = np.bincount(self.edge_var, minlength=h.n)
+        var_degrees = np.bincount(self.row_var, minlength=h.n)
         self.isolated = np.flatnonzero(var_degrees == 0)
-        by_var = np.lexsort((self.edge_chk[self.row_edge], self.row_var,
+        by_var = np.lexsort((np.concatenate(row_chks), self.row_var,
                              var_degrees[self.row_var]))
         self.var_groups, blocks, start = [], [], 0
         for d in sorted(set(var_degrees.tolist()) - {0}):

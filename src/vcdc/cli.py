@@ -143,13 +143,14 @@ def cmd_bench(args):
     # an empty list would write a results.csv that measured nothing
     if not decoder_ids or not csnrs or ("vcdc" in decoder_ids and not timesteps):
         raise ValueError("bench needs at least one decoder, CSNR and (for vcdc) timestep count")
-    _capture_config(cfg["out"], "bench", cfg)
-
+    if cfg["max_frames"] < 0:
+        raise ValueError(f"max_frames must be >= 0 (0: the default budget), "
+                         f"got {cfg['max_frames']}")
     decoders = [_decoder(h, cfg, choice, t) for choice in decoder_ids
                 for t in (timesteps if choice == "vcdc" else [None])]
 
     runs = []
-    max_frames = cfg["max_frames"] if cfg["max_frames"] > 0 else None
+    max_frames = cfg["max_frames"] or None
     for decoder in decoders:
         for csnr in csnrs:
             run = bench.run_ber(h, decoder, csnr, stop_errors=cfg["stop_errors"],
@@ -159,6 +160,8 @@ def cmd_bench(args):
             print(f"{code_id} {decoder.name} {csnr:g} dB: ber={run.ber:.4e} "
                   f"-ln={bench.neg_ln_ber(run):.3f} frames={run.frames_simulated}"
                   f"{' censored' if run.censored else ''}")
+    # only a run that measured leaves an output directory
+    _capture_config(cfg["out"], "bench", cfg)
     paths = bench.emit_results(runs, cfg["out"])
     print(f"wrote {', '.join(paths)}")
     return 0

@@ -99,23 +99,6 @@ class ParityCheckMatrix:
         return tuple(groups)
 
 
-@dataclass(frozen=True)
-class GeneratorMatrix:
-    """k x n generator in the column-permuted basis [P^T | I].
-
-    ``column_permutation[j]`` is the original column of H sitting at
-    permuted position j; H itself is never permuted, so encode() maps
-    results back to the original bit order.
-    """
-
-    matrix: np.ndarray
-    column_permutation: np.ndarray
-
-    @property
-    def k(self):
-        return self.matrix.shape[0]
-
-
 def _row_reduce(a):
     """Reduce the 0/1 uint8 matrix ``a`` in place over GF(2); return the pivot
     columns, on which ``a`` ends as an identity block.  Each pivot is the
@@ -229,25 +212,25 @@ def load_alist(path):
 
 
 def derive_generator(h):
-    """Generator matrix via GF(2) Gaussian elimination with column pivoting.
+    """Generator matrix via GF(2) Gaussian elimination, in H's column order.
 
-    Brings H to [I | P] by row operations plus a column permutation (pivot
-    chosen as the first nonzero entry scanning left-to-right then
-    top-to-bottom) and returns G = [P^T | I] in that permuted basis along
-    with the permutation.  Raises if H is rank deficient.
+    Row reduction brings H to the identity on its pivot columns and P on
+    the rest (pivot chosen as the first nonzero entry scanning left-to-right
+    then top-to-bottom); G is the read-only (k, n) matrix with the identity
+    on the free columns and P^T on the pivot columns.  Raises if H is rank
+    deficient.
     """
     a = h.rows.copy()
-    m, n = a.shape
     pivot_cols = _row_reduce(a)
-    if len(pivot_cols) < m:
+    if len(pivot_cols) < h.num_checks:
         raise ValueError(
-            f"parity-check matrix is rank deficient: rank {len(pivot_cols)} < {m}")
-    free_cols = [j for j in range(n) if j not in set(pivot_cols)]
-    perm = np.array(pivot_cols + free_cols, dtype=np.int64)
-    p_block = a[:, free_cols]
-    gen = np.concatenate([p_block.T, np.eye(h.k, dtype=np.uint8)], axis=1)
-    return GeneratorMatrix(matrix=_frozen(gen.astype(np.uint8)),
-                           column_permutation=_frozen(perm))
+            f"parity-check matrix is rank deficient: rank {len(pivot_cols)} < {h.num_checks}")
+    free = np.ones(h.n, dtype=bool)
+    free[pivot_cols] = False
+    gen = np.zeros((h.k, h.n), dtype=np.uint8)
+    gen[:, pivot_cols] = a[:, free].T
+    gen[:, free] = np.eye(h.k, dtype=np.uint8)
+    return _frozen(gen)
 
 
 def gf2_matmul(a, b):
@@ -262,18 +245,15 @@ def gf2_matmul(a, b):
 
 
 def encode(g, m):
-    """Encode a (B, k) batch of message bits into (B, n) codewords in the
-    original column order of H; a single message ``m`` is the batch
-    ``m[None]``."""
+    """Encode a (B, k) batch of message bits into (B, n) codewords with the
+    (k, n) generator ``g``; a single message ``m`` is the batch ``m[None]``."""
     m = _as_bits(m, "message")
+    k = g.shape[0]
     if m.ndim != 2:
-        raise ValueError(f"expected a (B, {g.k}) message batch, got shape {m.shape}")
-    if m.shape[1] != g.k:
-        raise ValueError(f"message length {m.shape[1]} != k={g.k}")
-    permuted = gf2_matmul(m, g.matrix)
-    out = np.empty_like(permuted)
-    out[:, g.column_permutation] = permuted
-    return out
+        raise ValueError(f"expected a (B, {k}) message batch, got shape {m.shape}")
+    if m.shape[1] != k:
+        raise ValueError(f"message length {m.shape[1]} != k={k}")
+    return gf2_matmul(m, g)
 
 
 def syndrome(h, x):

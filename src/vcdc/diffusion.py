@@ -55,7 +55,7 @@ class DiffusionSchedule:
         return self.csnr_levels.size
 
 
-def build_schedule(observed_csnr_db, steps, step_db=0.5, rate=0.5):
+def build_schedule(observed_csnr_db, steps, step_db, rate):
     """Uniformly spaced schedule ending at the observed channel CSNR.
 
     Levels are observed + (steps-1)*step_db, ..., observed + step_db,

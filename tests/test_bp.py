@@ -451,13 +451,6 @@ def test_config_rejects_non_integer_max_iters(bad):
     assert BpConfig(max_iters=np.int64(3)).max_iters == 3
 
 
-def test_edge_index_is_check_major_sorted():
-    rows = np.array([[1, 1, 0, 1], [0, 1, 1, 1]], dtype=np.uint8)
-    ei = EdgeIndex(ParityCheckMatrix.from_rows(rows))
-    assert ei.edge_chk.tolist() == [0, 0, 0, 1, 1, 1]
-    assert ei.edge_var.tolist() == [0, 1, 3, 1, 2, 3]
-
-
 def test_isolated_variable_keeps_channel_belief():
     h = ParityCheckMatrix.from_rows(np.array([[1, 1, 0]], dtype=np.uint8))
     bits, beliefs, _, _ = decode_bp_batch(h, np.array([[2.0, 1.0, -0.7]]), BpConfig(max_iters=3))
@@ -465,21 +458,39 @@ def test_isolated_variable_keeps_channel_belief():
     assert bits[0, 2] == 1
 
 
+def degree_checks(h, d):
+    """The checks of degree ``d``, ascending."""
+    return [c for c, vs in enumerate(h.chk_adjacency) if len(vs) == d]
+
+
+def row_checks(h, ei):
+    """The check of each message row: slot after slot, every check of the
+    row's degree group, in order."""
+    return np.concatenate([np.tile(degree_checks(h, d), d) for d in ei.degree_groups])
+
+
+def canonical_rows(h, ei):
+    """For each message row, its index among the check-major edges of
+    ``serial.RowMajorEdges``, found by the row's (check, variable) pair."""
+    canonical = {(c, v): e for e, (c, v) in
+                 enumerate((c, v) for c, vs in enumerate(h.chk_adjacency) for v in vs)}
+    return np.array([canonical[c, v] for c, v in zip(row_checks(h, ei), ei.row_var.tolist())])
+
+
 def assert_check_blocks(h, ei):
-    """BP's message rows are a permutation of the edges, and each degree
-    group's (d, checks, B) block is a view whose slab j holds the edge of
-    each of its checks to that check's j-th variable."""
-    assert np.array_equal(np.sort(ei.row_edge), np.arange(ei.num_edges))
-    assert np.array_equal(ei.row_var, ei.edge_var[ei.row_edge])
+    """Each degree group's (d, checks, B) block is a view of the messages
+    whose rows are, slot j by slot j, the j-th variables of its checks:
+    the (d, checks) table of the degree-d checks of H, in order."""
     msgs = np.zeros((ei.num_edges, 3))
+    start = 0
     for (d, rows), block in zip(ei.degree_groups.items(), ei.check_blocks(msgs)):
+        assert rows.start == start
         assert np.shares_memory(block, msgs)
-        edges = ei.row_edge[rows].reshape(d, -1)
-        checks = ei.edge_chk[edges[0]]
-        assert np.array_equal(ei.edge_chk[edges], np.broadcast_to(checks, edges.shape))
-        assert np.array_equal(ei.edge_var[edges].T, [h.chk_adjacency[c] for c in checks])
-    assert sorted(ei.degree_groups) == sorted({len(vs) for vs in h.chk_adjacency})
-    assert sum(rows.stop - rows.start for rows in ei.degree_groups.values()) == ei.num_edges
+        table = np.array([h.chk_adjacency[c] for c in degree_checks(h, d)])
+        assert np.array_equal(ei.row_var[rows].reshape(d, -1), table.T)
+        start = rows.stop
+    assert list(ei.degree_groups) == sorted({len(vs) for vs in h.chk_adjacency})
+    assert start == ei.num_edges == ei.row_var.size
 
 
 @pytest.mark.parametrize("name", codes.available())
@@ -550,6 +561,33 @@ def test_matches_row_major_oracle_on_random_codes(h, variant, early_exit, frames
         assert its[i] == ref_iters and ok[i] == ref_ok
 
 
+@settings(max_examples=80, deadline=None)
+@given(h=sparse_codes(), seed=st.integers(0, 2 ** 32 - 1))
+def test_layout_of_random_codes(h, seed):
+    ei = EdgeIndex(h)
+    # the rows cover each (check, variable) pair of H once
+    pairs = sorted(zip(row_checks(h, ei).tolist(), ei.row_var.tolist()))
+    assert pairs == [tuple(p) for p in np.argwhere(h.rows).tolist()]
+    # each var_groups block holds, slot j by slot j, each variable's j-th
+    # check; variables in no check are the isolated ones
+    checks, start = row_checks(h, ei), 0
+    for d, variables in ei.var_groups:
+        block = ei.var_order[start:start + d * variables.size].reshape(d, -1)
+        assert np.array_equal(ei.row_var[block], np.broadcast_to(variables, block.shape))
+        assert np.array_equal(checks[block].T, [h.var_adjacency[v] for v in variables])
+        start += block.size
+    assert start == ei.num_edges
+    grouped = np.concatenate([ei.isolated] + [v for _, v in ei.var_groups])
+    assert sorted(grouped.tolist()) == list(range(h.n))
+    assert ei.isolated.tolist() == [v for v in range(h.n) if not h.var_adjacency[v]]
+    # the belief sums of the oracle's canonical edges, bit for bit
+    rng = np.random.default_rng(seed)
+    c2v = rng.normal(size=(ei.num_edges, 5)) * 10.0 ** rng.integers(-8, 9, (ei.num_edges, 5))
+    canonical = np.empty_like(c2v.T)
+    canonical[:, canonical_rows(h, ei)] = c2v.T
+    assert_same_bits(ei.belief_sums(c2v), serial.RowMajorEdges(h).belief_sums(canonical).T)
+
+
 def test_belief_sums_round_as_reduceat():
     # degrees from 1 to 300 take numpy's pairwise summation through all
     # three of its regimes (under 8 terms, up to 128, halved above)
@@ -564,7 +602,7 @@ def test_belief_sums_round_as_reduceat():
     c2v = rng.normal(size=(ei.num_edges, 4)) * 10.0 ** rng.integers(-8, 17, (ei.num_edges, 4))
     c2v[rng.random(c2v.shape) < 0.05] = -0.0
     canonical = np.empty_like(c2v.T)
-    canonical[:, ei.row_edge] = c2v.T
+    canonical[:, canonical_rows(h, ei)] = c2v.T
     assert_same_bits(ei.belief_sums(c2v), serial.RowMajorEdges(h).belief_sums(canonical).T)
 
 

@@ -287,6 +287,29 @@ class TestBench:
         assert proc.returncode == 2
         assert "batch_frames" in proc.stderr
 
+    @pytest.mark.parametrize("flags", [
+        ("--decoders", "vcdc"),
+        ("--decoders", "vcdc", "--checkpoint", "MISSING"),
+        ("--bp-variant", "foo"),
+        ("--stop-errors", "0"),
+        ("--decoders", "vcdc", "--checkpoint", "ZEROS", "--timesteps", "0"),
+        ("--decoders", "vcdc", "--checkpoint", "ZEROS", "--step-db", "-1"),
+        ("--batch-frames", "0"),
+        ("--bp-iters", "0"),
+        ("--max-frames", "-3"),
+    ])
+    def test_rejected_run_leaves_no_directory(self, tmp_path, capsys, flags):
+        # the config is captured only once every run has measured
+        ckpt = tmp_path / "zeros.vcdc"
+        ckpt.write_bytes(save_checkpoint(NeuralBlockWeights.zeros(codes.load("hamming_7_4"))))
+        flags = [{"ZEROS": ckpt, "MISSING": tmp_path / "missing.vcdc"}.get(f, f) for f in flags]
+        out = tmp_path / "bench"
+        assert run_cli("bench", "--code", "hamming_7_4", "--out", out, "--csnr", "2",
+                       "--stop-errors", 3, "--batch-frames", 16, *flags) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags", [("--decoders", "identity", "--csnr", ","),
                                        ("--decoders", "", "--csnr", "2"),
                                        ("--decoders", "vcdc", "--csnr", "2",

@@ -1,12 +1,15 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vcdc import codes
-from vcdc.codebook import (AlistError, GeneratorMatrix, ParityCheckMatrix, bipolar,
-                           derive_generator, encode, gf2_matmul, gf2_rank, parse_alist,
-                           serialize_alist, syndrome)
+from vcdc.codebook import (AlistError, ParityCheckMatrix, bipolar, derive_generator, encode,
+                           gf2_matmul, gf2_rank, parse_alist, serialize_alist, syndrome)
 
 from conftest import enumerate_codewords, random_layered_code
 
@@ -97,28 +100,53 @@ class TestParseAlist:
             assert np.array_equal(h2.rows, h.rows)
 
 
+def identity_columns(g):
+    """For each row i of the generator ``g``, a column equal to the unit
+    vector e_i, where codewords carry message bit i verbatim."""
+    return np.array([np.flatnonzero((g.T == row).all(axis=1))[0]
+                     for row in np.eye(g.shape[0], dtype=g.dtype)])
+
+
+def test_make_codes_reproduces_the_bundled_codes(tmp_path, monkeypatch, capsys):
+    # the tool builds every bundled code from its construction and writes
+    # it with serialize_alist; it prepends src/ to sys.path on import
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    tool = Path(__file__).resolve().parents[1] / "tools" / "make_codes.py"
+    spec = importlib.util.spec_from_file_location("make_codes", tool)
+    make_codes = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_codes)
+    monkeypatch.setattr(make_codes, "OUT_DIR", str(tmp_path))
+    make_codes.main()
+    bundled = Path(codes.__file__).parent
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        p.name for p in bundled.glob("*.alist"))
+    for path in tmp_path.iterdir():
+        assert path.read_bytes() == (bundled / path.name).read_bytes(), path.name
+
+
 class TestDeriveGenerator:
     def test_hamming_generator_by_exhaustive_gf2(self, hamming):
         g = derive_generator(hamming)
-        perm = g.column_permutation
-        h_perm = hamming.rows[:, perm]
-        prod = (g.matrix.astype(int) @ h_perm.T.astype(int)) % 2
+        assert g.shape == (4, 7) and g.dtype == np.uint8 and not g.flags.writeable
+        prod = (g.astype(int) @ hamming.rows.T.astype(int)) % 2
         assert not prod.any()
-        assert gf2_rank(g.matrix) == 4
+        assert gf2_rank(g) == 4
 
     def test_generator_orthogonal_for_every_bundled_code(self):
         for name in codes.available():
             h = codes.load(name)
             g = derive_generator(h)
-            h_perm = h.rows[:, g.column_permutation]
-            assert not ((g.matrix.astype(int) @ h_perm.T.astype(int)) % 2).any(), name
-            assert gf2_rank(g.matrix) == h.k, name
+            assert g.shape == (h.k, h.n), name
+            assert not ((g.astype(int) @ h.rows.T.astype(int)) % 2).any(), name
+            assert gf2_rank(g) == h.k, name
+            assert len(identity_columns(g)) == h.k, name
 
     def test_systematic_h_gives_identity_permutation(self):
+        # H = [I | P] pivots on its first columns, so G = [P^T | I] as it stands
         p = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8)
         h = ParityCheckMatrix.from_rows(np.concatenate([np.eye(2, dtype=np.uint8), p], axis=1))
         g = derive_generator(h)
-        assert g.column_permutation.tolist() == [0, 1, 2, 3, 4]
+        assert np.array_equal(g, np.concatenate([p.T, np.eye(3, dtype=np.uint8)], axis=1))
 
     def test_duplicate_row_reports_rank(self):
         rows = np.array([[1, 1, 0, 0], [1, 1, 0, 0]], dtype=np.uint8)
@@ -136,7 +164,7 @@ class TestEncode:
         # oracle: the full codeword set from exhaustive enumeration
         g = derive_generator(hamming)
         cws = enumerate_codewords(hamming)
-        info_positions = g.column_permutation[hamming.num_checks:]
+        info_positions = identity_columns(g)
         m = np.array([1, 0, 0, 0], dtype=np.uint8)
         cw = encode(g, m[None])[0]
         assert any(np.array_equal(cw, c) for c in cws)
@@ -231,12 +259,9 @@ class TestGf2ProductDifferential:
         k = data.draw(st.integers(1, n - 1))
         batch = data.draw(st.integers(1, 64))
         rng = np.random.default_rng(seed)
-        g = GeneratorMatrix(matrix=_bits(rng, (k, n), density),
-                            column_permutation=rng.permutation(n))
+        g = _bits(rng, (k, n), density)
         msgs = _bits(rng, (batch, k), density)
-        expected = np.empty((batch, n), dtype=np.int64)
-        expected[:, g.column_permutation] = _gf2_reference(msgs, g.matrix)
-        np.testing.assert_array_equal(encode(g, msgs), expected)
+        np.testing.assert_array_equal(encode(g, msgs), _gf2_reference(msgs, g))
         # one message is the batch msgs[:1]; a 1-D message is rejected
         with pytest.raises(ValueError, match="batch"):
             encode(g, msgs[0])
