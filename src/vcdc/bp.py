@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import LLR_CLAMP, hard_decide
-from .codebook import gf2_matmul
+from .codebook import check_parities
 
 # Product clamp inside arctanh; keeps check messages finite (|u| <= ~28.4).
 ATANH_EPS = 1e-12
@@ -70,25 +70,20 @@ class EdgeIndex:
 
     def __init__(self, h):
         self.h = h
-        adj = h.chk_adjacency
-        degrees = np.asarray([len(vs) for vs in adj])
-        self.degree_groups, row_vars, row_chks, start = {}, [], [], 0
-        for d in sorted(set(degrees.tolist())):
-            checks = np.flatnonzero(degrees == d)
-            cols = np.array([adj[c] for c in checks], dtype=np.int64)
-            row_vars.append(cols.T.ravel())
-            row_chks.append(np.tile(checks, d))
-            self.degree_groups[d] = slice(start, start + cols.size)
-            start += cols.size
-        self.row_var = np.concatenate(row_vars)
+        self.degree_groups, start = {}, 0
+        for _, table in h.check_tables:
+            self.degree_groups[len(table)] = slice(start, start + table.size)
+            start += table.size
+        self.row_var = np.concatenate([table.ravel() for _, table in h.check_tables])
+        row_chk = np.concatenate([np.tile(checks, len(table))
+                                  for checks, table in h.check_tables])
         self.num_edges = self.row_var.size
 
         # each variable's rows in check order; variables of degree zero are
         # legal in principle and keep a zero sum
         var_degrees = np.bincount(self.row_var, minlength=h.n)
         self.isolated = np.flatnonzero(var_degrees == 0)
-        by_var = np.lexsort((np.concatenate(row_chks), self.row_var,
-                             var_degrees[self.row_var]))
+        by_var = np.lexsort((row_chk, self.row_var, var_degrees[self.row_var]))
         self.var_groups, blocks, start = [], [], 0
         for d in sorted(set(var_degrees.tolist()) - {0}):
             variables = np.flatnonzero(var_degrees == d)
@@ -171,10 +166,10 @@ def _exclusive_products(t, out):
     out[d - 1] = fwd
 
 
-def _check_sweep_sumproduct(v2c, ei, c2v):
-    """Sum-product check-to-variable messages from the (E, B) messages
-    ``v2c``, which are overwritten, into the (E, B) array ``c2v``."""
-    t = np.tanh(np.divide(v2c, 2.0, out=v2c), out=v2c)
+def _check_sweep_sumproduct(t, ei, c2v):
+    """Sum-product check-to-variable messages into the (E, B) array ``c2v``
+    from the (E, B) array ``t`` of tanh(v2c / 2), the variable-to-check
+    messages as the check products take them."""
     for tb, excl in zip(ei.check_blocks(t), ei.check_blocks(c2v)):
         _exclusive_products(tb, excl)
     np.clip(c2v, -(1 - ATANH_EPS), 1 - ATANH_EPS, out=c2v)
@@ -315,15 +310,23 @@ def check_llr_batch(h, llrs):
     return llrs
 
 
-def settle(h, s, idx, count, bits, beliefs, counts, ok):
-    """Both decoders' exit test: record the hard decisions of the running
-    frames' (n, B') belief columns ``s`` as frames ``idx`` of the outputs,
-    with ``count`` and their zero-syndrome flag, and return the positions
-    in ``idx`` of the frames that still fail a check.  The decoder made the
-    bits, so their parity is taken with no bit check."""
+def settle(h, s, idx, count, bits, beliefs, counts, ok, last):
+    """Both decoders' exit test on the running frames ``idx``, whose
+    beliefs are the columns of the (n, B') array ``s``: a frame fails a
+    check when the hard decisions of the check's variables xor to 1.  The
+    frames that pass every check stop, and only they are written to the
+    outputs: hard decisions to ``bits``, beliefs to ``beliefs``, ``count``
+    to ``counts`` and True to ``ok``.  With ``last`` every running frame is
+    written, and ``ok`` takes whether it passed.  Returns the positions in
+    ``idx`` of the frames that fail a check.  The decoder made the bits, so
+    their parity is taken with no bit check."""
     hard = hard_decide(s)
-    fails = gf2_matmul(h.rows, hard).any(axis=0)
-    bits[idx], beliefs[idx], counts[idx], ok[idx] = hard.T, s.T, count, ~fails
+    fails = np.zeros(len(idx), dtype=bool)
+    for _, parities in check_parities(h, hard):
+        fails |= parities.any(axis=0)
+    done = slice(None) if last else np.flatnonzero(~fails)
+    at = idx[done]
+    bits[at], beliefs[at], counts[at], ok[at] = hard.T[done], s.T[done], count, ~fails[done]
     return np.flatnonzero(fails)
 
 
@@ -348,6 +351,7 @@ def decode_bp_batch(h, llrs, cfg=BpConfig(), edge_index=None):
     slab.  When frames exit, c2v is taken into that slab too, the next v2c
     goes into the slab c2v left, and the two swap roles; the beliefs and
     the LLRs are taken into their spares, and the LLRs swap with theirs.
+    The first sweep's inputs are made in the belief slab, on the LLRs.
     """
     llrs = check_llr_batch(h, llrs)
     ei = edge_index if edge_index is not None else EdgeIndex(h)
@@ -363,7 +367,15 @@ def decode_bp_batch(h, llrs, cfg=BpConfig(), edge_index=None):
     else:
         sweep = functools.partial(_check_sweep_minsum, work=work[work.size - kernel:])
 
-    # every frame is written at the first iteration
+    def sweep_inputs(x, out):
+        """The messages ``x`` as the sweep takes them, into ``out``: clipped,
+        and for sum-product tanh(x / 2)."""
+        np.clip(x, -cfg.message_clamp, cfg.message_clamp, out=out)
+        if cfg.variant == SUM_PRODUCT:
+            np.tanh(np.divide(out, 2.0, out=out), out=out)
+        return out
+
+    # every frame is written by the time it stops or the last iteration ends
     bits = np.empty(llrs.shape, dtype=np.uint8)
     beliefs = np.empty_like(llrs)
     iters = np.empty(nframes, dtype=np.int64)
@@ -371,14 +383,17 @@ def decode_bp_batch(h, llrs, cfg=BpConfig(), edge_index=None):
 
     idx = np.arange(nframes)
     l = np.clip(llrs.T, -LLR_CLAMP, LLR_CLAMP, out=_head(l_slab, n, nframes))
+    # every edge's first message is its variable's LLR, so the first sweep's
+    # inputs are made on the n LLRs, in the belief slab, and then gathered;
     # mode="clip" keeps take from buffering its output; every index is valid
-    v2c = np.take(l, ei.row_var, axis=0, out=_head(v2c_slab, edges, nframes), mode="clip")
+    v2c = np.take(sweep_inputs(l, _head(s_slab, n, nframes)), ei.row_var, axis=0,
+                  out=_head(v2c_slab, edges, nframes), mode="clip")
     for it in range(1, cfg.max_iters + 1):
-        np.clip(v2c, -cfg.message_clamp, cfg.message_clamp, out=v2c)
         c2v = sweep(v2c, ei, _head(c2v_slab, edges, idx.size))
         s = ei.belief_sums(c2v, out=_head(s_slab, n, idx.size), gather=v2c)
         s += l
-        running = settle(h, s, idx, it, bits, beliefs, iters, ok)
+        last = it == cfg.max_iters or not cfg.early_exit
+        running = settle(h, s, idx, it, bits, beliefs, iters, ok, last)
         if cfg.early_exit and running.size < idx.size:
             idx = idx[running]
             c2v = np.take(c2v, running, axis=1, out=_head(v2c_slab, edges, idx.size),
@@ -390,4 +405,5 @@ def decode_bp_batch(h, llrs, cfg=BpConfig(), edge_index=None):
             break
         v2c = np.take(s, ei.row_var, axis=0, out=_head(v2c_slab, edges, idx.size), mode="clip")
         v2c -= c2v
+        sweep_inputs(v2c, v2c)
     return bits, beliefs, iters, ok

@@ -2,10 +2,10 @@
 
 Parses MacKay-style alist files into parity-check matrices with their
 Tanner-graph adjacency, derives generator matrices by Gaussian elimination
-over GF(2), encodes messages, and computes syndromes.  Bit vectors are
-numpy uint8 arrays with entries in {0, 1}, and every entry point that
-takes bits rejects any other value; the bipolar map sends bit b to the
-symbol 1 - 2b.
+over GF(2), encodes messages, and computes syndromes as parities on H's
+degree-grouped check tables.  Bit vectors are numpy uint8 arrays with
+entries in {0, 1}, and every entry point that takes bits rejects any other
+value; the bipolar map sends bit b to the symbol 1 - 2b.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ class ParityCheckMatrix:
     ``var_adjacency[v]`` holds the check indices incident to variable v and
     ``chk_adjacency[c]`` the variable indices incident to check c, both
     sorted ascending and exactly matching the nonzero pattern of ``rows``.
-    Instances are immutable; ``layer_groups`` is built on first use.
+    Instances are immutable; ``check_tables`` and ``layer_groups`` are built
+    on first use.
     """
 
     n: int
@@ -76,6 +77,22 @@ class ParityCheckMatrix:
     @property
     def rate(self):
         return self.k / self.n
+
+    @cached_property
+    def check_tables(self):
+        """The checks grouped by degree, degrees ascending: a tuple of
+        (checks, table) pairs of read-only int64 arrays, ``checks`` the
+        degree-d checks in order and ``table`` their variables as a
+        C-ordered (d, checks) array, row j the j-th variable of every check.
+        """
+        adj = self.chk_adjacency
+        degrees = np.array([len(cols) for cols in adj])
+        tables = []
+        for d in sorted(set(degrees.tolist())):
+            checks = np.flatnonzero(degrees == d)
+            table = np.array([adj[c] for c in checks], dtype=np.int64).T.copy()
+            tables.append((_frozen(checks), _frozen(table)))
+        return tuple(tables)
 
     @cached_property
     def layer_groups(self):
@@ -234,7 +251,7 @@ def derive_generator(h):
 
 
 def gf2_matmul(a, b):
-    """Product of 0/1 arrays over GF(2), as uint8.
+    """Product of 0/1 arrays over GF(2), as uint8, for ``encode``.
 
     A float32 BLAS product whose parity is the low bit of its int32 cast:
     every partial sum is an integer below the inner dimension, so both the
@@ -256,16 +273,30 @@ def encode(g, m):
     return gf2_matmul(m, g)
 
 
+def check_parities(h, bits):
+    """The parity of every check of ``h`` over the 0/1 uint8 array ``bits``,
+    which holds one bit per variable down axis 0: a word (n,) or frames as
+    columns (n, B).  Returns one (checks, parities) pair per entry of
+    ``h.check_tables``, parities of shape (len(checks),) + bits.shape[1:]:
+    each group's bits are gathered into a (d, checks, ...) block and
+    xor-reduced over d.  The bits are not checked.
+    """
+    return [(checks, np.bitwise_xor.reduce(bits.take(table, axis=0), axis=0))
+            for checks, table in h.check_tables]
+
+
 def syndrome(h, x):
     """H x^T mod 2 and its number of nonzero entries (parity-check errors).
 
-    For a (B, n) batch of words the syndromes have shape (B, n-k) and the
-    counts are an int64 array with one entry per word.
+    For a (B, n) batch of words the syndromes have shape (B, n-k), in check
+    order, and the counts are an int64 array with one entry per word.
     """
     x = _as_bits(x, "word")
     if x.shape[-1] != h.n:
         raise ValueError(f"word length {x.shape[-1]} != n={h.n}")
-    s = gf2_matmul(x, h.rows.T)
+    s = np.empty(x.shape[:-1] + (h.num_checks,), dtype=np.uint8)
+    for checks, parities in check_parities(h, x.T):
+        s.T[checks] = parities
     counts = s.sum(axis=-1, dtype=np.int64)
     return s, (int(counts) if x.ndim == 1 else counts)
 

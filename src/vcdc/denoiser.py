@@ -158,7 +158,7 @@ def decode_vcdc_batch(h, weights, sched, llrs):
     steps = np.empty(llrs.shape[0], dtype=np.int64)
     ok = np.empty(llrs.shape[0], dtype=bool)
     # the entry test: frames that already satisfy every check take 0 steps
-    idx = settle(h, llrs.T, np.arange(llrs.shape[0]), 0, bits, beliefs, steps, ok)
+    idx = settle(h, llrs.T, np.arange(llrs.shape[0]), 0, bits, beliefs, steps, ok, False)
     work = np.empty(3 * h.n * idx.size + walk_size(h, idx.size))
     block_work = work[h.n * idx.size:]
     # mode="clip" keeps take from buffering its output; every index is valid
@@ -174,7 +174,7 @@ def decode_vcdc_batch(h, weights, sched, llrs):
             used += 1
         else:  # the final block's beliefs are the decoder output
             z = block_beliefs
-        running = settle(h, z.T, idx, used, bits, beliefs, steps, ok)
+        running = settle(h, z.T, idx, used, bits, beliefs, steps, ok, t_index == 0)
         idx = idx[running]
         zt = np.take(z.T, running, axis=1, out=work[:h.n * idx.size].reshape(h.n, -1),
                      mode="clip")

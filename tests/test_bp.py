@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from vcdc import codes
 from vcdc.bp import (ATANH_EPS, BpConfig, EdgeIndex, MIN_SUM, SUM_PRODUCT, _two_least,
-                     check_minsum_terms, decode_bp_batch, minsum_work_size)
-from vcdc.codebook import ParityCheckMatrix, bipolar, derive_generator, encode, syndrome
-from vcdc.channel import LLR_CLAMP, hard_decide
+                     check_minsum_terms, decode_bp_batch, minsum_work_size, settle)
+from vcdc.codebook import (ParityCheckMatrix, _row_reduce, bipolar, derive_generator, encode,
+                           syndrome)
+from vcdc.channel import LLR_CLAMP, hard_decide, noise_scale, to_llr, transmit
 from vcdc.train import minsum_backward
 
 import serial
@@ -628,7 +629,6 @@ def test_belief_sums_into_out_match_the_allocating_form():
 def test_decode_allocates_one_workspace(ldpc_121_60, variant, bound):
     # two (E, B) message slabs, small (n, B) ones and, for min-sum, the
     # kernel's workspace; message arrays made per iteration exceed the bound
-    from vcdc.channel import noise_scale, to_llr, transmit
     h, frames = ldpc_121_60, 512
     rng = np.random.default_rng(12)
     w = noise_scale(4.0, h.k, h.n)
@@ -638,3 +638,111 @@ def test_decode_allocates_one_workspace(ldpc_121_60, variant, bound):
     cfg = BpConfig(variant=variant)
     peak = traced_peak(lambda: decode_bp_batch(h, llrs, cfg, edge_index=ei))
     assert peak < bound * ei.num_edges * frames * 8
+
+
+def null_space(h):
+    """A basis of the words H maps to zero over GF(2), one word a row."""
+    a = h.rows.copy()
+    pivots = _row_reduce(a)
+    free = [v for v in range(h.n) if v not in pivots]
+    basis = np.zeros((len(free), h.n), dtype=np.uint8)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = a[:len(pivots), free].T
+    return basis
+
+
+@settings(max_examples=80, deadline=None)
+@given(h=sparse_codes(), frames=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
+def test_exit_test_and_syndrome_match_int64_parity(h, frames, seed):
+    # codewords, codewords with one bit flipped and random words, as the
+    # signs of beliefs whose zeros, +0.0 and -0.0, decide bit 0
+    rng = np.random.default_rng(seed)
+    basis = null_space(h)
+    hard = (rng.integers(0, 2, (frames, len(basis))) @ basis % 2).astype(np.uint8)
+    kind = rng.integers(0, 3, frames)
+    hard[kind == 1, rng.integers(0, h.n, frames)[kind == 1]] ^= 1
+    hard[kind == 2] = rng.integers(0, 2, (int((kind == 2).sum()), h.n))
+    s = np.where(hard.T == 1, -1.0, 1.0) * (rng.exponential(size=hard.T.shape) + 1e-300)
+    zeros = (hard.T == 0) & (rng.random(s.shape) < 0.2)
+    s[zeros] = rng.choice([0.0, -0.0], int(zeros.sum()))
+    parity = h.rows.astype(np.int64) @ hard.T.astype(np.int64) % 2
+    fails = parity.any(axis=0)
+    assert (h.rows @ basis.T.astype(np.int64) % 2 == 0).all()
+
+    bits, beliefs = np.empty_like(hard), np.empty_like(s.T)
+    counts, ok = np.empty(frames, dtype=np.int64), np.empty(frames, dtype=bool)
+    running = settle(h, s, np.arange(frames), 3, bits, beliefs, counts, ok, True)
+    assert np.array_equal(running, np.flatnonzero(fails))
+    assert np.array_equal(ok, ~fails) and (counts == 3).all()
+    assert np.array_equal(bits, hard)
+    assert_same_bits(beliefs, s.T)
+
+    syn, errors = syndrome(h, hard)
+    assert syn.dtype == np.uint8 and np.array_equal(syn, parity.T)
+    assert np.array_equal(errors, parity.sum(axis=0))
+    syn_one, errors_one = syndrome(h, hard[0])
+    assert np.array_equal(syn_one, parity[:, 0]) and errors_one == parity[:, 0].sum()
+
+
+def test_settle_writes_only_the_frames_that_stop(hamming):
+    # six running frames at rows ``idx`` of ten; frames 0, 2 and 5 are
+    # codewords, the others have one bit flipped
+    rng = np.random.default_rng(4)
+    h, idx = hamming, np.array([1, 3, 4, 6, 8, 9])
+    hard = encode(derive_generator(h), rng.integers(0, 2, (6, h.k)))
+    hard[[1, 3, 4], [0, 6, 2]] ^= 1
+    s = (bipolar(hard) * rng.uniform(0.5, 4.0, hard.shape)).T.copy()
+    bits, beliefs = np.full((10, h.n), 2, dtype=np.uint8), np.full((10, h.n), np.nan)
+    counts, ok = np.full(10, -1), np.arange(10) % 2 == 0
+    sentinels = bits.copy(), beliefs.copy(), counts.copy(), ok.copy()
+
+    def assert_rows(rows, count, flags):
+        others = np.setdiff1d(np.arange(10), rows)
+        for out, sentinel in zip((bits, beliefs, counts, ok), sentinels):
+            assert_same_bits(out[others], sentinel[others])
+        pos = np.searchsorted(idx, rows)
+        assert np.array_equal(bits[rows], hard[pos])
+        assert_same_bits(beliefs[rows], s.T[pos])
+        assert (counts[rows] == count).all() and (ok[rows] == flags).all()
+
+    running = settle(h, s, idx, 4, bits, beliefs, counts, ok, False)
+    assert running.tolist() == [1, 3, 4]
+    assert_rows(idx[[0, 2, 5]], 4, True)
+    # the last call writes every running frame, failed ones flagged False
+    running = settle(h, s, idx, 5, bits, beliefs, counts, ok, True)
+    assert running.tolist() == [1, 3, 4]
+    assert_rows(idx, 5, [True, False, True, False, False, True])
+
+
+EXIT_CASES = {
+    # (max_iters, early_exit, CSNR in dB or None for noiseless codewords)
+    "one iteration": (1, True, 5.0),
+    "no early exit": (5, False, 3.0),
+    "valid at entry": (5, True, None),
+    "never valid": (3, True, -20.0),
+}
+
+
+@pytest.mark.parametrize("variant", [SUM_PRODUCT, MIN_SUM])
+@pytest.mark.parametrize("case", EXIT_CASES)
+def test_exit_edge_cases_match_the_row_major_oracle(ldpc_121_60, variant, case):
+    h, (iters, early_exit, csnr) = ldpc_121_60, EXIT_CASES[case]
+    rng = np.random.default_rng(21)
+    x = bipolar(encode(derive_generator(h), rng.integers(0, 2, (64, h.k))))
+    if csnr is None:
+        llrs = 8.0 * x
+    else:
+        w = noise_scale(csnr, h.k, h.n)
+        llrs = to_llr(transmit(x, w, rng), w)
+    cfg = BpConfig(max_iters=iters, variant=variant, early_exit=early_exit)
+    bits, beliefs, its, ok = decode_bp_batch(h, llrs, cfg)
+    want = serial.decode_bp_batch(h, llrs, cfg)
+    assert np.array_equal(bits, want[0])
+    assert_same_bits(beliefs, want[1])
+    assert np.array_equal(its, want[2]) and np.array_equal(ok, want[3])
+    if case == "valid at entry":
+        assert ok.all() and (its == 1).all()
+    elif case == "never valid":
+        assert not ok.any() and (its == iters).all()
+    else:
+        assert 0 < ok.sum() < len(ok) and (early_exit or (its == iters).all())

@@ -107,6 +107,20 @@ def identity_columns(g):
                      for row in np.eye(g.shape[0], dtype=g.dtype)])
 
 
+@pytest.mark.parametrize("name", codes.available())
+def test_check_tables_list_every_check_once_by_degree(name):
+    h = codes.load(name)
+    seen, degrees = [], []
+    for checks, table in h.check_tables:
+        assert table.flags.c_contiguous and not table.flags.writeable
+        assert not checks.flags.writeable
+        assert table.T.tolist() == [list(h.chk_adjacency[c]) for c in checks]
+        seen += checks.tolist()
+        degrees.append(len(table))
+    assert seen == sorted(seen, key=lambda c: len(h.chk_adjacency[c]))
+    assert sorted(seen) == list(range(h.num_checks)) and degrees == sorted(set(degrees))
+
+
 def test_make_codes_reproduces_the_bundled_codes(tmp_path, monkeypatch, capsys):
     # the tool builds every bundled code from its construction and writes
     # it with serialize_alist; it prepends src/ to sys.path on import

@@ -220,6 +220,37 @@ class TestFramesAsColumns:
         assert not got[2].any() and got[3].all()
 
 
+VCDC_EXIT_CASES = {
+    # (schedule levels, LLR scale or None for pure noise, frames valid at entry)
+    "one level": (1, 4.0, "some"),
+    "valid at entry": (20, 8.0, "all"),
+    "never valid": (20, None, "none"),
+}
+
+
+@pytest.mark.parametrize("case", VCDC_EXIT_CASES)
+def test_exit_edge_cases_match_the_frame_major_oracle(ldpc_121_60, case):
+    h, (levels, scale, valid) = ldpc_121_60, VCDC_EXIT_CASES[case]
+    rng = np.random.default_rng(31)
+    w = rand_weights(h, rng, scale=0.3)
+    x = bipolar(encode(derive_generator(h), rng.integers(0, 2, (48, h.k))))
+    llrs = rng.normal(0.0, 1.0, x.shape)
+    if scale is not None:
+        llrs = scale * x + (valid == "some") * 2.0 * llrs
+    sched = build_schedule(2.0, levels, 0.5, h.rate)
+    bits, beliefs, steps, ok = decode_vcdc_batch(h, w, sched, llrs)
+    want = serial.decode_vcdc_batch(h, w, sched, llrs)
+    assert np.array_equal(bits, want[0])
+    assert_same_bits(beliefs, want[1])
+    assert np.array_equal(steps, want[2]) and np.array_equal(ok, want[3])
+    if valid == "all":
+        assert ok.all() and not steps.any()
+    elif valid == "none":
+        assert not ok.any() and (steps == levels - 1).all()
+    else:
+        assert 0 < ok.sum() < len(ok) and (steps == 0).all()
+
+
 class TestDecodeVcdc:
     def test_noiseless_input_costs_zero_steps(self, hamming):
         g = derive_generator(hamming)

@@ -1,0 +1,134 @@
+"""Run the benchmark alternately from two source trees and compare them pair by pair.
+
+    python3 tools/bench_pairs.py BASE HEAD --workload vcdc-ldpc121 --pairs 10 \
+        --seconds 20 --seed 9101
+
+BASE and HEAD are source checkouts, for example a ``git worktree`` or a
+clone of the parent commit and the working tree.  Pair i runs
+``perfbench/run.py --trace 0`` once from each tree, both with seed ``seed + i``; BASE runs
+first in even pairs and HEAD in odd ones.  For every end-to-end metric the
+tool prints each pair's values, the median and quartiles of each side, the
+median head/base ratio, and in how many pairs HEAD was better, worse or
+equal, by the direction BASE's ``BENCHMARK.json`` gives the metric.  The
+output digests a run prints (``bits_digest``, ``loss_digest``) and
+``neg_ln_err`` must be equal in every pair.  Exits 1 when a digest or
+``neg_ln_err`` differs or a run reports itself incorrect, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+DIGESTS = ("bits_digest", "loss_digest")
+
+
+def parse_run(stdout):
+    """(correct, {metric: value}, [(digest name, value), ...]) of one run's
+    standard output, whose last line is the run's JSON summary."""
+    lines = stdout.strip().splitlines()
+    summary = json.loads(lines[-1])
+    metrics = {name: m["value"] for name, m in summary["metrics"].items()}
+    digests = []
+    for line in lines:
+        key, _, value = line.partition(" ")
+        if key in DIGESTS:
+            digests.append((key, value))
+    return summary["correct"], metrics, digests
+
+
+def run_tree(tree, workload, seed, seconds, run=subprocess.run):
+    """One untraced benchmark run from the checkout ``tree``, parsed."""
+    cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = run(cmd, cwd=tree, capture_output=True, text=True, check=True)
+    return parse_run(proc.stdout)
+
+
+def directions(tree):
+    """{end-to-end metric: "higher" or "lower"} from ``tree``'s BENCHMARK.json."""
+    with open(os.path.join(tree, "BENCHMARK.json"), encoding="ascii") as fh:
+        return {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+
+
+def quartiles(values):
+    """(first quartile, median, third quartile) of ``values``."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def compare(name, better, base, head):
+    """Report lines for one metric over paired ``base`` and ``head`` values."""
+    lines = [f"{name} ({better} is better)"]
+    moved = {"better": 0, "worse": 0, "equal": 0}
+    ratios = []
+    for i, (b, h) in enumerate(zip(base, head)):
+        ratio = h / b if b else float("nan")
+        ratios.append(ratio)
+        way = "equal" if h == b else "better" if (h > b) == (better == "higher") else "worse"
+        moved[way] += 1
+        lines.append(f"  pair {i}: base {b:.6g} head {h:.6g} ratio {ratio:.4f} {way}")
+    for side, values in (("base", base), ("head", head)):
+        q1, q2, q3 = quartiles(values)
+        lines.append(f"  {side} median {q2:.6g} [{q1:.6g}-{q3:.6g}]")
+    lines.append(f"  median head/base {statistics.median(ratios):.4f}; head better in "
+                 f"{moved['better']}, worse in {moved['worse']}, equal in {moved['equal']} "
+                 f"of {len(ratios)} pairs")
+    return lines
+
+
+def main(argv=None, run=subprocess.run):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("base", help="source checkout of the base commit")
+    ap.add_argument("head", help="source checkout of the change")
+    ap.add_argument("--workload", required=True, help="a workload of perfbench/run.py, or all")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=20)
+    ap.add_argument("--seed", type=int, default=1, help="seed of pair 0; pair i uses seed + i")
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be >= 1")
+
+    better = directions(args.base)
+    runs = {"base": [], "head": []}
+    problems = []
+    for i in range(args.pairs):
+        seed = args.seed + i
+        order = ("base", "head") if i % 2 == 0 else ("head", "base")
+        for side in order:
+            tree = getattr(args, side)
+            runs[side].append(run_tree(tree, args.workload, seed, args.seconds, run))
+            print(f"pair {i} seed {seed}: ran {side}", file=sys.stderr)
+        (base_ok, base_m, base_d), (head_ok, head_m, head_d) = runs["base"][-1], runs["head"][-1]
+        if not (base_ok and head_ok):
+            problems.append(f"pair {i}: a run reports itself incorrect")
+        if base_d != head_d:
+            problems.append(f"pair {i}: digests differ: base {base_d}, head {head_d}")
+        for name in base_m:
+            if name.rsplit(".", 1)[-1] == "neg_ln_err" and base_m[name] != head_m[name]:
+                problems.append(f"pair {i}: {name} differs: base {base_m[name]!r}, "
+                                f"head {head_m[name]!r}")
+
+    print(f"workload {args.workload}, {args.pairs} pairs, seeds {args.seed}-"
+          f"{args.seed + args.pairs - 1}, {args.seconds:g} s a run")
+    for name in runs["base"][0][1]:
+        direction = better[name.rsplit(".", 1)[-1]]
+        base = [m[name] for _, m, _ in runs["base"]]
+        head = [m[name] for _, m, _ in runs["head"]]
+        print("\n".join(compare(name, direction, base, head)))
+    digests = [d for _, _, d in runs["base"]]
+    print(f"digests equal in {sum(b == h for b, (_, _, h) in zip(digests, runs['head']))} "
+          f"of {args.pairs} pairs; pair 0: {' '.join('='.join(d) for d in digests[0])}")
+    for problem in problems:
+        print(f"PROBLEM {problem}")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
