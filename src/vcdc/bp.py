@@ -310,29 +310,62 @@ def check_llr_batch(h, llrs):
     return llrs
 
 
-def settle(h, s, idx, count, bits, beliefs, counts, ok, last):
-    """Both decoders' exit test on the running frames ``idx``, whose
-    beliefs are the columns of the (n, B') array ``s``: a frame fails a
-    check when the hard decisions of the check's variables xor to 1.  The
-    frames that pass every check stop, and only they are written to the
-    outputs: hard decisions to ``bits``, beliefs to ``beliefs``, ``count``
-    to ``counts`` and True to ``ok``.  With ``last`` every running frame is
-    written, and ``ok`` takes whether it passed.  Returns the positions in
-    ``idx`` of the frames that fail a check.  The decoder made the bits, so
-    their parity is taken with no bit check."""
-    hard = hard_decide(s)
-    fails = np.zeros(len(idx), dtype=bool)
-    for _, parities in check_parities(h, hard):
-        fails |= parities.any(axis=0)
-    done = slice(None) if last else np.flatnonzero(~fails)
-    at = idx[done]
-    bits[at], beliefs[at], counts[at], ok[at] = hard.T[done], s.T[done], count, ~fails[done]
-    return np.flatnonzero(fails)
-
-
 def _head(flat, rows, cols):
     """The C-ordered (rows, cols) view of the head of the flat array ``flat``."""
     return flat[:rows * cols].reshape(rows, cols)
+
+
+class RunningSet:
+    """The frames of one decode call that have not stopped, and the outputs
+    (bits, beliefs, counts, ok) of those that have: both decoders' exit
+    test and compaction.
+
+    The set checks ``llrs`` as ``check_llr_batch`` does and makes one
+    float64 work allocation: ``state``, a C-ordered (rows, B') array whose
+    column j is the state of the running frame ``frames[j]`` and whose
+    first n rows start as ``llrs.T``; ``spare``, flat memory at least the
+    size of ``state``, free between two calls of ``settle``; and ``work``,
+    ``extra`` entries.  ``settle`` writes the outputs.
+    """
+
+    def __init__(self, h, llrs, rows, extra):
+        llrs = check_llr_batch(h, llrs)
+        self.h, self.frames = h, np.arange(len(llrs))
+        self.outputs = (np.empty(llrs.shape, dtype=np.uint8), np.empty_like(llrs),
+                        np.empty(len(llrs), dtype=np.int64), np.empty(len(llrs), dtype=bool))
+        slab = rows * len(llrs)
+        work = np.empty(2 * slab + extra)
+        self.state = _head(work, rows, len(llrs))
+        self.spare, self.work = work[slab:2 * slab], work[2 * slab:]
+        np.copyto(self.state[:h.n], llrs.T)
+
+    def settle(self, s, count, last=False):
+        """The exit test on the running frames, whose beliefs are the columns
+        of the (n, B') array ``s``: a frame fails a check when the hard
+        decisions of the check's variables xor to 1.  The frames that pass
+        every check stop, and only they are written to the outputs: hard
+        decisions, beliefs, ``count`` and True.  With ``last`` every running
+        frame is written, ``ok`` taking whether it passed, and none stops
+        running.  Otherwise, when frames stop, the state's columns of the
+        others are taken into the spare, which becomes the state, and the
+        old state's memory becomes the spare.  Returns the state.  The
+        decoder made the bits, so their parity is taken with no bit check."""
+        hard = hard_decide(s)
+        fails = np.zeros(len(self.frames), dtype=bool)
+        for _, parities in check_parities(self.h, hard):
+            fails |= parities.any(axis=0)
+        done = slice(None) if last else np.flatnonzero(~fails)
+        at = self.frames[done]
+        for out, value in zip(self.outputs, (hard.T[done], s.T[done], count, ~fails[done])):
+            out[at] = value
+        if not (last or fails.all()):
+            running = np.flatnonzero(fails)
+            self.frames = self.frames[running]
+            # mode="clip" keeps take from buffering its output; every index is valid
+            state = np.take(self.state, running, axis=1, mode="clip",
+                            out=_head(self.spare, len(self.state), running.size))
+            self.state, self.spare = state, self.state.reshape(-1)
+        return self.state
 
 
 def decode_bp_batch(h, llrs, cfg=BpConfig(), edge_index=None):
@@ -342,30 +375,23 @@ def decode_bp_batch(h, llrs, cfg=BpConfig(), edge_index=None):
     exits as soon as its hard decision satisfies every parity check.
     Channel LLRs are clamped to +-LLR_CLAMP; non-finite ones are rejected.
 
-    Frames are columns.  The call makes one float64 work allocation, and
-    the running frames' messages (E, B'), LLRs and beliefs (n, B') are
-    C-ordered views of the heads of its slabs: two message slabs, one for
-    the beliefs and one for the LLRs with a spare of each, and for min-sum
-    the kernel's workspace.  The sweep reads v2c from one message slab and
-    writes c2v into the other; the belief sums gather into the spent v2c
-    slab.  When frames exit, c2v is taken into that slab too, the next v2c
-    goes into the slab c2v left, and the two swap roles; the beliefs and
-    the LLRs are taken into their spares, and the LLRs swap with theirs.
-    The first sweep's inputs are made in the belief slab, on the LLRs.
+    Frames are columns of the state of a ``RunningSet``: a running frame's
+    state is one (2n + E)-row column holding its clipped LLRs, beliefs and
+    c2v messages, and v2c lives in the set's spare slab.  Besides these
+    two slabs the call's one work allocation holds, for min-sum, the
+    kernel's workspace.  The sweep reads v2c and writes c2v into the state;
+    the belief sums gather into the spent v2c.  The first sweep's inputs
+    are made in the belief rows, on the LLRs.
     """
-    llrs = check_llr_batch(h, llrs)
     ei = edge_index if edge_index is not None else EdgeIndex(h)
-    (nframes, n), edges = llrs.shape, ei.num_edges
+    n, edges = h.n, ei.num_edges
+    frames = np.size(llrs) // n  # the frame count of any batch the set accepts
     # min-sum's kernel workspace is sized for the widest degree group
     kernel = 0 if cfg.variant == SUM_PRODUCT else minsum_work_size(
-        max(r.stop - r.start for r in ei.degree_groups.values()) * nframes)
-    work = np.empty((2 * edges + 4 * n) * nframes + kernel)
-    v2c_slab, c2v_slab, s_slab, s_spare, l_slab, l_spare = np.split(
-        work[:work.size - kernel], np.cumsum([edges, edges, n, n, n]) * nframes)
-    if cfg.variant == SUM_PRODUCT:
-        sweep = _check_sweep_sumproduct
-    else:
-        sweep = functools.partial(_check_sweep_minsum, work=work[work.size - kernel:])
+        max(r.stop - r.start for r in ei.degree_groups.values()) * frames)
+    rs = RunningSet(h, llrs, 2 * n + edges, kernel)
+    sweep = (_check_sweep_sumproduct if cfg.variant == SUM_PRODUCT
+             else functools.partial(_check_sweep_minsum, work=rs.work))
 
     def sweep_inputs(x, out):
         """The messages ``x`` as the sweep takes them, into ``out``: clipped,
@@ -375,35 +401,23 @@ def decode_bp_batch(h, llrs, cfg=BpConfig(), edge_index=None):
             np.tanh(np.divide(out, 2.0, out=out), out=out)
         return out
 
-    # every frame is written by the time it stops or the last iteration ends
-    bits = np.empty(llrs.shape, dtype=np.uint8)
-    beliefs = np.empty_like(llrs)
-    iters = np.empty(nframes, dtype=np.int64)
-    ok = np.empty(nframes, dtype=bool)
-
-    idx = np.arange(nframes)
-    l = np.clip(llrs.T, -LLR_CLAMP, LLR_CLAMP, out=_head(l_slab, n, nframes))
+    state = rs.state
+    l = np.clip(state[:n], -LLR_CLAMP, LLR_CLAMP, out=state[:n])
     # every edge's first message is its variable's LLR, so the first sweep's
-    # inputs are made on the n LLRs, in the belief slab, and then gathered;
+    # inputs are made on the n LLRs, in the belief rows, and then gathered;
     # mode="clip" keeps take from buffering its output; every index is valid
-    v2c = np.take(sweep_inputs(l, _head(s_slab, n, nframes)), ei.row_var, axis=0,
-                  out=_head(v2c_slab, edges, nframes), mode="clip")
+    v2c = np.take(sweep_inputs(l, state[n:2 * n]), ei.row_var, axis=0,
+                  out=_head(rs.spare, edges, frames), mode="clip")
     for it in range(1, cfg.max_iters + 1):
-        c2v = sweep(v2c, ei, _head(c2v_slab, edges, idx.size))
-        s = ei.belief_sums(c2v, out=_head(s_slab, n, idx.size), gather=v2c)
+        l, s, c2v = state[:n], state[n:2 * n], state[2 * n:]
+        sweep(v2c, ei, c2v)
+        ei.belief_sums(c2v, out=s, gather=v2c)
         s += l
-        last = it == cfg.max_iters or not cfg.early_exit
-        running = settle(h, s, idx, it, bits, beliefs, iters, ok, last)
-        if cfg.early_exit and running.size < idx.size:
-            idx = idx[running]
-            c2v = np.take(c2v, running, axis=1, out=_head(v2c_slab, edges, idx.size),
-                          mode="clip")
-            s = np.take(s, running, axis=1, out=_head(s_spare, n, idx.size), mode="clip")
-            l = np.take(l, running, axis=1, out=_head(l_spare, n, idx.size), mode="clip")
-            v2c_slab, c2v_slab, l_slab, l_spare = c2v_slab, v2c_slab, l_spare, l_slab
-        if idx.size == 0 or it == cfg.max_iters:
+        state = rs.settle(s, it, it == cfg.max_iters or not cfg.early_exit)
+        if state.shape[1] == 0 or it == cfg.max_iters:
             break
-        v2c = np.take(s, ei.row_var, axis=0, out=_head(v2c_slab, edges, idx.size), mode="clip")
-        v2c -= c2v
+        v2c = np.take(state[n:2 * n], ei.row_var, axis=0,
+                      out=_head(rs.spare, edges, state.shape[1]), mode="clip")
+        v2c -= state[2 * n:]
         sweep_inputs(v2c, v2c)
-    return bits, beliefs, iters, ok
+    return rs.outputs

@@ -98,9 +98,9 @@ class ParityCheckMatrix:
     def layer_groups(self):
         """The checks split, in order, into maximal runs of consecutive checks
         of one degree whose variable sets are pairwise disjoint: a tuple of
-        (slice of checks, read-only int64 columns) pairs.  A run of g checks
-        of degree d, a single check included, has (g, d) columns, row i those
-        of check start + i.
+        (slice of checks, table) pairs, tables as in ``check_tables``: a run
+        of g checks of degree d, a single check included, has a (d, g)
+        table, column i the variables of check start + i.
         """
         adj = self.chk_adjacency
         starts, seen = [0], set()
@@ -111,8 +111,8 @@ class ParityCheckMatrix:
             seen.update(cols)
         groups = []
         for start, stop in zip(starts, starts[1:] + [len(adj)]):
-            cols = np.array(adj[start:stop], dtype=np.int64)
-            groups.append((slice(start, stop), _frozen(cols)))
+            table = np.array(adj[start:stop], dtype=np.int64).T.copy()
+            groups.append((slice(start, stop), _frozen(table)))
         return tuple(groups)
 
 
@@ -250,27 +250,22 @@ def derive_generator(h):
     return _frozen(gen)
 
 
-def gf2_matmul(a, b):
-    """Product of 0/1 arrays over GF(2), as uint8, for ``encode``.
-
-    A float32 BLAS product whose parity is the low bit of its int32 cast:
-    every partial sum is an integer below the inner dimension, so both the
-    product and the cast are exact while that dimension is below 2**24.
-    """
-    prod = np.asarray(a, dtype=np.float32) @ np.asarray(b, dtype=np.float32)
-    return (prod.astype(np.int32) & 1).astype(np.uint8)
-
-
 def encode(g, m):
     """Encode a (B, k) batch of message bits into (B, n) codewords with the
-    (k, n) generator ``g``; a single message ``m`` is the batch ``m[None]``."""
+    (k, n) generator ``g``; a single message ``m`` is the batch ``m[None]``.
+
+    The product over GF(2) is a float32 BLAS product whose parity is the
+    low bit of its int32 cast: every partial sum is an integer below k, so
+    both the product and the cast are exact while k is below 2**24.
+    """
     m = _as_bits(m, "message")
     k = g.shape[0]
     if m.ndim != 2:
         raise ValueError(f"expected a (B, {k}) message batch, got shape {m.shape}")
     if m.shape[1] != k:
         raise ValueError(f"message length {m.shape[1]} != k={k}")
-    return gf2_matmul(m, g)
+    prod = m.astype(np.float32) @ np.asarray(g, dtype=np.float32)
+    return (prod.astype(np.int32) & 1).astype(np.uint8)
 
 
 def check_parities(h, bits):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bp import check_llr_batch, check_minsum_terms, minsum_work_size, settle
+from .bp import RunningSet, check_minsum_terms, minsum_work_size
 from .diffusion import reverse_step
 
 
@@ -62,7 +62,7 @@ class NeuralBlockWeights:
 def walk_size(h, frames, keep=False):
     """Float64 entries of the ``work`` buffer ``block_layers`` needs for
     ``frames`` frames, with or without ``keep``."""
-    edges = [cols.size * frames for _, cols in h.layer_groups]
+    edges = [table.size * frames for _, table in h.layer_groups]
     return minsum_work_size(max(edges)) + 2 * (sum(edges) if keep else max(edges))
 
 
@@ -70,7 +70,7 @@ def block_layers(h, w, xt, work, keep=False):
     """Run the layers over the beliefs ``xt`` in place, with layer weights
     ``w``, one layer group of ``h.layer_groups`` at a time.  ``xt`` is a
     C-ordered (n, B) array, frames as columns.  Yields each group's (slice
-    of checks, columns, gathered beliefs xc, min-sum messages u), as the
+    of checks, (d, g) table, gathered beliefs xc, min-sum messages u), as the
     training backward reads them: xc and u are (g B, d) rows, row i B + b
     holding check i of frame b, whose transposes are C-ordered (d, g B)
     arrays.
@@ -89,13 +89,13 @@ def block_layers(h, w, xt, work, keep=False):
     and all of them stay valid.
     """
     frames = xt.shape[1]
-    at = minsum_work_size(max(cols.size for _, cols in h.layer_groups) * frames)
+    at = minsum_work_size(max(table.size for _, table in h.layer_groups) * frames)
     kernel = work[:at]
-    for checks, cols in h.layer_groups:
-        d, size = cols.shape[1], cols.size * frames
-        block = work[at:at + size].reshape(d, len(cols), frames)
+    for checks, table in h.layer_groups:
+        d, size = len(table), table.size * frames
+        block = work[at:at + size].reshape(table.shape + (frames,))
         # mode="clip" keeps take from buffering its output; every index is valid
-        xt.take(cols.T, axis=0, out=block, mode="clip")
+        xt.take(table, axis=0, out=block, mode="clip")
         xc = block.reshape(d, -1).T
         u = check_minsum_terms(xc, out=work[at + size:at + 2 * size].reshape(d, -1).T,
                                work=kernel)
@@ -103,8 +103,8 @@ def block_layers(h, w, xt, work, keep=False):
         step = np.multiply(u.T.reshape(block.shape), w[checks, None],
                            out=kernel[:size].reshape(block.shape))
         step += block
-        xt[cols.T] = step
-        yield checks, cols, xc, u
+        xt[table] = step
+        yield checks, table, xc, u
         if keep:
             at += 2 * size
 
@@ -144,41 +144,28 @@ def decode_vcdc_batch(h, weights, sched, llrs):
     final block at the cleanest level, which runs even when the schedule
     has a single level.  Non-finite LLRs are rejected.
 
-    Between blocks the running frames are the columns of an (n, B) array
-    zt, which the block and the reverse step see through its (B, n)
-    transpose.  The call makes one work allocation: zt, then the block's
+    The running frames are the columns of the state of a ``RunningSet``,
+    an (n, B') array zt that the block and the reverse step see through
+    its (B', n) transpose; the set's caller work holds the block's
     beliefs, estimate and walk.  The reverse step writes into the
-    estimate, and the frames still running are taken from the block's
-    output back into zt.
+    estimate, which is copied into zt for the exit test; the final block's
+    beliefs are tested where the block left them.
     """
     weights.check_code(h)
-    llrs = check_llr_batch(h, llrs)
-    bits = np.empty(llrs.shape, dtype=np.uint8)
-    beliefs = np.empty_like(llrs)
-    steps = np.empty(llrs.shape[0], dtype=np.int64)
-    ok = np.empty(llrs.shape[0], dtype=bool)
+    frames = np.size(llrs) // h.n  # the frame count of any batch the set accepts
+    rs = RunningSet(h, llrs, h.n, 2 * h.n * frames + walk_size(h, frames))
     # the entry test: frames that already satisfy every check take 0 steps
-    idx = settle(h, llrs.T, np.arange(llrs.shape[0]), 0, bits, beliefs, steps, ok, False)
-    work = np.empty(3 * h.n * idx.size + walk_size(h, idx.size))
-    block_work = work[h.n * idx.size:]
-    # mode="clip" keeps take from buffering its output; every index is valid
-    zt = np.take(llrs.T, idx, axis=1, out=work[:h.n * idx.size].reshape(h.n, -1), mode="clip")
-
-    used = 0
+    zt = rs.settle(rs.state, 0)
     for t_index in range(len(sched) - 1, -1, -1):
-        if idx.size == 0:
+        if zt.shape[1] == 0:
             break
-        block_beliefs, x_hat = neural_block(h, weights, zt.T, work=block_work)
+        block_beliefs, x_hat = neural_block(h, weights, zt.T, work=rs.work)
         if t_index:
-            z = reverse_step(sched, t_index, zt.T, x_hat, out=x_hat)
-            used += 1
+            np.copyto(zt.T, reverse_step(sched, t_index, zt.T, x_hat, out=x_hat))
+            zt = rs.settle(zt, len(sched) - t_index)
         else:  # the final block's beliefs are the decoder output
-            z = block_beliefs
-        running = settle(h, z.T, idx, used, bits, beliefs, steps, ok, t_index == 0)
-        idx = idx[running]
-        zt = np.take(z.T, running, axis=1, out=work[:h.n * idx.size].reshape(h.n, -1),
-                     mode="clip")
-    return bits, beliefs, steps, ok
+            rs.settle(block_beliefs.T, len(sched) - 1, last=True)
+    return rs.outputs
 
 
 CHECKPOINT_MAGIC = "VCDC1"

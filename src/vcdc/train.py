@@ -27,7 +27,8 @@ from .denoiser import NeuralBlockWeights, block_layers, walk_size
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss became non-finite."""
+    """Loss became non-finite, or ended, smoothed, above ln 2: the loss of
+    all-zero beliefs, which the channel LLRs beat in expectation."""
 
 
 def loss_with_adjoint(beliefs, x_b):
@@ -123,15 +124,15 @@ def block_gradients(h, weights, llrs, x_b):
     value, g = loss_with_adjoint(np.ascontiguousarray(xt.T), x_b)
     gt = np.array(g.T, order="C")
     grads = np.empty(h.num_checks)
-    for checks, cols, xc, u in reversed(layers):
-        g_cols = gt.take(cols.T, axis=0)  # (d, g, B)
+    for checks, table, xc, u in reversed(layers):
+        g_cols = gt.take(table, axis=0)  # (d, g, B)
         p = np.ascontiguousarray((g_cols * u.T.reshape(g_cols.shape)).transpose(1, 2, 0))
         grads[checks] = p.sum(axis=(1, 2))
         # p is spent: its memory takes the adjoint of the messages, w times g
         wg = np.multiply(g_cols, weights[checks, None], out=p.reshape(g_cols.shape))
         wg = wg.reshape(len(g_cols), -1).T
         g_cols += minsum_backward(wg, xc, u).T.reshape(g_cols.shape)
-        gt[cols.T] = g_cols
+        gt[table] = g_cols
     return value, grads
 
 
@@ -228,9 +229,11 @@ def train(h, cfg=TrainConfig()):
             raise TrainingDiverged(f"loss became non-finite at iteration {it}")
         params = adam.step(params, grads)
         raw[it] = value
-    weights = NeuralBlockWeights(values=params, n=h.n, k=h.k)
-    return TrainResult(weights=weights, raw_loss=raw,
-                       smoothed_loss=_smooth(raw))
+    smoothed = _smooth(raw)
+    if smoothed[-1] > math.log(2):
+        raise TrainingDiverged(f"final smoothed loss {smoothed[-1]:.6g} exceeds ln 2")
+    return TrainResult(weights=NeuralBlockWeights(values=params, n=h.n, k=h.k), raw_loss=raw,
+                       smoothed_loss=smoothed)
 
 
 def write_loss_curve(path, result):

@@ -123,7 +123,8 @@ def grouped_block_layers(h, w, x):
     """Run the layer groups over the (B, n) beliefs ``x`` in place; yields
     each group's (checks, columns, rows xc, messages u), xc and u C-ordered
     (B g, d) arrays, row b g + i holding check i of frame b."""
-    for checks, cols in h.layer_groups:
+    for checks, table in h.layer_groups:
+        cols = table.T  # (g, d): row i the variables of check i
         shape = (-1,) + cols.shape
         xc = np.take(x, cols, axis=1).reshape(-1, cols.shape[1])
         u = bp.check_minsum_terms(xc)

@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vcdc import codes
-from vcdc.bp import (ATANH_EPS, BpConfig, EdgeIndex, MIN_SUM, SUM_PRODUCT, _two_least,
-                     check_minsum_terms, decode_bp_batch, minsum_work_size, settle)
+from vcdc.bp import (ATANH_EPS, BpConfig, EdgeIndex, MIN_SUM, SUM_PRODUCT, RunningSet,
+                     _two_least, check_minsum_terms, decode_bp_batch, minsum_work_size)
 from vcdc.codebook import (ParityCheckMatrix, _row_reduce, bipolar, derive_generator, encode,
                            syndrome)
 from vcdc.channel import LLR_CLAMP, hard_decide, noise_scale, to_llr, transmit
@@ -669,13 +669,16 @@ def test_exit_test_and_syndrome_match_int64_parity(h, frames, seed):
     fails = parity.any(axis=0)
     assert (h.rows @ basis.T.astype(np.int64) % 2 == 0).all()
 
-    bits, beliefs = np.empty_like(hard), np.empty_like(s.T)
-    counts, ok = np.empty(frames, dtype=np.int64), np.empty(frames, dtype=bool)
-    running = settle(h, s, np.arange(frames), 3, bits, beliefs, counts, ok, True)
-    assert np.array_equal(running, np.flatnonzero(fails))
+    rs = RunningSet(h, s.T, h.n, 0)
+    assert rs.settle(rs.state, 3, last=True) is rs.state
+    bits, beliefs, counts, ok = rs.outputs
     assert np.array_equal(ok, ~fails) and (counts == 3).all()
     assert np.array_equal(bits, hard)
     assert_same_bits(beliefs, s.T)
+    rs = RunningSet(h, s.T, h.n, 0)
+    state = rs.settle(rs.state, 3)
+    assert np.array_equal(rs.frames, np.flatnonzero(fails))
+    assert_same_bits(state, s[:, fails])
 
     syn, errors = syndrome(h, hard)
     assert syn.dtype == np.uint8 and np.array_equal(syn, parity.T)
@@ -685,33 +688,57 @@ def test_exit_test_and_syndrome_match_int64_parity(h, frames, seed):
 
 
 def test_settle_writes_only_the_frames_that_stop(hamming):
-    # six running frames at rows ``idx`` of ten; frames 0, 2 and 5 are
-    # codewords, the others have one bit flipped
+    # ten frames whose state has two more rows than the beliefs; frames 0,
+    # 2, 5 and 7 are codewords, the others have one bit flipped
     rng = np.random.default_rng(4)
-    h, idx = hamming, np.array([1, 3, 4, 6, 8, 9])
-    hard = encode(derive_generator(h), rng.integers(0, 2, (6, h.k)))
-    hard[[1, 3, 4], [0, 6, 2]] ^= 1
-    s = (bipolar(hard) * rng.uniform(0.5, 4.0, hard.shape)).T.copy()
-    bits, beliefs = np.full((10, h.n), 2, dtype=np.uint8), np.full((10, h.n), np.nan)
-    counts, ok = np.full(10, -1), np.arange(10) % 2 == 0
-    sentinels = bits.copy(), beliefs.copy(), counts.copy(), ok.copy()
+    h, n = hamming, hamming.n
+    hard = encode(derive_generator(h), rng.integers(0, 2, (10, h.k)))
+    hard[[1, 3, 4, 6, 8, 9], [0, 6, 2, 5, 1, 3]] ^= 1
+    llrs = bipolar(hard) * rng.uniform(0.5, 4.0, hard.shape)
+    rs = RunningSet(h, llrs, n + 2, 5)
+    assert rs.state.shape == (n + 2, 10) and rs.state.flags.c_contiguous
+    assert_same_bits(rs.state[:n], llrs.T)
+    assert rs.work.size == 5 and rs.spare.size == rs.state.size
+    rs.state[n:] = np.arange(20).reshape(2, 10)
+    bits, beliefs, counts, ok = outputs = rs.outputs
+    bits[:], beliefs[:], counts[:], ok[:] = 2, np.nan, -1, np.arange(10) % 2 == 0
+    before = [out.copy() for out in outputs]
 
     def assert_rows(rows, count, flags):
+        """The call wrote the outputs of the frames ``rows`` and no others."""
         others = np.setdiff1d(np.arange(10), rows)
-        for out, sentinel in zip((bits, beliefs, counts, ok), sentinels):
-            assert_same_bits(out[others], sentinel[others])
-        pos = np.searchsorted(idx, rows)
-        assert np.array_equal(bits[rows], hard[pos])
-        assert_same_bits(beliefs[rows], s.T[pos])
+        for out, old in zip(outputs, before):
+            assert_same_bits(out[others], old[others])
+        assert np.array_equal(bits[rows], hard[rows])
+        assert_same_bits(beliefs[rows], llrs[rows])
         assert (counts[rows] == count).all() and (ok[rows] == flags).all()
+        before[:] = [out.copy() for out in outputs]
 
-    running = settle(h, s, idx, 4, bits, beliefs, counts, ok, False)
-    assert running.tolist() == [1, 3, 4]
-    assert_rows(idx[[0, 2, 5]], 4, True)
-    # the last call writes every running frame, failed ones flagged False
-    running = settle(h, s, idx, 5, bits, beliefs, counts, ok, True)
-    assert running.tolist() == [1, 3, 4]
-    assert_rows(idx, 5, [True, False, True, False, False, True])
+    # the running columns, every row of them, move into the spare slab
+    old = rs.state
+    state = rs.settle(old[:n], 4)
+    assert state is rs.state and not np.shares_memory(state, old)
+    assert np.shares_memory(rs.spare, old) and not np.shares_memory(rs.spare, state)
+    assert rs.frames.tolist() == [1, 3, 4, 6, 8, 9]
+    assert_same_bits(state[:n], llrs.T[:, rs.frames])
+    assert state[n:].tolist() == [[1, 3, 4, 6, 8, 9], [11, 13, 14, 16, 18, 19]]
+    assert_rows([0, 2, 5, 7], 4, True)
+    # frame 4 is now a codeword, column 2 of the running set
+    llrs[4] = bipolar(hard[4] ^ np.eye(n, dtype=np.uint8)[2])
+    state[:n, 2] = llrs[4]
+    hard[4, 2] ^= 1
+    state = rs.settle(state[:n], 5)
+    assert rs.frames.tolist() == [1, 3, 6, 8, 9]
+    assert state[n:].tolist() == [[1, 3, 6, 8, 9], [11, 13, 16, 18, 19]]
+    assert_rows([4], 5, True)
+    # a round in which no frame stops writes nothing and keeps the state
+    assert rs.settle(state[:n], 6) is state
+    assert_rows([], 6, True)
+    # the last call writes every running frame, failed ones flagged False,
+    # and keeps them running
+    assert rs.settle(state[:n], 7, last=True) is state
+    assert rs.frames.tolist() == [1, 3, 6, 8, 9]
+    assert_rows([1, 3, 6, 8, 9], 7, False)
 
 
 EXIT_CASES = {

@@ -99,6 +99,16 @@ class TestTrain:
         assert err.splitlines() == ["error: loss became non-finite at iteration 1"]
         assert not out.exists()
 
+    def test_finite_blow_up_exits_two_with_no_output(self, tmp_path, capsys):
+        # the loss stays finite, but the weights grow to about 1e30 and the
+        # run ends far above ln 2, the loss of all-zero beliefs
+        out = tmp_path / "o"
+        assert run_cli("train", "--code", "hamming_7_4", "--out", out, "--iterations", 200,
+                       "--learning-rate", "1e30", "--seed", 2) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: final smoothed loss ") and "exceeds ln 2" in err
+        assert not out.exists()
+
     def test_ldpc_49_24_checkpoint_carries_25_weights(self, tmp_path):
         out = tmp_path / "run"
         assert run_cli("train", "--code", "ldpc_49_24", "--out", out,

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vcdc.bp import BpConfig, decode_bp_batch
-from vcdc.channel import hard_decide
+from vcdc.channel import hard_decide, noise_scale, to_llr, transmit
 from vcdc.codebook import ParityCheckMatrix, bipolar, derive_generator, encode, syndrome
 from vcdc.denoiser import (CheckpointError, NeuralBlockWeights, decode_vcdc_batch,
                            load_checkpoint, neural_block, save_checkpoint, walk_size)
@@ -344,6 +344,20 @@ class TestDecodeVcdc:
             np.testing.assert_allclose(beliefs, block_beliefs, atol=1e-12)
         assert steps[0] == 0
 
+
+    def test_decode_allocates_one_workspace(self, ldpc_121_60):
+        # the outputs, the running set's two (n, B) slabs, the block's beliefs,
+        # estimate and walk, and the exit test's temporaries come to about
+        # 9.2 LLR arrays; one more (n, B) float64 array breaks the bound
+        h, frames = ldpc_121_60, 512
+        rng = np.random.default_rng(12)
+        w = noise_scale(4.0, h.k, h.n)
+        cw = encode(derive_generator(h), rng.integers(0, 2, (frames, h.k)))
+        llrs = to_llr(transmit(bipolar(cw), w, rng), w)
+        weights = NeuralBlockWeights(values=rng.normal(0.3, 0.1, h.num_checks), n=h.n, k=h.k)
+        sched = build_schedule(4.0, 20, 0.5, h.rate)
+        peak = traced_peak(lambda: decode_vcdc_batch(h, weights, sched, llrs))
+        assert peak < 9.5 * llrs.nbytes
 
 class TestCheckpoint:
     def test_round_trip_is_bit_exact(self, ldpc_121_60):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from vcdc import codes
+from vcdc import train as vtrain
 from vcdc.bp import check_minsum_terms
 from vcdc.denoiser import NeuralBlockWeights, neural_block
 from vcdc.train import (Adam, TrainConfig, TrainingDiverged, block_gradients, minsum_backward,
@@ -186,6 +187,19 @@ class TestTrainLoop:
         cfg = TrainConfig(iterations=20, batch_size=16, seed=0, learning_rate=1e200)
         with np.errstate(all="ignore"), pytest.raises(TrainingDiverged):
             train(hamming, cfg)
+
+    def test_divergence_guard_aborts_above_ln_2(self, hamming, monkeypatch):
+        # a finite loss that ends above ln 2 is a diverged run; exactly ln 2,
+        # the loss of all-zero beliefs, is not
+        cfg = TrainConfig(iterations=1, batch_size=8, seed=0)
+        for value, diverged in ((np.nextafter(np.log(2), 1.0), True), (np.log(2), False)):
+            monkeypatch.setattr(vtrain, "block_gradients",
+                                lambda *args: (value, np.zeros(hamming.num_checks)))
+            if diverged:
+                with pytest.raises(TrainingDiverged, match="exceeds ln 2"):
+                    train(hamming, cfg)
+            else:
+                assert train(hamming, cfg).final_smoothed() == np.log(2)
 
     def test_loss_curve_csv_format(self, hamming, tmp_path):
         result = train(hamming, TrainConfig(iterations=5, batch_size=8, seed=5))
