@@ -256,6 +256,17 @@ class TestGf2ProductDifferential:
 
     seeds = st.integers(0, 2**32 - 1)
     densities = st.sampled_from([0.02, 0.5, 0.98])
+    sizes = st.integers(1, 256)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=sizes, inner=sizes, cols=sizes, seed=seeds, density=densities)
+    def test_product_matches_int64(self, rows, inner, cols, seed, density):
+        # encode(b, a) is the product a @ b for any shapes, inner >= cols included
+        rng = np.random.default_rng(seed)
+        a, b = _bits(rng, (rows, inner), density), _bits(rng, (inner, cols), density)
+        out = encode(b, a)
+        assert out.dtype == np.uint8
+        np.testing.assert_array_equal(out, _gf2_reference(a, b))
 
     @settings(max_examples=80, deadline=None)
     @given(n=st.integers(2, 256), data=st.data(), seed=seeds, density=densities)
