@@ -310,6 +310,14 @@ def check_llr_batch(h, llrs):
     return llrs
 
 
+def copy_clamped(out, llrs):
+    """Copy the (B, n) LLRs ``llrs`` into the (n, B) array ``out``, clamped
+    to +-LLR_CLAMP.  The clamp runs in place: a clip that read ``llrs.T``
+    would take a 64 KiB ufunc buffer."""
+    np.copyto(out, llrs.T)
+    np.clip(out, -LLR_CLAMP, LLR_CLAMP, out=out)
+
+
 def _head(flat, rows, cols):
     """The C-ordered (rows, cols) view of the head of the flat array ``flat``."""
     return flat[:rows * cols].reshape(rows, cols)
@@ -318,14 +326,15 @@ def _head(flat, rows, cols):
 class RunningSet:
     """The frames of one decode call that have not stopped, and the outputs
     (bits, beliefs, counts, ok) of those that have: both decoders' exit
-    test and compaction.
+    test and compaction, and their one frame boundary.
 
     The set checks ``llrs`` as ``check_llr_batch`` does and makes one
-    float64 work allocation: ``state``, a C-ordered (rows, B') array whose
-    column j is the state of the running frame ``frames[j]`` and whose
-    first n rows start as ``llrs.T``; ``spare``, flat memory at least the
-    size of ``state``, free between two calls of ``settle``; and ``work``,
-    ``extra`` entries.  ``settle`` writes the outputs.
+    float64 work allocation, sized per frame: ``state``, a C-ordered
+    (rows, B') array whose column j is the state of the running frame
+    ``frames[j]`` and whose first n rows start as ``llrs.T`` clamped to
+    +-LLR_CLAMP; ``spare``, flat memory at least the size of ``state``,
+    free between two calls of ``settle``; and ``work``, ``extra`` entries
+    for each of the B frames.  ``settle`` writes the outputs.
     """
 
     def __init__(self, h, llrs, rows, extra):
@@ -334,10 +343,10 @@ class RunningSet:
         self.outputs = (np.empty(llrs.shape, dtype=np.uint8), np.empty_like(llrs),
                         np.empty(len(llrs), dtype=np.int64), np.empty(len(llrs), dtype=bool))
         slab = rows * len(llrs)
-        work = np.empty(2 * slab + extra)
+        work = np.empty(2 * slab + extra * len(llrs))
         self.state = _head(work, rows, len(llrs))
         self.spare, self.work = work[slab:2 * slab], work[2 * slab:]
-        np.copyto(self.state[:h.n], llrs.T)
+        copy_clamped(self.state[:h.n], llrs)
 
     def settle(self, s, count, last=False):
         """The exit test on the running frames, whose beliefs are the columns
@@ -373,22 +382,23 @@ def decode_bp_batch(h, llrs, cfg=BpConfig(), edge_index=None):
 
     Returns (bits, beliefs, iterations, syndrome_zero) arrays; each frame
     exits as soon as its hard decision satisfies every parity check.
-    Channel LLRs are clamped to +-LLR_CLAMP; non-finite ones are rejected.
+    The ``RunningSet`` rejects non-finite LLRs and clamps the others as it
+    copies them in.
 
     Frames are columns of the state of a ``RunningSet``: a running frame's
-    state is one (2n + E)-row column holding its clipped LLRs, beliefs and
+    state is one (2n + E)-row column holding its clamped LLRs, beliefs and
     c2v messages, and v2c lives in the set's spare slab.  Besides these
     two slabs the call's one work allocation holds, for min-sum, the
-    kernel's workspace.  The sweep reads v2c and writes c2v into the state;
-    the belief sums gather into the spent v2c.  The first sweep's inputs
-    are made in the belief rows, on the LLRs.
+    kernel's workspace, sized per frame like the slabs.  The sweep reads
+    v2c and writes c2v into the state; the belief sums gather into the
+    spent v2c.  The first sweep's inputs are made in the belief rows, on
+    the LLRs.
     """
     ei = edge_index if edge_index is not None else EdgeIndex(h)
     n, edges = h.n, ei.num_edges
-    frames = np.size(llrs) // n  # the frame count of any batch the set accepts
     # min-sum's kernel workspace is sized for the widest degree group
     kernel = 0 if cfg.variant == SUM_PRODUCT else minsum_work_size(
-        max(r.stop - r.start for r in ei.degree_groups.values()) * frames)
+        max(r.stop - r.start for r in ei.degree_groups.values()))
     rs = RunningSet(h, llrs, 2 * n + edges, kernel)
     sweep = (_check_sweep_sumproduct if cfg.variant == SUM_PRODUCT
              else functools.partial(_check_sweep_minsum, work=rs.work))
@@ -402,12 +412,11 @@ def decode_bp_batch(h, llrs, cfg=BpConfig(), edge_index=None):
         return out
 
     state = rs.state
-    l = np.clip(state[:n], -LLR_CLAMP, LLR_CLAMP, out=state[:n])
     # every edge's first message is its variable's LLR, so the first sweep's
     # inputs are made on the n LLRs, in the belief rows, and then gathered;
     # mode="clip" keeps take from buffering its output; every index is valid
-    v2c = np.take(sweep_inputs(l, state[n:2 * n]), ei.row_var, axis=0,
-                  out=_head(rs.spare, edges, frames), mode="clip")
+    v2c = np.take(sweep_inputs(state[:n], state[n:2 * n]), ei.row_var, axis=0,
+                  out=_head(rs.spare, edges, state.shape[1]), mode="clip")
     for it in range(1, cfg.max_iters + 1):
         l, s, c2v = state[:n], state[n:2 * n], state[2 * n:]
         sweep(v2c, ei, c2v)

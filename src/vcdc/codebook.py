@@ -208,21 +208,6 @@ def parse_alist(text):
     return ParityCheckMatrix.from_rows(rows)
 
 
-def serialize_alist(h):
-    """Emit the canonical alist text for a ParityCheckMatrix."""
-    m = h.num_checks
-    max_var = max(len(a) for a in h.var_adjacency)
-    max_chk = max(len(a) for a in h.chk_adjacency)
-    lines = [f"{h.n} {m}", f"{max_var} {max_chk}"]
-    lines.append(" ".join(str(len(a)) for a in h.var_adjacency))
-    lines.append(" ".join(str(len(a)) for a in h.chk_adjacency))
-    for adj, width in ((h.var_adjacency, max_var), (h.chk_adjacency, max_chk)):
-        for entries in adj:
-            padded = [e + 1 for e in entries] + [0] * (width - len(entries))
-            lines.append(" ".join(str(e) for e in padded))
-    return "\n".join(lines) + "\n"
-
-
 def load_alist(path):
     with open(path, "r", encoding="ascii") as fh:
         return parse_alist(fh.read())

@@ -59,10 +59,11 @@ class NeuralBlockWeights:
                 f"weights trained for ({self.n},{self.k}) cannot decode ({h.n},{h.k})")
 
 
-def walk_size(h, frames, keep=False):
-    """Float64 entries of the ``work`` buffer ``block_layers`` needs for
-    ``frames`` frames, with or without ``keep``."""
-    edges = [table.size * frames for _, table in h.layer_groups]
+def walk_size(h, keep=False):
+    """Float64 entries per frame of the ``work`` buffer ``block_layers``
+    needs, with or without ``keep``: a walk over B frames needs B times as
+    many."""
+    edges = [table.size for _, table in h.layer_groups]
     return minsum_work_size(max(edges)) + 2 * (sum(edges) if keep else max(edges))
 
 
@@ -81,7 +82,7 @@ def block_layers(h, w, xt, work, keep=False):
     the weights ``w[checks]`` times the messages.
 
     Every array the walk writes besides ``xt`` is a view of ``work``, a flat
-    float64 array of at least ``walk_size(h, B, keep)`` entries: the
+    float64 array of at least ``B * walk_size(h, keep)`` entries: the
     kernel's workspace for the largest group, then slots of a gathered block
     and its messages.  Without ``keep`` every group reuses one slot, sized
     for the largest group, so a group's xc and u hold only until the walk
@@ -89,7 +90,7 @@ def block_layers(h, w, xt, work, keep=False):
     and all of them stay valid.
     """
     frames = xt.shape[1]
-    at = minsum_work_size(max(table.size for _, table in h.layer_groups) * frames)
+    at = frames * minsum_work_size(max(table.size for _, table in h.layer_groups))
     kernel = work[:at]
     for checks, table in h.layer_groups:
         d, size = len(table), table.size * frames
@@ -115,7 +116,7 @@ def neural_block(h, weights, llrs, work=None):
     arrays.  With all weights zero the block is the identity on beliefs.
 
     Both arrays, and every one the walk writes, are views of ``work``, a
-    flat float64 array of at least ``2 n B + walk_size(h, B)`` entries, or
+    flat float64 array of at least ``B * (2 n + walk_size(h))`` entries, or
     of one new array of that size.
     """
     weights.check_code(h)
@@ -123,7 +124,7 @@ def neural_block(h, weights, llrs, work=None):
     if x.ndim != 2 or x.shape[1] != h.n:
         raise ValueError(f"expected (B, {h.n}) beliefs, got {x.shape}")
     if work is None:
-        work = np.empty(2 * x.size + walk_size(h, len(x)))
+        work = np.empty(len(x) * (2 * h.n + walk_size(h)))
     xt = work[:x.size].reshape(h.n, -1)
     x_hat = work[x.size:2 * x.size].reshape(h.n, -1)
     np.copyto(xt, x.T)  # the layers run in place
@@ -142,18 +143,19 @@ def decode_vcdc_batch(h, weights, sched, llrs):
     whose hard decision already satisfies the syndrome cost zero reverse
     steps; the rest stop at the first satisfied syndrome or after the
     final block at the cleanest level, which runs even when the schedule
-    has a single level.  Non-finite LLRs are rejected.
+    has a single level.  The ``RunningSet`` rejects non-finite LLRs and
+    clamps the others as it copies them in, as BP's does.
 
     The running frames are the columns of the state of a ``RunningSet``,
     an (n, B') array zt that the block and the reverse step see through
-    its (B', n) transpose; the set's caller work holds the block's
-    beliefs, estimate and walk.  The reverse step writes into the
-    estimate, which is copied into zt for the exit test; the final block's
-    beliefs are tested where the block left them.
+    its (B', n) transpose; the set's caller work, 2 n + walk_size(h)
+    entries a frame, holds the block's beliefs, estimate and walk.  The
+    reverse step writes into the estimate, which is copied into zt for the
+    exit test; the final block's beliefs are tested where the block left
+    them.
     """
     weights.check_code(h)
-    frames = np.size(llrs) // h.n  # the frame count of any batch the set accepts
-    rs = RunningSet(h, llrs, h.n, 2 * h.n * frames + walk_size(h, frames))
+    rs = RunningSet(h, llrs, h.n, 2 * h.n + walk_size(h))
     # the entry test: frames that already satisfy every check take 0 steps
     zt = rs.settle(rs.state, 0)
     for t_index in range(len(sched) - 1, -1, -1):

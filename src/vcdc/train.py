@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bp import _pairwise_sum, check_count, check_llr_batch
+from .bp import _pairwise_sum, check_count, check_llr_batch, copy_clamped
 from .channel import noise_scale, to_llr, transmit
 from .codebook import bipolar, derive_generator, encode
 from .denoiser import NeuralBlockWeights, block_layers, walk_size
@@ -98,6 +98,10 @@ def minsum_backward(g, xc, u):
 def block_gradients(h, weights, llrs, x_b):
     """Loss and d(loss)/d(layer weights) for one (B, n) batch of LLRs.
 
+    Non-finite LLRs are rejected, and the others are clamped to
+    +-LLR_CLAMP as they are copied in, as the decoders' ``RunningSet``
+    clamps them.
+
     Runs the block forward once on frames-as-columns (n, B) beliefs,
     keeping each layer group's gathered beliefs and min-sum messages u_l,
     then walks the groups in reverse: layer l's weight gradient is the
@@ -105,7 +109,8 @@ def block_gradients(h, weights, llrs, x_b):
     layer input adds the min-sum backward of w_l times that adjoint.  The
     checks of a group share no variable, so neither step of one check reads
     what another check of its group writes, and a group steps back at once
-    exactly as its checks would one by one.
+    exactly as its checks would one by one.  The work is one allocation of
+    n + walk_size(h, keep=True) entries a frame.
 
     Every reduction keeps one fixed order: the loss is the mean over a
     C-ordered (B, n) array, each check's gradient the sum over a C-ordered
@@ -117,9 +122,9 @@ def block_gradients(h, weights, llrs, x_b):
         raise ValueError(f"expected {h.num_checks} layer weights, got {weights.size}")
     x = check_llr_batch(h, llrs)
     # one allocation holds the beliefs and the walk, every group's blocks kept
-    work = np.empty(x.size + walk_size(h, len(x), keep=True))
+    work = np.empty(len(x) * (h.n + walk_size(h, keep=True)))
     xt = work[:x.size].reshape(h.n, -1)
-    np.copyto(xt, x.T)
+    copy_clamped(xt, x)
     layers = list(block_layers(h, weights, xt, work[x.size:], keep=True))
     value, g = loss_with_adjoint(np.ascontiguousarray(xt.T), x_b)
     gt = np.array(g.T, order="C")

@@ -1,5 +1,8 @@
 import csv
+import importlib.util
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +25,22 @@ def numeric_grad(fn, x, eps=1e-6):
         grad[idx] = (fn(xp) - fn(xm)) / (2 * eps)
         it.iternext()
     return grad
+
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def load_tool(name):
+    """The script tools/<name>.py as a module, loaded by path; ``sys.path``,
+    which a tool may extend as it loads, is left as it was."""
+    path = list(sys.path)
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = path
+    return module
 
 
 def assert_same_bits(a, b):

@@ -1,14 +1,11 @@
 """tools/bench_pairs.py on canned benchmark output: no benchmark runs."""
 
-import importlib.util
 import json
-from pathlib import Path
 from types import SimpleNamespace
 
-ROOT = Path(__file__).resolve().parents[1]
-spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
-bench_pairs = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(bench_pairs)
+from conftest import load_tool
+
+bench_pairs = load_tool("bench_pairs")
 
 
 def canned_stdout(frames_per_s, rss, digest="616e1bf682cf467a", neg_ln_err=4.41989):

@@ -338,7 +338,7 @@ class TestDecodeBp:
             # a batch of one: early-exit compaction must keep frames independent
             b1, bel1, it1, ok1 = decode_bp_batch(ldpc_49_24, llrs[i:i + 1], cfg)
             assert np.array_equal(b1[0], bits[i])
-            np.testing.assert_allclose(bel1[0], beliefs[i], atol=1e-12)
+            assert_same_bits(bel1[0], beliefs[i])
             assert it1[0] == iters[i] and ok1[0] == ok[i]
 
     def test_dimension_mismatch(self, hamming):
@@ -698,7 +698,7 @@ def test_settle_writes_only_the_frames_that_stop(hamming):
     rs = RunningSet(h, llrs, n + 2, 5)
     assert rs.state.shape == (n + 2, 10) and rs.state.flags.c_contiguous
     assert_same_bits(rs.state[:n], llrs.T)
-    assert rs.work.size == 5 and rs.spare.size == rs.state.size
+    assert rs.work.size == 5 * 10 and rs.spare.size == rs.state.size
     rs.state[n:] = np.arange(20).reshape(2, 10)
     bits, beliefs, counts, ok = outputs = rs.outputs
     bits[:], beliefs[:], counts[:], ok[:] = 2, np.nan, -1, np.arange(10) % 2 == 0

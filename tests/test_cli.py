@@ -11,10 +11,12 @@ import pytest
 import vcdc
 from vcdc import codes
 from vcdc.cli import build_parser, main
-from vcdc.codebook import bipolar, derive_generator, encode, serialize_alist
+from vcdc.codebook import bipolar, derive_generator, encode
 from vcdc.denoiser import NeuralBlockWeights, save_checkpoint
 
-from conftest import read_results_csv
+from conftest import load_tool, read_results_csv
+
+serialize_alist = load_tool("make_codes").serialize_alist
 
 
 @pytest.fixture()

@@ -1,5 +1,3 @@
-import importlib.util
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +7,11 @@ from hypothesis import strategies as st
 
 from vcdc import codes
 from vcdc.codebook import (AlistError, ParityCheckMatrix, bipolar, derive_generator, encode,
-                           gf2_rank, parse_alist, serialize_alist, syndrome)
+                           gf2_rank, parse_alist, syndrome)
 
-from conftest import enumerate_codewords, random_layered_code
+from conftest import enumerate_codewords, load_tool, random_layered_code
+
+make_codes = load_tool("make_codes")
 
 # canonical (7,4) Hamming: columns are the binary digits of 1..7
 HAMMING_ALIST = """\
@@ -94,7 +94,7 @@ class TestParseAlist:
     def test_serialize_round_trip_all_bundled(self):
         for name in codes.available():
             h = codes.load(name)
-            h2 = parse_alist(serialize_alist(h))
+            h2 = parse_alist(make_codes.serialize_alist(h))
             assert h2.var_adjacency == h.var_adjacency
             assert h2.chk_adjacency == h.chk_adjacency
             assert np.array_equal(h2.rows, h.rows)
@@ -123,12 +123,7 @@ def test_check_tables_list_every_check_once_by_degree(name):
 
 def test_make_codes_reproduces_the_bundled_codes(tmp_path, monkeypatch, capsys):
     # the tool builds every bundled code from its construction and writes
-    # it with serialize_alist; it prepends src/ to sys.path on import
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    tool = Path(__file__).resolve().parents[1] / "tools" / "make_codes.py"
-    spec = importlib.util.spec_from_file_location("make_codes", tool)
-    make_codes = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(make_codes)
+    # it with serialize_alist
     monkeypatch.setattr(make_codes, "OUT_DIR", str(tmp_path))
     make_codes.main()
     bundled = Path(codes.__file__).parent

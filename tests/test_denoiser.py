@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vcdc.bp import BpConfig, decode_bp_batch
-from vcdc.channel import hard_decide, noise_scale, to_llr, transmit
+from vcdc.bp import MIN_SUM, SUM_PRODUCT, BpConfig, decode_bp_batch
+from vcdc.channel import LLR_CLAMP, hard_decide, noise_scale, to_llr, transmit
 from vcdc.codebook import ParityCheckMatrix, bipolar, derive_generator, encode, syndrome
 from vcdc.denoiser import (CheckpointError, NeuralBlockWeights, decode_vcdc_batch,
                            load_checkpoint, neural_block, save_checkpoint, walk_size)
@@ -76,7 +76,7 @@ class TestNeuralBlock:
         rng = np.random.default_rng(11)
         w = rand_weights(h, rng)
         llrs = rng.normal(2.0, 2.0, (512, h.n))
-        work = np.full(2 * llrs.size + walk_size(h, len(llrs)), np.nan)
+        work = np.full(len(llrs) * (2 * h.n + walk_size(h)), np.nan)
         assert traced_peak(lambda: neural_block(h, w, llrs, work=work)) < llrs.nbytes
         beliefs, x_hat = neural_block(h, w, llrs, work=work)
         assert np.shares_memory(beliefs, work) and np.shares_memory(x_hat, work)
@@ -251,6 +251,61 @@ def test_exit_edge_cases_match_the_frame_major_oracle(ldpc_121_60, case):
         assert 0 < ok.sum() < len(ok) and (steps == 0).all()
 
 
+def assert_same_outputs(got, want):
+    """Two decoders' (bits, beliefs, counts, flags) are equal, bit for bit."""
+    assert np.array_equal(got[0], want[0])
+    assert_same_bits(got[1], want[1])
+    assert np.array_equal(got[2], want[2]) and np.array_equal(got[3], want[3])
+
+
+def every_decoder(h, weights, sched, iters=5):
+    """Callables decoding an LLR batch with BP sum-product, BP min-sum and
+    the reverse process."""
+    return [lambda l, v=v: decode_bp_batch(h, l, BpConfig(max_iters=iters, variant=v))
+            for v in (SUM_PRODUCT, MIN_SUM)] + [lambda l: decode_vcdc_batch(h, weights, sched, l)]
+
+
+def test_llrs_are_clamped_at_the_frame_boundary(ldpc_49_24):
+    # finite LLRs near the float64 limit decode and train exactly as their
+    # clamped values do; unclamped, the block's sums overflow
+    h = ldpc_49_24
+    rng = np.random.default_rng(17)
+    llrs = 1.7e308 * rng.uniform(-1.0, 1.0, (24, h.n))
+    clamped = np.clip(llrs, -LLR_CLAMP, LLR_CLAMP)
+    assert (clamped != llrs).all()
+    weights = rand_weights(h, rng)
+    for decode in every_decoder(h, weights, build_schedule(4.0, 8, 0.5, h.rate)):
+        got = decode(llrs)
+        assert_same_outputs(got, decode(clamped))
+        assert np.isfinite(got[1]).all()
+    x_b = encode(derive_generator(h), rng.integers(0, 2, (24, h.k)))
+    value, grads = block_gradients(h, weights.values, llrs, x_b)
+    want_value, want_grads = block_gradients(h, weights.values, clamped, x_b)
+    assert_same_bits(value, want_value)
+    assert_same_bits(grads, want_grads)
+    assert np.isfinite(value) and np.isfinite(grads).all()
+
+
+@settings(max_examples=50, deadline=None)
+@given(h=wide_degree_codes(), data=st.data(), seed=SEEDS)
+def test_frames_decode_alike_in_any_batch(h, data, seed):
+    # a frame's outputs do not depend on which frames share its batch, or
+    # on their order: early exit and compaction keep frames independent
+    rng = np.random.default_rng(seed)
+    frames = data.draw(st.integers(2, 30))
+    llrs = tied_llrs(rng, (frames, h.n))
+    # frames leaning to the all-zero codeword stop early, the others late
+    llrs[rng.random(frames) < 0.4] += 4.0
+    order = data.draw(st.permutations(range(frames)))
+    subset = np.array(order[:data.draw(st.integers(1, frames))])
+    sched = build_schedule(data.draw(st.floats(-2.0, 6.0)), data.draw(st.integers(1, 6)),
+                           0.5, h.rate)
+    for decode in every_decoder(h, rand_weights(h, rng, scale=0.5), sched,
+                                iters=data.draw(st.integers(1, 6))):
+        whole = decode(llrs)
+        assert_same_outputs(decode(llrs[subset]), [out[subset] for out in whole])
+
+
 class TestDecodeVcdc:
     def test_noiseless_input_costs_zero_steps(self, hamming):
         g = derive_generator(hamming)
@@ -329,7 +384,7 @@ class TestDecodeVcdc:
             # a batch of one: early-exit compaction must keep frames independent
             b1, bel1, steps1, ok1 = decode_vcdc_batch(h, w, sched, llrs[i:i + 1])
             assert np.array_equal(b1[0], bits[i])
-            np.testing.assert_allclose(bel1[0], beliefs[i], atol=1e-12)
+            assert_same_bits(bel1[0], beliefs[i])
             assert steps1[0] == steps[i]
             assert ok1[0] == ok[i]
 
