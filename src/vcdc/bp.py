@@ -23,6 +23,11 @@ ATANH_EPS = 1e-12
 SUM_PRODUCT = "sum-product"
 MIN_SUM = "min-sum"
 
+# The shortest row numpy broadcasts over rows without buffering: one entry
+# more than half its ufunc buffer (4,097 of 8,192 entries by default), read
+# once at import.
+BROADCAST_ROW = np.getbufsize() // 2 + 1
+
 
 def check_count(name, value):
     """ValueError unless ``value`` is an integer >= 1; a bool is not a count."""
@@ -225,19 +230,29 @@ def _exclude_least(mags, scratch):
     Only the two least magnitudes m1 <= m2 are needed: clamping at m2
     leaves m1 on the minimizers and m2 elsewhere, and xor with the bits of
     m1 ^ m2 swaps the two values exactly.  A position with |x_j| == m1 that
-    is not the first minimizer sees m2 == m1 either way.  m2 and the swap
-    bits are each spread over ``scratch`` before they apply: numpy buffers
-    a ufunc that broadcasts a row over rows shorter than half its 8,192-entry
-    buffer, and that buffer would be an allocation the size of ``mags``.
+    is not the first minimizer sees m2 == m1 either way.
+
+    m2 and the swap bits are rows broadcast over ``mags``, under the walk's
+    one rule for broadcast operands: numpy buffers a broadcast operand
+    unless it is a single value or a row of at least ``BROADCAST_ROW``
+    entries.  So a row that long broadcasts directly, and a shorter one is
+    first spread over ``scratch`` with ``np.copyto``, which never buffers;
+    the buffer would be an allocation of up to 64 KB on every call.
     """
     m1, m2 = _two_least(mags, scratch)
+    bits = mags.view(np.uint64)
+    if m2.size >= BROADCAST_ROW:
+        np.minimum(mags, m2, out=mags)
+        # m1 is spent: its memory takes the swap bits
+        swap = np.bitwise_xor(m1.view(np.uint64), m2.view(np.uint64), out=m1.view(np.uint64))
+        np.bitwise_xor(bits, swap, out=bits)
+        return
     m2 = m2.copy()
     swap = np.bitwise_xor(m1.view(np.uint64), m2.view(np.uint64))
     np.copyto(scratch, m2)
     np.minimum(mags, scratch, out=mags)
-    bits = scratch.view(np.uint64)
-    np.copyto(bits, swap)
-    np.bitwise_xor(mags.view(np.uint64), bits, out=mags.view(np.uint64))
+    np.copyto(scratch.view(np.uint64), swap)
+    np.bitwise_xor(bits, scratch.view(np.uint64), out=bits)
 
 
 def minsum_work_size(size):
@@ -408,7 +423,8 @@ def decode_bp_batch(h, llrs, cfg=BpConfig(), edge_index=None):
         and for sum-product tanh(x / 2)."""
         np.clip(x, -cfg.message_clamp, cfg.message_clamp, out=out)
         if cfg.variant == SUM_PRODUCT:
-            np.tanh(np.divide(out, 2.0, out=out), out=out)
+            # x * 0.5 is x / 2.0 exactly: both round the same real number
+            np.tanh(np.multiply(out, 0.5, out=out), out=out)
         return out
 
     state = rs.state

@@ -39,8 +39,8 @@ class ParityCheckMatrix:
     ``var_adjacency[v]`` holds the check indices incident to variable v and
     ``chk_adjacency[c]`` the variable indices incident to check c, both
     sorted ascending and exactly matching the nonzero pattern of ``rows``.
-    Instances are immutable; ``check_tables`` and ``layer_groups`` are built
-    on first use.
+    Instances are immutable; ``check_tables``, ``layer_groups`` and the
+    ``generator`` are built on first use.
     """
 
     n: int
@@ -114,6 +114,30 @@ class ParityCheckMatrix:
             table = np.array(adj[start:stop], dtype=np.int64).T.copy()
             groups.append((slice(start, stop), _frozen(table)))
         return tuple(groups)
+
+    @cached_property
+    def generator(self):
+        """Generator matrix via GF(2) Gaussian elimination, in H's column
+        order.
+
+        Row reduction brings H to the identity on its pivot columns and P
+        on the rest (pivot chosen as the first nonzero entry scanning
+        left-to-right then top-to-bottom); G is the read-only (k, n) matrix
+        with the identity on the free columns and P^T on the pivot columns.
+        A rank deficient H raises and caches nothing, so it raises on every
+        use.
+        """
+        a = self.rows.copy()
+        pivot_cols = _row_reduce(a)
+        if len(pivot_cols) < self.num_checks:
+            raise ValueError(f"parity-check matrix is rank deficient: "
+                             f"rank {len(pivot_cols)} < {self.num_checks}")
+        free = np.ones(self.n, dtype=bool)
+        free[pivot_cols] = False
+        gen = np.zeros((self.k, self.n), dtype=np.uint8)
+        gen[:, pivot_cols] = a[:, free].T
+        gen[:, free] = np.eye(self.k, dtype=np.uint8)
+        return _frozen(gen)
 
 
 def _row_reduce(a):
@@ -214,25 +238,10 @@ def load_alist(path):
 
 
 def derive_generator(h):
-    """Generator matrix via GF(2) Gaussian elimination, in H's column order.
-
-    Row reduction brings H to the identity on its pivot columns and P on
-    the rest (pivot chosen as the first nonzero entry scanning left-to-right
-    then top-to-bottom); G is the read-only (k, n) matrix with the identity
-    on the free columns and P^T on the pivot columns.  Raises if H is rank
-    deficient.
-    """
-    a = h.rows.copy()
-    pivot_cols = _row_reduce(a)
-    if len(pivot_cols) < h.num_checks:
-        raise ValueError(
-            f"parity-check matrix is rank deficient: rank {len(pivot_cols)} < {h.num_checks}")
-    free = np.ones(h.n, dtype=bool)
-    free[pivot_cols] = False
-    gen = np.zeros((h.k, h.n), dtype=np.uint8)
-    gen[:, pivot_cols] = a[:, free].T
-    gen[:, free] = np.eye(h.k, dtype=np.uint8)
-    return _frozen(gen)
+    """The (k, n) generator of ``h``, ``h.generator``: derived by the code's
+    first call and cached with it.  Raises, on every call, if H is rank
+    deficient."""
+    return h.generator
 
 
 def encode(g, m):

@@ -79,7 +79,14 @@ def block_layers(h, w, xt, work, keep=False):
     A group of g checks of degree d takes whole belief rows into one
     (d, g, B) block, slab j holding the j-th variable of every check, hands
     the kernel that block as (g B, d) rows and writes its rows back plus
-    the weights ``w[checks]`` times the messages.
+    the weights ``w[checks]`` times the messages.  The weights follow the
+    walk's one rule for broadcast operands (see ``bp._exclude_least``):
+    numpy buffers any broadcast operand but a single value or a long row,
+    so a group of g > 1 checks first spreads its (g, 1) weight column over
+    the spent kernel slot with ``np.copyto``, which never buffers, and
+    multiplies the messages into it; a single check's (1, 1) weight is a
+    single value and multiplies directly.  Each entry gets the same IEEE
+    product either way.
 
     Every array the walk writes besides ``xt`` is a view of ``work``, a flat
     float64 array of at least ``B * walk_size(h, keep)`` entries: the
@@ -101,8 +108,11 @@ def block_layers(h, w, xt, work, keep=False):
         u = check_minsum_terms(xc, out=work[at + size:at + 2 * size].reshape(d, -1).T,
                                work=kernel)
         # the kernel's magnitudes are spent: they take the step block + w u
-        step = np.multiply(u.T.reshape(block.shape), w[checks, None],
-                           out=kernel[:size].reshape(block.shape))
+        step, w_col = kernel[:size].reshape(block.shape), w[checks, None]
+        if w_col.size > 1:  # a (g, 1) column would be buffered: spread it
+            np.copyto(step, w_col)
+            w_col = step
+        np.multiply(u.T.reshape(block.shape), w_col, out=step)
         step += block
         xt[table] = step
         yield checks, table, xc, u
@@ -130,7 +140,8 @@ def neural_block(h, weights, llrs, work=None):
     np.copyto(xt, x.T)  # the layers run in place
     for _ in block_layers(h, weights.values, xt, work[2 * x.size:]):
         pass
-    np.tanh(np.divide(xt, 2.0, out=x_hat), out=x_hat)
+    # xt * 0.5 is xt / 2.0 exactly: both round the same real number
+    np.tanh(np.multiply(xt, 0.5, out=x_hat), out=x_hat)
     return xt.T, x_hat.T
 
 

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from vcdc import codebook
 from vcdc.bench import (BerRun, BpDecoder, IdentityDecoder, VcdcDecoder, emit_results,
                         neg_ln_ber, run_ber)
 from vcdc.bp import BpConfig, MIN_SUM
 from vcdc.channel import hard_decide
+from vcdc.codebook import ParityCheckMatrix
 from vcdc.denoiser import NeuralBlockWeights
 
 from analysis import count_flops_bp, count_flops_vcdc
@@ -89,6 +91,17 @@ class TestRunBer:
         r1 = run_ber(ldpc_49_24, dec, 3.0, stop_errors=60, seed=9, batch_frames=128)
         r2 = run_ber(ldpc_49_24, dec, 3.0, stop_errors=60, seed=9, batch_frames=128)
         assert r1 == r2
+
+    def test_generator_is_derived_once_per_code(self, ldpc_49_24, monkeypatch):
+        # a fresh instance, since the session fixture may hold its generator
+        h = ParityCheckMatrix.from_rows(ldpc_49_24.rows)
+        reduced, row_reduce = [], codebook._row_reduce
+        monkeypatch.setattr(codebook, "_row_reduce",
+                            lambda a: reduced.append(a.shape) or row_reduce(a))
+        runs = [run_ber(h, IdentityDecoder(h), 4.0, stop_errors=1, max_frames=8, seed=seed)
+                for seed in (1, 2)]
+        assert reduced == [h.rows.shape]
+        assert runs[0].frames_simulated == runs[1].frames_simulated == 8
 
     def test_one_stream_only(self, ldpc_49_24):
         dec = BpDecoder(ldpc_49_24)

@@ -3,6 +3,8 @@
 import json
 from types import SimpleNamespace
 
+import pytest
+
 from conftest import load_tool
 
 bench_pairs = load_tool("bench_pairs")
@@ -36,9 +38,9 @@ def fake_runner(tables):
 
 def write_spec(tree):
     tree.mkdir()
-    spec = {"end_to_end": [{"name": "frames_per_s", "better": "higher"},
-                           {"name": "neg_ln_err", "better": "higher"},
-                           {"name": "peak_rss_mb", "better": "lower"}]}
+    spec = {"end_to_end": [{"name": "frames_per_s", "better": "higher", "bound": 0.15},
+                           {"name": "neg_ln_err", "better": "higher", "bound": 0.03},
+                           {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]}
     (tree / "BENCHMARK.json").write_text(json.dumps(spec), encoding="ascii")
     return str(tree)
 
@@ -69,6 +71,13 @@ def test_pairs_alternate_with_own_seeds_and_count_moves(tmp_path, capsys):
     # peak RSS is better lower: one pair worse, one better, two equal
     assert "head better in 1, worse in 1, equal in 2 of 4 pairs" in out
     assert "digests equal in 4 of 4 pairs" in out and "PROBLEM" not in out
+    # 3 of 4 pairs is short of nine tenths, so no gain, and head's quartiles
+    # 107.25-122.5 spread wider than the 15% bound on frames/s
+    assert "gain: no (head won 3 of 4 pairs; median gap +15, base IQR 5)" in out
+    assert ("bound: unresolved (head median 15.00% better than base; bound 15%, "
+            "spread 15.25%)") in out
+    assert "gain: no (head won 1 of 4 pairs" in out
+    assert "bound: worse" not in out and out.count("bound: within") == 2
 
 
 def test_a_digest_or_quality_that_differs_fails(tmp_path, capsys):
@@ -83,3 +92,46 @@ def test_a_digest_or_quality_that_differs_fails(tmp_path, capsys):
     assert "PROBLEM pair 0: digests differ" in out
     assert "PROBLEM pair 1: neg_ln_err differs" in out
     assert "digests equal in 1 of 2 pairs" in out
+
+
+TEN = [100.0, 101.0, 99.0, 100.5, 100.0, 99.5, 100.0, 101.5, 98.5, 100.0]
+
+
+@pytest.mark.parametrize("head, gain", [
+    # nine of ten pairs won and a median gap of 5 against a base IQR of 0.75
+    ([105.0] * 9 + [99.0], "yes"),
+    # eight of ten won: short of nine tenths however wide the gap
+    ([105.0] * 8 + [90.0, 90.0], "no"),
+    # ten of ten won, but by less than the base IQR
+    ([b + 0.5 for b in TEN], "no"),
+    # eight won and two tied: a tie wins for neither side
+    ([105.0] * 8 + [98.5, 100.0], "no"),
+])
+def test_gain_needs_nine_tenths_and_a_gap_past_the_base_iqr(head, gain):
+    lines = bench_pairs.verdicts("higher", 0.15, TEN, head)
+    assert lines[0].startswith(f"  gain: {gain} ")
+
+
+def test_gain_reads_lower_as_better():
+    lines = bench_pairs.verdicts("lower", 0.15, TEN, [95.0] * 10)
+    assert lines[0] == "  gain: yes (head won 10 of 10 pairs; median gap +5, base IQR 0.75)"
+    assert lines[1] == ("  bound: within (head median 5.00% better than base; "
+                        "bound 15%, spread 0.75%)")
+
+
+@pytest.mark.parametrize("better, head, verdict", [
+    # a median 20% worse is past a 15% bound, in either direction
+    ("higher", [80.0] * 10, "worse"),
+    ("lower", [120.0] * 10, "worse"),
+    # 10% worse is inside it
+    ("higher", [90.0] * 10, "within"),
+    # a head spread of 40 against a 100 median is too wide to tell
+    ("higher", [80.0, 120.0] * 5, "unresolved"),
+    # unless every head run beats every base run
+    ("higher", [102.0, 142.0] * 5, "within"),
+])
+def test_bound_verdict(better, head, verdict):
+    lines = bench_pairs.verdicts(better, 0.15, TEN, head)
+    assert lines[1].startswith(f"  bound: {verdict} ")
+    if verdict == "worse":
+        assert "(head median 20.00% worse than base; bound 15%" in lines[1]

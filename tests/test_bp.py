@@ -6,8 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vcdc import codes
-from vcdc.bp import (ATANH_EPS, BpConfig, EdgeIndex, MIN_SUM, SUM_PRODUCT, RunningSet,
-                     _two_least, check_minsum_terms, decode_bp_batch, minsum_work_size)
+from vcdc.bp import (ATANH_EPS, BROADCAST_ROW, BpConfig, EdgeIndex, MIN_SUM, SUM_PRODUCT,
+                     RunningSet, _two_least, check_minsum_terms, decode_bp_batch,
+                     minsum_work_size)
 from vcdc.codebook import (ParityCheckMatrix, _row_reduce, bipolar, derive_generator, encode,
                            syndrome)
 from vcdc.channel import LLR_CLAMP, hard_decide, noise_scale, to_llr, transmit
@@ -197,6 +198,30 @@ class TestMinsumKernel:
         xc = np.random.default_rng(2).normal(size=(d, rows)).T
         out, work = np.empty((d, rows)).T, np.empty(minsum_work_size(xc.size))
         assert traced_peak(lambda: check_minsum_terms(xc, out=out, work=work)) < xc.nbytes // 4
+
+    @pytest.mark.parametrize("d", [2, 3, 11])
+    @pytest.mark.parametrize("offset", [-2, -1, 0])
+    def test_rows_either_side_of_the_broadcast_threshold(self, d, offset):
+        # 4,095, 4,096 and 4,097 rows at numpy's default buffer: the last
+        # broadcasts the kernel's m2 and swap rows directly, the others
+        # spread them over scratch; ties, +-0.0 and infinities throughout
+        rows = BROADCAST_ROW + offset
+        rng = np.random.default_rng(rows * d)
+        block = tied_magnitudes(rng, d, rows, [0.0, 1.0, 2.0, np.inf])
+        block *= np.where(rng.random(block.shape) < 0.5, -1.0, 1.0)
+        xc = block.T  # the (rows, d) view of a (d, rows) block, as the walk passes it
+        out = np.full((d, rows), np.nan).T
+        work = np.full(minsum_work_size(xc.size) + 3, np.nan)
+        u = check_minsum_terms(xc, out=out, work=work)
+        assert u is out
+        assert_same_bits(u, check_minsum_terms(xc))
+        assert_same_bits(u, check_minsum_terms(np.ascontiguousarray(xc)))
+        assert_same_bits(u, serial.check_minsum_terms(xc)[0])
+        if offset == 0:
+            # numpy broadcasts a row this long unbuffered, and the direct
+            # form copies no row: less than one row of memory is traced
+            peak = traced_peak(lambda: check_minsum_terms(xc, out=out, work=work))
+            assert peak < rows * 8
 
     def test_infinite_magnitude_is_an_extrinsic_minimum(self):
         # the other entry's magnitude, even when it is infinite

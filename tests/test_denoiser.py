@@ -84,6 +84,17 @@ class TestNeuralBlock:
         assert_same_bits(beliefs, want[0])
         assert_same_bits(x_hat, want[1])
 
+    def test_block_at_b64_takes_no_ufunc_buffer(self, ldpc_121_60):
+        # a (g, 1) weight column broadcast over a group's (d, g, B) block, or
+        # a kernel row broadcast over its d rows, takes a ufunc buffer of up
+        # to 64 KiB; spread over spent workspace first, neither takes one
+        h = ldpc_121_60
+        rng = np.random.default_rng(13)
+        w = rand_weights(h, rng)
+        llrs = rng.normal(2.0, 2.0, (64, h.n))
+        work = np.full(len(llrs) * (2 * h.n + walk_size(h)), np.nan)
+        assert traced_peak(lambda: neural_block(h, w, llrs, work=work)) < 32 * 1024
+
     def test_weight_count_mismatch_rejected(self, hamming, ldpc_49_24):
         w = NeuralBlockWeights.zeros(ldpc_49_24)
         with pytest.raises(ValueError, match="cannot decode"):

@@ -9,10 +9,17 @@ clone of the parent commit and the working tree.  Pair i runs
 first in even pairs and HEAD in odd ones.  For every end-to-end metric the
 tool prints each pair's values, the median and quartiles of each side, the
 median head/base ratio, and in how many pairs HEAD was better, worse or
-equal, by the direction BASE's ``BENCHMARK.json`` gives the metric.  The
-output digests a run prints (``bits_digest``, ``loss_digest``) and
-``neg_ln_err`` must be equal in every pair.  Exits 1 when a digest or
-``neg_ln_err`` differs or a run reports itself incorrect, else 0.
+equal, by the direction BASE's ``BENCHMARK.json`` gives the metric.  Two
+verdict lines follow.  ``gain`` is yes when HEAD won at least nine tenths
+of the pairs (ties win for neither side) and its median is better than
+BASE's by more than the distance between BASE's quartiles.  ``bound`` is
+worse when HEAD's median is worse than BASE's by more than the metric's
+relative bound; else unresolved when either side's quartile distance,
+relative to BASE's median, exceeds the bound and not every HEAD run beats
+every BASE run; else within.  The output digests a run prints
+(``bits_digest``, ``loss_digest``) and ``neg_ln_err`` must be equal in
+every pair.  Exits 1 when a digest or ``neg_ln_err`` differs or a run
+reports itself incorrect, else 0; the verdicts do not set the exit code.
 """
 
 from __future__ import annotations
@@ -50,9 +57,10 @@ def run_tree(tree, workload, seed, seconds, run=subprocess.run):
 
 
 def directions(tree):
-    """{end-to-end metric: "higher" or "lower"} from ``tree``'s BENCHMARK.json."""
+    """{end-to-end metric: ("higher" or "lower", relative bound)} from
+    ``tree``'s BENCHMARK.json."""
     with open(os.path.join(tree, "BENCHMARK.json"), encoding="ascii") as fh:
-        return {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        return {m["name"]: (m["better"], m["bound"]) for m in json.load(fh)["end_to_end"]}
 
 
 def quartiles(values):
@@ -63,7 +71,30 @@ def quartiles(values):
     return q1, q2, q3
 
 
-def compare(name, better, base, head):
+def verdicts(better, bound, base, head):
+    """The gain and bound verdict lines of one metric over paired ``base``
+    and ``head`` values, as the module docstring defines them."""
+    sign = 1 if better == "higher" else -1
+    wins = sum(sign * (h - b) > 0 for b, h in zip(base, head))
+    (b1, b2, b3), (h1, h2, h3) = quartiles(base), quartiles(head)
+    gap = sign * (h2 - b2)  # positive when HEAD's median is better
+    won = 10 * wins >= 9 * len(base) and gap > b3 - b1
+    gain = (f"  gain: {'yes' if won else 'no'} (head won {wins} of {len(base)} pairs; "
+            f"median gap {gap:+.6g}, base IQR {b3 - b1:.6g})")
+    change = gap / abs(b2) if b2 else 0.0
+    spread = max(b3 - b1, h3 - h1) / abs(b2) if b2 else 0.0
+    if -change > bound:
+        verdict = "worse"
+    elif spread > bound and min(sign * h for h in head) <= max(sign * b for b in base):
+        verdict = "unresolved"
+    else:
+        verdict = "within"
+    way = "better" if change >= 0 else "worse"
+    return [gain, f"  bound: {verdict} (head median {abs(change):.2%} {way} than base; "
+                  f"bound {bound:.0%}, spread {spread:.2%})"]
+
+
+def compare(name, better, bound, base, head):
     """Report lines for one metric over paired ``base`` and ``head`` values."""
     lines = [f"{name} ({better} is better)"]
     moved = {"better": 0, "worse": 0, "equal": 0}
@@ -80,7 +111,7 @@ def compare(name, better, base, head):
     lines.append(f"  median head/base {statistics.median(ratios):.4f}; head better in "
                  f"{moved['better']}, worse in {moved['worse']}, equal in {moved['equal']} "
                  f"of {len(ratios)} pairs")
-    return lines
+    return lines + verdicts(better, bound, base, head)
 
 
 def main(argv=None, run=subprocess.run):
@@ -118,10 +149,10 @@ def main(argv=None, run=subprocess.run):
     print(f"workload {args.workload}, {args.pairs} pairs, seeds {args.seed}-"
           f"{args.seed + args.pairs - 1}, {args.seconds:g} s a run")
     for name in runs["base"][0][1]:
-        direction = better[name.rsplit(".", 1)[-1]]
+        direction, bound = better[name.rsplit(".", 1)[-1]]
         base = [m[name] for _, m, _ in runs["base"]]
         head = [m[name] for _, m, _ in runs["head"]]
-        print("\n".join(compare(name, direction, base, head)))
+        print("\n".join(compare(name, direction, bound, base, head)))
     digests = [d for _, _, d in runs["base"]]
     print(f"digests equal in {sum(b == h for b, (_, _, h) in zip(digests, runs['head']))} "
           f"of {args.pairs} pairs; pair 0: {' '.join('='.join(d) for d in digests[0])}")
