@@ -25,7 +25,9 @@ MIN_SUM = "min-sum"
 
 # The shortest row numpy broadcasts over rows without buffering: one entry
 # more than half its ufunc buffer (4,097 of 8,192 entries by default), read
-# once at import.
+# once at import.  When numpy buffers a broadcast operand is not part of its
+# API: this rule, and the traced-peak tests that rest on it, were measured
+# on numpy 2.4.6 and are to be measured again on another version.
 BROADCAST_ROW = np.getbufsize() // 2 + 1
 
 
