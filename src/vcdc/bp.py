@@ -318,7 +318,7 @@ def _check_sweep_minsum(v2c, ei, c2v, work):
 
 def check_llr_batch(h, llrs):
     """``llrs`` as a float64 (B, n) array; ValueError on any other shape or a
-    non-finite entry.  A single word ``x`` is checked as the batch ``x[None]``."""
+    non-finite entry.  Pass a single word ``x`` as ``x[None]``."""
     llrs = np.asarray(llrs, dtype=np.float64)
     if llrs.ndim != 2 or llrs.shape[1] != h.n:
         raise ValueError(f"expected (B, {h.n}) LLR array, got {llrs.shape}")

@@ -188,8 +188,8 @@ def cmd_decode(args):
 
 def cmd_inspect_code(args):
     h = _load_code(args.code)
-    chk_degs = sorted({len(a) for a in h.chk_adjacency})
-    var_degs = sorted({len(a) for a in h.var_adjacency})
+    chk_degs = sorted(set(h.rows.sum(axis=1).tolist()))
+    var_degs = sorted(set(h.rows.sum(axis=0).tolist()))
     print(f"n={h.n} k={h.k} rate={h.rate:.4f} checks={h.num_checks} edges={h.num_edges}")
     print(f"check degrees: {chk_degs}")
     print(f"variable degrees: {var_degs}")

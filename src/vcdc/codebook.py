@@ -1,11 +1,11 @@
 """GF(2) linear block-code algebra.
 
-Parses MacKay-style alist files into parity-check matrices with their
-Tanner-graph adjacency, derives generator matrices by Gaussian elimination
-over GF(2), encodes messages, and computes syndromes as parities on H's
-degree-grouped check tables.  Bit vectors are numpy uint8 arrays with
-entries in {0, 1}, and every entry point that takes bits rejects any other
-value; the bipolar map sends bit b to the symbol 1 - 2b.
+Parses MacKay-style alist files into parity-check matrices, derives
+generator matrices by Gaussian elimination over GF(2), encodes messages,
+and computes syndromes as parities on H's degree-grouped check tables.
+Bit vectors are numpy uint8 arrays with entries in {0, 1}, and every
+entry point that takes bits rejects any other value; the bipolar map
+sends bit b to the symbol 1 - 2b.
 """
 
 from __future__ import annotations
@@ -34,20 +34,15 @@ def _as_bits(x, name="bits"):
 
 @dataclass(frozen=True)
 class ParityCheckMatrix:
-    """Binary (n-k) x n parity-check matrix plus Tanner-graph adjacency.
+    """Binary parity-check matrix H, stored as its rows, one per check.
 
-    ``var_adjacency[v]`` holds the check indices incident to variable v and
-    ``chk_adjacency[c]`` the variable indices incident to check c, both
-    sorted ascending and exactly matching the nonzero pattern of ``rows``.
+    n and ``num_checks`` are the shape of ``rows`` and k is n minus the
+    GF(2) rank of H, so a redundant row adds a check but no constraint.
     Instances are immutable; ``check_tables``, ``layer_groups`` and the
-    ``generator`` are built on first use.
+    ``generator``, which also gives k, are built from ``rows`` on first use.
     """
 
-    n: int
-    k: int
     rows: np.ndarray
-    var_adjacency: tuple
-    chk_adjacency: tuple
 
     @classmethod
     def from_rows(cls, rows):
@@ -56,23 +51,28 @@ class ParityCheckMatrix:
             raise ValueError("parity-check matrix must be two-dimensional")
         m, n = rows.shape
         if not 0 < m < n:
-            raise ValueError(f"need 0 < n-k < n, got {m} rows of length {n}")
+            raise ValueError(f"need 0 < rows < n, got {m} rows of length {n}")
         chk_deg = rows.sum(axis=1)
         if (chk_deg < 2).any():
             bad = int(np.argmax(chk_deg < 2))
             raise AlistError(f"check {bad} has degree {int(chk_deg[bad])} < 2")
-        var_adj = tuple(tuple(np.flatnonzero(rows[:, v]).tolist()) for v in range(n))
-        chk_adj = tuple(tuple(np.flatnonzero(rows[c]).tolist()) for c in range(m))
-        return cls(n=n, k=n - m, rows=_frozen(rows), var_adjacency=var_adj,
-                   chk_adjacency=chk_adj)
+        return cls(rows=_frozen(rows))
+
+    @property
+    def n(self):
+        return self.rows.shape[1]
 
     @property
     def num_checks(self):
-        return self.n - self.k
+        return self.rows.shape[0]
+
+    @property
+    def k(self):
+        return self.generator.shape[0]
 
     @property
     def num_edges(self):
-        return sum(len(a) for a in self.chk_adjacency)
+        return int(self.rows.sum())
 
     @property
     def rate(self):
@@ -85,13 +85,11 @@ class ParityCheckMatrix:
         degree-d checks in order and ``table`` their variables as a
         C-ordered (d, checks) array, row j the j-th variable of every check.
         """
-        adj = self.chk_adjacency
-        degrees = np.array([len(cols) for cols in adj])
+        degrees = self.rows.sum(axis=1)
         tables = []
         for d in sorted(set(degrees.tolist())):
             checks = np.flatnonzero(degrees == d)
-            table = np.array([adj[c] for c in checks], dtype=np.int64).T.copy()
-            tables.append((_frozen(checks), _frozen(table)))
+            tables.append((_frozen(checks), _check_table(self.rows[checks])))
         return tuple(tables)
 
     @cached_property
@@ -102,42 +100,42 @@ class ParityCheckMatrix:
         of g checks of degree d, a single check included, has a (d, g)
         table, column i the variables of check start + i.
         """
-        adj = self.chk_adjacency
-        starts, seen = [0], set()
-        for c, cols in enumerate(adj):
-            if len(cols) != len(adj[starts[-1]]) or not seen.isdisjoint(cols):
+        degrees = self.rows.sum(axis=1)
+        starts, seen = [0], np.zeros(self.n, dtype=np.uint8)
+        for c, row in enumerate(self.rows):
+            if degrees[c] != degrees[starts[-1]] or (seen & row).any():
                 starts.append(c)
-                seen = set()
-            seen.update(cols)
-        groups = []
-        for start, stop in zip(starts, starts[1:] + [len(adj)]):
-            table = np.array(adj[start:stop], dtype=np.int64).T.copy()
-            groups.append((slice(start, stop), _frozen(table)))
-        return tuple(groups)
+                seen[:] = 0
+            seen |= row
+        return tuple((slice(start, stop), _check_table(self.rows[start:stop]))
+                     for start, stop in zip(starts, starts[1:] + [self.num_checks]))
 
     @cached_property
     def generator(self):
         """Generator matrix via GF(2) Gaussian elimination, in H's column
         order.
 
-        Row reduction brings H to the identity on its pivot columns and P
-        on the rest (pivot chosen as the first nonzero entry scanning
-        left-to-right then top-to-bottom); G is the read-only (k, n) matrix
-        with the identity on the free columns and P^T on the pivot columns.
-        A rank deficient H raises and caches nothing, so it raises on every
-        use.
+        Row reduction brings H to the identity on its rank pivot columns and
+        P on the rest in its first rank rows, the others ending zero (pivot
+        chosen as the first nonzero entry scanning left-to-right then
+        top-to-bottom); G is the read-only (k, n) matrix, k = n - rank, with
+        the identity on the free columns and P^T on the pivot columns.
         """
         a = self.rows.copy()
         pivot_cols = _row_reduce(a)
-        if len(pivot_cols) < self.num_checks:
-            raise ValueError(f"parity-check matrix is rank deficient: "
-                             f"rank {len(pivot_cols)} < {self.num_checks}")
         free = np.ones(self.n, dtype=bool)
         free[pivot_cols] = False
-        gen = np.zeros((self.k, self.n), dtype=np.uint8)
-        gen[:, pivot_cols] = a[:, free].T
-        gen[:, free] = np.eye(self.k, dtype=np.uint8)
+        k = self.n - len(pivot_cols)
+        gen = np.zeros((k, self.n), dtype=np.uint8)
+        gen[:, pivot_cols] = a[:len(pivot_cols), free].T
+        gen[:, free] = np.eye(k, dtype=np.uint8)
         return _frozen(gen)
+
+
+def _check_table(rows):
+    """The variables of the checks ``rows``, all of one degree d, as a
+    read-only C-ordered (d, checks) int64 table, column i those of row i."""
+    return _frozen(np.nonzero(rows)[1].reshape(len(rows), -1).T.copy())
 
 
 def _row_reduce(a):
@@ -239,14 +237,13 @@ def load_alist(path):
 
 def derive_generator(h):
     """The (k, n) generator of ``h``, ``h.generator``: derived by the code's
-    first call and cached with it.  Raises, on every call, if H is rank
-    deficient."""
+    first call and cached with it."""
     return h.generator
 
 
 def encode(g, m):
     """Encode a (B, k) batch of message bits into (B, n) codewords with the
-    (k, n) generator ``g``; a single message ``m`` is the batch ``m[None]``.
+    (k, n) generator ``g``; pass a single message as ``m[None]``.
 
     The product over GF(2) is a float32 BLAS product whose parity is the
     low bit of its int32 cast: every partial sum is an integer below k, so
@@ -277,8 +274,8 @@ def check_parities(h, bits):
 def syndrome(h, x):
     """H x^T mod 2 and its number of nonzero entries (parity-check errors).
 
-    For a (B, n) batch of words the syndromes have shape (B, n-k), in check
-    order, and the counts are an int64 array with one entry per word.
+    For a (B, n) batch of words the syndromes have shape (B, checks), in
+    check order, and the counts are an int64 array with one entry per word.
     """
     x = _as_bits(x, "word")
     if x.shape[-1] != h.n:

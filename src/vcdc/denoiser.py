@@ -1,9 +1,9 @@
 """BP-structured neural denoiser and the full reverse-process decoder.
 
-One block holds n-k scalar weights, one per layer.  Layer l updates the
-single check node l: it forms min-sum extrinsic messages from the current
-beliefs of that check's variables and adds them back, scaled by the layer
-weight, as a residual correction.  Layer 1 starts from the channel LLRs
+One block holds one scalar weight per check of H, one per layer.  Layer l
+updates the single check node l: it forms min-sum extrinsic messages from
+the current beliefs of that check's variables and adds them back, scaled
+by the layer weight, as a residual correction.  Layer 1 starts from the channel LLRs
 and the block's soft codeword estimate is tanh(beliefs / 2), the posterior
 mean of a bipolar symbol under an LLR belief.
 
@@ -31,7 +31,8 @@ class CheckpointError(ValueError):
 
 @dataclass(frozen=True)
 class NeuralBlockWeights:
-    """The n-k trainable layer scalars of one block, tied to a code (n, k)."""
+    """The trainable layer scalars of one block, one per check of the code
+    (n, k) they were trained on."""
 
     values: np.ndarray
     n: int
@@ -39,10 +40,8 @@ class NeuralBlockWeights:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 1 or values.size != self.n - self.k:
-            raise ValueError(
-                f"expected {self.n - self.k} layer weights for ({self.n},{self.k}), "
-                f"got {values.size}")
+        if values.ndim != 1:
+            raise ValueError(f"layer weights must be one-dimensional, got shape {values.shape}")
         if not np.isfinite(values).all():
             raise ValueError("layer weights must be finite")
         values = values.copy()
@@ -54,9 +53,10 @@ class NeuralBlockWeights:
         return cls(values=np.zeros(h.num_checks), n=h.n, k=h.k)
 
     def check_code(self, h):
-        if (self.n, self.k) != (h.n, h.k):
+        if (self.n, self.k, self.values.size) != (h.n, h.k, h.num_checks):
             raise ValueError(
-                f"weights trained for ({self.n},{self.k}) cannot decode ({h.n},{h.k})")
+                f"{self.values.size} weights trained for ({self.n},{self.k}) cannot "
+                f"decode ({h.n},{h.k}) with {h.num_checks} checks")
 
 
 def walk_size(h, keep=False):
@@ -185,8 +185,9 @@ CHECKPOINT_MAGIC = "VCDC1"
 
 
 def save_checkpoint(weights):
-    """Serialize weights: header "VCDC1 <n> <k> <L>" then one weight per
-    line with 17 significant digits (round-trips float64 exactly)."""
+    """Serialize weights: header "VCDC1 <n> <k> <L>", L the number of
+    weights (one per check), then one weight per line with 17 significant
+    digits (round-trips float64 exactly)."""
     header = f"{CHECKPOINT_MAGIC} {weights.n} {weights.k} {weights.values.size}\n"
     body = "".join(f"{w:.17g}\n" for w in weights.values)
     return (header + body).encode("ascii")
@@ -205,8 +206,6 @@ def load_checkpoint(data):
         n, k, count = (int(f) for f in fields[1:])
     except ValueError:
         raise CheckpointError(f"malformed header {lines[0]!r}") from None
-    if count != n - k:
-        raise CheckpointError(f"header declares {count} weights for ({n},{k}); need {n - k}")
     body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != count:
         raise CheckpointError(f"expected {count} weight lines, found {len(body)}")

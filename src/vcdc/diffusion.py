@@ -76,13 +76,16 @@ def reverse_step(sched, t_index, z_t, x_hat, out=None):
     z_s = z_t + (alpha_s - alpha_t) * x_hat, the mean of the reverse
     transition with the noise-injection step skipped; x_hat must be a
     bipolar-valued estimate with entries in [-1, 1].  z_s goes into
-    ``out`` when it is given, which may be ``x_hat`` itself but must not
-    overlap ``z_t``; nothing is written when x_hat is out of range.
+    ``out`` when it is given, which may be ``x_hat`` itself; an ``out``
+    whose memory bounds overlap ``z_t``'s, or an x_hat out of range, raises
+    ValueError before anything is written.
     """
     if not 1 <= t_index < len(sched):
         raise ValueError(f"t_index {t_index} cannot step past the schedule start")
     z_t = np.asarray(z_t, dtype=np.float64)
     x_hat = np.asarray(x_hat, dtype=np.float64)
+    if out is not None and np.may_share_memory(out, z_t):
+        raise ValueError("out must not overlap z_t")
     # NaN fails both tests
     if not (x_hat.min(initial=0.0) >= -1.0 and x_hat.max(initial=0.0) <= 1.0):
         raise ValueError("x_hat entries must lie in [-1, 1]")

@@ -3,9 +3,9 @@
 Each iteration draws a fresh batch - per-example CSNR uniform over the
 configured range, random messages (or the all-zero codeword), AWGN
 transmission, LLR conversion - runs the block once as a single-step
-denoising prediction, and applies one Adam update to the n-k layer
-weights.  Everything is driven by one seeded generator, so a fixed config
-reproduces the loss curve exactly.
+denoising prediction, and applies one Adam update to the layer
+weights, one per check.  Everything is driven by one seeded generator,
+so a fixed config reproduces the loss curve exactly.
 
 Backward-pass conventions: the min inside the min-sum check update uses
 the subgradient of the attained minimizer with ties broken toward the

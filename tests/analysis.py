@@ -80,7 +80,7 @@ class FlopsReport:
 
 
 def _degree_sums(h):
-    degrees = [len(a) for a in h.chk_adjacency]
+    degrees = h.rows.sum(axis=1).tolist()
     return sum(degrees), degrees
 
 

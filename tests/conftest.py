@@ -101,6 +101,14 @@ def polar_64_32():
     return codes.load("polar_64_32")
 
 
+def adjacency(mat):
+    """The column indices of the nonzero entries of each row of the 0/1
+    matrix ``mat``, a tuple of ascending int tuples: ``adjacency(h.rows)``
+    gives each check's variables, ``adjacency(h.rows.T)`` each variable's
+    checks."""
+    return tuple(tuple(np.flatnonzero(row).tolist()) for row in mat)
+
+
 def make_tree_code(num_checks):
     """Cycle-free code: each check joins one frontier variable to two fresh
     ones, so the Tanner graph is a connected tree with n = 2m + 1."""

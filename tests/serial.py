@@ -98,7 +98,7 @@ def minsum_backward(g, terms):
 
 def check_columns(h):
     """Each check's variable indices, one int64 array per check."""
-    return [np.asarray(cols, dtype=np.int64) for cols in h.chk_adjacency]
+    return [np.flatnonzero(row) for row in h.rows]
 
 
 def block_layers(h, w, x):
@@ -206,10 +206,8 @@ class RowMajorEdges:
     indices and the variable-major order and segment starts for reduceat."""
 
     def __init__(self, h):
-        self.edge_var = np.asarray([v for vs in h.chk_adjacency for v in vs], dtype=np.int64)
-        edge_chk = np.asarray([c for c, vs in enumerate(h.chk_adjacency) for _ in vs],
-                              dtype=np.int64)
-        degrees = np.asarray([len(vs) for vs in h.chk_adjacency])
+        edge_chk, self.edge_var = np.nonzero(h.rows)
+        degrees = h.rows.sum(axis=1, dtype=np.int64)
         row_splits = np.concatenate([[0], np.cumsum(degrees)])
         self.degree_groups = {
             int(d): np.stack([np.arange(row_splits[c], row_splits[c] + d)

@@ -143,7 +143,7 @@ def _near_min_tie(h, wvals, llr, gap):
     (finite differences are unreliable across the selection switch)."""
     x = np.atleast_2d(llr).astype(float).copy()
     from vcdc.bp import check_minsum_terms
-    for w, cols in zip(wvals, [np.asarray(c) for c in h.chk_adjacency]):
+    for w, cols in zip(wvals, map(np.flatnonzero, h.rows)):
         mags = np.sort(np.abs(x[:, cols]), axis=-1)
         if (mags[..., 1] - mags[..., 0] < gap).any():
             return True

@@ -15,7 +15,7 @@ from vcdc.channel import LLR_CLAMP, hard_decide, noise_scale, to_llr, transmit
 from vcdc.train import minsum_backward
 
 import serial
-from conftest import assert_same_bits, make_tree_code, map_marginals, traced_peak
+from conftest import adjacency, assert_same_bits, make_tree_code, map_marginals, traced_peak
 
 
 # Per-edge BP update rules as scalar functions: the semantics the batch
@@ -54,25 +54,26 @@ def reference_decode(h, llr, cfg):
     """Straightforward per-edge flooding BP mirroring the documented
     semantics; the vectorized decoder must agree with it."""
     l = np.clip(np.asarray(llr, dtype=np.float64), -LLR_CLAMP, LLR_CLAMP)
+    chk_adj, var_adj = adjacency(h.rows), adjacency(h.rows.T)
     v2c = {}
-    for c, vs in enumerate(h.chk_adjacency):
+    for c, vs in enumerate(chk_adj):
         for v in vs:
             v2c[(c, v)] = float(np.clip(l[v], -cfg.message_clamp, cfg.message_clamp))
     update = (check_update_sumproduct if cfg.variant == "sum-product"
               else check_update_minsum)
     for it in range(1, cfg.max_iters + 1):
         c2v = {}
-        for c, vs in enumerate(h.chk_adjacency):
+        for c, vs in enumerate(chk_adj):
             for v in vs:
                 incoming = [v2c[(c, vp)] for vp in vs if vp != v]
                 c2v[(c, v)] = update(incoming)
-        beliefs = np.array([belief(l[v], [c2v[(c, v)] for c in h.var_adjacency[v]])
+        beliefs = np.array([belief(l[v], [c2v[(c, v)] for c in var_adj[v]])
                             for v in range(h.n)])
         bits = hard_decide(beliefs)
         _, nerr = syndrome(h, bits)
         if nerr == 0 or it == cfg.max_iters:
             return bits, beliefs, it, nerr == 0
-        for c, vs in enumerate(h.chk_adjacency):
+        for c, vs in enumerate(chk_adj):
             for v in vs:
                 extrinsic = beliefs[v] - c2v[(c, v)]
                 v2c[(c, v)] = float(np.clip(extrinsic, -cfg.message_clamp,
@@ -406,16 +407,17 @@ class TestExtrinsicIdentity:
         rng = np.random.default_rng(5)
         llr = rng.normal(0, 2, hamming.n)
         l = llr.copy()
-        v2c = {(c, v): l[v] for c, vs in enumerate(hamming.chk_adjacency) for v in vs}
+        chk_adj, var_adj = adjacency(hamming.rows), adjacency(hamming.rows.T)
+        v2c = {(c, v): l[v] for c, vs in enumerate(chk_adj) for v in vs}
         c2v = {}
-        for c, vs in enumerate(hamming.chk_adjacency):
+        for c, vs in enumerate(chk_adj):
             for v in vs:
                 c2v[(c, v)] = check_update_sumproduct([v2c[(c, vp)] for vp in vs if vp != v])
         for v in range(hamming.n):
-            s = belief(l[v], [c2v[(c, v)] for c in hamming.var_adjacency[v]])
-            for c in hamming.var_adjacency[v]:
+            s = belief(l[v], [c2v[(c, v)] for c in var_adj[v]])
+            for c in var_adj[v]:
                 outgoing = variable_update(
-                    l[v], [c2v[(cp, v)] for cp in hamming.var_adjacency[v] if cp != c],
+                    l[v], [c2v[(cp, v)] for cp in var_adj[v] if cp != c],
                     message_clamp=1e9)
                 assert s == pytest.approx(outgoing + c2v[(c, v)], rel=1e-12)
 
@@ -486,7 +488,7 @@ def test_isolated_variable_keeps_channel_belief():
 
 def degree_checks(h, d):
     """The checks of degree ``d``, ascending."""
-    return [c for c, vs in enumerate(h.chk_adjacency) if len(vs) == d]
+    return np.flatnonzero(h.rows.sum(axis=1) == d).tolist()
 
 
 def row_checks(h, ei):
@@ -499,7 +501,7 @@ def canonical_rows(h, ei):
     """For each message row, its index among the check-major edges of
     ``serial.RowMajorEdges``, found by the row's (check, variable) pair."""
     canonical = {(c, v): e for e, (c, v) in
-                 enumerate((c, v) for c, vs in enumerate(h.chk_adjacency) for v in vs)}
+                 enumerate(map(tuple, np.argwhere(h.rows).tolist()))}
     return np.array([canonical[c, v] for c, v in zip(row_checks(h, ei), ei.row_var.tolist())])
 
 
@@ -512,10 +514,10 @@ def assert_check_blocks(h, ei):
     for (d, rows), block in zip(ei.degree_groups.items(), ei.check_blocks(msgs)):
         assert rows.start == start
         assert np.shares_memory(block, msgs)
-        table = np.array([h.chk_adjacency[c] for c in degree_checks(h, d)])
+        table = np.array(adjacency(h.rows[degree_checks(h, d)]))
         assert np.array_equal(ei.row_var[rows].reshape(d, -1), table.T)
         start = rows.stop
-    assert list(ei.degree_groups) == sorted({len(vs) for vs in h.chk_adjacency})
+    assert list(ei.degree_groups) == sorted(set(h.rows.sum(axis=1).tolist()))
     assert start == ei.num_edges == ei.row_var.size
 
 
@@ -600,12 +602,12 @@ def test_layout_of_random_codes(h, seed):
     for d, variables in ei.var_groups:
         block = ei.var_order[start:start + d * variables.size].reshape(d, -1)
         assert np.array_equal(ei.row_var[block], np.broadcast_to(variables, block.shape))
-        assert np.array_equal(checks[block].T, [h.var_adjacency[v] for v in variables])
+        assert np.array_equal(checks[block].T, adjacency(h.rows.T[variables]))
         start += block.size
     assert start == ei.num_edges
     grouped = np.concatenate([ei.isolated] + [v for _, v in ei.var_groups])
     assert sorted(grouped.tolist()) == list(range(h.n))
-    assert ei.isolated.tolist() == [v for v in range(h.n) if not h.var_adjacency[v]]
+    assert ei.isolated.tolist() == np.flatnonzero(h.rows.sum(axis=0) == 0).tolist()
     # the belief sums of the oracle's canonical edges, bit for bit
     rng = np.random.default_rng(seed)
     c2v = rng.normal(size=(ei.num_edges, 5)) * 10.0 ** rng.integers(-8, 9, (ei.num_edges, 5))
@@ -642,7 +644,7 @@ def test_belief_sums_into_out_match_the_allocating_form():
     for v in range(5, n):
         rows[rng.choice(m, size=rng.integers(1, m), replace=False), v] = 1
     h = ParityCheckMatrix.from_rows(rows)
-    assert [len(h.var_adjacency[v]) for v in range(4)] == [0, 1, 5, 12]
+    assert h.rows[:, :4].sum(axis=0).tolist() == [0, 1, 5, 12]
     ei = EdgeIndex(h)
     c2v = rng.normal(size=(ei.num_edges, 6))
     out, gather = np.full((n, 6), np.nan), np.full_like(c2v, np.nan)

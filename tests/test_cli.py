@@ -11,12 +11,13 @@ import pytest
 import vcdc
 from vcdc import codes
 from vcdc.cli import build_parser, main
-from vcdc.codebook import bipolar, derive_generator, encode
-from vcdc.denoiser import NeuralBlockWeights, save_checkpoint
+from vcdc.codebook import ParityCheckMatrix, bipolar, derive_generator, encode
+from vcdc.denoiser import NeuralBlockWeights, load_checkpoint, save_checkpoint
 
 from conftest import load_tool, read_results_csv
 
-serialize_alist = load_tool("make_codes").serialize_alist
+make_codes = load_tool("make_codes")
+serialize_alist = make_codes.serialize_alist
 
 
 @pytest.fixture()
@@ -40,6 +41,39 @@ class TestInspect:
     def test_missing_file_errors(self, tmp_path, capsys):
         assert run_cli("inspect-code", "--code", tmp_path / "nope.alist") == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestRedundantRows:
+    """ldpc_49_24's array matrix before its 3 dependent rows are dropped:
+    28 checks of rank 25, so k = 24 and one weight per check."""
+
+    @pytest.fixture()
+    def redundant_file(self, tmp_path):
+        path = tmp_path / "ldpc_49_24_redundant.alist"
+        h = ParityCheckMatrix.from_rows(make_codes.array_rows(7, 4))
+        path.write_text(serialize_alist(h), encoding="ascii")
+        return path
+
+    def test_inspect_takes_k_from_the_rank(self, redundant_file, capsys):
+        assert run_cli("inspect-code", "--code", redundant_file) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("n=49 k=24 rate=0.4898 checks=28 edges=196\n")
+
+    def test_train_and_bench(self, redundant_file, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_cli("train", "--code", redundant_file, "--out", out,
+                       "--iterations", 20, "--batch-size", 8, "--seed", 0) == 0
+        data = (out / "weights.vcdc").read_bytes()
+        assert data.decode().splitlines()[0] == "VCDC1 49 24 28"
+        assert save_checkpoint(load_checkpoint(data)) == data
+        bench = tmp_path / "bench"
+        assert run_cli("bench", "--code", redundant_file, "--out", bench,
+                       "--decoders", "bp,vcdc", "--checkpoint", out / "weights.vcdc",
+                       "--csnr", 3, "--timesteps", 4, "--max-frames", 64,
+                       "--batch-frames", 32, "--seed", 1) == 0
+        runs = read_results_csv(bench / "results.csv")
+        assert [(r.decoder_id, r.n, r.k) for r in runs] == [("bp", 49, 24), ("vcdc-t4", 49, 24)]
+        assert all(0 < r.frames_simulated <= 64 for r in runs)
 
 
 class TestTrain:

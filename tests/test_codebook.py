@@ -9,7 +9,7 @@ from vcdc import codes
 from vcdc.codebook import (AlistError, ParityCheckMatrix, bipolar, derive_generator, encode,
                            gf2_rank, parse_alist, syndrome)
 
-from conftest import enumerate_codewords, load_tool, random_layered_code
+from conftest import adjacency, enumerate_codewords, load_tool, random_layered_code
 
 make_codes = load_tool("make_codes")
 
@@ -36,10 +36,9 @@ class TestParseAlist:
     def test_hamming_hand_written(self):
         h = parse_alist(HAMMING_ALIST)
         assert (h.n, h.k) == (7, 4)
-        assert [len(a) for a in h.chk_adjacency] == [4, 4, 4]
         # row weights match the hand-written H by inspection
         assert h.rows.sum(axis=1).tolist() == [4, 4, 4]
-        assert h.chk_adjacency[0] == (0, 2, 4, 6)
+        assert adjacency(h.rows)[0] == (0, 2, 4, 6)
 
     def test_bundled_ldpc_121_60_dimensions(self):
         h = codes.load("ldpc_121_60")
@@ -53,7 +52,7 @@ class TestParseAlist:
         chks = [f"{i+1} {i+2}" for i in range(n - 1)]
         text += "\n".join(rows + chks) + "\n"
         h = parse_alist(text)
-        assert all(len(a) == 2 for a in h.chk_adjacency)
+        assert (h.rows.sum(axis=1) == 2).all()
 
     def test_malformed_header(self):
         with pytest.raises(AlistError):
@@ -95,8 +94,6 @@ class TestParseAlist:
         for name in codes.available():
             h = codes.load(name)
             h2 = parse_alist(make_codes.serialize_alist(h))
-            assert h2.var_adjacency == h.var_adjacency
-            assert h2.chk_adjacency == h.chk_adjacency
             assert np.array_equal(h2.rows, h.rows)
 
 
@@ -110,14 +107,14 @@ def identity_columns(g):
 @pytest.mark.parametrize("name", codes.available())
 def test_check_tables_list_every_check_once_by_degree(name):
     h = codes.load(name)
-    seen, degrees = [], []
+    seen, degrees, adj = [], [], adjacency(h.rows)
     for checks, table in h.check_tables:
         assert table.flags.c_contiguous and not table.flags.writeable
         assert not checks.flags.writeable
-        assert table.T.tolist() == [list(h.chk_adjacency[c]) for c in checks]
+        assert table.T.tolist() == [list(adj[c]) for c in checks]
         seen += checks.tolist()
         degrees.append(len(table))
-    assert seen == sorted(seen, key=lambda c: len(h.chk_adjacency[c]))
+    assert seen == sorted(seen, key=lambda c: len(adj[c]))
     assert sorted(seen) == list(range(h.num_checks)) and degrees == sorted(set(degrees))
 
 
@@ -158,11 +155,24 @@ class TestDeriveGenerator:
         assert np.array_equal(g, np.concatenate([p.T, np.eye(3, dtype=np.uint8)], axis=1))
 
     def test_duplicate_row_reports_rank(self):
+        # two checks of rank 1: k is n - rank, not n - rows
         rows = np.array([[1, 1, 0, 0], [1, 1, 0, 0]], dtype=np.uint8)
         h = ParityCheckMatrix.from_rows(rows)
-        for _ in range(2):  # a failed derivation is not cached
-            with pytest.raises(ValueError, match="rank 1"):
-                derive_generator(h)
+        assert (h.n, h.k, h.num_checks, h.rate) == (4, 3, 2, 0.75)
+        g = derive_generator(h)
+        assert g.shape == (3, 4) and gf2_rank(g) == 3
+        assert not ((g.astype(int) @ rows.T.astype(int)) % 2).any()
+
+    @pytest.mark.parametrize("q, j, name", [(7, 4, "ldpc_49_24"), (11, 6, "ldpc_121_60")])
+    def test_redundant_array_rows_give_the_bundled_code(self, q, j, name):
+        # the j - 1 dependent rows the bundled code drops add checks, not
+        # constraints: the same k and the same codewords
+        h, bundled = ParityCheckMatrix.from_rows(make_codes.array_rows(q, j)), codes.load(name)
+        assert (h.n, h.k, h.num_checks) == (bundled.n, bundled.k, q * j)
+        g = derive_generator(h)
+        assert g.shape == (h.k, h.n) and gf2_rank(g) == h.k
+        for rows in (h.rows, bundled.rows):
+            assert not ((g.astype(int) @ rows.T.astype(int)) % 2).any()
 
 
 class TestEncode:
@@ -217,7 +227,7 @@ class TestSyndrome:
             flipped = cw.copy()
             flipped[v] ^= 1
             _, count = syndrome(hamming, flipped)
-            assert count == len(hamming.var_adjacency[v])
+            assert count == hamming.rows[:, v].sum()
 
     def test_zero_word(self, hamming):
         _, count = syndrome(hamming, np.zeros(7, dtype=np.uint8))
@@ -235,7 +245,7 @@ class TestSyndrome:
         words[2, :2] = 1
         s, counts = syndrome(hamming, words)
         assert s.shape == (3, 3) and s.dtype == np.uint8
-        assert counts.tolist() == [0, len(hamming.var_adjacency[0]),
+        assert counts.tolist() == [0, hamming.rows[:, 0].sum(),
                                    int(((hamming.rows[:, 0] + hamming.rows[:, 1]) % 2).sum())]
 
 
@@ -308,7 +318,7 @@ BIT_CONSUMERS = {
                          lambda m: encode(derive_generator(h), m)),
     "bipolar": lambda h: (h.rows[:2].copy(), bipolar),
     "from_rows": lambda h: (h.rows.copy(),
-                            lambda r: ParityCheckMatrix.from_rows(r).chk_adjacency),
+                            lambda r: ParityCheckMatrix.from_rows(r).rows),
 }
 NON_BITS = [(2, np.int64), (-1, np.int64), (255, np.uint8), (0.5, np.float64),
             (np.nan, np.float64)]
@@ -345,7 +355,7 @@ class TestBipolar:
 def assert_layer_partition(h):
     """``h.layer_groups`` splits the checks, in order, into maximal runs of
     consecutive checks of one degree with pairwise disjoint variables."""
-    adj = h.chk_adjacency
+    adj = adjacency(h.rows)
     groups = h.layer_groups
     assert [checks.start for checks, _ in groups] == [0] + [c.stop for c, _ in groups[:-1]]
     assert groups[-1][0].stop == h.num_checks

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vcdc.bench import VcdcDecoder
 from vcdc.bp import MIN_SUM, SUM_PRODUCT, BpConfig, decode_bp_batch
 from vcdc.channel import LLR_CLAMP, hard_decide, noise_scale, to_llr, transmit
 from vcdc.codebook import ParityCheckMatrix, bipolar, derive_generator, encode, syndrome
@@ -96,11 +97,19 @@ class TestNeuralBlock:
         assert traced_peak(lambda: neural_block(h, w, llrs, work=work)) < 32 * 1024
 
     def test_weight_count_mismatch_rejected(self, hamming, ldpc_49_24):
-        w = NeuralBlockWeights.zeros(ldpc_49_24)
-        with pytest.raises(ValueError, match="cannot decode"):
-            neural_block(hamming, w, np.zeros((1, hamming.n)))
-        with pytest.raises(ValueError):
-            NeuralBlockWeights(values=np.zeros(5), n=7, k=4)
+        # weights for another code, or for hamming's (n, k) with a weight
+        # count other than its 3 checks, meet hamming
+        sched = build_schedule(4.0, 3, 0.5, hamming.rate)
+        for w in (NeuralBlockWeights.zeros(ldpc_49_24),
+                  NeuralBlockWeights(values=np.zeros(5), n=7, k=4)):
+            with pytest.raises(ValueError, match="cannot decode"):
+                neural_block(hamming, w, np.zeros((1, hamming.n)))
+            with pytest.raises(ValueError, match="cannot decode"):
+                decode_vcdc_batch(hamming, w, sched, np.zeros((1, hamming.n)))
+            with pytest.raises(ValueError, match="cannot decode"):
+                VcdcDecoder(hamming, w)
+        with pytest.raises(ValueError, match="one-dimensional"):
+            NeuralBlockWeights(values=np.zeros((1, 3)), n=7, k=4)
 
     def test_rejects_word_and_wrong_width(self, hamming):
         w = NeuralBlockWeights.zeros(hamming)

@@ -211,3 +211,19 @@ class TestReverseStep:
             with pytest.raises(ValueError, match="x_hat"):
                 reverse_step(sched, 3, np.zeros(3), x_hat, out=target)
             assert_same_bits(target, before)
+
+    def test_out_overlapping_the_state_is_rejected(self):
+        # written in place, z_s = z_t + gain x_hat would multiply into z_t
+        # before the add reads it: z = 1, x_hat = 0.5 would step to 0.772
+        # where the right value is 1.386
+        sched = build_schedule(4.0, 6, 0.5, 0.5)
+        x_hat = np.full(3, 0.5)
+        assert reverse_step(sched, 3, np.ones(3), x_hat) == pytest.approx(1.386, abs=1e-3)
+        work = np.ones(6)
+        for out in (work[:3], work[1:4], work):
+            with pytest.raises(ValueError, match="overlap"):
+                reverse_step(sched, 3, work[:3], x_hat, out=out)
+            assert (work == 1.0).all()
+        # disjoint parts of one buffer, as in the decoder, step as usual
+        reverse_step(sched, 3, work[:3], x_hat, out=work[3:])
+        assert_same_bits(work[3:], reverse_step(sched, 3, np.ones(3), x_hat))

@@ -29,16 +29,13 @@ OUT_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "vcdc", "codes")
 
 def serialize_alist(h):
     """Emit the canonical alist text for a ParityCheckMatrix."""
-    m = h.num_checks
-    max_var = max(len(a) for a in h.var_adjacency)
-    max_chk = max(len(a) for a in h.chk_adjacency)
-    lines = [f"{h.n} {m}", f"{max_var} {max_chk}"]
-    lines.append(" ".join(str(len(a)) for a in h.var_adjacency))
-    lines.append(" ".join(str(len(a)) for a in h.chk_adjacency))
-    for adj, width in ((h.var_adjacency, max_var), (h.chk_adjacency, max_chk)):
-        for entries in adj:
-            padded = [e + 1 for e in entries] + [0] * (width - len(entries))
-            lines.append(" ".join(str(e) for e in padded))
+    var_deg, chk_deg = h.rows.sum(axis=0).tolist(), h.rows.sum(axis=1).tolist()
+    lines = [f"{h.n} {h.num_checks}", f"{max(var_deg)} {max(chk_deg)}",
+             " ".join(map(str, var_deg)), " ".join(map(str, chk_deg))]
+    for mat, width in ((h.rows.T, max(var_deg)), (h.rows, max(chk_deg))):
+        for row in mat:
+            entries = (np.flatnonzero(row) + 1).tolist()
+            lines.append(" ".join(map(str, entries + [0] * (width - len(entries)))))
     return "\n".join(lines) + "\n"
 
 
@@ -54,12 +51,16 @@ def full_rank_rows(rows):
     return np.asarray(kept, dtype=np.uint8)
 
 
-def array_code(q, j):
+def array_rows(q, j):
+    """The j q x q^2 array-code rows, j - 1 of them linearly dependent."""
     shift = np.roll(np.eye(q, dtype=np.uint8), 1, axis=1)
     powers = [np.linalg.matrix_power(shift, p) % 2 for p in range(q)]
     blocks = [[powers[(i * l) % q] for l in range(q)] for i in range(j)]
-    h_full = np.block(blocks).astype(np.uint8)
-    h = full_rank_rows(h_full)
+    return np.block(blocks).astype(np.uint8)
+
+
+def array_code(q, j):
+    h = full_rank_rows(array_rows(q, j))
     assert h.shape == (j * q - (j - 1), q * q), h.shape
     return ParityCheckMatrix.from_rows(h)
 
