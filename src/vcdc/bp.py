@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import LLR_CLAMP, hard_decide
-from .codebook import check_parities
+from .codebook import check_parities, degree_tables
 
 # Product clamp inside arctanh; keeps check messages finite (|u| <= ~28.4).
 ATANH_EPS = 1e-12
@@ -71,34 +71,33 @@ class EdgeIndex:
     of every degree-d check to its j-th variable, so that a reshape views
     them as a (d, checks, B) block of contiguous (checks, B) slabs.  Row r
     runs to variable ``row_var[r]``.  Belief sums take the rows by
-    ``var_order`` in the same way: variables grouped by degree d, each
-    ``var_groups`` entry a (d, variables, B) block.
+    ``var_order`` in the same way: variables grouped by degree d as
+    ``degree_tables(h.rows.T)`` groups them, each ``var_groups`` entry a
+    (d, variables, B) block.
     """
 
     def __init__(self, h):
         self.h = h
+        # each degree group's rows, and the (m, n) map from (check, variable)
+        # to row
         self.degree_groups, start = {}, 0
-        for _, table in h.check_tables:
+        row_of = np.empty(h.rows.shape, dtype=np.int64)
+        for checks, table in h.check_tables:
             self.degree_groups[len(table)] = slice(start, start + table.size)
+            row_of[checks, table] = np.arange(start, start + table.size).reshape(table.shape)
             start += table.size
         self.row_var = np.concatenate([table.ravel() for _, table in h.check_tables])
-        row_chk = np.concatenate([np.tile(checks, len(table))
-                                  for checks, table in h.check_tables])
         self.num_edges = self.row_var.size
 
         # each variable's rows in check order; variables of degree zero are
-        # legal in principle and keep a zero sum
-        var_degrees = np.bincount(self.row_var, minlength=h.n)
-        self.isolated = np.flatnonzero(var_degrees == 0)
-        by_var = np.lexsort((row_chk, self.row_var, var_degrees[self.row_var]))
-        self.var_groups, blocks, start = [], [], 0
-        for d in sorted(set(var_degrees.tolist()) - {0}):
-            variables = np.flatnonzero(var_degrees == d)
-            stop = start + d * variables.size
-            blocks.append(by_var[start:stop].reshape(variables.size, d).T.ravel())
-            self.var_groups.append((d, variables))
-            start = stop
-        self.var_order = np.concatenate(blocks)
+        # legal in principle, form H's (0, variables) table and keep a zero sum
+        var_tables = degree_tables(h.rows.T)
+        self.var_order = np.concatenate([row_of[table, variables]
+                                         for variables, table in var_tables], axis=None)
+        self.var_groups = [(len(table), variables) for variables, table in var_tables
+                           if table.size]
+        lines, table = var_tables[0]
+        self.isolated = lines[:0] if table.size else lines
 
     def check_blocks(self, msgs):
         """(d, checks, B) views of the (E, B) messages ``msgs``, one per

@@ -80,17 +80,8 @@ class ParityCheckMatrix:
 
     @cached_property
     def check_tables(self):
-        """The checks grouped by degree, degrees ascending: a tuple of
-        (checks, table) pairs of read-only int64 arrays, ``checks`` the
-        degree-d checks in order and ``table`` their variables as a
-        C-ordered (d, checks) array, row j the j-th variable of every check.
-        """
-        degrees = self.rows.sum(axis=1)
-        tables = []
-        for d in sorted(set(degrees.tolist())):
-            checks = np.flatnonzero(degrees == d)
-            tables.append((_frozen(checks), _check_table(self.rows[checks])))
-        return tuple(tables)
+        """The checks grouped by degree: ``degree_tables(rows)``."""
+        return degree_tables(self.rows)
 
     @cached_property
     def layer_groups(self):
@@ -107,7 +98,7 @@ class ParityCheckMatrix:
                 starts.append(c)
                 seen[:] = 0
             seen |= row
-        return tuple((slice(start, stop), _check_table(self.rows[start:stop]))
+        return tuple((slice(start, stop), _line_table(self.rows[start:stop]))
                      for start, stop in zip(starts, starts[1:] + [self.num_checks]))
 
     @cached_property
@@ -132,9 +123,21 @@ class ParityCheckMatrix:
         return _frozen(gen)
 
 
-def _check_table(rows):
-    """The variables of the checks ``rows``, all of one degree d, as a
-    read-only C-ordered (d, checks) int64 table, column i those of row i."""
+def degree_tables(mat):
+    """The lines (rows) of the 0/1 matrix ``mat`` grouped by degree, degrees
+    ascending: a tuple of (lines, table) pairs of read-only int64 arrays,
+    ``lines`` the degree-d lines in order and ``table`` their nonzero
+    columns as a C-ordered (d, lines) array, row j the j-th column of every
+    line.  Degree-0 lines, if any, come first with a (0, lines) table.
+    """
+    degrees = mat.sum(axis=1)
+    groups = (np.flatnonzero(degrees == d) for d in sorted(set(degrees.tolist())))
+    return tuple((_frozen(lines), _line_table(mat[lines])) for lines in groups)
+
+
+def _line_table(rows):
+    """The nonzero columns of the 0/1 rows ``rows``, all of one degree d, as
+    a read-only C-ordered (d, rows) int64 table, column i those of row i."""
     return _frozen(np.nonzero(rows)[1].reshape(len(rows), -1).T.copy())
 
 
@@ -161,11 +164,6 @@ def _row_reduce(a):
     return pivot_cols
 
 
-def gf2_rank(mat):
-    """Rank of a binary matrix over GF(2)."""
-    return len(_row_reduce(_as_bits(mat)))
-
-
 def parse_alist(text):
     """Parse an alist character stream into a ParityCheckMatrix.
 
@@ -179,16 +177,15 @@ def parse_alist(text):
         tokens = [int(t) for t in text.split()]
     except ValueError as exc:
         raise AlistError(f"non-integer token in alist: {exc}") from None
-    it = iter(tokens)
+    pos = 0
 
     def take(count, what):
-        out = []
-        for _ in range(count):
-            try:
-                out.append(next(it))
-            except StopIteration:
-                raise AlistError(f"alist truncated while reading {what}") from None
-        return out
+        # an object array keeps tokens beyond int64 exact for the checks
+        nonlocal pos
+        if len(tokens) - pos < count:
+            raise AlistError(f"alist truncated while reading {what}")
+        pos += count
+        return np.array(tokens[pos - count:pos], dtype=object)
 
     n, m = take(2, "header")
     if not 0 < m < n:
@@ -198,35 +195,37 @@ def parse_alist(text):
         raise AlistError(f"bad max degrees {max_var_deg}/{max_chk_deg}")
     var_deg = take(n, "variable degrees")
     chk_deg = take(m, "check degrees")
-    if max(var_deg) > max_var_deg or max(chk_deg) > max_chk_deg:
+    if var_deg.max() > max_var_deg or chk_deg.max() > max_chk_deg:
         raise AlistError("declared degree exceeds declared maximum")
 
-    def entry_lists(count, width, limit, degrees, what):
-        lists = []
-        for i in range(count):
-            raw = take(width, f"{what} list {i}")
-            entries = sorted(set(e for e in raw if e != 0))
-            for e in entries:
-                if not 1 <= e <= limit:
-                    raise AlistError(f"{what} list {i}: index {e} out of range 1..{limit}")
-            if len(entries) != degrees[i]:
-                raise AlistError(
-                    f"{what} list {i}: {len(entries)} entries but declared degree {degrees[i]}")
-            lists.append(entries)
-        return lists
+    def entry_matrix(count, width, limit, degrees, what):
+        """The lists as a 0/1 (count, limit) matrix, row i list i, by one
+        scatter; column 0 of the scatter takes padding and bad indices."""
+        lists = take(count * width, f"{what} lists").reshape(count, width)
+        outside = (lists < 0) | (lists > limit)
+        mat = np.zeros((count, limit + 1), dtype=np.uint8)
+        mat[np.arange(count)[:, None], np.where(outside, 0, lists).astype(np.int64)] = 1
+        mat = mat[:, 1:]
+        found = mat.sum(axis=1)
+        # the first list with an index out of range, or with a count of
+        # distinct entries other than its declared degree
+        bad = outside.any(axis=1) | (found != degrees)
+        if bad.any():
+            i = int(bad.argmax())
+            if outside[i].any():
+                raise AlistError(f"{what} list {i}: index {lists[i][outside[i]].min()} "
+                                 f"out of range 1..{limit}")
+            raise AlistError(
+                f"{what} list {i}: {found[i]} entries but declared degree {degrees[i]}")
+        return mat
 
-    var_lists = entry_lists(n, max_var_deg, m, var_deg, "variable")
-    chk_lists = entry_lists(m, max_chk_deg, n, chk_deg, "check")
-    leftover = sum(1 for _ in it)
-    if leftover:
-        raise AlistError(f"{leftover} unexpected trailing tokens")
-
-    rows = np.zeros((m, n), dtype=np.uint8)
-    for c, vs in enumerate(chk_lists):
-        rows[c, [v - 1 for v in vs]] = 1
-    for v, cs in enumerate(var_lists):
-        if np.flatnonzero(rows[:, v]).tolist() != [c - 1 for c in cs]:
-            raise AlistError(f"variable list {v} disagrees with check lists")
+    var_mat = entry_matrix(n, max_var_deg, m, var_deg, "variable")
+    rows = entry_matrix(m, max_chk_deg, n, chk_deg, "check")
+    if len(tokens) > pos:
+        raise AlistError(f"{len(tokens) - pos} unexpected trailing tokens")
+    disagree = (var_mat != rows.T).any(axis=1)
+    if disagree.any():
+        raise AlistError(f"variable list {int(disagree.argmax())} disagrees with check lists")
     return ParityCheckMatrix.from_rows(rows)
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from vcdc import codes
 from vcdc.bench import BerRun
-from vcdc.codebook import ParityCheckMatrix, derive_generator, encode
+from vcdc.codebook import ParityCheckMatrix, _row_reduce, derive_generator, encode
 
 
 def numeric_grad(fn, x, eps=1e-6):
@@ -107,6 +107,11 @@ def adjacency(mat):
     gives each check's variables, ``adjacency(h.rows.T)`` each variable's
     checks."""
     return tuple(tuple(np.flatnonzero(row).tolist()) for row in mat)
+
+
+def gf2_rank(mat):
+    """Rank of a binary matrix over GF(2)."""
+    return len(_row_reduce(np.array(mat, dtype=np.uint8)))
 
 
 def make_tree_code(num_checks):

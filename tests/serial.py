@@ -22,6 +22,11 @@ last axis.  They are the reference for the frames-as-columns walk, kernel
 call and backward of ``vcdc.denoiser`` and ``vcdc.train``, which must keep
 every bit, reduction orders included.
 
+``SortedLayout`` builds ``vcdc.bp.EdgeIndex``'s message rows by sorting the
+edges (``np.bincount`` for the variable degrees, a three-key ``np.lexsort``
+for each variable's rows): the reference for the layout ``EdgeIndex`` reads
+from H's degree tables.
+
 ``decode_bp_batch`` is flooding BP with frame-major (B, E) messages in
 canonical edge order, the check products from two ``cumprod`` sweeps and the
 belief sums from ``np.add.reduceat``: the reference for ``vcdc.bp``'s
@@ -199,6 +204,31 @@ def decode_vcdc_batch(h, weights, sched, llrs):
         bits[idx], beliefs[idx], steps[idx], ok[idx] = hard, z, used, done
         idx, z = idx[~done], z[~done]
     return bits, beliefs, steps, ok
+
+
+class SortedLayout:
+    """``vcdc.bp.EdgeIndex``'s ``row_var``, ``var_order``, ``var_groups`` and
+    ``isolated``, the edges sorted into place: the checks grouped by degree,
+    slot by slot, then the rows ordered by (variable degree, variable, check)."""
+
+    def __init__(self, h):
+        degrees = h.rows.sum(axis=1)
+        groups = [np.flatnonzero(degrees == d) for d in sorted(set(degrees.tolist()))]
+        tables = [np.nonzero(h.rows[checks])[1].reshape(checks.size, -1).T for checks in groups]
+        self.row_var = np.concatenate([table.ravel() for table in tables])
+        row_chk = np.concatenate([np.tile(checks, len(table))
+                                  for checks, table in zip(groups, tables)])
+        var_degrees = np.bincount(self.row_var, minlength=h.n)
+        self.isolated = np.flatnonzero(var_degrees == 0)
+        by_var = np.lexsort((row_chk, self.row_var, var_degrees[self.row_var]))
+        self.var_groups, blocks, start = [], [], 0
+        for d in sorted(set(var_degrees.tolist()) - {0}):
+            variables = np.flatnonzero(var_degrees == d)
+            stop = start + d * variables.size
+            blocks.append(by_var[start:stop].reshape(variables.size, d).T.ravel())
+            self.var_groups.append((d, variables))
+            start = stop
+        self.var_order = np.concatenate(blocks)
 
 
 class RowMajorEdges:

@@ -521,10 +521,26 @@ def assert_check_blocks(h, ei):
     assert start == ei.num_edges == ei.row_var.size
 
 
+def assert_sorted_layout(h, ei):
+    """``ei`` lays the rows out as ``serial.SortedLayout`` sorts them."""
+    want = serial.SortedLayout(h)
+    for name in ("row_var", "var_order", "isolated"):
+        got, ref = getattr(ei, name), getattr(want, name)
+        assert got.dtype == ref.dtype == np.int64 and np.array_equal(got, ref), name
+    assert [(d, v.tolist()) for d, v in ei.var_groups] == [
+        (d, v.tolist()) for d, v in want.var_groups]
+
+
 @pytest.mark.parametrize("name", codes.available())
 def test_every_degree_group_is_a_view(name):
     h = codes.load(name)
     assert_check_blocks(h, EdgeIndex(h))
+
+
+@pytest.mark.parametrize("name", codes.available())
+def test_layout_matches_the_sorting_oracle(name):
+    h = codes.load(name)
+    assert_sorted_layout(h, EdgeIndex(h))
 
 
 @st.composite
@@ -608,6 +624,7 @@ def test_layout_of_random_codes(h, seed):
     grouped = np.concatenate([ei.isolated] + [v for _, v in ei.var_groups])
     assert sorted(grouped.tolist()) == list(range(h.n))
     assert ei.isolated.tolist() == np.flatnonzero(h.rows.sum(axis=0) == 0).tolist()
+    assert_sorted_layout(h, ei)
     # the belief sums of the oracle's canonical edges, bit for bit
     rng = np.random.default_rng(seed)
     c2v = rng.normal(size=(ei.num_edges, 5)) * 10.0 ** rng.integers(-8, 9, (ei.num_edges, 5))

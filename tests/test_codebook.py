@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vcdc import codes
-from vcdc.codebook import (AlistError, ParityCheckMatrix, bipolar, derive_generator, encode,
-                           gf2_rank, parse_alist, syndrome)
+from vcdc.codebook import (AlistError, ParityCheckMatrix, bipolar, degree_tables,
+                           derive_generator, encode, parse_alist, syndrome)
 
-from conftest import adjacency, enumerate_codewords, load_tool, random_layered_code
+from conftest import adjacency, enumerate_codewords, gf2_rank, load_tool, random_layered_code
 
 make_codes = load_tool("make_codes")
 
@@ -96,6 +96,80 @@ class TestParseAlist:
             h2 = parse_alist(make_codes.serialize_alist(h))
             assert np.array_equal(h2.rows, h.rows)
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(3, 40), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_serialize_round_trip_random(self, n, data, seed):
+        # random degrees per check, and variables in no check at all
+        rng = np.random.default_rng(seed)
+        m = data.draw(st.integers(1, n - 1))
+        rows = np.zeros((m, n), dtype=np.uint8)
+        for r in range(m):
+            rows[r, rng.choice(n, rng.integers(2, n + 1), replace=False)] = 1
+        rows[:, rng.random(n) < data.draw(st.sampled_from([0.0, 0.2, 0.6]))] = 0
+        rows[:, :2] = 1
+        h = ParityCheckMatrix.from_rows(rows)
+        assert np.array_equal(parse_alist(make_codes.serialize_alist(h)).rows, rows)
+
+    # (edits of HAMMING_ALIST by line, the error message): one case per kind
+    # of error, each naming the first offending list where a list is at fault
+    MALFORMED = [
+        ({0: "7 x"}, r"non-integer token in alist: .*'x'"),
+        ({0: "3 7"}, r"bad header: N=3, M=7 \(need 0 < M < N\)"),
+        ({0: "7 0"}, r"bad header: N=7, M=0 \(need 0 < M < N\)"),
+        ({1: "0 4"}, r"bad max degrees 0/4"),
+        ({1: "3 1"}, r"bad max degrees 3/1"),
+        ({2: "1 1 2 1 2 2 4"}, r"declared degree exceeds declared maximum"),
+        ({3: "4 5 4"}, r"declared degree exceeds declared maximum"),
+        ({6: "1 4 0"}, r"variable list 2: index 4 out of range 1..3"),
+        ({6: "1 -1 0", 7: "0 0 9"}, r"variable list 2: index -1 out of range 1..3"),
+        ({12: "2 3 -7 -6"}, r"check list 1: index -7 out of range 1..7"),
+        ({6: "1 0 0"}, r"variable list 2: 1 entries but declared degree 2"),
+        ({6: "1 1 0"}, r"variable list 2: 1 entries but declared degree 2"),
+        ({5: "1 2 0", 7: "9 0 0"}, r"variable list 1: 2 entries but declared degree 1"),
+        ({7: "9 0 0", 8: "1 0 0"}, r"variable list 3: index 9 out of range 1..3"),
+        ({12: "2 3 6 0", 13: "4 5 6 8"}, r"check list 1: 3 entries but declared degree 4"),
+        ({4: "2 0 0", 5: "1 0 0"}, r"variable list 0 disagrees with check lists"),
+        ({9: "1 3 0"}, r"variable list 5 disagrees with check lists"),
+        ({13: "4 5 6 7 9"}, r"1 unexpected trailing tokens"),
+    ]
+    TRUNCATED = [(1, "header"), (3, "max degrees"), (6, "variable degrees"),
+                 (12, "check degrees"), (20, "variable list"), (40, "check list")]
+
+    @pytest.mark.parametrize("edits, message", MALFORMED)
+    def test_malformed_input_names_the_error_and_first_list(self, edits, message):
+        lines = HAMMING_ALIST.splitlines()
+        for i, line in edits.items():
+            lines[i] = line
+        with pytest.raises(AlistError, match=f"^{message}$"):
+            parse_alist("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("count, section", TRUNCATED)
+    def test_truncated_stream_names_the_section(self, count, section):
+        tokens = HAMMING_ALIST.split()
+        assert len(tokens) == 47
+        with pytest.raises(AlistError, match=f"^alist truncated while reading {section}"):
+            parse_alist(" ".join(tokens[:count]))
+
+    BIG = str(10**20)
+
+    @pytest.mark.parametrize("edits, message", [
+        ({0: f"{BIG} 3"}, r"alist truncated while reading variable degrees"),
+        ({0: f"7 {BIG}"}, rf"bad header: N=7, M={BIG} \(need 0 < M < N\)"),
+        ({1: f"{BIG} 4"}, r"alist truncated while reading variable list.*"),
+        ({2: f"1 1 2 1 2 2 {BIG}"}, r"declared degree exceeds declared maximum"),
+        ({2: f"1 1 2 1 2 2 -{BIG}"}, rf"variable list 6: 3 entries but declared degree -{BIG}"),
+        ({11: f"1 3 5 {BIG}"}, rf"check list 0: index {BIG} out of range 1..7"),
+        ({8: f"3 -{BIG} 0"}, rf"variable list 4: index -{BIG} out of range 1..3"),
+        ({11: f"1 3 {2**63} 7"}, rf"check list 0: index {2**63} out of range 1..7"),
+    ])
+    def test_tokens_beyond_int64(self, edits, message):
+        # parsed as Python ints, never cast: the messages keep them exact
+        lines = HAMMING_ALIST.splitlines()
+        for i, line in edits.items():
+            lines[i] = line
+        with pytest.raises(AlistError, match=f"^{message}$"):
+            parse_alist("\n".join(lines) + "\n")
+
 
 def identity_columns(g):
     """For each row i of the generator ``g``, a column equal to the unit
@@ -104,18 +178,36 @@ def identity_columns(g):
                      for row in np.eye(g.shape[0], dtype=g.dtype)])
 
 
+def assert_degree_tables(mat, tables):
+    """``tables`` lists every line of the 0/1 matrix ``mat`` once, grouped
+    by degree, degrees ascending, each table the lines' columns in order."""
+    seen, degrees, adj = [], [], adjacency(mat)
+    for lines, table in tables:
+        assert table.flags.c_contiguous and not table.flags.writeable
+        assert not lines.flags.writeable and lines.dtype == table.dtype == np.int64
+        assert table.shape == (len(adj[lines[0]]), lines.size)
+        assert table.T.tolist() == [list(adj[c]) for c in lines]
+        seen += lines.tolist()
+        degrees.append(len(table))
+    assert seen == sorted(seen, key=lambda c: len(adj[c]))
+    assert sorted(seen) == list(range(len(mat))) and degrees == sorted(set(degrees))
+
+
 @pytest.mark.parametrize("name", codes.available())
 def test_check_tables_list_every_check_once_by_degree(name):
     h = codes.load(name)
-    seen, degrees, adj = [], [], adjacency(h.rows)
-    for checks, table in h.check_tables:
-        assert table.flags.c_contiguous and not table.flags.writeable
-        assert not checks.flags.writeable
-        assert table.T.tolist() == [list(adj[c]) for c in checks]
-        seen += checks.tolist()
-        degrees.append(len(table))
-    assert seen == sorted(seen, key=lambda c: len(adj[c]))
-    assert sorted(seen) == list(range(h.num_checks)) and degrees == sorted(set(degrees))
+    assert_degree_tables(h.rows, h.check_tables)
+    assert_degree_tables(h.rows.T, degree_tables(h.rows.T))
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 12), n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       density=st.sampled_from([0.1, 0.5, 0.9]))
+def test_degree_tables_of_random_matrices(m, n, seed, density):
+    # lines of degree 0, a (0, lines) table first, included
+    mat = _bits(np.random.default_rng(seed), (m, n), density)
+    for side in (mat, mat.T):
+        assert_degree_tables(side, degree_tables(side))
 
 
 def test_make_codes_reproduces_the_bundled_codes(tmp_path, monkeypatch, capsys):
@@ -173,6 +265,15 @@ class TestDeriveGenerator:
         assert g.shape == (h.k, h.n) and gf2_rank(g) == h.k
         for rows in (h.rows, bundled.rows):
             assert not ((g.astype(int) @ rows.T.astype(int)) % 2).any()
+
+    def test_bundled_redundant_code_keeps_every_array_row(self):
+        h = codes.load("ldpc_121_60_redundant")
+        assert np.array_equal(h.rows, make_codes.array_rows(11, 6))
+        assert (h.n, h.k, h.num_checks) == (121, 60, 66)
+        # one degree-11 check table in 6 layer groups, one degree-6 variable table
+        assert [table.shape for _, table in h.check_tables] == [(11, 66)]
+        assert [table.shape for _, table in h.layer_groups] == [(11, 11)] * 6
+        assert [table.shape for _, table in degree_tables(h.rows.T)] == [(6, 121)]
 
 
 class TestEncode:
@@ -377,7 +478,8 @@ def assert_layer_partition(h):
 
 class TestLayerGroups:
     @pytest.mark.parametrize("name, count", [
-        ("ldpc_121_60", 6), ("ldpc_121_70", 5), ("ldpc_121_80", 4), ("ldpc_49_24", 4),
+        ("ldpc_121_60", 6), ("ldpc_121_60_redundant", 6), ("ldpc_121_70", 5),
+        ("ldpc_121_80", 4), ("ldpc_49_24", 4),
         ("hamming_7_4", 3), ("polar_64_32", 32), ("polar_128_64", 64)])
     def test_bundled_codes(self, name, count):
         # the LDPC array codes merge; Hamming and polar checks overlap their

@@ -5,7 +5,8 @@ LDPC codes are array codes: j x q blocks of q x q circulant-permutation
 powers sigma^(i*l) with q prime, reduced to full row rank by keeping the
 first linearly independent rows (each block-row stripe sums to all-ones,
 so j-1 rows are dependent).  With q=11, j=6/5/4 this yields (121,60),
-(121,70), (121,80); q=7, j=4 yields (49,24).
+(121,70), (121,80); q=7, j=4 yields (49,24).  ldpc_121_60_redundant keeps
+all 66 rows of q=11, j=6: rank 61, so k=60 as for ldpc_121_60.
 
 Polar parity checks come from the polar transform F^(x m) (F[i,j]=1 iff
 j's bits are a subset of i's): freeze the N-K indices with the largest
@@ -22,7 +23,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from vcdc.codebook import ParityCheckMatrix, gf2_rank  # noqa: E402
+from vcdc.codebook import ParityCheckMatrix, _row_reduce  # noqa: E402
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "vcdc", "codes")
 
@@ -40,15 +41,9 @@ def serialize_alist(h):
 
 
 def full_rank_rows(rows):
-    """Keep the first rows that increase GF(2) rank, in order."""
-    kept = []
-    rank = 0
-    for row in rows:
-        candidate = kept + [row]
-        if gf2_rank(np.asarray(candidate)) > rank:
-            kept.append(row)
-            rank += 1
-    return np.asarray(kept, dtype=np.uint8)
+    """Keep the first rows that increase GF(2) rank, in order: the pivot
+    columns of one elimination of the transpose."""
+    return rows[_row_reduce(rows.T.copy())]
 
 
 def array_rows(q, j):
@@ -81,12 +76,12 @@ def polar_code(m, k):
     for i in range(n):
         for jj in range(n):
             f[i, jj] = 1 if (jj & ~i) == 0 else 0
-    h = f[:, frozen].T.copy()
-    assert gf2_rank(h) == n - k
+    h = f[:, frozen].T
     # rows sorted by weight: low-degree checks carry the most reliable
     # extrinsics, so serial per-check sweeps profit from meeting them first
-    h = h[np.argsort(h.sum(axis=1), kind="stable")]
-    return ParityCheckMatrix.from_rows(h)
+    h = ParityCheckMatrix.from_rows(h[np.argsort(h.sum(axis=1), kind="stable")])
+    assert h.k == k, h.k
+    return h
 
 
 def main():
@@ -94,6 +89,7 @@ def main():
         "hamming_7_4": hamming_7_4(),
         "ldpc_49_24": array_code(7, 4),
         "ldpc_121_60": array_code(11, 6),
+        "ldpc_121_60_redundant": ParityCheckMatrix.from_rows(array_rows(11, 6)),
         "ldpc_121_70": array_code(11, 5),
         "ldpc_121_80": array_code(11, 4),
         "polar_64_32": polar_code(6, 32),

@@ -9,7 +9,7 @@ docstring lines are not code; a line of code that ends in a comment is.
     python3 tools/src_lines.py [FILE ...]
 
 prints ``lines N`` and ``code_lines M`` summed over the files given, by
-default src/vcdc/*.py.
+default every .py file of the package, src/vcdc/**/*.py.
 """
 
 import glob
@@ -51,7 +51,8 @@ def count(paths):
 
 
 def main(argv=None):
-    paths = (sys.argv[1:] if argv is None else argv) or sorted(glob.glob(os.path.join(SRC, "*.py")))
+    paths = (sys.argv[1:] if argv is None else argv) or sorted(
+        glob.glob(os.path.join(SRC, "**", "*.py"), recursive=True))
     total, code = count(paths)
     print(f"lines {total}")
     print(f"code_lines {code}")
