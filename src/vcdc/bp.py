@@ -105,14 +105,11 @@ class EdgeIndex:
         return [msgs[rows].reshape(d, (rows.stop - rows.start) // d, msgs.shape[1])
                 for d, rows in self.degree_groups.items()]
 
-    def belief_sums(self, c2v, out=None, gather=None):
-        """Per-variable sums of the (E, B) check-to-variable messages, shape
-        (n, B), each added in check order as ``np.add.reduceat`` adds it.
-        The sums go into ``out`` and the messages are gathered, by variable,
-        into ``gather`` when these float64 (n, B) and (E, B) arrays are
-        given, else into new arrays."""
-        if out is None:
-            out = np.empty((self.h.n, c2v.shape[1]))
+    def belief_sums(self, c2v, out, gather):
+        """Per-variable sums of the (E, B) check-to-variable messages, each
+        added in check order as ``np.add.reduceat`` adds it, into ``out``, a
+        float64 (n, B) array, which it returns.  The messages are gathered,
+        by variable, into ``gather``, a float64 (E, B) array."""
         # mode="clip" keeps take from buffering its output; every index is valid
         msgs = np.take(c2v, self.var_order, axis=0, out=gather, mode="clip")
         out[self.isolated] = 0.0
@@ -262,34 +259,30 @@ def minsum_work_size(size):
     return size + -(-size // 8)
 
 
-def check_minsum_terms(xc, out=None, work=None):
+def check_minsum_terms(xc, out, work):
     """Min-sum extrinsic messages of checks from their variables' beliefs.
 
     ``xc`` is a float64 array of shape (..., d), d >= 2, one check per row
     and no NaN entry.
-    Returns the messages ``u`` of the same shape: u[..., j] is the product
-    of the signs of the other entries (sign(0) = +1 for either zero) times
-    their least magnitude.  ``u`` is written into ``out`` when it is given,
-    else into a new array with the memory layout of ``xc``.  ``work``, a
-    flat float64 array of at least ``minsum_work_size(xc.size)`` entries,
-    or a new one, holds the magnitudes, then the signs as one bool each;
-    with ``out`` and ``work`` given the kernel allocates only a few vectors
-    of one entry per check, and numpy at most one buffer of the signs.
+    Writes the messages ``u`` into ``out``, a float64 array of the same
+    shape, and returns it: u[..., j] is the product of the signs of the
+    other entries (sign(0) = +1 for either zero) times their least
+    magnitude.  ``work``, a flat float64 array of at least
+    ``minsum_work_size(xc.size)`` entries, holds the magnitudes, then the
+    signs as one bool each.  The kernel allocates only a few vectors of one
+    entry per check, and numpy at most one buffer of the signs.
 
     The messages come from each row's two least magnitudes (the compressed
     check message of layered min-sum decoders, Mansour & Shanbhag 2003),
     exactly, ties included.  The kernel works on ``xc.T``, d leading:
     callers that hold their checks as a (d, rows) block pass its transpose,
     and then every step, the reads of ``xc`` and the write-out included,
-    runs over contiguous rows.  ``u``'s own memory is the scratch of the
+    runs over contiguous rows.  ``out``'s memory is the scratch of the
     halving tournament and of ``_exclude_least`` before it takes the
     messages, whose bits are built by bit operations: the magnitude's bits
     or'ed with a sign bit, the entry's sign xor its row's sign product.
     """
-    u = np.empty_like(xc, dtype=np.float64) if out is None else out
-    x, ut = xc.T, u.T
-    if work is None:
-        work = np.empty(minsum_work_size(x.size))
+    x, ut = xc.T, out.T
     mags = np.abs(x, out=work[:x.size].reshape(x.shape))
     # -0.0 < 0 is false, so either zero counts as positive
     neg = np.less(x, 0.0, out=work[x.size:].view(bool)[:x.size].reshape(x.shape))
@@ -301,7 +294,7 @@ def check_minsum_terms(xc, out=None, work=None):
     np.copyto(bits, np.not_equal(neg, odd, out=neg))
     bits <<= 63
     bits |= mags.view(np.uint64)
-    return u
+    return out
 
 
 def _check_sweep_minsum(v2c, ei, c2v, work):
@@ -393,8 +386,9 @@ class RunningSet:
         return self.state
 
 
-def decode_bp_batch(h, llrs, cfg=BpConfig(), edge_index=None):
-    """Flooding BP over a (B, n) batch of LLR vectors.
+def decode_bp_batch(h, llrs, cfg=BpConfig(), *, edge_index):
+    """Flooding BP over a (B, n) batch of LLR vectors, on ``edge_index``,
+    the ``EdgeIndex`` of ``h``.
 
     Returns (bits, beliefs, iterations, syndrome_zero) arrays; each frame
     exits as soon as its hard decision satisfies every parity check.
@@ -410,7 +404,7 @@ def decode_bp_batch(h, llrs, cfg=BpConfig(), edge_index=None):
     spent v2c.  The first sweep's inputs are made in the belief rows, on
     the LLRs.
     """
-    ei = edge_index if edge_index is not None else EdgeIndex(h)
+    ei = edge_index
     n, edges = h.n, ei.num_edges
     # min-sum's kernel workspace is sized for the widest degree group
     kernel = 0 if cfg.variant == SUM_PRODUCT else minsum_work_size(

@@ -120,21 +120,18 @@ def block_layers(h, w, xt, work, keep=False):
             at += 2 * size
 
 
-def neural_block(h, weights, llrs, work=None):
+def neural_block(h, weights, llrs, work):
     """Run one block on a (B, n) batch of beliefs: (final beliefs, soft
     estimate tanh(beliefs/2)), both (B, n) views of frames-as-columns
     arrays.  With all weights zero the block is the identity on beliefs.
 
     Both arrays, and every one the walk writes, are views of ``work``, a
-    flat float64 array of at least ``B * (2 n + walk_size(h))`` entries, or
-    of one new array of that size.
+    flat float64 array of at least ``B * (2 n + walk_size(h))`` entries.
     """
     weights.check_code(h)
     x = np.asarray(llrs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != h.n:
         raise ValueError(f"expected (B, {h.n}) beliefs, got {x.shape}")
-    if work is None:
-        work = np.empty(len(x) * (2 * h.n + walk_size(h)))
     xt = work[:x.size].reshape(h.n, -1)
     x_hat = work[x.size:2 * x.size].reshape(h.n, -1)
     np.copyto(xt, x.T)  # the layers run in place

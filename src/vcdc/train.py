@@ -45,8 +45,8 @@ def loss_with_adjoint(beliefs, x_b):
 
 def minsum_backward(g, xc, u):
     """Adjoint of checks' beliefs ``xc`` (rows, d) given the adjoint ``g`` of
-    their min-sum messages ``u = check_minsum_terms(xc)``, as an array whose
-    transpose is a C-ordered (d, rows) array.
+    their min-sum messages ``u`` from ``check_minsum_terms``, as an array
+    whose transpose is a C-ordered (d, rows) array.
 
     Each outgoing adjoint routes to the variable whose magnitude attained
     the (extrinsic) minimum, scaled by that variable's sign, with the sign

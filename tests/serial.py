@@ -1,5 +1,11 @@
 """Row-major reference forms of the fast paths, checked against bit for bit.
 
+The fast paths take their buffers from their caller.  The first section
+calls them on new buffers, for the tests, the tape and the oracles here:
+``kernel`` (``vcdc.bp.check_minsum_terms``), ``belief_sums``
+(``vcdc.bp.EdgeIndex.belief_sums``), ``block`` (``vcdc.denoiser.neural_block``)
+and ``bp_decode`` (``vcdc.bp.decode_bp_batch``).
+
 The one-check-at-a-time block walk: ``vcdc.denoiser.block_layers`` updates
 each run of consecutive checks with disjoint variables
 (``ParityCheckMatrix.layer_groups``) at once.  The walk here updates one
@@ -37,13 +43,42 @@ from __future__ import annotations
 
 import numpy as np
 
-from vcdc import bp
-from vcdc.bp import ATANH_EPS, SUM_PRODUCT, check_llr_batch
+from vcdc import bp, denoiser
+from vcdc.bp import ATANH_EPS, SUM_PRODUCT, BpConfig, check_llr_batch
 from vcdc.channel import LLR_CLAMP, hard_decide
 from vcdc.codebook import syndrome
 from vcdc.diffusion import reverse_step
 from vcdc.train import loss_with_adjoint
 
+
+# the fast paths on new buffers ----------------------------------------------
+
+def kernel(xc):
+    """``vcdc.bp.check_minsum_terms`` into a new array with the memory
+    layout of ``xc``, on a new workspace."""
+    return bp.check_minsum_terms(xc, np.empty_like(xc, dtype=np.float64),
+                                 np.empty(bp.minsum_work_size(xc.size)))
+
+
+def belief_sums(ei, c2v):
+    """``vcdc.bp.EdgeIndex.belief_sums`` of the (E, B) messages ``c2v`` on
+    the edge index ``ei``, into new arrays."""
+    frames = c2v.shape[1]
+    return ei.belief_sums(c2v, np.empty((ei.h.n, frames)), np.empty((ei.num_edges, frames)))
+
+
+def block(h, weights, llrs):
+    """``vcdc.denoiser.neural_block`` on a new workspace."""
+    work = np.empty(len(llrs) * (2 * h.n + denoiser.walk_size(h)))
+    return denoiser.neural_block(h, weights, llrs, work)
+
+
+def bp_decode(h, llrs, cfg=BpConfig()):
+    """``vcdc.bp.decode_bp_batch`` on a new ``EdgeIndex`` of ``h``."""
+    return bp.decode_bp_batch(h, llrs, cfg, edge_index=bp.EdgeIndex(h))
+
+
+# the reference forms --------------------------------------------------------
 
 def check_minsum_terms(xc):
     """Min-sum extrinsic messages of checks from their variables' beliefs.
@@ -132,7 +167,7 @@ def grouped_block_layers(h, w, x):
         cols = table.T  # (g, d): row i the variables of check i
         shape = (-1,) + cols.shape
         xc = np.take(x, cols, axis=1).reshape(-1, cols.shape[1])
-        u = bp.check_minsum_terms(xc)
+        u = kernel(xc)
         x[:, cols] = xc.reshape(shape) + w[checks, None] * u.reshape(shape)
         yield checks, cols, xc, u
 

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from vcdc.bp import check_minsum_terms
-from serial import check_columns as _check_columns
+from serial import check_columns as _check_columns, kernel
 from vcdc.train import loss_with_adjoint, minsum_backward
 
 
@@ -191,10 +190,10 @@ def bce_with_logits(beliefs, x_b):
 def minsum_extrinsic(xc):
     """Tape node for the min-sum check update on beliefs ``xc`` (B, d).
 
-    The kernel gives ``u`` the layout of its input, and the weight adjoint
-    sums over ``u`` in memory order, so the input is C-ordered: the order in
-    which ``vcdc.train.block_gradients`` sums a check's products."""
-    u = check_minsum_terms(np.ascontiguousarray(xc.value))
+    ``serial.kernel`` gives ``u`` the layout of its input, and the weight
+    adjoint sums over ``u`` in memory order, so the input is C-ordered: the
+    order in which ``vcdc.train.block_gradients`` sums a check's products."""
+    u = kernel(np.ascontiguousarray(xc.value))
     out = Var(u, (xc,))
     out._backward = lambda g: xc._accumulate(minsum_backward(g, xc.value, u))
     return out

@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 
 from vcdc.bench import BpDecoder, VcdcDecoder, neg_ln_ber, run_ber
-from vcdc.bp import BpConfig, decode_bp_batch
+from vcdc.bp import BpConfig
 from vcdc.channel import to_llr, transmit
-from vcdc.denoiser import NeuralBlockWeights, load_checkpoint, neural_block, save_checkpoint
+from vcdc.denoiser import NeuralBlockWeights, load_checkpoint, save_checkpoint
 from vcdc.diffusion import DiffusionSchedule, build_schedule
 from vcdc.train import TrainConfig, block_gradients, train
 
+import serial
 from analysis import count_flops_bp, count_flops_vcdc, forward_transition, loss, sigmas, vsnr
 from conftest import make_tree_code, map_marginals
 
@@ -125,7 +126,7 @@ class TestCriterion4GradientCorrectness:
 
             def f(w):
                 weights = NeuralBlockWeights(values=w, n=hamming.n, k=hamming.k)
-                return loss(neural_block(hamming, weights, llr)[0], bits)
+                return loss(serial.block(hamming, weights, llr)[0], bits)
 
             for i in range(hamming.num_checks):
                 wp, wm = wvals.copy(), wvals.copy()
@@ -142,12 +143,11 @@ def _near_min_tie(h, wvals, llr, gap):
     """True when any layer's two smallest check-input magnitudes nearly tie
     (finite differences are unreliable across the selection switch)."""
     x = np.atleast_2d(llr).astype(float).copy()
-    from vcdc.bp import check_minsum_terms
     for w, cols in zip(wvals, map(np.flatnonzero, h.rows)):
         mags = np.sort(np.abs(x[:, cols]), axis=-1)
         if (mags[..., 1] - mags[..., 0] < gap).any():
             return True
-        u = check_minsum_terms(x[:, cols])
+        u = serial.kernel(x[:, cols])
         x[:, cols] = x[:, cols] + w * u
     return False
 
@@ -161,7 +161,7 @@ class TestCriterion5TreeExactness:
         worst = 0.0
         for _ in range(20):
             llr = rng.uniform(-3, 3, h.n)
-            beliefs = decode_bp_batch(h, llr[None], cfg)[1][0]
+            beliefs = serial.bp_decode(h, llr[None], cfg)[1][0]
             exact = map_marginals(h, llr)
             worst = max(worst, float(np.max(np.abs(beliefs - exact))))
         assert worst < 1e-6

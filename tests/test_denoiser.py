@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vcdc.bench import VcdcDecoder
-from vcdc.bp import MIN_SUM, SUM_PRODUCT, BpConfig, decode_bp_batch
+from vcdc.bp import MIN_SUM, SUM_PRODUCT, BpConfig
 from vcdc.channel import LLR_CLAMP, hard_decide, noise_scale, to_llr, transmit
 from vcdc.codebook import ParityCheckMatrix, bipolar, derive_generator, encode, syndrome
 from vcdc.denoiser import (CheckpointError, NeuralBlockWeights, decode_vcdc_batch,
@@ -28,7 +28,7 @@ class TestNeuralBlock:
     def test_zero_weights_is_identity_on_beliefs(self, hamming):
         rng = np.random.default_rng(0)
         l = rng.normal(0, 3, (1, hamming.n))
-        beliefs, x_hat = neural_block(hamming, NeuralBlockWeights.zeros(hamming), l)
+        beliefs, x_hat = serial.block(hamming, NeuralBlockWeights.zeros(hamming), l)
         np.testing.assert_array_equal(beliefs, l)
         np.testing.assert_allclose(x_hat, np.tanh(l / 2.0))
 
@@ -36,7 +36,7 @@ class TestNeuralBlock:
         rng = np.random.default_rng(1)
         w = rand_weights(ldpc_49_24, rng)
         l = rng.normal(0, 8, (1, ldpc_49_24.n))
-        _, x_hat = neural_block(ldpc_49_24, w, l)
+        _, x_hat = serial.block(ldpc_49_24, w, l)
         assert (np.abs(x_hat) <= 1.0).all()
         assert (np.abs(x_hat) < 1.0).any()
 
@@ -48,8 +48,8 @@ class TestNeuralBlock:
         for _ in range(10):
             cw = encode(g, rng.integers(0, 2, h.k)[None])[0]
             l = 4.0 * bipolar(cw)[None]
-            beliefs, _ = neural_block(h, weights, l)
-            oracle_bits = decode_bp_batch(h, l, BpConfig(max_iters=1))[0]
+            beliefs, _ = serial.block(h, weights, l)
+            oracle_bits = serial.bp_decode(h, l, BpConfig(max_iters=1))[0]
             assert np.array_equal(hard_decide(beliefs), oracle_bits)
 
     def test_scale_equivariance(self, hamming):
@@ -58,17 +58,17 @@ class TestNeuralBlock:
         rng = np.random.default_rng(3)
         w = rand_weights(hamming, rng)
         l = rng.normal(0, 2, (1, hamming.n))
-        b1, _ = neural_block(hamming, w, l)
-        b2, _ = neural_block(hamming, w, 3.5 * l)
+        b1, _ = serial.block(hamming, w, l)
+        b2, _ = serial.block(hamming, w, 3.5 * l)
         np.testing.assert_allclose(b2, 3.5 * b1, rtol=1e-12)
 
     def test_batch_matches_single(self, ldpc_49_24):
         rng = np.random.default_rng(4)
         w = rand_weights(ldpc_49_24, rng)
         batch = rng.normal(0, 3, (6, ldpc_49_24.n))
-        bel, xh = neural_block(ldpc_49_24, w, batch)
+        bel, xh = serial.block(ldpc_49_24, w, batch)
         for i in range(6):
-            b1, x1 = neural_block(ldpc_49_24, w, batch[i:i + 1])
+            b1, x1 = serial.block(ldpc_49_24, w, batch[i:i + 1])
             np.testing.assert_array_equal(bel[i], b1[0])
             np.testing.assert_array_equal(xh[i], x1[0])
 
@@ -81,7 +81,7 @@ class TestNeuralBlock:
         assert traced_peak(lambda: neural_block(h, w, llrs, work=work)) < llrs.nbytes
         beliefs, x_hat = neural_block(h, w, llrs, work=work)
         assert np.shares_memory(beliefs, work) and np.shares_memory(x_hat, work)
-        want = neural_block(h, w, llrs)
+        want = serial.neural_block(h, w, llrs)
         assert_same_bits(beliefs, want[0])
         assert_same_bits(x_hat, want[1])
 
@@ -103,7 +103,7 @@ class TestNeuralBlock:
         for w in (NeuralBlockWeights.zeros(ldpc_49_24),
                   NeuralBlockWeights(values=np.zeros(5), n=7, k=4)):
             with pytest.raises(ValueError, match="cannot decode"):
-                neural_block(hamming, w, np.zeros((1, hamming.n)))
+                serial.block(hamming, w, np.zeros((1, hamming.n)))
             with pytest.raises(ValueError, match="cannot decode"):
                 decode_vcdc_batch(hamming, w, sched, np.zeros((1, hamming.n)))
             with pytest.raises(ValueError, match="cannot decode"):
@@ -116,7 +116,7 @@ class TestNeuralBlock:
         n = hamming.n
         for bad in (np.zeros(n), np.zeros((2, n + 1)), np.zeros((1, 2, n))):
             with pytest.raises(ValueError, match="beliefs"):
-                neural_block(hamming, w, bad)
+                serial.block(hamming, w, bad)
             # the training backward takes the same (B, n) batches only
             with pytest.raises(ValueError, match="LLR"):
                 block_gradients(hamming, w.values, bad, np.zeros(bad.shape, dtype=np.uint8))
@@ -140,7 +140,7 @@ class TestGroupedWalk:
         rng = np.random.default_rng(seed)
         w = rand_weights(h, rng, scale=0.5)
         llrs = random_llrs(rng, (batch, n), ties)
-        beliefs, x_hat = neural_block(h, w, llrs)
+        beliefs, x_hat = serial.block(h, w, llrs)
         ref_beliefs, ref_x_hat = serial.neural_block(h, w, llrs)
         assert_same_bits(beliefs, ref_beliefs)
         assert_same_bits(x_hat, ref_x_hat)
@@ -281,7 +281,7 @@ def assert_same_outputs(got, want):
 def every_decoder(h, weights, sched, iters=5):
     """Callables decoding an LLR batch with BP sum-product, BP min-sum and
     the reverse process."""
-    return [lambda l, v=v: decode_bp_batch(h, l, BpConfig(max_iters=iters, variant=v))
+    return [lambda l, v=v: serial.bp_decode(h, l, BpConfig(max_iters=iters, variant=v))
             for v in (SUM_PRODUCT, MIN_SUM)] + [lambda l: decode_vcdc_batch(h, weights, sched, l)]
 
 
@@ -414,7 +414,7 @@ class TestDecodeVcdc:
         sched = build_schedule(4.0, 1, 0.5, hamming.rate)
         l = rng.normal(0, 2, (1, hamming.n))
         bits, beliefs, steps, _ = decode_vcdc_batch(hamming, w, sched, l)
-        block_beliefs, _ = neural_block(hamming, w, l)
+        block_beliefs, _ = serial.block(hamming, w, l)
         if not np.array_equal(hard_decide(l), bits):
             np.testing.assert_allclose(beliefs, block_beliefs, atol=1e-12)
         assert steps[0] == 0

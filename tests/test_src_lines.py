@@ -1,4 +1,4 @@
-"""tools/src_lines.py on a small synthetic module."""
+"""tools/src_lines.py on small synthetic modules."""
 
 import textwrap
 from pathlib import Path
@@ -24,6 +24,27 @@ MODULE = textwrap.dedent('''\
                 1)
     ''')
 
+# optional parameters: g's b and c, inner's x, the lambda's v and the
+# method's z, 5 in all; g's required keyword-only d, the dataclass field's
+# default and sorted's keyword argument are not
+DEFAULTS = textwrap.dedent('''\
+    from dataclasses import dataclass
+
+
+    def g(a, b=1, *args, c=None, d, **kw):
+        def inner(x=(1, 2)):
+            return x
+        return sorted(args, key=lambda v=0: v)
+
+
+    @dataclass
+    class C:
+        field: int = 3
+
+        async def method(self, y, *, z=2.0):
+            return y + z
+    ''')
+
 
 def test_counts_code_lines_without_comments_or_docstrings(tmp_path, capsys):
     path = tmp_path / "mod.py"
@@ -32,7 +53,15 @@ def test_counts_code_lines_without_comments_or_docstrings(tmp_path, capsys):
     assert src_lines.code_lines(path) == {5, 8, 10, 11, 13, 14}
     assert src_lines.count([path, path]) == (28, 12)
     src_lines.main([str(path)])
-    assert capsys.readouterr().out == "lines 14\ncode_lines 6\n"
+    assert capsys.readouterr().out == "lines 14\ncode_lines 6\noptional_params 0\n"
+
+
+def test_counts_parameters_with_a_default(tmp_path, capsys):
+    path = tmp_path / "defaults.py"
+    path.write_text(DEFAULTS, encoding="utf-8")
+    assert src_lines.optional_params(path) == 5
+    src_lines.main([str(path), str(path)])
+    assert capsys.readouterr().out.splitlines()[2] == "optional_params 10"
 
 
 def test_default_counts_every_file_of_the_package(capsys):
@@ -42,4 +71,6 @@ def test_default_counts_every_file_of_the_package(capsys):
     assert package / "codes" / "__init__.py" in files
     src_lines.main([])
     total, code = src_lines.count(files)
-    assert capsys.readouterr().out == f"lines {total}\ncode_lines {code}\n"
+    optional = sum(map(src_lines.optional_params, files))
+    assert capsys.readouterr().out == (f"lines {total}\ncode_lines {code}\n"
+                                       f"optional_params {optional}\n")

@@ -3,11 +3,11 @@ import pytest
 
 from vcdc import codes
 from vcdc import train as vtrain
-from vcdc.bp import check_minsum_terms
-from vcdc.denoiser import NeuralBlockWeights, neural_block
+from vcdc.denoiser import NeuralBlockWeights
 from vcdc.train import (Adam, TrainConfig, TrainingDiverged, block_gradients, minsum_backward,
                         train, write_loss_curve)
 
+import serial
 import tape
 from analysis import loss
 from conftest import numeric_grad, random_layered_code
@@ -46,26 +46,25 @@ class TestLoss:
 
 class TestMinsumOp:
     def test_forward_matches_denoiser_terms(self):
-        from vcdc.denoiser import check_minsum_terms
         rng = np.random.default_rng(1)
         xc0 = rng.normal(0, 2, (4, 5))
         node = minsum_extrinsic(Var(xc0))
-        np.testing.assert_array_equal(node.value, check_minsum_terms(xc0))
+        np.testing.assert_array_equal(node.value, serial.check_minsum_terms(xc0)[0])
 
     def test_gradient_matches_finite_differences_away_from_ties(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             xc0 = rng.normal(0, 2, (3, 4))
             g0 = rng.normal(size=(3, 4))
-            grad = minsum_backward(g0, xc0, check_minsum_terms(xc0))
+            grad = minsum_backward(g0, xc0, serial.kernel(xc0))
             # minsum_backward is the gradient of <g0, u(xc)>
-            fd = numeric_grad(lambda xv: float((check_minsum_terms(xv) * g0).sum()), xc0)
+            fd = numeric_grad(lambda xv: float((serial.kernel(xv) * g0).sum()), xc0)
             np.testing.assert_allclose(grad, fd, atol=1e-5)
 
     def test_tie_broken_toward_lowest_index(self):
         # both magnitudes equal; the subgradient must route to index 0
         xc0 = np.array([[2.0, 2.0, 5.0]])
-        grad = minsum_backward(np.array([[0.0, 0.0, 1.0]]), xc0, check_minsum_terms(xc0))
+        grad = minsum_backward(np.array([[0.0, 0.0, 1.0]]), xc0, serial.kernel(xc0))
         # outgoing edge 2 uses min over {|x0|, |x1|} = attained at index 0
         np.testing.assert_allclose(grad, [[1.0, 0.0, 0.0]])
 
@@ -97,7 +96,7 @@ class TestBlockGradients:
 
             def f(w):
                 weights = NeuralBlockWeights(values=w, n=hamming.n, k=hamming.k)
-                bel, _ = neural_block(hamming, weights, llr)
+                bel, _ = serial.block(hamming, weights, llr)
                 return loss(bel, bits)
 
             value, grads = block_gradients(hamming, wvals, llr, bits)
@@ -113,7 +112,7 @@ class TestBlockGradients:
         _, grads = block_gradients(hamming, np.zeros(hamming.num_checks), llr, bits)
         np.testing.assert_allclose(grads, grads[0], rtol=1e-12)
         fd = numeric_grad(
-            lambda w: loss(neural_block(
+            lambda w: loss(serial.block(
                 hamming, NeuralBlockWeights(values=w, n=hamming.n, k=hamming.k),
                 llr)[0], bits),
             np.zeros(hamming.num_checks), eps=1e-6)

@@ -1,17 +1,20 @@
 #!/usr/bin/env python3
-"""Count the lines of the package sources: all lines, and code lines.
+"""Count the package sources: all lines, code lines and optional parameters.
 
 A code line holds at least one token, as ``tokenize`` reads the file, that
 is neither a comment nor part of a docstring.  A docstring here is any
 statement made of string literals alone.  Blank lines, comment lines and
 docstring lines are not code; a line of code that ends in a comment is.
+An optional parameter is one with a default value, positional or keyword
+only, of any function, method or lambda.
 
     python3 tools/src_lines.py [FILE ...]
 
-prints ``lines N`` and ``code_lines M`` summed over the files given, by
-default every .py file of the package, src/vcdc/**/*.py.
+prints ``lines N``, ``code_lines M`` and ``optional_params P`` summed over
+the files given, by default every .py file of the package, src/vcdc/**/*.py.
 """
 
+import ast
 import glob
 import os
 import sys
@@ -40,6 +43,15 @@ def code_lines(path):
     return lines
 
 
+def optional_params(path):
+    """The number of parameters with a default value in the Python file
+    ``path``, over every function, method and lambda."""
+    with open(path, "rb") as fh:
+        tree = ast.parse(fh.read(), filename=str(path))
+    return sum(len(node.defaults) + sum(d is not None for d in node.kw_defaults)
+               for node in ast.walk(tree) if isinstance(node, ast.arguments))
+
+
 def count(paths):
     """(all lines, code lines) summed over the files ``paths``."""
     total = code = 0
@@ -56,6 +68,7 @@ def main(argv=None):
     total, code = count(paths)
     print(f"lines {total}")
     print(f"code_lines {code}")
+    print(f"optional_params {sum(optional_params(path) for path in paths)}")
 
 
 if __name__ == "__main__":
