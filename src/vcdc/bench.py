@@ -78,6 +78,9 @@ class VcdcDecoder:
 
     def __init__(self, h, weights, timesteps=20, step_db=0.5):
         weights.check_code(h)
+        # the schedule's own checks, before any run: its levels differ from
+        # run to run only by the channel CSNR they end at
+        build_schedule(0.0, timesteps, step_db, h.rate)
         self.h = h
         self.weights = weights
         self.timesteps = timesteps

@@ -9,12 +9,6 @@ from importlib import resources
 from ..codebook import parse_alist
 
 
-def available():
-    """Names of the bundled codes."""
-    root = resources.files(__package__)
-    return sorted(p.name[:-len(".alist")] for p in root.iterdir()
-                  if p.name.endswith(".alist"))
-
 def alist_text(name):
     return resources.files(__package__).joinpath(f"{name}.alist").read_text("ascii")
 

@@ -48,10 +48,6 @@ class NeuralBlockWeights:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
-    @classmethod
-    def zeros(cls, h):
-        return cls(values=np.zeros(h.num_checks), n=h.n, k=h.k)
-
     def check_code(self, h):
         if (self.n, self.k, self.values.size) != (h.n, h.k, h.num_checks):
             raise ValueError(
@@ -120,26 +116,30 @@ def block_layers(h, w, xt, work, keep=False):
             at += 2 * size
 
 
-def neural_block(h, weights, llrs, work):
-    """Run one block on a (B, n) batch of beliefs: (final beliefs, soft
-    estimate tanh(beliefs/2)), both (B, n) views of frames-as-columns
-    arrays.  With all weights zero the block is the identity on beliefs.
+def neural_block(h, weights, zt, work):
+    """Run one block on the beliefs ``zt``, an (n, B) array, frames as
+    columns: (final beliefs, soft estimate tanh(beliefs/2)), both C-ordered
+    (n, B) arrays.  With all weights zero the block is the identity on
+    beliefs.
+
+    The beliefs must be finite: the min-sum kernel's contract excludes NaN,
+    and the block does not test for it.  The decoders' ``RunningSet``
+    guarantees it, since it rejects non-finite LLRs.
 
     Both arrays, and every one the walk writes, are views of ``work``, a
     flat float64 array of at least ``B * (2 n + walk_size(h))`` entries.
     """
     weights.check_code(h)
-    x = np.asarray(llrs, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != h.n:
-        raise ValueError(f"expected (B, {h.n}) beliefs, got {x.shape}")
-    xt = work[:x.size].reshape(h.n, -1)
-    x_hat = work[x.size:2 * x.size].reshape(h.n, -1)
-    np.copyto(xt, x.T)  # the layers run in place
-    for _ in block_layers(h, weights.values, xt, work[2 * x.size:]):
+    if zt.ndim != 2 or zt.shape[0] != h.n:
+        raise ValueError(f"expected ({h.n}, B) beliefs, got {zt.shape}")
+    xt = work[:zt.size].reshape(h.n, -1)
+    x_hat = work[zt.size:2 * zt.size].reshape(h.n, -1)
+    np.copyto(xt, zt)  # the layers run in place
+    for _ in block_layers(h, weights.values, xt, work[2 * zt.size:]):
         pass
     # xt * 0.5 is xt / 2.0 exactly: both round the same real number
     np.tanh(np.multiply(xt, 0.5, out=x_hat), out=x_hat)
-    return xt.T, x_hat.T
+    return xt, x_hat
 
 
 def decode_vcdc_batch(h, weights, sched, llrs):
@@ -155,12 +155,11 @@ def decode_vcdc_batch(h, weights, sched, llrs):
     clamps the others as it copies them in, as BP's does.
 
     The running frames are the columns of the state of a ``RunningSet``,
-    an (n, B') array zt that the block and the reverse step see through
-    its (B', n) transpose; the set's caller work, 2 n + walk_size(h)
-    entries a frame, holds the block's beliefs, estimate and walk.  The
-    reverse step writes into the estimate, which is copied into zt for the
-    exit test; the final block's beliefs are tested where the block left
-    them.
+    an (n, B') array zt that the block and the reverse step take as it is;
+    the set's caller work, 2 n + walk_size(h) entries a frame, holds the
+    block's beliefs, estimate and walk.  The reverse step writes into the
+    estimate, which is copied into zt for the exit test; the final block's
+    beliefs are tested where the block left them.
     """
     weights.check_code(h)
     rs = RunningSet(h, llrs, h.n, 2 * h.n + walk_size(h))
@@ -169,12 +168,12 @@ def decode_vcdc_batch(h, weights, sched, llrs):
     for t_index in range(len(sched) - 1, -1, -1):
         if zt.shape[1] == 0:
             break
-        block_beliefs, x_hat = neural_block(h, weights, zt.T, work=rs.work)
+        block_beliefs, x_hat = neural_block(h, weights, zt, work=rs.work)
         if t_index:
-            np.copyto(zt.T, reverse_step(sched, t_index, zt.T, x_hat, out=x_hat))
+            np.copyto(zt, reverse_step(sched, t_index, zt, x_hat, out=x_hat))
             zt = rs.settle(zt, len(sched) - t_index)
         else:  # the final block's beliefs are the decoder output
-            rs.settle(block_beliefs.T, len(sched) - 1, last=True)
+            rs.settle(block_beliefs, len(sched) - 1, last=True)
     return rs.outputs
 
 

@@ -2,6 +2,7 @@ import csv
 import importlib.util
 import sys
 import tracemalloc
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from vcdc import codes
 from vcdc.bench import BerRun
 from vcdc.codebook import ParityCheckMatrix, _row_reduce, derive_generator, encode
+from vcdc.denoiser import NeuralBlockWeights
 
 
 def numeric_grad(fn, x, eps=1e-6):
@@ -79,6 +81,18 @@ def read_results_csv(path):
                 mean_steps_used=float(row["mean_steps"]),
                 censored=bool(int(row["censored"])), seed=int(row["seed"])))
     return runs
+
+
+def bundled_codes():
+    """Names of the codes bundled in ``vcdc.codes``."""
+    return sorted(p.name.removesuffix(".alist") for p in resources.files(codes).iterdir()
+                  if p.name.endswith(".alist"))
+
+
+def zero_weights(h):
+    """All-zero layer weights for ``h``, with which the block is the
+    identity on beliefs."""
+    return NeuralBlockWeights(values=np.zeros(h.num_checks), n=h.n, k=h.k)
 
 
 @pytest.fixture(scope="session")

@@ -3,8 +3,8 @@
 The fast paths take their buffers from their caller.  The first section
 calls them on new buffers, for the tests, the tape and the oracles here:
 ``kernel`` (``vcdc.bp.check_minsum_terms``), ``belief_sums``
-(``vcdc.bp.EdgeIndex.belief_sums``), ``block`` (``vcdc.denoiser.neural_block``)
-and ``bp_decode`` (``vcdc.bp.decode_bp_batch``).
+(``vcdc.bp.EdgeIndex.belief_sums``), ``block`` (``vcdc.denoiser.neural_block``,
+on frames as rows) and ``bp_decode`` (``vcdc.bp.decode_bp_batch``).
 
 The one-check-at-a-time block walk: ``vcdc.denoiser.block_layers`` updates
 each run of consecutive checks with disjoint variables
@@ -68,9 +68,12 @@ def belief_sums(ei, c2v):
 
 
 def block(h, weights, llrs):
-    """``vcdc.denoiser.neural_block`` on a new workspace."""
+    """``vcdc.denoiser.neural_block`` on a (B, n) batch of beliefs and a new
+    workspace: (final beliefs, soft estimate), both (B, n)."""
+    llrs = np.asarray(llrs, dtype=np.float64)
     work = np.empty(len(llrs) * (2 * h.n + denoiser.walk_size(h)))
-    return denoiser.neural_block(h, weights, llrs, work)
+    beliefs, x_hat = denoiser.neural_block(h, weights, llrs.T, work)
+    return beliefs.T, x_hat.T
 
 
 def bp_decode(h, llrs, cfg=BpConfig()):
@@ -331,7 +334,7 @@ def decode_bp_batch(h, llrs, cfg):
 
     idx = np.arange(nframes)
     l = np.clip(llrs, -LLR_CLAMP, LLR_CLAMP)
-    v2c = np.clip(l[:, ei.edge_var], -cfg.message_clamp, cfg.message_clamp)
+    v2c = np.clip(l[:, ei.edge_var], -bp.MESSAGE_CLAMP, bp.MESSAGE_CLAMP)
     for it in range(1, cfg.max_iters + 1):
         c2v = sweep(v2c, ei)
         s = l + ei.belief_sums(c2v)
@@ -343,5 +346,5 @@ def decode_bp_batch(h, llrs, cfg):
             idx, l, s, c2v = idx[keep], l[keep], s[keep], c2v[keep]
         if idx.size == 0 or it == cfg.max_iters:
             break
-        v2c = np.clip(s[:, ei.edge_var] - c2v, -cfg.message_clamp, cfg.message_clamp)
+        v2c = np.clip(s[:, ei.edge_var] - c2v, -bp.MESSAGE_CLAMP, bp.MESSAGE_CLAMP)
     return bits, beliefs, iters, ok

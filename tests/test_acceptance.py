@@ -20,7 +20,7 @@ from vcdc.train import TrainConfig, block_gradients, train
 
 import serial
 from analysis import count_flops_bp, count_flops_vcdc, forward_transition, loss, sigmas, vsnr
-from conftest import make_tree_code, map_marginals
+from conftest import make_tree_code, map_marginals, zero_weights
 
 
 def report(criterion, detail):
@@ -156,8 +156,7 @@ class TestCriterion5TreeExactness:
     def test_sum_product_equals_brute_force_enumeration(self):
         h = make_tree_code(8)  # n=17, k=9 <= 12
         rng = np.random.default_rng(505)
-        cfg = BpConfig(max_iters=2 * (h.n + h.num_checks), message_clamp=1e9,
-                       early_exit=False)
+        cfg = BpConfig(max_iters=2 * (h.n + h.num_checks), early_exit=False)
         worst = 0.0
         for _ in range(20):
             llr = rng.uniform(-3, 3, h.n)
@@ -217,7 +216,7 @@ class TestCriterion7Complexity:
         bp = count_flops_bp(ldpc_121_60, 5).total
         vc = count_flops_vcdc(ldpc_121_60, 20).total
         assert vc < 10 * bp
-        restored = load_checkpoint(save_checkpoint(NeuralBlockWeights.zeros(ldpc_121_60)))
+        restored = load_checkpoint(save_checkpoint(zero_weights(ldpc_121_60)))
         assert restored.values.size == 61
         report(7, f"VCDC-20 {vc:.3g} flops vs BP-5 {bp:.3g} "
                   f"(ratio {vc / bp:.2f} < 10); (121,60) checkpoint carries 61 weights")

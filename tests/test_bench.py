@@ -9,10 +9,9 @@ from vcdc.bench import (BerRun, BpDecoder, IdentityDecoder, VcdcDecoder, emit_re
 from vcdc.bp import BpConfig, MIN_SUM
 from vcdc.channel import hard_decide
 from vcdc.codebook import ParityCheckMatrix
-from vcdc.denoiser import NeuralBlockWeights
 
 from analysis import count_flops_bp, count_flops_vcdc
-from conftest import read_results_csv
+from conftest import read_results_csv, zero_weights
 
 # Gaussian tail oracle Q(1/w) for the raw channel at 4 dB, rate 60/121
 # (40-digit erfc evaluation)
@@ -124,7 +123,7 @@ class TestRunBer:
             run_ber(hamming, BpDecoder(hamming), 4.0, **{key: value})
 
     def test_vcdc_decoder_records_steps(self, hamming):
-        weights = NeuralBlockWeights.zeros(hamming)
+        weights = zero_weights(hamming)
         dec = VcdcDecoder(hamming, weights, timesteps=6)
         run = run_ber(hamming, dec, 4.0, stop_errors=20, max_frames=256, seed=5,
                       batch_frames=64)

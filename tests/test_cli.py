@@ -1,4 +1,6 @@
 import argparse
+import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -10,11 +12,14 @@ import pytest
 
 import vcdc
 from vcdc import codes
-from vcdc.cli import build_parser, main
+from vcdc.bench import VcdcDecoder
+from vcdc.bp import BpConfig
+from vcdc.cli import BENCH_DEFAULTS, DECODE_DEFAULTS, TRAIN_DEFAULTS, build_parser, main
 from vcdc.codebook import ParityCheckMatrix, bipolar, derive_generator, encode
-from vcdc.denoiser import NeuralBlockWeights, load_checkpoint, save_checkpoint
+from vcdc.denoiser import load_checkpoint, save_checkpoint
+from vcdc.train import TrainConfig
 
-from conftest import load_tool, read_results_csv
+from conftest import load_tool, read_results_csv, zero_weights
 
 make_codes = load_tool("make_codes")
 serialize_alist = make_codes.serialize_alist
@@ -260,7 +265,7 @@ class TestDecode:
         # nor is one whose alpha overflows to inf (4000 dB used to decode to
         # NaN beliefs reported as a zero syndrome) or underflows to zero
         ckpt = tmp_path / "zeros.vcdc"
-        ckpt.write_bytes(save_checkpoint(NeuralBlockWeights.zeros(codes.load("hamming_7_4"))))
+        ckpt.write_bytes(save_checkpoint(zero_weights(codes.load("hamming_7_4"))))
         llr_file = tmp_path / "word.llr"
         llr_file.write_text("1.5 -0.5 2 0.25 -3 1 0.5")
         assert run_cli("decode", "--code", hamming_file, "--llr", llr_file,
@@ -343,17 +348,23 @@ class TestBench:
         ("--batch-frames", "0"),
         ("--bp-iters", "0"),
         ("--max-frames", "-3"),
+        # a bad vcdc schedule fails before the bp runs listed ahead of it
+        ("--decoders", "bp,vcdc", "--checkpoint", "ZEROS", "--timesteps", "0"),
+        ("--decoders", "bp,vcdc", "--checkpoint", "ZEROS", "--step-db", "-1"),
     ])
     def test_rejected_run_leaves_no_directory(self, tmp_path, capsys, flags):
-        # the config is captured only once every run has measured
+        # the config is captured only once every run has measured, and a
+        # rejected one prints no BER line
         ckpt = tmp_path / "zeros.vcdc"
-        ckpt.write_bytes(save_checkpoint(NeuralBlockWeights.zeros(codes.load("hamming_7_4"))))
+        ckpt.write_bytes(save_checkpoint(zero_weights(codes.load("hamming_7_4"))))
         flags = [{"ZEROS": ckpt, "MISSING": tmp_path / "missing.vcdc"}.get(f, f) for f in flags]
         out = tmp_path / "bench"
         assert run_cli("bench", "--code", "hamming_7_4", "--out", out, "--csnr", "2",
                        "--stop-errors", 3, "--batch-frames", 16, *flags) == 2
-        err = capsys.readouterr().err.splitlines()
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+        assert captured.out == ""
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [("--decoders", "identity", "--csnr", ","),
@@ -421,3 +432,27 @@ class TestParser:
                 value = getattr(parser.parse_args([command, flag, "7"]), dest)
                 assert type(value) is kind and value == kind("7")
             assert getattr(parser.parse_args([command]), dest) is None
+
+
+class TestDefaults:
+    """The CLI restates the library's defaults as its own; they must agree."""
+
+    def test_train_defaults_are_train_config_defaults(self):
+        # each TrainConfig field under its CLI key; a new field fails here
+        key = {"learning_rate": "learning_rate", "batch_size": "batch_size",
+               "iterations": "iterations", "csnr_low_db": "csnr_low",
+               "csnr_high_db": "csnr_high", "seed": "seed",
+               "all_zero_codewords": "all_zero"}
+        defaults = TrainConfig()
+        for field in dataclasses.fields(TrainConfig):
+            value = TRAIN_DEFAULTS[key[field.name]]
+            assert value == getattr(defaults, field.name), field.name
+
+    @pytest.mark.parametrize("command", ["bench", "decode"])
+    def test_decoder_defaults_are_the_library_defaults(self, command):
+        defaults = {"bench": BENCH_DEFAULTS, "decode": DECODE_DEFAULTS}[command]
+        assert defaults["bp_iters"] == BpConfig().max_iters
+        assert defaults["bp_variant"] == BpConfig().variant
+        params = inspect.signature(VcdcDecoder).parameters
+        assert defaults["step_db"] == params["step_db"].default
+        assert int(defaults["timesteps"]) == params["timesteps"].default

@@ -9,7 +9,8 @@ from vcdc import codes
 from vcdc.codebook import (AlistError, ParityCheckMatrix, bipolar, degree_tables,
                            derive_generator, encode, parse_alist, syndrome)
 
-from conftest import adjacency, enumerate_codewords, gf2_rank, load_tool, random_layered_code
+from conftest import (adjacency, bundled_codes, enumerate_codewords, gf2_rank, load_tool,
+                      random_layered_code)
 
 make_codes = load_tool("make_codes")
 
@@ -91,7 +92,7 @@ class TestParseAlist:
             parse_alist(HAMMING_ALIST + "9\n")
 
     def test_serialize_round_trip_all_bundled(self):
-        for name in codes.available():
+        for name in bundled_codes():
             h = codes.load(name)
             h2 = parse_alist(make_codes.serialize_alist(h))
             assert np.array_equal(h2.rows, h.rows)
@@ -193,7 +194,7 @@ def assert_degree_tables(mat, tables):
     assert sorted(seen) == list(range(len(mat))) and degrees == sorted(set(degrees))
 
 
-@pytest.mark.parametrize("name", codes.available())
+@pytest.mark.parametrize("name", bundled_codes())
 def test_check_tables_list_every_check_once_by_degree(name):
     h = codes.load(name)
     assert_degree_tables(h.rows, h.check_tables)
@@ -231,7 +232,7 @@ class TestDeriveGenerator:
         assert gf2_rank(g) == 4
 
     def test_generator_orthogonal_for_every_bundled_code(self):
-        for name in codes.available():
+        for name in bundled_codes():
             h = codes.load(name)
             g = derive_generator(h)
             assert g.shape == (h.k, h.n), name

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vcdc import denoiser
 from vcdc.bench import VcdcDecoder
 from vcdc.bp import MIN_SUM, SUM_PRODUCT, BpConfig
 from vcdc.channel import LLR_CLAMP, hard_decide, noise_scale, to_llr, transmit
@@ -15,7 +16,8 @@ from vcdc.train import block_gradients
 import serial
 import tape
 from analysis import model_size_bytes
-from conftest import assert_same_bits, make_tree_code, random_layered_code, traced_peak
+from conftest import (assert_same_bits, make_tree_code, random_layered_code, traced_peak,
+                      zero_weights)
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -28,7 +30,7 @@ class TestNeuralBlock:
     def test_zero_weights_is_identity_on_beliefs(self, hamming):
         rng = np.random.default_rng(0)
         l = rng.normal(0, 3, (1, hamming.n))
-        beliefs, x_hat = serial.block(hamming, NeuralBlockWeights.zeros(hamming), l)
+        beliefs, x_hat = serial.block(hamming, zero_weights(hamming), l)
         np.testing.assert_array_equal(beliefs, l)
         np.testing.assert_allclose(x_hat, np.tanh(l / 2.0))
 
@@ -77,13 +79,14 @@ class TestNeuralBlock:
         rng = np.random.default_rng(11)
         w = rand_weights(h, rng)
         llrs = rng.normal(2.0, 2.0, (512, h.n))
+        zt = np.ascontiguousarray(llrs.T)  # frames as columns, as the decoder holds them
         work = np.full(len(llrs) * (2 * h.n + walk_size(h)), np.nan)
-        assert traced_peak(lambda: neural_block(h, w, llrs, work=work)) < llrs.nbytes
-        beliefs, x_hat = neural_block(h, w, llrs, work=work)
+        assert traced_peak(lambda: neural_block(h, w, zt, work=work)) < llrs.nbytes
+        beliefs, x_hat = neural_block(h, w, zt, work=work)
         assert np.shares_memory(beliefs, work) and np.shares_memory(x_hat, work)
         want = serial.neural_block(h, w, llrs)
-        assert_same_bits(beliefs, want[0])
-        assert_same_bits(x_hat, want[1])
+        assert_same_bits(beliefs.T, want[0])
+        assert_same_bits(x_hat.T, want[1])
 
     def test_block_at_b64_takes_no_ufunc_buffer(self, ldpc_121_60):
         # a (g, 1) weight column broadcast over a group's (d, g, B) block, or
@@ -92,15 +95,15 @@ class TestNeuralBlock:
         h = ldpc_121_60
         rng = np.random.default_rng(13)
         w = rand_weights(h, rng)
-        llrs = rng.normal(2.0, 2.0, (64, h.n))
-        work = np.full(len(llrs) * (2 * h.n + walk_size(h)), np.nan)
-        assert traced_peak(lambda: neural_block(h, w, llrs, work=work)) < 32 * 1024
+        zt = np.ascontiguousarray(rng.normal(2.0, 2.0, (64, h.n)).T)
+        work = np.full(zt.shape[1] * (2 * h.n + walk_size(h)), np.nan)
+        assert traced_peak(lambda: neural_block(h, w, zt, work=work)) < 32 * 1024
 
     def test_weight_count_mismatch_rejected(self, hamming, ldpc_49_24):
         # weights for another code, or for hamming's (n, k) with a weight
         # count other than its 3 checks, meet hamming
         sched = build_schedule(4.0, 3, 0.5, hamming.rate)
-        for w in (NeuralBlockWeights.zeros(ldpc_49_24),
+        for w in (zero_weights(ldpc_49_24),
                   NeuralBlockWeights(values=np.zeros(5), n=7, k=4)):
             with pytest.raises(ValueError, match="cannot decode"):
                 serial.block(hamming, w, np.zeros((1, hamming.n)))
@@ -112,7 +115,7 @@ class TestNeuralBlock:
             NeuralBlockWeights(values=np.zeros((1, 3)), n=7, k=4)
 
     def test_rejects_word_and_wrong_width(self, hamming):
-        w = NeuralBlockWeights.zeros(hamming)
+        w = zero_weights(hamming)
         n = hamming.n
         for bad in (np.zeros(n), np.zeros((2, n + 1)), np.zeros((1, 2, n))):
             with pytest.raises(ValueError, match="beliefs"):
@@ -331,23 +334,35 @@ class TestDecodeVcdc:
         g = derive_generator(hamming)
         cw = encode(g, np.array([1, 1, 0, 0], dtype=np.uint8)[None])[0]
         sched = build_schedule(4.0, 20, 0.5, hamming.rate)
-        bits, _, steps, ok = decode_vcdc_batch(hamming, NeuralBlockWeights.zeros(hamming),
+        bits, _, steps, ok = decode_vcdc_batch(hamming, zero_weights(hamming),
                                                sched, 10.0 * bipolar(cw)[None])
         assert steps[0] == 0
         assert ok[0] and np.array_equal(bits[0], cw)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_llrs_rejected(self, hamming, bad):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_llrs_rejected(self, monkeypatch, hamming, bad):
+        # the block takes finite beliefs on trust: the running set rejects
+        # the batch before any block runs
+        calls, block = [], denoiser.neural_block
+        monkeypatch.setattr(denoiser, "neural_block",
+                            lambda *args, **kw: calls.append(1) or block(*args, **kw))
         sched = build_schedule(4.0, 5, 0.5, hamming.rate)
+        weights = NeuralBlockWeights(values=np.full(hamming.num_checks, 0.5),
+                                     n=hamming.n, k=hamming.k)
         llrs = np.ones((2, hamming.n))
+        llrs[1, 0] = -1.0  # a frame that fails a check, so blocks run
+        decode_vcdc_batch(hamming, weights, sched, llrs)
+        assert calls
+        calls.clear()
         llrs[0, 0] = bad
         with pytest.raises(ValueError, match="finite"):
-            decode_vcdc_batch(hamming, NeuralBlockWeights.zeros(hamming), sched, llrs)
+            decode_vcdc_batch(hamming, weights, sched, llrs)
+        assert calls == []
 
     def test_zero_weights_reduce_to_channel_hard_decision(self, ldpc_49_24):
         rng = np.random.default_rng(5)
         sched = build_schedule(4.0, 10, 0.5, ldpc_49_24.rate)
-        weights = NeuralBlockWeights.zeros(ldpc_49_24)
+        weights = zero_weights(ldpc_49_24)
         for _ in range(10):
             l = rng.normal(0, 3, (1, ldpc_49_24.n))
             bits = decode_vcdc_batch(ldpc_49_24, weights, sched, l)[0]
@@ -443,29 +458,29 @@ class TestCheckpoint:
         assert np.array_equal(restored.values, w.values)
 
     def test_121_60_checkpoint_has_61_weights(self, ldpc_121_60):
-        w = NeuralBlockWeights.zeros(ldpc_121_60)
+        w = zero_weights(ldpc_121_60)
         data = save_checkpoint(w)
         header = data.decode().splitlines()[0]
         assert header == "VCDC1 121 60 61"
         assert load_checkpoint(data).values.size == 61
 
     def test_tampered_count_rejected(self, hamming):
-        data = save_checkpoint(NeuralBlockWeights.zeros(hamming)).decode()
+        data = save_checkpoint(zero_weights(hamming)).decode()
         with pytest.raises(CheckpointError):
             load_checkpoint(data.replace("VCDC1 7 4 3", "VCDC1 7 4 2"))
         with pytest.raises(CheckpointError):
             load_checkpoint(data.replace("VCDC1", "VCDC9"))
 
     def test_missing_weight_lines_rejected(self, hamming):
-        lines = save_checkpoint(NeuralBlockWeights.zeros(hamming)).decode().splitlines()
+        lines = save_checkpoint(zero_weights(hamming)).decode().splitlines()
         with pytest.raises(CheckpointError, match="weight lines"):
             load_checkpoint("\n".join(lines[:-1]) + "\n")
 
     def test_non_finite_weights_rejected(self, hamming):
-        data = save_checkpoint(NeuralBlockWeights.zeros(hamming)).decode()
+        data = save_checkpoint(zero_weights(hamming)).decode()
         with pytest.raises(CheckpointError):
             load_checkpoint(data.replace("0\n", "nan\n", 1))
 
     def test_model_size_is_four_bytes_per_weight_plus_header(self, ldpc_121_60):
-        w = NeuralBlockWeights.zeros(ldpc_121_60)
+        w = zero_weights(ldpc_121_60)
         assert model_size_bytes(w) == 4 * 61 + len("VCDC1 121 60 61\n")

@@ -46,7 +46,7 @@ def test_check_update_span_sees_every_group(monkeypatch, name, per_block):
     h = codes.load(name)
     frames, block = [], denoiser.neural_block
     monkeypatch.setattr(denoiser, "neural_block",
-                        lambda h, w, z, **kw: frames.append(len(z)) or block(h, w, z, **kw))
+                        lambda h, w, zt, **kw: frames.append(zt.shape[1]) or block(h, w, zt, **kw))
     rng = np.random.default_rng(0)
     weights = NeuralBlockWeights(values=rng.normal(0.3, 0.1, h.num_checks), n=h.n, k=h.k)
     llrs = rng.normal(2.0, 2.0, (64, h.n))

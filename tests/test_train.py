@@ -10,7 +10,7 @@ from vcdc.train import (Adam, TrainConfig, TrainingDiverged, block_gradients, mi
 import serial
 import tape
 from analysis import loss
-from conftest import numeric_grad, random_layered_code
+from conftest import bundled_codes, numeric_grad, random_layered_code
 from tape import Var, bce_with_logits, minsum_extrinsic
 
 
@@ -74,7 +74,7 @@ RANDOM_CODES = {"random_0": (0, 30, 20), "random_1": (1, 40, 30), "random_2": (2
 
 
 class TestBlockGradients:
-    @pytest.mark.parametrize("name", codes.available() + sorted(RANDOM_CODES))
+    @pytest.mark.parametrize("name", bundled_codes() + sorted(RANDOM_CODES))
     def test_matches_tape_bit_for_bit(self, name):
         h = random_layered_code(*RANDOM_CODES[name]) if name in RANDOM_CODES else codes.load(name)
         rng = np.random.default_rng(len(name))

@@ -1,17 +1,21 @@
 #!/usr/bin/env python3
-"""Count the package sources: all lines, code lines and optional parameters.
+"""Count the package sources: lines, code lines, optional parameters and
+config fields.
 
 A code line holds at least one token, as ``tokenize`` reads the file, that
 is neither a comment nor part of a docstring.  A docstring here is any
 statement made of string literals alone.  Blank lines, comment lines and
 docstring lines are not code; a line of code that ends in a comment is.
 An optional parameter is one with a default value, positional or keyword
-only, of any function, method or lambda.
+only, of any function, method or lambda.  A config field is a field with a
+default value of a class decorated with ``dataclass``; a ``field(...)``
+without ``default`` or ``default_factory`` gives none.
 
     python3 tools/src_lines.py [FILE ...]
 
-prints ``lines N``, ``code_lines M`` and ``optional_params P`` summed over
-the files given, by default every .py file of the package, src/vcdc/**/*.py.
+prints ``lines N``, ``code_lines M``, ``optional_params P`` and
+``config_fields F`` summed over the files given, by default every .py file
+of the package, src/vcdc/**/*.py.
 """
 
 import ast
@@ -43,13 +47,39 @@ def code_lines(path):
     return lines
 
 
+def _parse(path):
+    with open(path, "rb") as fh:
+        return ast.parse(fh.read(), filename=str(path))
+
+
+def _name(node):
+    """The name a decorator or callee ``node`` ends in: ``f`` of ``f``,
+    ``m.f`` and ``f(...)``."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
 def optional_params(path):
     """The number of parameters with a default value in the Python file
     ``path``, over every function, method and lambda."""
-    with open(path, "rb") as fh:
-        tree = ast.parse(fh.read(), filename=str(path))
     return sum(len(node.defaults) + sum(d is not None for d in node.kw_defaults)
-               for node in ast.walk(tree) if isinstance(node, ast.arguments))
+               for node in ast.walk(_parse(path)) if isinstance(node, ast.arguments))
+
+
+def config_fields(path):
+    """The number of fields with a default value in the Python file
+    ``path``, over every dataclass."""
+    count = 0
+    for node in ast.walk(_parse(path)):
+        if isinstance(node, ast.ClassDef) and "dataclass" in map(_name, node.decorator_list):
+            for stmt in node.body:
+                value = stmt.value if isinstance(stmt, ast.AnnAssign) else None
+                if isinstance(value, ast.Call) and _name(value) == "field":
+                    count += any(k.arg in ("default", "default_factory") for k in value.keywords)
+                else:
+                    count += value is not None
+    return count
 
 
 def count(paths):
@@ -69,6 +99,7 @@ def main(argv=None):
     print(f"lines {total}")
     print(f"code_lines {code}")
     print(f"optional_params {sum(optional_params(path) for path in paths)}")
+    print(f"config_fields {sum(config_fields(path) for path in paths)}")
 
 
 if __name__ == "__main__":
