@@ -16,16 +16,30 @@ LLR_CLAMP = 1e9
 
 
 def noise_scale(csnr_db, k, n):
-    """Noise standard deviation for CSNR in dB at code rate k/n."""
+    """Noise standard deviation for CSNR in dB at code rate k/n.
+
+    The first CSNR whose noise variance w^2 or LLR scale 2/w^2 is not
+    finite is rejected by name: at rate 1/2, one beyond about +-3080 dB.
+    """
     if not 0 < k < n:
         raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
+    # the check takes numpy's power, which gives inf where Python's raises
+    with np.errstate(over="ignore", divide="ignore"):
+        var = 0.5 / ((k / n) * 10.0 ** (np.asarray(csnr_db) / 10.0))
+        bad = np.ravel(csnr_db)[~np.ravel(np.isfinite(var) & np.isfinite(2.0 / var))]
+    if bad.size:
+        raise ValueError(f"CSNR {bad[0]:g} dB is out of range: its noise variance or "
+                         f"LLR scale is not finite")
+    # a float CSNR takes Python's float power, not numpy's: the two differ in
+    # the last bit for some CSNRs, and run_ber's seeded LLRs follow this one
     return 1.0 / np.sqrt(2.0 * (k / n) * 10.0 ** (csnr_db / 10.0))
 
 
 def _check_noise_scale(w):
     # NaN fails ``w > 0`` and inf fails ``isfinite``
-    if not np.all(np.isfinite(w) & (w > 0)):
-        raise ValueError(f"noise scale must be finite and positive, got {w}")
+    bad = np.ravel(w)[~np.ravel(np.isfinite(w) & (w > 0))]
+    if bad.size:
+        raise ValueError(f"noise scale must be finite and positive, got {bad[0]:g}")
 
 
 def transmit(x, w, rng):

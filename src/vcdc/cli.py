@@ -16,6 +16,7 @@ import numpy as np
 
 from . import bench, codes
 from .bp import BpConfig
+from .channel import noise_scale
 from .codebook import load_alist, syndrome
 from .denoiser import load_checkpoint, save_checkpoint
 from .train import TrainConfig, TrainingDiverged, train, write_loss_curve
@@ -74,21 +75,21 @@ def _resolve(args, defaults):
     return resolved
 
 
-TRAIN_DEFAULTS = {
-    "code": "", "out": "train_out", "seed": 0, "iterations": 20000, "batch_size": 256,
-    "learning_rate": 0.001, "csnr_low": 4.0, "csnr_high": 6.0, "all_zero": False,
-}
+# the CLI key of each TrainConfig field; TrainConfig and BpConfig own the defaults
+TRAIN_KEYS = {"seed": "seed", "iterations": "iterations", "batch_size": "batch_size",
+              "learning_rate": "learning_rate", "csnr_low_db": "csnr_low",
+              "csnr_high_db": "csnr_high", "all_zero_codewords": "all_zero"}
+TRAIN_DEFAULTS = {"code": "", "out": "train_out",
+                  **{key: getattr(TrainConfig(), field) for field, key in TRAIN_KEYS.items()}}
 
-BENCH_DEFAULTS = {
-    "code": "", "out": "bench_out", "seed": 0, "decoders": "bp", "csnr": "4,5,6",
-    "checkpoint": "", "timesteps": "20", "step_db": 0.5, "bp_iters": 5,
-    "bp_variant": "sum-product", "stop_errors": 100, "max_frames": 0, "batch_frames": 512,
-}
+_BP_DEFAULTS = {"bp_iters": BpConfig().max_iters, "bp_variant": BpConfig().variant}
 
-DECODE_DEFAULTS = {
-    "code": "", "llr": "", "decoder": "bp", "checkpoint": "", "csnr": 4.0,
-    "timesteps": 20, "step_db": 0.5, "bp_iters": 5, "bp_variant": "sum-product",
-}
+BENCH_DEFAULTS = {"code": "", "out": "bench_out", "seed": 0, "decoders": "bp", "csnr": "4,5,6",
+                  "checkpoint": "", "timesteps": "20", "step_db": 0.5, **_BP_DEFAULTS,
+                  "stop_errors": 100, "max_frames": 0, "batch_frames": 512}
+
+DECODE_DEFAULTS = {"code": "", "llr": "", "decoder": "bp", "checkpoint": "", "csnr": 4.0,
+                   "timesteps": 20, "step_db": 0.5, **_BP_DEFAULTS}
 
 
 def cmd_train(args):
@@ -96,11 +97,7 @@ def cmd_train(args):
     if not cfg["code"]:
         raise ValueError("train requires --code")
     h = _load_code(cfg["code"])
-    train_cfg = TrainConfig(
-        learning_rate=cfg["learning_rate"], batch_size=cfg["batch_size"],
-        iterations=cfg["iterations"], csnr_low_db=cfg["csnr_low"],
-        csnr_high_db=cfg["csnr_high"], seed=cfg["seed"],
-        all_zero_codewords=cfg["all_zero"])
+    train_cfg = TrainConfig(**{field: cfg[key] for field, key in TRAIN_KEYS.items()})
     with np.errstate(over="ignore", invalid="ignore"):  # the divergence guard reports these
         result = train(h, train_cfg)
     # only a run that trained leaves an output directory
@@ -143,6 +140,7 @@ def cmd_bench(args):
     # an empty list would write a results.csv that measured nothing
     if not decoder_ids or not csnrs or ("vcdc" in decoder_ids and not timesteps):
         raise ValueError("bench needs at least one decoder, CSNR and (for vcdc) timestep count")
+    noise_scale(np.array(csnrs), h.k, h.n)  # an out-of-range CSNR fails before any run
     if cfg["max_frames"] < 0:
         raise ValueError(f"max_frames must be >= 0 (0: the default budget), "
                          f"got {cfg['max_frames']}")

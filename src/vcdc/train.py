@@ -145,21 +145,16 @@ def block_gradients(h, weights, llrs, x_b):
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
-@dataclass
 class Adam:
-    """Standard Adam update with bias correction."""
+    """Standard Adam update with bias correction, for ``size`` parameters."""
 
-    lr: float = 0.001
-
-    def __post_init__(self):
-        self.m = None
-        self.v = None
+    def __init__(self, lr, size):
+        self.lr = lr
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
         self.t = 0
 
     def step(self, params, grads):
-        if self.m is None:
-            self.m = np.zeros_like(params)
-            self.v = np.zeros_like(params)
         self.t += 1
         self.m = BETA1 * self.m + (1 - BETA1) * grads
         self.v = BETA2 * self.v + (1 - BETA2) * grads**2
@@ -170,7 +165,7 @@ class Adam:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Protocol defaults: lr 0.001, batch 256, 20000 iterations, CSNR 4-6 dB."""
+    """One run's protocol; each example's CSNR is uniform over [csnr_low_db, csnr_high_db]."""
 
     learning_rate: float = 0.001
     batch_size: int = 256
@@ -219,7 +214,7 @@ def train(h, cfg=TrainConfig()):
     rng = np.random.default_rng(cfg.seed)
     gen = derive_generator(h)
     params = np.zeros(h.num_checks)
-    adam = Adam(lr=cfg.learning_rate)
+    adam = Adam(cfg.learning_rate, h.num_checks)
     raw = np.empty(cfg.iterations)
     for it in range(cfg.iterations):
         csnr = rng.uniform(cfg.csnr_low_db, cfg.csnr_high_db, size=cfg.batch_size)

@@ -26,6 +26,15 @@ class TestNoiseScale:
                 continue
             assert noise_scale(s1, k, n) > noise_scale(s2, k, n)
 
+    @pytest.mark.parametrize("csnr", [4000.0, -4000.0, 3085.0, -3085.0, np.nan,
+                                      np.array([5.0, 4000.0]), np.array([[5.0], [-4000.0]])])
+    def test_out_of_range_csnr_named_in_one_value_error(self, csnr):
+        # 10 ** 400 overflows Python's float power, which raised OverflowError;
+        # near +-3085 dB the scale is finite but w^2 or 2/w^2 is not
+        first_bad = np.ravel(csnr)[-1]
+        with pytest.raises(ValueError, match=f"^CSNR {first_bad:g} dB is out of range"):
+            noise_scale(csnr, 4, 7)
+
     def test_rejects_bad_dimensions(self):
         with pytest.raises(ValueError):
             noise_scale(4.0, 0, 10)
@@ -62,6 +71,12 @@ class TestTransmit:
                 transmit(np.ones((2, 3)), bad, np.random.default_rng(0))
             with pytest.raises(ValueError, match="finite"):
                 to_llr(np.ones((2, 3)), bad)
+
+    def test_rejection_names_the_first_bad_scale(self):
+        w = np.full((256, 1), 0.5)
+        w[[7, 9], 0] = np.inf, 0.0
+        with pytest.raises(ValueError, match=r"^noise scale must be finite and positive, got inf$"):
+            transmit(np.ones((256, 3)), w, np.random.default_rng(0))
 
     def test_per_frame_scales_match_scalar_calls(self):
         # one scale per frame as a (B, 1) column: the same draws, frame by

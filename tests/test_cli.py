@@ -12,7 +12,7 @@ import pytest
 
 import vcdc
 from vcdc import codes
-from vcdc.bench import VcdcDecoder
+from vcdc.bench import VcdcDecoder, run_ber
 from vcdc.bp import BpConfig
 from vcdc.cli import BENCH_DEFAULTS, DECODE_DEFAULTS, TRAIN_DEFAULTS, build_parser, main
 from vcdc.codebook import ParityCheckMatrix, bipolar, derive_generator, encode
@@ -126,6 +126,17 @@ class TestTrain:
         assert run_cli("train", "--code", "hamming_7_4", "--out", out,
                        "--iterations", 5, flag, value) == 2
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("csnr", ["4000", "-4000"])
+    def test_out_of_range_csnr_exits_two_with_one_line(self, tmp_path, capsys, csnr):
+        # the error once listed the noise scale of every frame of the batch
+        out = tmp_path / "o"
+        assert run_cli("train", "--code", "hamming_7_4", "--out", out, "--csnr-low", csnr,
+                       "--csnr-high", csnr, "--iterations", 2, "--batch-size", 4) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: CSNR {csnr} dB is out of range: its noise variance or "
+                       f"LLR scale is not finite"]
         assert not out.exists()
 
     def test_divergence_exits_two_with_one_line(self, tmp_path, capsys):
@@ -351,6 +362,12 @@ class TestBench:
         # a bad vcdc schedule fails before the bp runs listed ahead of it
         ("--decoders", "bp,vcdc", "--checkpoint", "ZEROS", "--timesteps", "0"),
         ("--decoders", "bp,vcdc", "--checkpoint", "ZEROS", "--step-db", "-1"),
+        # 10 ** 400 once raised OverflowError; -4000 dB leaked a RuntimeWarning
+        ("--decoders", "identity", "--csnr", "4000"),
+        ("--decoders", "identity", "--csnr", "-4000"),
+        # an out-of-range CSNR fails before the runs listed ahead of it
+        ("--decoders", "bp", "--csnr", "2,4000"),
+        ("--decoders", "foo"),
     ])
     def test_rejected_run_leaves_no_directory(self, tmp_path, capsys, flags):
         # the config is captured only once every run has measured, and a
@@ -416,6 +433,46 @@ PINNED_FLAGS = {
 }
 
 
+class TestRejections:
+    """Inputs the CLI rejects with one ``error:`` line and exit status 2."""
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("train", (), "train requires --code"),
+        ("bench", (), "bench requires --code"),
+        ("decode", ("--llr", "word.llr"), "decode requires --code and --llr"),
+        ("decode", ("--code", "hamming_7_4"), "decode requires --code and --llr"),
+        ("decode", ("--code", "hamming_7_4", "--llr", "word.llr", "--decoder", "foo"),
+         "unknown decoder 'foo'"),
+        ("bench", ("--code", "no_such_code"), "No such file or directory: 'no_such_code'"),
+        ("inspect-code", ("--code", "no_such_code"),
+         "No such file or directory: 'no_such_code'"),
+    ])
+    def test_missing_or_unknown_input(self, tmp_path, monkeypatch, capsys, command, flags,
+                                      message):
+        monkeypatch.chdir(tmp_path)
+        Path("word.llr").write_text(" ".join(["1.0"] * 7), encoding="ascii")
+        assert run_cli(command, *flags) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+        assert sorted(os.listdir(tmp_path)) == ["word.llr"]
+
+    def test_config_line_without_equals(self, tmp_path, capsys):
+        cfg = tmp_path / "run.config"
+        cfg.write_text("code=hamming_7_4\niterations 2\n", encoding="ascii")
+        assert run_cli("train", "--config", cfg, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {cfg}:2: expected key=value, got 'iterations 2'"]
+        assert not (tmp_path / "o").exists()
+
+    def test_config_comments_and_blank_lines_accepted(self, tmp_path):
+        cfg = tmp_path / "run.config"
+        cfg.write_text("# a short run\n\ncode=hamming_7_4\niterations=2  # two steps\n"
+                       "batch_size=4\n", encoding="ascii")
+        assert run_cli("train", "--config", cfg, "--out", tmp_path / "o") == 0
+        captured = (tmp_path / "o" / "train.config").read_text().splitlines()
+        assert "iterations=2" in captured and "batch_size=4" in captured
+
+
 class TestParser:
     @pytest.mark.parametrize("command", sorted(PINNED_FLAGS))
     def test_flags_and_parsed_types_are_pinned(self, command):
@@ -435,7 +492,9 @@ class TestParser:
 
 
 class TestDefaults:
-    """The CLI restates the library's defaults as its own; they must agree."""
+    """The CLI takes TrainConfig's and BpConfig's defaults from the objects
+    and restates the plain keyword defaults of VcdcDecoder and run_ber; the
+    keys, values and captured configs stay as they were."""
 
     def test_train_defaults_are_train_config_defaults(self):
         # each TrainConfig field under its CLI key; a new field fails here
@@ -456,3 +515,28 @@ class TestDefaults:
         params = inspect.signature(VcdcDecoder).parameters
         assert defaults["step_db"] == params["step_db"].default
         assert int(defaults["timesteps"]) == params["timesteps"].default
+
+    def test_bench_run_defaults_are_run_ber_defaults(self):
+        params = inspect.signature(run_ber).parameters
+        for key in ("stop_errors", "batch_frames", "seed"):
+            assert BENCH_DEFAULTS[key] == params[key].default, key
+        assert (BENCH_DEFAULTS["stop_errors"], BENCH_DEFAULTS["batch_frames"],
+                BENCH_DEFAULTS["seed"]) == (100, 512, 0)
+
+    # the flags and captured config of two fixed commands, as the config
+    # has always read: key for key and type for type (4.0, not 4)
+    @pytest.mark.parametrize("command, flags, text", [
+        ("train", ("--iterations", 2, "--batch-size", 4),
+         "all_zero=False\nbatch_size=4\ncode=hamming_7_4\ncsnr_high=6.0\ncsnr_low=4.0\n"
+         "iterations=2\nlearning_rate=0.001\nout=train_out\nseed=0\n"),
+        ("bench", (),
+         "batch_frames=512\nbp_iters=5\nbp_variant=sum-product\ncheckpoint=\n"
+         "code=hamming_7_4\ncsnr=4,5,6\ndecoders=bp\nmax_frames=0\nout=bench_out\n"
+         "seed=0\nstep_db=0.5\nstop_errors=100\ntimesteps=20\n"),
+    ])
+    def test_captured_config_of_a_default_run(self, tmp_path, monkeypatch, command, flags,
+                                               text):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(command, "--code", "hamming_7_4", *flags) == 0
+        path = tmp_path / f"{command}_out" / f"{command}.config"
+        assert path.read_text(encoding="ascii") == text

@@ -505,3 +505,15 @@ class TestLayerGroups:
     @given(n=st.integers(3, 48), data=st.data(), seed=st.integers(0, 2**32 - 1))
     def test_random_codes(self, n, data, seed):
         assert_layer_partition(random_layered_code(seed, n, data.draw(st.integers(1, n - 1))))
+
+
+class TestFromRowsRejects:
+    def test_one_dimensional_input(self):
+        with pytest.raises(ValueError, match="must be two-dimensional"):
+            ParityCheckMatrix.from_rows(np.array([1, 1, 0], dtype=np.uint8))
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_rows_not_below_n(self, m):
+        rows = np.ones((m, 3), dtype=np.uint8)
+        with pytest.raises(ValueError, match=f"need 0 < rows < n, got {m} rows of length 3"):
+            ParityCheckMatrix.from_rows(rows)

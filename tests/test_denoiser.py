@@ -114,6 +114,11 @@ class TestNeuralBlock:
         with pytest.raises(ValueError, match="one-dimensional"):
             NeuralBlockWeights(values=np.zeros((1, 3)), n=7, k=4)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        with pytest.raises(ValueError, match="layer weights must be finite"):
+            NeuralBlockWeights(values=np.array([0.5, bad, 0.5]), n=7, k=4)
+
     def test_rejects_word_and_wrong_width(self, hamming):
         w = zero_weights(hamming)
         n = hamming.n
@@ -475,6 +480,20 @@ class TestCheckpoint:
         lines = save_checkpoint(zero_weights(hamming)).decode().splitlines()
         with pytest.raises(CheckpointError, match="weight lines"):
             load_checkpoint("\n".join(lines[:-1]) + "\n")
+
+    def test_empty_stream_rejected(self):
+        with pytest.raises(CheckpointError, match="empty checkpoint"):
+            load_checkpoint(b"")
+
+    def test_non_integer_header_field_rejected(self, hamming):
+        data = save_checkpoint(zero_weights(hamming)).decode()
+        with pytest.raises(CheckpointError, match="malformed header 'VCDC1 7 four 3'"):
+            load_checkpoint(data.replace("VCDC1 7 4 3", "VCDC1 7 four 3"))
+
+    def test_weight_line_that_is_not_a_number_rejected(self, hamming):
+        data = save_checkpoint(zero_weights(hamming)).decode()
+        with pytest.raises(CheckpointError, match="bad weight value"):
+            load_checkpoint(data.replace("0\n", "zero\n", 1))
 
     def test_non_finite_weights_rejected(self, hamming):
         data = save_checkpoint(zero_weights(hamming)).decode()

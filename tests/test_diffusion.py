@@ -45,6 +45,15 @@ class TestBuildSchedule:
         with pytest.raises(ValueError):
             DiffusionSchedule(csnr_levels=np.array([4.0, 5.0]), rate=0.5)
 
+    def test_rejects_no_levels(self):
+        with pytest.raises(ValueError, match="at least one CSNR level"):
+            DiffusionSchedule(csnr_levels=np.array([]), rate=0.5)
+
+    @pytest.mark.parametrize("rate", [0.0, 1.0, -0.5, 1.5])
+    def test_rejects_rate_outside_unit_interval(self, rate):
+        with pytest.raises(ValueError, match=r"rate must be in \(0, 1\)"):
+            DiffusionSchedule(csnr_levels=np.array([5.0, 4.0]), rate=rate)
+
     @pytest.mark.parametrize("bad", [2.5, True, "5", np.float64(3.0)])
     def test_rejects_steps_that_are_not_integers(self, bad):
         # 2.5 would give levels 4.75, 4.25, 3.75 at an observed 4 dB, so the

@@ -87,6 +87,12 @@ class TestBlockGradients:
             assert value == ref_value
             np.testing.assert_array_equal(grads, ref_grads)
 
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_wrong_weight_count_rejected(self, hamming, count):
+        llr = np.zeros((1, hamming.n))
+        with pytest.raises(ValueError, match=f"expected 3 layer weights, got {count}"):
+            block_gradients(hamming, np.zeros(count), llr, np.zeros(llr.shape, dtype=np.uint8))
+
     def test_full_block_matches_finite_differences(self, hamming):
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -122,7 +128,7 @@ class TestBlockGradients:
 class TestAdam:
     def test_three_steps_match_hand_computed_recurrence(self):
         lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
-        adam = Adam(lr=lr)
+        adam = Adam(lr, 2)
         params = np.array([1.0, 2.0])
         grad_seq = [np.array([0.1, -0.2]), np.array([0.3, 0.1]), np.array([-0.1, 0.2])]
         m = np.zeros(2)
@@ -175,6 +181,9 @@ class TestTrainLoop:
             for bad in (np.nan, np.inf, -np.inf):
                 with pytest.raises(ValueError, match=key):
                     TrainConfig(**{key: bad})
+        for bad in (-1.0, 0.0):
+            with pytest.raises(ValueError, match="learning_rate must be positive"):
+                TrainConfig(learning_rate=bad)
         # a count that is not an integer would fail inside numpy
         for key in ("batch_size", "iterations"):
             for bad in (2.5, True, 256.0, "256"):
