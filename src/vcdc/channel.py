@@ -15,24 +15,35 @@ import numpy as np
 LLR_CLAMP = 1e9
 
 
-def noise_scale(csnr_db, k, n):
-    """Noise standard deviation for CSNR in dB at code rate k/n.
+def _law(csnr_db, rate):
+    return 1.0 / np.sqrt(2.0 * rate * 10.0 ** (csnr_db / 10.0))
+
+
+def noise_scale_at_rate(csnr_db, rate):
+    """Noise standard deviation for CSNR in dB at code rate ``rate``.
 
     The first CSNR whose noise variance w^2 or LLR scale 2/w^2 is not
     finite is rejected by name: at rate 1/2, one beyond about +-3080 dB.
     """
-    if not 0 < k < n:
-        raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
+    if not 0 < rate < 1:
+        raise ValueError(f"rate must be in (0, 1), got {rate}")
     # the check takes numpy's power, which gives inf where Python's raises
     with np.errstate(over="ignore", divide="ignore"):
-        var = 0.5 / ((k / n) * 10.0 ** (np.asarray(csnr_db) / 10.0))
-        bad = np.ravel(csnr_db)[~np.ravel(np.isfinite(var) & np.isfinite(2.0 / var))]
-    if bad.size:
-        raise ValueError(f"CSNR {bad[0]:g} dB is out of range: its noise variance or "
-                         f"LLR scale is not finite")
+        w = _law(np.asarray(csnr_db), rate)
+        ok = np.isfinite(w**2) & np.isfinite(2.0 / w**2)
+    if not ok.all():
+        raise ValueError(f"CSNR {np.ravel(csnr_db)[~np.ravel(ok)][0]:g} dB is out of range: "
+                         f"its noise variance or LLR scale is not finite")
     # a float CSNR takes Python's float power, not numpy's: the two differ in
     # the last bit for some CSNRs, and run_ber's seeded LLRs follow this one
-    return 1.0 / np.sqrt(2.0 * (k / n) * 10.0 ** (csnr_db / 10.0))
+    return w if np.ndim(csnr_db) else _law(csnr_db, rate)
+
+
+def noise_scale(csnr_db, k, n):
+    """``noise_scale_at_rate(csnr_db, k / n)`` for a code of k bits in n."""
+    if not 0 < k < n:
+        raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
+    return noise_scale_at_rate(csnr_db, k / n)
 
 
 def _check_noise_scale(w):

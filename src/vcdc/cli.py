@@ -19,6 +19,7 @@ from .bp import BpConfig
 from .channel import noise_scale
 from .codebook import load_alist, syndrome
 from .denoiser import load_checkpoint, save_checkpoint
+from .diffusion import build_schedule
 from .train import TrainConfig, TrainingDiverged, train, write_loss_curve
 
 
@@ -140,12 +141,16 @@ def cmd_bench(args):
     # an empty list would write a results.csv that measured nothing
     if not decoder_ids or not csnrs or ("vcdc" in decoder_ids and not timesteps):
         raise ValueError("bench needs at least one decoder, CSNR and (for vcdc) timestep count")
-    noise_scale(np.array(csnrs), h.k, h.n)  # an out-of-range CSNR fails before any run
     if cfg["max_frames"] < 0:
         raise ValueError(f"max_frames must be >= 0 (0: the default budget), "
                          f"got {cfg['max_frames']}")
     decoders = [_decoder(h, cfg, choice, t) for choice in decoder_ids
                 for t in (timesteps if choice == "vcdc" else [None])]
+    # every CSNR a run will use fails before any run, the vcdc schedules' levels too
+    noise_scale(np.array(csnrs), h.k, h.n)
+    for t in (timesteps if "vcdc" in decoder_ids else []):
+        for csnr in csnrs:
+            build_schedule(csnr, t, cfg["step_db"], h.rate)
 
     runs = []
     max_frames = cfg["max_frames"] or None

@@ -2,8 +2,9 @@
 
 A schedule is an ordered list of CSNR levels s_1 > ... > s_T (dB); the
 LLR word observed at level s is distributed N((2/w_s^2) x, (4/w_s^2) I),
-so alpha = 2/w^2 and sigma = 2/w.  The reverse update is deterministic:
-no noise is re-injected.
+so alpha = 2/w^2 and sigma = 2/w, with w and its range rule from
+``channel.noise_scale_at_rate``.  The reverse update is deterministic: no
+noise is re-injected.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bp import check_count
+from .channel import noise_scale_at_rate
 
 
 @dataclass(frozen=True)
@@ -32,20 +34,10 @@ class DiffusionSchedule:
         if levels.ndim != 1 or levels.size < 1:
             raise ValueError("schedule needs at least one CSNR level")
         if not np.isfinite(levels).all():
-            raise ValueError(f"CSNR levels must be finite, got {levels}")
+            raise ValueError(f"CSNR levels must be finite, got {levels[~np.isfinite(levels)][0]}")
         if levels.size > 1 and not (np.diff(levels) < 0).all():
             raise ValueError("CSNR levels must be strictly decreasing")
-        if not 0 < self.rate < 1:
-            raise ValueError(f"rate must be in (0, 1), got {self.rate}")
-        # levels beyond about +-3,000 dB overflow or underflow float64; they
-        # are rejected below, so numpy's warnings about them are not raised
-        with np.errstate(over="ignore", under="ignore", divide="ignore"):
-            w = 1.0 / np.sqrt(2.0 * self.rate * 10.0 ** (levels / 10.0))
-            alphas = 2.0 / w**2
-        bad = ~(np.isfinite(alphas) & (alphas > 0))
-        if bad.any():
-            raise ValueError(f"CSNR levels {levels[bad]} dB give an alpha that "
-                             "is not finite and positive")
+        alphas = 2.0 / noise_scale_at_rate(levels, self.rate)**2
         for a in (levels, alphas):
             a.setflags(write=False)
         object.__setattr__(self, "csnr_levels", levels)

@@ -211,6 +211,8 @@ def _smooth(raw):
 
 def train(h, cfg=TrainConfig()):
     """Train block weights from scratch on single-step denoising batches."""
+    # the channel's range is one interval, so its bounds check every draw
+    noise_scale(np.array([cfg.csnr_low_db, cfg.csnr_high_db]), h.k, h.n)
     rng = np.random.default_rng(cfg.seed)
     gen = derive_generator(h)
     params = np.zeros(h.num_checks)

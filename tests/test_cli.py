@@ -139,6 +139,18 @@ class TestTrain:
                        f"LLR scale is not finite"]
         assert not out.exists()
 
+    def test_out_of_range_csnr_bound_exits_two_before_training(self, tmp_path, capsys):
+        # every draw of this run happened to stay below about 3080 dB, so it
+        # once trained and exited 0; the bound is checked before any draw
+        out = tmp_path / "o"
+        assert run_cli("train", "--code", "hamming_7_4", "--out", out, "--csnr-low", 0,
+                       "--csnr-high", 4000, "--iterations", 2, "--batch-size", 4) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: CSNR 4000 dB is out of range: its noise "
+                                             "variance or LLR scale is not finite"]
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_divergence_exits_two_with_one_line(self, tmp_path, capsys):
         # a finite learning rate the config accepts, whose first update makes
         # the next loss overflow
@@ -269,12 +281,15 @@ class TestDecode:
                        "--csnr", 4.0) == 0
         assert capsys.readouterr().out.splitlines()[0] == "".join(str(b) for b in cw)
 
-    @pytest.mark.parametrize("timesteps", [1, 3])
-    @pytest.mark.parametrize("csnr", ["nan", "inf", "4000", "-4000"])
+    @pytest.mark.parametrize("csnr, timesteps", [(c, t) for c in ("nan", "inf", "4000", "-4000")
+                                                 for t in (1, 3)] + [("nan", 20), ("3075", 20)])
     def test_non_finite_csnr_exits_two(self, hamming_file, tmp_path, capsys, csnr, timesteps):
         # a non-finite CSNR is never decoded, whatever the number of levels;
         # nor is one whose alpha overflows to inf (4000 dB used to decode to
-        # NaN beliefs reported as a zero syndrome) or underflows to zero
+        # NaN beliefs reported as a zero syndrome) or underflows to zero, nor
+        # a channel in range whose schedule reaches past it (3075 dB: 3084.5
+        # at the top). Each error names one level, where it once listed 20
+        # NaN levels or the 12 out of range, over two lines
         ckpt = tmp_path / "zeros.vcdc"
         ckpt.write_bytes(save_checkpoint(zero_weights(codes.load("hamming_7_4"))))
         llr_file = tmp_path / "word.llr"
@@ -284,6 +299,7 @@ class TestDecode:
                        "--timesteps", timesteps) == 2
         captured = capsys.readouterr()
         assert "finite" in captured.err
+        assert len(captured.err.splitlines()) == 1
         assert captured.out == ""
 
 
@@ -368,6 +384,9 @@ class TestBench:
         # an out-of-range CSNR fails before the runs listed ahead of it
         ("--decoders", "bp", "--csnr", "2,4000"),
         ("--decoders", "foo"),
+        # an in-range CSNR whose vcdc schedule reaches past the range (3084.5
+        # dB at the top) fails before the bp runs listed ahead of it
+        ("--decoders", "bp,vcdc", "--checkpoint", "ZEROS", "--csnr", "3075"),
     ])
     def test_rejected_run_leaves_no_directory(self, tmp_path, capsys, flags):
         # the config is captured only once every run has measured, and a

@@ -82,21 +82,73 @@ class TestBuildSchedule:
                                         [-3100.0, -3100.5], [6.0, 5.0, -4000.0]])
     def test_rejects_levels_beyond_float_range(self, levels):
         # 10 ** (4000 / 10) overflows, so alpha is inf and a reverse step's
-        # gain inf - inf is NaN; far below 0 dB alpha underflows to zero
+        # gain inf - inf is NaN; far below 0 dB alpha underflows to zero.
+        # The error names the first such level; build_schedule's levels, 0.5
+        # dB apart, all lie beyond the range, so its first level is named
+        first_bad = next(s for s in levels if abs(s) > 3000)
+        top = levels[-1] + 0.5 * (len(levels) - 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="not finite and positive"):
+            with pytest.raises(ValueError, match=f"^CSNR {first_bad:g} dB is out of range"):
                 DiffusionSchedule(csnr_levels=np.array(levels), rate=0.5)
-            with pytest.raises(ValueError, match="not finite and positive"):
+            with pytest.raises(ValueError, match=f"^CSNR {top:g} dB is out of range"):
                 build_schedule(levels[-1], len(levels), 0.5, 0.5)
 
     def test_alpha_sigma_match_channel_law(self):
         sched = build_schedule(4.0, 8, 0.75, RATE_121_60)
-        for level, alpha, sigma in zip(sched.csnr_levels, sched.alphas, sigmas(sched)):
-            w = noise_scale(level, 60, 121)
-            assert alpha == pytest.approx(2.0 / w**2, rel=1e-12)
-            assert sigma == pytest.approx(2.0 / w, rel=1e-12)
-            assert alpha**2 / sigma**2 == pytest.approx(1.0 / w**2, rel=1e-12)
+        # the level array, not each level: Python's scalar power, which a
+        # float CSNR takes, can differ from numpy's in the last bit
+        w = noise_scale(sched.csnr_levels, 60, 121)
+        assert_same_bits(sched.alphas, 2.0 / w**2)
+        for alpha, sigma, w_s in zip(sched.alphas, sigmas(sched), w):
+            assert sigma == pytest.approx(2.0 / w_s, rel=1e-12)
+            assert alpha**2 / sigma**2 == pytest.approx(1.0 / w_s**2, rel=1e-12)
+
+    def test_takes_the_channels_range_rule_and_alphas(self):
+        # random rates and level grids spanning +-3090 dB, two thirds of them
+        # about the float range's edges (+3077 to +3083 dB, -3052 to -3086 dB
+        # by the rate) with steps down to 1e-12 dB: the schedule accepts
+        # exactly the levels the channel accepts, which are the levels whose
+        # alpha, by the expression the schedule once evaluated itself, is
+        # finite and positive; and its alphas keep that expression bit for bit
+        rng = np.random.default_rng(24)
+        mixed = 0
+        for i in range(400):
+            n = int(rng.integers(2, 2000))
+            k = int(rng.integers(1, n))
+            rate = k / n
+            steps = int(rng.integers(1, 40))
+            step_db = 10.0 ** rng.uniform(-12, 2)
+            observed = rng.uniform(*[(-3090, 3090), (3070, 3090), (-3090, -3050)][i % 3])
+            # build_schedule's levels
+            levels = observed + step_db * np.arange(steps - 1, -1, -1, dtype=np.float64)
+            with np.errstate(all="ignore"):
+                oracle = 2.0 / (1.0 / np.sqrt(2.0 * rate * 10.0 ** (levels / 10.0)))**2
+            ok = np.isfinite(oracle) & (oracle > 0)
+            mixed += 0 < ok.sum() < ok.size
+            assert _accepts(lambda: noise_scale(levels, k, n)) == ok.all()
+            assert _accepts(lambda: build_schedule(observed, steps, step_db, rate)) == ok.all()
+            assert _accepts(lambda: DiffusionSchedule(csnr_levels=levels, rate=rate)) == ok.all()
+            if ok.all():
+                sched = build_schedule(observed, steps, step_db, rate)
+                assert_same_bits(sched.csnr_levels, levels)
+                assert_same_bits(sched.alphas, oracle)
+            # one level at a time, through noise_scale's scalar path too
+            for j in (0, -1):
+                assert _accepts(lambda: noise_scale(float(levels[j]), k, n)) == ok[j]
+                assert _accepts(lambda: DiffusionSchedule(csnr_levels=levels[[j]],
+                                                          rate=rate)) == ok[j]
+        assert mixed > 10
+
+
+def _accepts(make):
+    """False if ``make()`` rejects a CSNR as out of range, True if it returns."""
+    try:
+        make()
+    except ValueError as exc:
+        assert "out of range" in str(exc)
+        return False
+    return True
 
 
 class TestForwardTransition:

@@ -190,6 +190,22 @@ class TestTrainLoop:
                 with pytest.raises(ValueError, match=key):
                     TrainConfig(**{key: bad})
 
+    def test_out_of_range_csnr_bound_rejected_before_any_iteration(self, hamming, monkeypatch):
+        # the draws once reached past the channel's range only mid-run, after
+        # the earlier iterations' work, and the error named the drawn CSNR
+        steps = []
+        step = Adam.step
+
+        def counted_step(self, params, grads):
+            steps.append(params)
+            return step(self, params, grads)
+
+        monkeypatch.setattr(Adam, "step", counted_step)
+        cfg = TrainConfig(iterations=50, batch_size=4, csnr_low_db=0.0, csnr_high_db=4000.0)
+        with pytest.raises(ValueError, match="^CSNR 4000 dB is out of range"):
+            train(hamming, cfg)
+        assert steps == []
+
     def test_divergence_guard_aborts_on_non_finite_loss(self, hamming):
         # an absurd learning rate overflows the beliefs within two steps
         cfg = TrainConfig(iterations=20, batch_size=16, seed=0, learning_rate=1e200)
