@@ -14,11 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LLR_CLAMP, hard_decide
+from .channel import hard_decide
 from .codebook import check_parities, degree_tables
 
 # Product clamp inside arctanh; keeps check messages finite (|u| <= ~28.4).
 ATANH_EPS = 1e-12
+
+# Clamp on LLRs entering a RunningSet; keeps sums finite, no measurable BER effect.
+LLR_CLAMP = 1e9
 
 # Clamp on variable-to-check messages; no BER effect at the tested CSNRs.
 MESSAGE_CLAMP = 30.0
@@ -319,14 +322,6 @@ def check_llr_batch(h, llrs):
     return llrs
 
 
-def copy_clamped(out, llrs):
-    """Copy the (B, n) LLRs ``llrs`` into the (n, B) array ``out``, clamped
-    to +-LLR_CLAMP.  The clamp runs in place: a clip that read ``llrs.T``
-    would take a 64 KiB ufunc buffer."""
-    np.copyto(out, llrs.T)
-    np.clip(out, -LLR_CLAMP, LLR_CLAMP, out=out)
-
-
 def _head(flat, rows, cols):
     """The C-ordered (rows, cols) view of the head of the flat array ``flat``."""
     return flat[:rows * cols].reshape(rows, cols)
@@ -335,7 +330,7 @@ def _head(flat, rows, cols):
 class RunningSet:
     """The frames of one decode call that have not stopped, and the outputs
     (bits, beliefs, counts, ok) of those that have: both decoders' exit
-    test and compaction, and their one frame boundary.
+    test and compaction, and the one frame boundary of both and of training.
 
     The set checks ``llrs`` as ``check_llr_batch`` does and makes one
     float64 work allocation, sized per frame: ``state``, a C-ordered
@@ -355,7 +350,10 @@ class RunningSet:
         work = np.empty(2 * slab + extra * len(llrs))
         self.state = _head(work, rows, len(llrs))
         self.spare, self.work = work[slab:2 * slab], work[2 * slab:]
-        copy_clamped(self.state[:h.n], llrs)
+        # in place: a clip that read llrs.T would take a 64 KiB ufunc buffer
+        l = self.state[:h.n]
+        np.copyto(l, llrs.T)
+        np.clip(l, -LLR_CLAMP, LLR_CLAMP, out=l)
 
     def settle(self, s, count, last=False):
         """The exit test on the running frames, whose beliefs are the columns
@@ -391,9 +389,8 @@ def decode_bp_batch(h, llrs, cfg=BpConfig(), *, edge_index):
     the ``EdgeIndex`` of ``h``.
 
     Returns (bits, beliefs, iterations, syndrome_zero) arrays; each frame
-    exits as soon as its hard decision satisfies every parity check.
-    The ``RunningSet`` rejects non-finite LLRs and clamps the others as it
-    copies them in.
+    exits as soon as its hard decision satisfies every parity check.  The
+    ``RunningSet`` rejects non-finite LLRs and clamps the rest.
 
     Frames are columns of the state of a ``RunningSet``: a running frame's
     state is one (2n + E)-row column holding its clamped LLRs, beliefs and

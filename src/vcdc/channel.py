@@ -11,9 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-# Keeps arctanh arguments finite downstream without measurable BER effect.
-LLR_CLAMP = 1e9
-
 
 def _law(csnr_db, rate):
     return 1.0 / np.sqrt(2.0 * rate * 10.0 ** (csnr_db / 10.0))
@@ -65,11 +62,11 @@ def transmit(x, w, rng):
 
 
 def to_llr(y, w):
-    """Channel LLRs 2y/w^2, clamped to +-LLR_CLAMP; ``w`` as in transmit."""
+    """Channel LLRs 2y/w^2, unclamped (``bp.RunningSet`` clamps); ``w`` as in transmit."""
     _check_noise_scale(w)
     # w**2 is pow() for a scalar and an exact square for an array; the
     # fixed-seed bench and training outputs depend on exactly these roundings
-    return np.clip(2.0 * np.asarray(y, dtype=np.float64) / w**2, -LLR_CLAMP, LLR_CLAMP)
+    return 2.0 * np.asarray(y, dtype=np.float64) / w**2
 
 
 def hard_decide(llr):

@@ -3,7 +3,8 @@
 Every subcommand reads defaults from an optional flat key=value config file
 (``--config``); command-line flags override file values.  Subcommands that
 write an output directory capture the fully resolved configuration there,
-so a run is reproducible from its output alone.
+so a run is reproducible from its output alone, and reject before any work
+a value that file could not carry back.
 """
 
 from __future__ import annotations
@@ -37,13 +38,22 @@ def _read_config(path):
     return values
 
 
-def _capture_config(out_dir, name, values):
+def _config_text(values):
+    """The captured ``key=value`` lines, keys sorted; ValueError naming the first
+    key whose value ``_read_config`` would not read back: with '#', a line
+    break, spaces at either end or a non-ASCII character."""
+    for key, value in values.items():
+        text = str(value)
+        if not text.isascii() or text != text.strip() or any(c in text for c in "#\n\r"):
+            raise ValueError(f"config key {key!r}: {text!r} would not read back from the "
+                             f"captured config ('#', a line break, outer spaces or non-ASCII)")
+    return "".join(f"{key}={values[key]}\n" for key in sorted(values))
+
+
+def _capture_config(out_dir, name, text):
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"{name}.config")
-    with open(path, "w", encoding="ascii") as fh:
-        for key in sorted(values):
-            fh.write(f"{key}={values[key]}\n")
-    return path
+    with open(os.path.join(out_dir, f"{name}.config"), "w", encoding="ascii") as fh:
+        fh.write(text)
 
 
 def _load_code(path):
@@ -95,6 +105,7 @@ DECODE_DEFAULTS = {"code": "", "llr": "", "decoder": "bp", "checkpoint": "", "cs
 
 def cmd_train(args):
     cfg = _resolve(args, TRAIN_DEFAULTS)
+    config = _config_text(cfg)
     if not cfg["code"]:
         raise ValueError("train requires --code")
     h = _load_code(cfg["code"])
@@ -102,7 +113,7 @@ def cmd_train(args):
     with np.errstate(over="ignore", invalid="ignore"):  # the divergence guard reports these
         result = train(h, train_cfg)
     # only a run that trained leaves an output directory
-    _capture_config(cfg["out"], "train", cfg)
+    _capture_config(cfg["out"], "train", config)
     ckpt_path = os.path.join(cfg["out"], "weights.vcdc")
     with open(ckpt_path, "wb") as fh:
         fh.write(save_checkpoint(result.weights))
@@ -131,6 +142,7 @@ def _decoder(h, cfg, choice, timesteps):
 
 def cmd_bench(args):
     cfg = _resolve(args, BENCH_DEFAULTS)
+    config = _config_text(cfg)
     if not cfg["code"]:
         raise ValueError("bench requires --code")
     h = _load_code(cfg["code"])
@@ -164,7 +176,7 @@ def cmd_bench(args):
                   f"-ln={bench.neg_ln_ber(run):.3f} frames={run.frames_simulated}"
                   f"{' censored' if run.censored else ''}")
     # only a run that measured leaves an output directory
-    _capture_config(cfg["out"], "bench", cfg)
+    _capture_config(cfg["out"], "bench", config)
     paths = bench.emit_results(runs, cfg["out"])
     print(f"wrote {', '.join(paths)}")
     return 0
@@ -177,9 +189,7 @@ def cmd_decode(args):
     h = _load_code(cfg["code"])
     with open(cfg["llr"], "r", encoding="ascii") as fh:
         values = np.array([float(tok) for tok in fh.read().split()])
-    if values.size != h.n:
-        raise ValueError(f"LLR file has {values.size} values, code needs {h.n}")
-
+    # the decoder's frame boundary checks the word's length and values
     decoder = _decoder(h, cfg, cfg["decoder"], cfg["timesteps"])
     bits, steps = (a[0] for a in decoder.decode_batch(values[None], cfg["csnr"]))
     _, errors = syndrome(h, bits)

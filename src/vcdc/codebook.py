@@ -25,7 +25,7 @@ def _frozen(a):
     return a
 
 
-def _as_bits(x, name="bits"):
+def _as_bits(x, name):
     x = np.asarray(x)
     if not ((x == 0) | (x == 1)).all():
         raise ValueError(f"{name} entries must be 0 or 1")
@@ -40,13 +40,14 @@ class ParityCheckMatrix:
     GF(2) rank of H, so a redundant row adds a check but no constraint.
     Instances are immutable; ``check_tables``, ``layer_groups`` and the
     ``generator``, which also gives k, are built from ``rows`` on first use.
+    The constructor keeps a copy of ``rows``; it rejects entries but 0 and 1,
+    a shape but 0 < rows < n, and (an ``AlistError``) a check of degree < 2.
     """
 
     rows: np.ndarray
 
-    @classmethod
-    def from_rows(cls, rows):
-        rows = _as_bits(rows, "parity-check matrix")
+    def __post_init__(self):
+        rows = _as_bits(self.rows, "parity-check matrix")  # a copy, frozen below
         if rows.ndim != 2:
             raise ValueError("parity-check matrix must be two-dimensional")
         m, n = rows.shape
@@ -56,7 +57,7 @@ class ParityCheckMatrix:
         if (chk_deg < 2).any():
             bad = int(np.argmax(chk_deg < 2))
             raise AlistError(f"check {bad} has degree {int(chk_deg[bad])} < 2")
-        return cls(rows=_frozen(rows))
+        object.__setattr__(self, "rows", _frozen(rows))
 
     @property
     def n(self):
@@ -226,7 +227,7 @@ def parse_alist(text):
     disagree = (var_mat != rows.T).any(axis=1)
     if disagree.any():
         raise AlistError(f"variable list {int(disagree.argmax())} disagrees with check lists")
-    return ParityCheckMatrix.from_rows(rows)
+    return ParityCheckMatrix(rows)
 
 
 def load_alist(path):

@@ -151,8 +151,7 @@ def decode_vcdc_batch(h, weights, sched, llrs):
     whose hard decision already satisfies the syndrome cost zero reverse
     steps; the rest stop at the first satisfied syndrome or after the
     final block at the cleanest level, which runs even when the schedule
-    has a single level.  The ``RunningSet`` rejects non-finite LLRs and
-    clamps the others as it copies them in, as BP's does.
+    has a single level.  Its ``RunningSet`` checks and clamps the LLRs.
 
     The running frames are the columns of the state of a ``RunningSet``,
     an (n, B') array zt that the block and the reverse step take as it is;

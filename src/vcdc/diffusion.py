@@ -62,13 +62,13 @@ def build_schedule(observed_csnr_db, steps, step_db, rate):
     return DiffusionSchedule(csnr_levels=levels, rate=float(rate))
 
 
-def reverse_step(sched, t_index, z_t, x_hat, out=None):
+def reverse_step(sched, t_index, z_t, x_hat, out):
     """Deterministic reverse update from level t_index to t_index - 1.
 
     z_s = z_t + (alpha_s - alpha_t) * x_hat, the mean of the reverse
     transition with the noise-injection step skipped; x_hat must be a
     bipolar-valued estimate with entries in [-1, 1].  z_s goes into
-    ``out`` when it is given, which may be ``x_hat`` itself; an ``out``
+    ``out``, which may be ``x_hat`` itself, and is returned; an ``out``
     whose memory bounds overlap ``z_t``'s, or an x_hat out of range, raises
     ValueError before anything is written.
     """
@@ -76,7 +76,7 @@ def reverse_step(sched, t_index, z_t, x_hat, out=None):
         raise ValueError(f"t_index {t_index} cannot step past the schedule start")
     z_t = np.asarray(z_t, dtype=np.float64)
     x_hat = np.asarray(x_hat, dtype=np.float64)
-    if out is not None and np.may_share_memory(out, z_t):
+    if np.may_share_memory(out, z_t):
         raise ValueError("out must not overlap z_t")
     # NaN fails both tests
     if not (x_hat.min(initial=0.0) >= -1.0 and x_hat.max(initial=0.0) <= 1.0):

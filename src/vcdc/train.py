@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bp import _pairwise_sum, check_count, check_llr_batch, copy_clamped
+from .bp import RunningSet, _pairwise_sum, check_count
 from .channel import noise_scale, to_llr, transmit
 from .codebook import bipolar, derive_generator, encode
 from .denoiser import NeuralBlockWeights, block_layers, walk_size
@@ -98,9 +98,8 @@ def minsum_backward(g, xc, u):
 def block_gradients(h, weights, llrs, x_b):
     """Loss and d(loss)/d(layer weights) for one (B, n) batch of LLRs.
 
-    Non-finite LLRs are rejected, and the others are clamped to
-    +-LLR_CLAMP as they are copied in, as the decoders' ``RunningSet``
-    clamps them.
+    The LLRs enter as the decoders' do: a ``RunningSet``, never settled,
+    rejects non-finite ones and clamps the others into its (n, B) state.
 
     Runs the block forward once on frames-as-columns (n, B) beliefs,
     keeping each layer group's gathered beliefs and min-sum messages u_l,
@@ -109,8 +108,8 @@ def block_gradients(h, weights, llrs, x_b):
     layer input adds the min-sum backward of w_l times that adjoint.  The
     checks of a group share no variable, so neither step of one check reads
     what another check of its group writes, and a group steps back at once
-    exactly as its checks would one by one.  The work is one allocation of
-    n + walk_size(h, keep=True) entries a frame.
+    exactly as its checks would one by one.  The walk's work is the set's,
+    walk_size(h, keep=True) entries a frame.
 
     Every reduction keeps one fixed order: the loss is the mean over a
     C-ordered (B, n) array, each check's gradient the sum over a C-ordered
@@ -120,13 +119,9 @@ def block_gradients(h, weights, llrs, x_b):
     weights = np.asarray(weights, dtype=np.float64)
     if weights.size != h.num_checks:
         raise ValueError(f"expected {h.num_checks} layer weights, got {weights.size}")
-    x = check_llr_batch(h, llrs)
-    # one allocation holds the beliefs and the walk, every group's blocks kept
-    work = np.empty(len(x) * (h.n + walk_size(h, keep=True)))
-    xt = work[:x.size].reshape(h.n, -1)
-    copy_clamped(xt, x)
-    layers = list(block_layers(h, weights, xt, work[x.size:], keep=True))
-    value, g = loss_with_adjoint(np.ascontiguousarray(xt.T), x_b)
+    rs = RunningSet(h, llrs, h.n, walk_size(h, keep=True))
+    layers = list(block_layers(h, weights, rs.state, rs.work, keep=True))
+    value, g = loss_with_adjoint(np.ascontiguousarray(rs.state.T), x_b)
     gt = np.array(g.T, order="C")
     grads = np.empty(h.num_checks)
     for checks, table, xc, u in reversed(layers):

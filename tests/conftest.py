@@ -146,7 +146,7 @@ def make_tree_code(num_checks):
         h[c, [p, a, b]] = 1
     # tree: edges == nodes - 1 in the bipartite graph
     assert h.sum() == n + num_checks - 1
-    return ParityCheckMatrix.from_rows(h)
+    return ParityCheckMatrix(h)
 
 
 def random_layered_code(seed, n, m):
@@ -168,7 +168,7 @@ def random_layered_code(seed, n, m):
             run = set()
         run.update(cols.tolist())
         rows[c, cols] = 1
-    return ParityCheckMatrix.from_rows(rows)
+    return ParityCheckMatrix(rows)
 
 
 def enumerate_codewords(h):

@@ -26,7 +26,9 @@ from a (B, n) array into C-ordered (B g, d) rows, and the backward
 (``grouped_minsum_backward``) sums each row's adjoints along its contiguous
 last axis.  They are the reference for the frames-as-columns walk, kernel
 call and backward of ``vcdc.denoiser`` and ``vcdc.train``, which must keep
-every bit, reduction orders included.
+every bit, reduction orders included.  ``decode_vcdc_batch`` writes the
+reverse update z + (alpha_{t-1} - alpha_t) x_hat itself, as the reference
+for ``vcdc.diffusion.reverse_step``.
 
 ``SortedLayout`` builds ``vcdc.bp.EdgeIndex``'s message rows by sorting the
 edges (``np.bincount`` for the variable degrees, a three-key ``np.lexsort``
@@ -44,10 +46,9 @@ from __future__ import annotations
 import numpy as np
 
 from vcdc import bp, denoiser
-from vcdc.bp import ATANH_EPS, SUM_PRODUCT, BpConfig, check_llr_batch
-from vcdc.channel import LLR_CLAMP, hard_decide
+from vcdc.bp import ATANH_EPS, LLR_CLAMP, SUM_PRODUCT, BpConfig, check_llr_batch
+from vcdc.channel import hard_decide
 from vcdc.codebook import syndrome
-from vcdc.diffusion import reverse_step
 from vcdc.train import loss_with_adjoint
 
 
@@ -233,7 +234,7 @@ def decode_vcdc_batch(h, weights, sched, llrs):
             break
         block_beliefs, x_hat = _grouped_neural_block(h, weights, z)
         if t_index:
-            z = reverse_step(sched, t_index, z, x_hat)
+            z = z + (sched.alphas[t_index - 1] - sched.alphas[t_index]) * x_hat
             used += 1
         else:
             z = block_beliefs

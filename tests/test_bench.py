@@ -93,7 +93,7 @@ class TestRunBer:
 
     def test_generator_is_derived_once_per_code(self, ldpc_49_24, monkeypatch):
         # a fresh instance, since the session fixture may hold its generator
-        h = ParityCheckMatrix.from_rows(ldpc_49_24.rows)
+        h = ParityCheckMatrix(ldpc_49_24.rows)
         reduced, row_reduce = [], codebook._row_reduce
         monkeypatch.setattr(codebook, "_row_reduce",
                             lambda a: reduced.append(a.shape) or row_reduce(a))

@@ -7,12 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vcdc import bp, codes
-from vcdc.bp import (ATANH_EPS, BROADCAST_ROW, BpConfig, EdgeIndex, MIN_SUM, SUM_PRODUCT,
-                     RunningSet, _two_least, check_minsum_terms, decode_bp_batch,
+from vcdc.bp import (ATANH_EPS, BROADCAST_ROW, LLR_CLAMP, BpConfig, EdgeIndex, MIN_SUM,
+                     SUM_PRODUCT, RunningSet, _two_least, check_minsum_terms, decode_bp_batch,
                      minsum_work_size)
 from vcdc.codebook import (ParityCheckMatrix, _row_reduce, bipolar, derive_generator, encode,
                            syndrome)
-from vcdc.channel import LLR_CLAMP, hard_decide, noise_scale, to_llr, transmit
+from vcdc.channel import hard_decide, noise_scale, to_llr, transmit
 from vcdc.train import minsum_backward
 
 import serial
@@ -313,7 +313,7 @@ class TestDecodeBp:
     def test_repetition_toy_conflicting_llrs(self):
         # single degree-2 check; hand simulation: after one exchange both
         # beliefs equal -2, so the stronger (negative) evidence wins
-        h = ParityCheckMatrix.from_rows(np.array([[1, 1]], dtype=np.uint8))
+        h = ParityCheckMatrix(np.array([[1, 1]], dtype=np.uint8))
         bits, beliefs, iters, ok = serial.bp_decode(h, np.array([[1.0, -3.0]]),
                                                     BpConfig(max_iters=5))
         assert bits[0].tolist() == [1, 1]
@@ -456,7 +456,7 @@ def test_config_rejects_non_integer_max_iters(bad):
 
 
 def test_isolated_variable_keeps_channel_belief():
-    h = ParityCheckMatrix.from_rows(np.array([[1, 1, 0]], dtype=np.uint8))
+    h = ParityCheckMatrix(np.array([[1, 1, 0]], dtype=np.uint8))
     bits, beliefs, _, _ = serial.bp_decode(h, np.array([[2.0, 1.0, -0.7]]),
                                            BpConfig(max_iters=3))
     assert beliefs[0, 2] == pytest.approx(-0.7)
@@ -534,7 +534,7 @@ def sparse_codes(draw):
     if draw(st.booleans()):
         rows[:, draw(st.integers(0, n - 2))] = 1
     rows[draw(st.integers(1, m - 1))] = rows[0]
-    return ParityCheckMatrix.from_rows(rows)
+    return ParityCheckMatrix(rows)
 
 
 def rows_code(n, rows):
@@ -542,7 +542,7 @@ def rows_code(n, rows):
     matrix = np.zeros((len(rows), n), dtype=np.uint8)
     for r, cols in enumerate(rows):
         matrix[r, list(cols)] = 1
-    return ParityCheckMatrix.from_rows(matrix)
+    return ParityCheckMatrix(matrix)
 
 
 @settings(max_examples=80, deadline=None)
@@ -621,7 +621,7 @@ def test_belief_sums_round_as_reduceat():
     rows[:, :2] = 1
     for v in range(2, n - 1):
         rows[rng.choice(m, size=rng.integers(1, 140), replace=False), v] = 1
-    h = ParityCheckMatrix.from_rows(rows)
+    h = ParityCheckMatrix(rows)
     ei = EdgeIndex(h)
     c2v = rng.normal(size=(ei.num_edges, 4)) * 10.0 ** rng.integers(-8, 17, (ei.num_edges, 4))
     c2v[rng.random(c2v.shape) < 0.05] = -0.0
@@ -641,7 +641,7 @@ def test_belief_sums_into_out_match_the_allocating_form():
     rows[0, 1] = rows[:5, 2] = rows[:, 3] = rows[:, 4] = 1
     for v in range(5, n):
         rows[rng.choice(m, size=rng.integers(1, m), replace=False), v] = 1
-    h = ParityCheckMatrix.from_rows(rows)
+    h = ParityCheckMatrix(rows)
     assert h.rows[:, :4].sum(axis=0).tolist() == [0, 1, 5, 12]
     ei = EdgeIndex(h)
     c2v = rng.normal(size=(ei.num_edges, 6))

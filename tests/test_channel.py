@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from vcdc.channel import LLR_CLAMP, hard_decide, noise_scale, to_llr, transmit
+from vcdc.bp import LLR_CLAMP
+from vcdc.channel import hard_decide, noise_scale, to_llr, transmit
+
+from conftest import assert_same_bits
 
 # frozen with a 40-digit mpmath evaluation of 1/sqrt(2 (k/n) 10^(s/10))
 W_4DB_121_60 = 0.633580879058
@@ -106,9 +109,15 @@ class TestToLlr:
         val = to_llr(np.array([0.5]), noise_scale(4.0, 60, 121))[0]
         assert val == pytest.approx(2.49112703951, abs=1e-9)
 
-    def test_clamped_to_finite_bound(self):
-        vals = to_llr(np.array([1e12]), 1e-3)
-        assert vals[0] == LLR_CLAMP
+    def test_is_the_unclamped_law(self):
+        # 2y/w^2 bit for bit, beyond +-LLR_CLAMP too: the LLRs are clamped
+        # where they enter the decoders and training, at bp.RunningSet
+        rng = np.random.default_rng(11)
+        y = rng.normal(0.0, 1.0, (4, 6)) * 10.0 ** rng.uniform(-3.0, 12.0, (4, 6))
+        for w in (1e-3, np.array([[1e-3], [0.5], [2e-5], [1.0]])):
+            want = 2.0 * y / w**2
+            assert (np.abs(want) > LLR_CLAMP).any()
+            assert_same_bits(to_llr(y, w), want)
 
 
 class TestHardDecide:

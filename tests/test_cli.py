@@ -36,6 +36,24 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
+# values that train and bench reject, since their captured config would read
+# them back otherwise: '#' starts a comment, a line break ends the entry,
+# spaces at either end are stripped, and the file is ASCII
+UNCAPTURABLE = [("--out", "run#1"), ("--out", "run\n1"), ("--out", "run\r1"),
+                ("--out", " run"), ("--out", "run\t"), ("--out", "run\u00e9")]
+
+
+def assert_rejected_as_uncapturable(capsys, flag, cwd):
+    """One ``error:`` line naming the flag's config key, no stdout, and no
+    file or directory left in ``cwd``."""
+    captured = capsys.readouterr()
+    key = flag[2:].replace("-", "_")
+    assert captured.err.splitlines() == [captured.err.rstrip("\n")]
+    assert captured.err.startswith(f"error: config key {key!r}: ")
+    assert captured.out == ""
+    assert os.listdir(cwd) == []
+
+
 class TestInspect:
     def test_prints_parameters(self, hamming_file, capsys):
         assert run_cli("inspect-code", "--code", hamming_file) == 0
@@ -55,7 +73,7 @@ class TestRedundantRows:
     @pytest.fixture()
     def redundant_file(self, tmp_path):
         path = tmp_path / "ldpc_49_24_redundant.alist"
-        h = ParityCheckMatrix.from_rows(make_codes.array_rows(7, 4))
+        h = ParityCheckMatrix(make_codes.array_rows(7, 4))
         path.write_text(serialize_alist(h), encoding="ascii")
         return path
 
@@ -151,6 +169,14 @@ class TestTrain:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", UNCAPTURABLE + [("--code", "hamming_7_4 ")])
+    def test_value_the_config_cannot_carry_back_leaves_no_directory(
+            self, tmp_path, monkeypatch, capsys, flag, value):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("train", "--code", "hamming_7_4", "--iterations", 2,
+                       "--batch-size", 4, flag, value) == 2
+        assert_rejected_as_uncapturable(capsys, flag, tmp_path)
+
     def test_divergence_exits_two_with_one_line(self, tmp_path, capsys):
         # a finite learning rate the config accepts, whose first update makes
         # the next loss overflow
@@ -221,6 +247,13 @@ class TestDecode:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "".join(str(b) for b in cw)
         assert "syndrome: zero" in out[1]
+
+    def test_takes_paths_a_config_could_not_carry(self, tmp_path, capsys):
+        # decode captures no config, so it takes what train and bench reject
+        llr_file = tmp_path / " word #1\u00e9.llr "
+        llr_file.write_text("2 " * 7)
+        assert run_cli("decode", "--code", "hamming_7_4", "--llr", llr_file) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "0000000"
 
     def test_all_zero_llr_ties_resolve_to_zero_word(self, hamming_file, tmp_path, capsys):
         llr_file = tmp_path / "zeros.llr"
@@ -402,6 +435,17 @@ class TestBench:
         assert len(err) == 1 and err[0].startswith("error:")
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", UNCAPTURABLE + [("--decoders", "bp\nidentity"),
+                                                            ("--checkpoint", "w#1.vcdc")])
+    def test_value_the_config_cannot_carry_back_leaves_no_directory(
+            self, tmp_path, monkeypatch, capsys, flag, value):
+        # replayed from its bench.config, "--out run#1" once read out=run and
+        # wrote into run/
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("bench", "--code", "hamming_7_4", "--csnr", "2", "--stop-errors", 3,
+                       "--batch-frames", 16, flag, value) == 2
+        assert_rejected_as_uncapturable(capsys, flag, tmp_path)
 
     @pytest.mark.parametrize("flags", [("--decoders", "identity", "--csnr", ","),
                                        ("--decoders", "", "--csnr", "2"),

@@ -108,7 +108,7 @@ class TestParseAlist:
             rows[r, rng.choice(n, rng.integers(2, n + 1), replace=False)] = 1
         rows[:, rng.random(n) < data.draw(st.sampled_from([0.0, 0.2, 0.6]))] = 0
         rows[:, :2] = 1
-        h = ParityCheckMatrix.from_rows(rows)
+        h = ParityCheckMatrix(rows)
         assert np.array_equal(parse_alist(make_codes.serialize_alist(h)).rows, rows)
 
     # (edits of HAMMING_ALIST by line, the error message): one case per kind
@@ -243,14 +243,14 @@ class TestDeriveGenerator:
     def test_systematic_h_gives_identity_permutation(self):
         # H = [I | P] pivots on its first columns, so G = [P^T | I] as it stands
         p = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8)
-        h = ParityCheckMatrix.from_rows(np.concatenate([np.eye(2, dtype=np.uint8), p], axis=1))
+        h = ParityCheckMatrix(np.concatenate([np.eye(2, dtype=np.uint8), p], axis=1))
         g = derive_generator(h)
         assert np.array_equal(g, np.concatenate([p.T, np.eye(3, dtype=np.uint8)], axis=1))
 
     def test_duplicate_row_reports_rank(self):
         # two checks of rank 1: k is n - rank, not n - rows
         rows = np.array([[1, 1, 0, 0], [1, 1, 0, 0]], dtype=np.uint8)
-        h = ParityCheckMatrix.from_rows(rows)
+        h = ParityCheckMatrix(rows)
         assert (h.n, h.k, h.num_checks, h.rate) == (4, 3, 2, 0.75)
         g = derive_generator(h)
         assert g.shape == (3, 4) and gf2_rank(g) == 3
@@ -260,7 +260,7 @@ class TestDeriveGenerator:
     def test_redundant_array_rows_give_the_bundled_code(self, q, j, name):
         # the j - 1 dependent rows the bundled code drops add checks, not
         # constraints: the same k and the same codewords
-        h, bundled = ParityCheckMatrix.from_rows(make_codes.array_rows(q, j)), codes.load(name)
+        h, bundled = ParityCheckMatrix(make_codes.array_rows(q, j)), codes.load(name)
         assert (h.n, h.k, h.num_checks) == (bundled.n, bundled.k, q * j)
         g = derive_generator(h)
         assert g.shape == (h.k, h.n) and gf2_rank(g) == h.k
@@ -401,7 +401,7 @@ class TestGf2ProductDifferential:
         rows = _bits(rng, (m, n), density)
         rows[np.arange(m), np.arange(m) % n] = 1  # every check needs degree >= 2
         rows[np.arange(m), (np.arange(m) + 1) % n] = 1
-        h = ParityCheckMatrix.from_rows(rows)
+        h = ParityCheckMatrix(rows)
         words = _bits(rng, (batch, n), density)
         s, counts = syndrome(h, words)
         expected = _gf2_reference(words, rows.T)
@@ -420,7 +420,7 @@ BIT_CONSUMERS = {
                          lambda m: encode(derive_generator(h), m)),
     "bipolar": lambda h: (h.rows[:2].copy(), bipolar),
     "from_rows": lambda h: (h.rows.copy(),
-                            lambda r: ParityCheckMatrix.from_rows(r).rows),
+                            lambda r: ParityCheckMatrix(r).rows),
 }
 NON_BITS = [(2, np.int64), (-1, np.int64), (255, np.uint8), (0.5, np.float64),
             (np.nan, np.float64)]
@@ -496,7 +496,7 @@ class TestLayerGroups:
         rows = np.zeros((5, 10), dtype=np.uint8)
         for c, cols in enumerate([(0, 1), (2, 3), (4, 5, 6), (7, 8, 9), (6, 9)]):
             rows[c, list(cols)] = 1
-        groups = ParityCheckMatrix.from_rows(rows).layer_groups
+        groups = ParityCheckMatrix(rows).layer_groups
         assert [(c.start, c.stop) for c, _ in groups] == [(0, 2), (2, 4), (4, 5)]
         assert groups[0][1].tolist() == [[0, 2], [1, 3]]
         assert groups[2][1].tolist() == [[6], [9]]
@@ -510,10 +510,26 @@ class TestLayerGroups:
 class TestFromRowsRejects:
     def test_one_dimensional_input(self):
         with pytest.raises(ValueError, match="must be two-dimensional"):
-            ParityCheckMatrix.from_rows(np.array([1, 1, 0], dtype=np.uint8))
+            ParityCheckMatrix(np.array([1, 1, 0], dtype=np.uint8))
 
     @pytest.mark.parametrize("m", [3, 4])
     def test_rows_not_below_n(self, m):
         rows = np.ones((m, 3), dtype=np.uint8)
         with pytest.raises(ValueError, match=f"need 0 < rows < n, got {m} rows of length 3"):
-            ParityCheckMatrix.from_rows(rows)
+            ParityCheckMatrix(rows)
+
+    def test_bare_constructor_checks_rows(self):
+        # an entry of 2 and a degree-1 check: both once passed the bare
+        # constructor, which then derived k and the check tables from them
+        rows = np.array([[2, 1, 0, 0], [0, 0, 0, 1]])
+        with pytest.raises(ValueError, match="^parity-check matrix entries must be 0 or 1$"):
+            ParityCheckMatrix(rows=rows)
+        with pytest.raises(AlistError, match="^check 1 has degree 1 < 2$"):
+            ParityCheckMatrix(rows=np.minimum(rows, 1))
+
+    def test_keeps_a_frozen_copy(self):
+        rows = np.array([[1, 1, 0], [0, 1, 1]])
+        h = ParityCheckMatrix(rows)
+        rows[0, 2] = 1
+        assert h.rows.tolist() == [[1, 1, 0], [0, 1, 1]] and h.rows.dtype == np.uint8
+        assert not h.rows.flags.writeable

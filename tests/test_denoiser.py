@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from vcdc import denoiser
 from vcdc.bench import VcdcDecoder
-from vcdc.bp import MIN_SUM, SUM_PRODUCT, BpConfig
-from vcdc.channel import LLR_CLAMP, hard_decide, noise_scale, to_llr, transmit
+from vcdc.bp import LLR_CLAMP, MIN_SUM, SUM_PRODUCT, BpConfig
+from vcdc.channel import hard_decide, noise_scale, to_llr, transmit
 from vcdc.codebook import ParityCheckMatrix, bipolar, derive_generator, encode, syndrome
 from vcdc.denoiser import (CheckpointError, NeuralBlockWeights, decode_vcdc_batch,
                            load_checkpoint, neural_block, save_checkpoint, walk_size)
@@ -186,7 +186,7 @@ def wide_degree_codes(draw):
             taken = set()
         taken.update(cols.tolist())
         rows[c, cols] = 1
-    return ParityCheckMatrix.from_rows(rows)
+    return ParityCheckMatrix(rows)
 
 
 def tied_llrs(rng, shape):
@@ -294,24 +294,45 @@ def every_decoder(h, weights, sched, iters=5):
 
 
 def test_llrs_are_clamped_at_the_frame_boundary(ldpc_49_24):
-    # finite LLRs near the float64 limit decode and train exactly as their
-    # clamped values do; unclamped, the block's sums overflow
+    # finite LLRs beyond the clamp decode and train exactly as their clamped
+    # values do: ones near the float64 limit, where unclamped the block's
+    # sums overflow, and the channel's own at 100 dB, where |LLR| ~ 2e10
     h = ldpc_49_24
     rng = np.random.default_rng(17)
-    llrs = 1.7e308 * rng.uniform(-1.0, 1.0, (24, h.n))
-    clamped = np.clip(llrs, -LLR_CLAMP, LLR_CLAMP)
-    assert (clamped != llrs).all()
+    x_b = encode(derive_generator(h), rng.integers(0, 2, (24, h.k)))
+    w = noise_scale(100.0, h.k, h.n)
+    channel_llrs = to_llr(transmit(bipolar(x_b), w, rng), w)
+    weights = rand_weights(h, rng)
+    for llrs in (1.7e308 * rng.uniform(-1.0, 1.0, (24, h.n)), channel_llrs):
+        clamped = np.clip(llrs, -LLR_CLAMP, LLR_CLAMP)
+        assert (clamped != llrs).all()
+        for decode in every_decoder(h, weights, build_schedule(4.0, 8, 0.5, h.rate)):
+            got = decode(llrs)
+            assert_same_outputs(got, decode(clamped))
+            assert np.isfinite(got[1]).all()
+        value, grads = block_gradients(h, weights.values, llrs, x_b)
+        want_value, want_grads = block_gradients(h, weights.values, clamped, x_b)
+        assert_same_bits(value, want_value)
+        assert_same_bits(grads, want_grads)
+        assert np.isfinite(value) and np.isfinite(grads).all()
+
+
+def test_channel_llrs_that_overflow_are_rejected_at_the_frame_boundary(ldpc_49_24):
+    # a noise scale noise_scale never returns: 2 / w^2 overflows, so the
+    # channel's LLRs are +-inf, and the frame boundary rejects them
+    h = ldpc_49_24
+    rng = np.random.default_rng(19)
+    x_b = encode(derive_generator(h), rng.integers(0, 2, (4, h.k)))
+    w = 1e-160
+    with np.errstate(over="ignore"):
+        llrs = to_llr(transmit(bipolar(x_b), w, rng), w)
+    assert np.isinf(llrs).all()
     weights = rand_weights(h, rng)
     for decode in every_decoder(h, weights, build_schedule(4.0, 8, 0.5, h.rate)):
-        got = decode(llrs)
-        assert_same_outputs(got, decode(clamped))
-        assert np.isfinite(got[1]).all()
-    x_b = encode(derive_generator(h), rng.integers(0, 2, (24, h.k)))
-    value, grads = block_gradients(h, weights.values, llrs, x_b)
-    want_value, want_grads = block_gradients(h, weights.values, clamped, x_b)
-    assert_same_bits(value, want_value)
-    assert_same_bits(grads, want_grads)
-    assert np.isfinite(value) and np.isfinite(grads).all()
+        with pytest.raises(ValueError, match="^LLRs must be finite$"):
+            decode(llrs)
+    with pytest.raises(ValueError, match="^LLRs must be finite$"):
+        block_gradients(h, weights.values, llrs, x_b)
 
 
 @settings(max_examples=50, deadline=None)

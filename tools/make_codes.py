@@ -57,13 +57,13 @@ def array_rows(q, j):
 def array_code(q, j):
     h = full_rank_rows(array_rows(q, j))
     assert h.shape == (j * q - (j - 1), q * q), h.shape
-    return ParityCheckMatrix.from_rows(h)
+    return ParityCheckMatrix(h)
 
 
 def hamming_7_4():
     cols = np.array([[(v >> b) & 1 for v in range(1, 8)] for b in range(3)],
                     dtype=np.uint8)
-    return ParityCheckMatrix.from_rows(cols)
+    return ParityCheckMatrix(cols)
 
 
 def polar_code(m, k):
@@ -79,7 +79,7 @@ def polar_code(m, k):
     h = f[:, frozen].T
     # rows sorted by weight: low-degree checks carry the most reliable
     # extrinsics, so serial per-check sweeps profit from meeting them first
-    h = ParityCheckMatrix.from_rows(h[np.argsort(h.sum(axis=1), kind="stable")])
+    h = ParityCheckMatrix(h[np.argsort(h.sum(axis=1), kind="stable")])
     assert h.k == k, h.k
     return h
 
@@ -89,7 +89,7 @@ def main():
         "hamming_7_4": hamming_7_4(),
         "ldpc_49_24": array_code(7, 4),
         "ldpc_121_60": array_code(11, 6),
-        "ldpc_121_60_redundant": ParityCheckMatrix.from_rows(array_rows(11, 6)),
+        "ldpc_121_60_redundant": ParityCheckMatrix(array_rows(11, 6)),
         "ldpc_121_70": array_code(11, 5),
         "ldpc_121_80": array_code(11, 4),
         "polar_64_32": polar_code(6, 32),
