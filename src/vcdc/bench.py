@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import denoiser
-from .bp import BpConfig, EdgeIndex, check_count, check_llr_batch, decode_bp_batch
+from .bp import EdgeIndex, check_count, check_llr_batch, decode_bp_batch
 from .channel import hard_decide, noise_scale, to_llr, transmit
 from .codebook import bipolar, derive_generator, encode
 from .diffusion import build_schedule
@@ -61,10 +61,8 @@ def neg_ln_ber(run):
 class BpDecoder:
     """Classical BP; ignores the channel level."""
 
-    def __init__(self, h, cfg=BpConfig()):
-        self.h = h
-        self.cfg = cfg
-        self.name = "bp"
+    def __init__(self, h, cfg):
+        self.h, self.cfg, self.name = h, cfg, "bp"
         self._ei = EdgeIndex(h)
 
     def decode_batch(self, llrs, csnr_db):
@@ -76,15 +74,12 @@ class VcdcDecoder:
     """Reverse-process decoder; the schedule's observed level tracks the
     channel CSNR of each run."""
 
-    def __init__(self, h, weights, timesteps=20, step_db=0.5):
+    def __init__(self, h, weights, timesteps, step_db=0.5):
         weights.check_code(h)
         # the schedule's own checks, before any run: its levels differ from
         # run to run only by the channel CSNR they end at
         build_schedule(0.0, timesteps, step_db, h.rate)
-        self.h = h
-        self.weights = weights
-        self.timesteps = timesteps
-        self.step_db = step_db
+        self.h, self.weights, self.timesteps, self.step_db = h, weights, timesteps, step_db
         self.name = f"vcdc-t{timesteps}"
 
     def decode_batch(self, llrs, csnr_db):
@@ -104,24 +99,23 @@ class IdentityDecoder:
         return hard_decide(check_llr_batch(self.h, llrs)), np.zeros(len(llrs), dtype=np.int64)
 
 
-def run_ber(h, decoder, csnr_db, stop_errors=100, max_frames=None, seed=0,
-            code_id="code", batch_frames=512, workers=1):
+def run_ber(h, decoder, csnr_db, stop_errors, max_frames, seed, code_id, batch_frames,
+            workers=1):
     """Simulate frames until ``stop_errors`` bit errors or ``max_frames``.
 
-    ``max_frames`` defaults to the equivalent of 1e8 bits.  Runs stopped by
+    ``max_frames=None`` means the equivalent of 1e8 bits.  Runs stopped by
     the frame budget before reaching the error target are flagged censored.
     ``workers`` must be 1: it stays only because ``perfbench/harness.py``
     passes ``workers=1``, and goes with the benchmark's mending (ROADMAP
     item 1).
     """
-    check_count("stop_errors", stop_errors)
-    check_count("batch_frames", batch_frames)
-    if max_frames is not None:
-        check_count("max_frames", max_frames)
-    if workers != 1:
-        raise ValueError(f"run_ber draws one stream; workers must be 1, got {workers!r}")
     if max_frames is None:
         max_frames = max(1, 10**8 // h.n)
+    check_count("stop_errors", stop_errors)
+    check_count("max_frames", max_frames)
+    check_count("batch_frames", batch_frames)
+    if workers != 1:
+        raise ValueError(f"run_ber draws one stream; workers must be 1, got {workers!r}")
     gen = derive_generator(h)
     w = float(noise_scale(csnr_db, h.k, h.n))
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])

@@ -384,7 +384,7 @@ class RunningSet:
         return self.state
 
 
-def decode_bp_batch(h, llrs, cfg=BpConfig(), *, edge_index):
+def decode_bp_batch(h, llrs, cfg, *, edge_index):
     """Flooding BP over a (B, n) batch of LLR vectors, on ``edge_index``,
     the ``EdgeIndex`` of ``h``.
 

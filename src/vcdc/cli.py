@@ -10,6 +10,7 @@ a value that file could not carry back.
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 
@@ -93,14 +94,16 @@ TRAIN_KEYS = {"seed": "seed", "iterations": "iterations", "batch_size": "batch_s
 TRAIN_DEFAULTS = {"code": "", "out": "train_out",
                   **{key: getattr(TrainConfig(), field) for field, key in TRAIN_KEYS.items()}}
 
-_BP_DEFAULTS = {"bp_iters": BpConfig().max_iters, "bp_variant": BpConfig().variant}
-
-BENCH_DEFAULTS = {"code": "", "out": "bench_out", "seed": 0, "decoders": "bp", "csnr": "4,5,6",
-                  "checkpoint": "", "timesteps": "20", "step_db": 0.5, **_BP_DEFAULTS,
-                  "stop_errors": 100, "max_frames": 0, "batch_frames": 512}
+_DECODER_DEFAULTS = {  # step_db is VcdcDecoder's default and the BP knobs BpConfig's
+    "step_db": inspect.signature(bench.VcdcDecoder).parameters["step_db"].default,
+    "bp_iters": BpConfig().max_iters, "bp_variant": BpConfig().variant}
 
 DECODE_DEFAULTS = {"code": "", "llr": "", "decoder": "bp", "checkpoint": "", "csnr": 4.0,
-                   "timesteps": 20, "step_db": 0.5, **_BP_DEFAULTS}
+                   "timesteps": 20, **_DECODER_DEFAULTS}  # T is the CLI's, for bench too
+
+BENCH_DEFAULTS = {"code": "", "out": "bench_out", "seed": 0, "decoders": "bp", "csnr": "4,5,6",
+                  "checkpoint": "", "timesteps": str(DECODE_DEFAULTS["timesteps"]),
+                  **_DECODER_DEFAULTS, "stop_errors": 100, "max_frames": 0, "batch_frames": 512}
 
 
 def cmd_train(args):

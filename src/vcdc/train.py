@@ -55,14 +55,14 @@ def minsum_backward(g, xc, u):
     edge but i1 carries m1 = |x_i1|, edge i1 carries m2 = |u_i1|, and i2 is
     the first j != i1 with |x_j| == m2.  ``u`` is a nonnegative magnitude
     times the exclusive sign product (the forward builds its sign bit as
-    the xor of the entry's sign and the row's), so copysign(1, u) is that
-    sign product, exact for either zero.
+    the xor of the entry's sign and the row's), so g with u's sign bit
+    xor-ed in, which the spent magnitudes take, has the bits of g times
+    that product for every g but NaN, either zero included.
 
     The work runs on the (d, rows) transposes, which it indexes with flat
     indices through ``take`` and ``put``, and the sum of a row's d adjoints
     is ``_pairwise_sum`` over all d of them: term for term the sum numpy
-    takes along the last axis of a C-ordered (rows, d) array.  The
-    magnitudes' memory takes the sign products in turn.
+    takes along the last axis of a C-ordered (rows, d) array.
     """
     gt, xt, ut = g.T, xc.T, u.T
     rows = xt.shape[1]
@@ -79,8 +79,8 @@ def minsum_backward(g, xc, u):
     np.equal(mags, m2).argmax(axis=0, out=i2)
     i2 *= rows
     i2 += offsets
-    gs = np.copysign(1.0, ut, out=mags)
-    gs *= gt
+    bits = np.bitwise_and(ut.view(np.uint64), np.uint64(1 << 63), out=mags.view(np.uint64))
+    gs = np.bitwise_xor(bits, gt.view(np.uint64), out=bits).view(np.float64)
     # edge i1 takes the adjoints of every other edge, which select
     # magnitude |x_i1|, and edge i2 the adjoint of edge i1, which selects
     # |x_i2|; each times the sign of its belief
@@ -105,11 +105,12 @@ def block_gradients(h, weights, llrs, x_b):
     keeping each layer group's gathered beliefs and min-sum messages u_l,
     then walks the groups in reverse: layer l's weight gradient is the
     adjoint on its check's columns dotted with u_l, and the adjoint of the
-    layer input adds the min-sum backward of w_l times that adjoint.  The
-    checks of a group share no variable, so neither step of one check reads
-    what another check of its group writes, and a group steps back at once
-    exactly as its checks would one by one.  The walk's work is the set's,
-    walk_size(h, keep=True) entries a frame.
+    layer input (but the first group's) adds the min-sum backward of w_l
+    times that adjoint.  The checks of a group share no variable, so
+    neither step of one check reads what another check of its group
+    writes, and a group steps back at once exactly as its checks would one
+    by one.  The walk's work is the set's, walk_size(h, keep=True) entries
+    a frame.
 
     Every reduction keeps one fixed order: the loss is the mean over a
     C-ordered (B, n) array, each check's gradient the sum over a C-ordered
@@ -128,6 +129,8 @@ def block_gradients(h, weights, llrs, x_b):
         g_cols = gt.take(table, axis=0)  # (d, g, B)
         p = np.ascontiguousarray((g_cols * u.T.reshape(g_cols.shape)).transpose(1, 2, 0))
         grads[checks] = p.sum(axis=(1, 2))
+        if checks.start == 0:  # nothing reads the first group's input adjoint
+            break
         # p is spent: its memory takes the adjoint of the messages, w times g
         wg = np.multiply(g_cols, weights[checks, None], out=p.reshape(g_cols.shape))
         wg = wg.reshape(len(g_cols), -1).T
@@ -204,7 +207,7 @@ def _smooth(raw):
     return (csum[idx] - csum[start]) / (idx - start)
 
 
-def train(h, cfg=TrainConfig()):
+def train(h, cfg):
     """Train block weights from scratch on single-step denoising batches."""
     # the channel's range is one interval, so its bounds check every draw
     noise_scale(np.array([cfg.csnr_low_db, cfg.csnr_high_db]), h.k, h.n)

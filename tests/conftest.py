@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from vcdc import codes
-from vcdc.bench import BerRun
+from vcdc.bench import BerRun, run_ber
 from vcdc.codebook import ParityCheckMatrix, _row_reduce, derive_generator, encode
 from vcdc.denoiser import NeuralBlockWeights
 
@@ -66,6 +66,17 @@ def traced_peak(fn):
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+# the run_ber settings tests share unless they give their own: the CLI's
+# error target, seed and batch, the 1e8-bit frame budget and one code id
+BER_SETTINGS = {"stop_errors": 100, "max_frames": None, "seed": 0, "code_id": "code",
+                "batch_frames": 512}
+
+
+def ber_run(h, decoder, csnr_db, **settings):
+    """``vcdc.bench.run_ber`` with ``BER_SETTINGS`` for each setting not given."""
+    return run_ber(h, decoder, csnr_db, **{**BER_SETTINGS, **settings})
 
 
 def read_results_csv(path):

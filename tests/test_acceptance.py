@@ -11,7 +11,7 @@ import os
 import numpy as np
 import pytest
 
-from vcdc.bench import BpDecoder, VcdcDecoder, neg_ln_ber, run_ber
+from vcdc.bench import BpDecoder, VcdcDecoder, neg_ln_ber
 from vcdc.bp import BpConfig
 from vcdc.channel import to_llr, transmit
 from vcdc.denoiser import NeuralBlockWeights, load_checkpoint, save_checkpoint
@@ -20,7 +20,7 @@ from vcdc.train import TrainConfig, block_gradients, train
 
 import serial
 from analysis import count_flops_bp, count_flops_vcdc, forward_transition, loss, sigmas, vsnr
-from conftest import make_tree_code, map_marginals, zero_weights
+from conftest import ber_run, make_tree_code, map_marginals, zero_weights
 
 
 def report(criterion, detail):
@@ -43,7 +43,7 @@ class TestCriterion1BpBaseline:
         # bit errors arrive in per-frame bursts, so estimator noise tracks
         # frame errors; 2000 bit errors keeps -ln(BER) noise near 0.07
         for csnr, stop in ((4.0, 2000), (5.0, 2000), (6.0, 150)):
-            run = run_ber(ldpc_121_60, dec, csnr, stop_errors=stop, seed=101,
+            run = ber_run(ldpc_121_60, dec, csnr, stop_errors=stop, seed=101,
                           batch_frames=4096)
             assert not run.censored and run.bit_errors >= 100
             results[csnr] = neg_ln_ber(run)
@@ -175,9 +175,9 @@ class TestCriterion6TrainedModel:
         gains = []
         mean_steps_6db = None
         for csnr in (4.0, 5.0, 6.0):
-            rb = run_ber(polar_64_32, bp, csnr, stop_errors=150, seed=606,
+            rb = ber_run(polar_64_32, bp, csnr, stop_errors=150, seed=606,
                          batch_frames=1024)
-            rv = run_ber(polar_64_32, vc, csnr, stop_errors=150, seed=606,
+            rv = ber_run(polar_64_32, vc, csnr, stop_errors=150, seed=606,
                          batch_frames=1024)
             assert rb.bit_errors >= 100 and rv.bit_errors >= 100
             assert rv.ber < rb.ber, f"no improvement at {csnr} dB"
@@ -193,7 +193,7 @@ class TestCriterion6TrainedModel:
         runs = []
         for steps in (1, 5, 10, 20):
             vc = VcdcDecoder(polar_64_32, trained_polar, timesteps=steps)
-            run = run_ber(polar_64_32, vc, 5.0, stop_errors=150, seed=607,
+            run = ber_run(polar_64_32, vc, 5.0, stop_errors=150, seed=607,
                           batch_frames=1024)
             assert run.bit_errors >= 100
             runs.append(run)
@@ -229,8 +229,8 @@ class TestCriterion8Determinism:
         assert np.array_equal(r1.raw_loss, r2.raw_loss)
         assert np.array_equal(r1.weights.values, r2.weights.values)
         dec = BpDecoder(ldpc_49_24, BpConfig(max_iters=5))
-        b1 = run_ber(ldpc_49_24, dec, 4.0, stop_errors=120, seed=809, batch_frames=256)
-        b2 = run_ber(ldpc_49_24, dec, 4.0, stop_errors=120, seed=809, batch_frames=256)
+        b1 = ber_run(ldpc_49_24, dec, 4.0, stop_errors=120, seed=809, batch_frames=256)
+        b2 = ber_run(ldpc_49_24, dec, 4.0, stop_errors=120, seed=809, batch_frames=256)
         assert b1 == b2
         report(8, "identical seeds give bit-identical loss curves, weights, "
                   "and BER runs")
@@ -241,9 +241,9 @@ class TestCriterion8Determinism:
 def test_slow_trained_ldpc_121_60_beats_bp_at_5db(ldpc_121_60):
     weights = train(ldpc_121_60, TrainConfig(iterations=4000, batch_size=256,
                                              seed=0)).weights
-    bp = run_ber(ldpc_121_60, BpDecoder(ldpc_121_60, BpConfig(max_iters=5)), 5.0,
+    bp = ber_run(ldpc_121_60, BpDecoder(ldpc_121_60, BpConfig(max_iters=5)), 5.0,
                  stop_errors=150, seed=610, batch_frames=1024)
-    vc = run_ber(ldpc_121_60, VcdcDecoder(ldpc_121_60, weights, timesteps=20), 5.0,
+    vc = ber_run(ldpc_121_60, VcdcDecoder(ldpc_121_60, weights, timesteps=20), 5.0,
                  stop_errors=150, seed=610, batch_frames=1024)
     assert vc.ber < bp.ber
     print(f"\nlarge-code note: (121,60) at 5 dB BP {neg_ln_ber(bp):.2f} vs "

@@ -5,13 +5,13 @@ import pytest
 
 from vcdc import codebook
 from vcdc.bench import (BerRun, BpDecoder, IdentityDecoder, VcdcDecoder, emit_results,
-                        neg_ln_ber, run_ber)
+                        neg_ln_ber)
 from vcdc.bp import BpConfig, MIN_SUM
 from vcdc.channel import hard_decide
 from vcdc.codebook import ParityCheckMatrix
 
 from analysis import count_flops_bp, count_flops_vcdc
-from conftest import read_results_csv, zero_weights
+from conftest import ber_run, read_results_csv, zero_weights
 
 # Gaussian tail oracle Q(1/w) for the raw channel at 4 dB, rate 60/121
 # (40-digit erfc evaluation)
@@ -60,35 +60,35 @@ class TestRunBer:
                 # at 60 dB the hard decision is error-free
                 return hard_decide(llrs), np.zeros(llrs.shape[0], dtype=np.int64)
 
-        run = run_ber(hamming, PerfectStub(), 60.0, stop_errors=10, max_frames=64,
+        run = ber_run(hamming, PerfectStub(), 60.0, stop_errors=10, max_frames=64,
                       seed=0, batch_frames=32)
         assert run.censored and run.bit_errors == 0 and run.ber == 0.0
         assert run.frames_simulated == 64
 
     def test_identity_decoder_matches_gaussian_tail(self, ldpc_121_60):
-        run = run_ber(ldpc_121_60, IdentityDecoder(ldpc_121_60), 4.0,
+        run = ber_run(ldpc_121_60, IdentityDecoder(ldpc_121_60), 4.0,
                       stop_errors=2500, seed=1, batch_frames=256)
         p = RAW_BER_4DB_121_60
         se = math.sqrt(p * (1 - p) / run.bits_simulated)
         assert abs(run.ber - p) < 3 * se
 
     def test_stopping_rule_reaches_error_target(self, hamming):
-        run = run_ber(hamming, BpDecoder(hamming, BpConfig(max_iters=2)), 2.0,
+        run = ber_run(hamming, BpDecoder(hamming, BpConfig(max_iters=2)), 2.0,
                       stop_errors=50, seed=2, batch_frames=64)
         assert not run.censored
         assert run.bit_errors >= 50
         assert run.bits_simulated == run.frames_simulated * hamming.n
 
     def test_censoring_flagged_when_frame_budget_hit(self, hamming):
-        run = run_ber(hamming, BpDecoder(hamming), 20.0, stop_errors=1000,
+        run = ber_run(hamming, BpDecoder(hamming, BpConfig()), 20.0, stop_errors=1000,
                       max_frames=128, seed=3, batch_frames=64)
         assert run.censored
         assert run.frames_simulated == 128
 
     def test_seeded_runs_are_bit_reproducible(self, ldpc_49_24):
-        dec = BpDecoder(ldpc_49_24)
-        r1 = run_ber(ldpc_49_24, dec, 3.0, stop_errors=60, seed=9, batch_frames=128)
-        r2 = run_ber(ldpc_49_24, dec, 3.0, stop_errors=60, seed=9, batch_frames=128)
+        dec = BpDecoder(ldpc_49_24, BpConfig())
+        r1 = ber_run(ldpc_49_24, dec, 3.0, stop_errors=60, seed=9, batch_frames=128)
+        r2 = ber_run(ldpc_49_24, dec, 3.0, stop_errors=60, seed=9, batch_frames=128)
         assert r1 == r2
 
     def test_generator_is_derived_once_per_code(self, ldpc_49_24, monkeypatch):
@@ -97,19 +97,19 @@ class TestRunBer:
         reduced, row_reduce = [], codebook._row_reduce
         monkeypatch.setattr(codebook, "_row_reduce",
                             lambda a: reduced.append(a.shape) or row_reduce(a))
-        runs = [run_ber(h, IdentityDecoder(h), 4.0, stop_errors=1, max_frames=8, seed=seed)
+        runs = [ber_run(h, IdentityDecoder(h), 4.0, stop_errors=1, max_frames=8, seed=seed)
                 for seed in (1, 2)]
         assert reduced == [h.rows.shape]
         assert runs[0].frames_simulated == runs[1].frames_simulated == 8
 
     def test_one_stream_only(self, ldpc_49_24):
-        dec = BpDecoder(ldpc_49_24)
+        dec = BpDecoder(ldpc_49_24, BpConfig())
         with pytest.raises(ValueError, match="workers"):
-            run_ber(ldpc_49_24, dec, 3.0, stop_errors=40, seed=4, batch_frames=64,
+            ber_run(ldpc_49_24, dec, 3.0, stop_errors=40, seed=4, batch_frames=64,
                     workers=2)
-        r1 = run_ber(ldpc_49_24, dec, 3.0, stop_errors=40, seed=4, batch_frames=64,
+        r1 = ber_run(ldpc_49_24, dec, 3.0, stop_errors=40, seed=4, batch_frames=64,
                      workers=1)
-        r2 = run_ber(ldpc_49_24, dec, 3.0, stop_errors=40, seed=4, batch_frames=64)
+        r2 = ber_run(ldpc_49_24, dec, 3.0, stop_errors=40, seed=4, batch_frames=64)
         assert r1 == r2
 
     # max_frames < 1 would measure nothing and report a censored BER of 0;
@@ -120,12 +120,12 @@ class TestRunBer:
           for bad in (2.5, True))])
     def test_bad_stop_errors(self, hamming, key, value):
         with pytest.raises(ValueError, match=key):
-            run_ber(hamming, BpDecoder(hamming), 4.0, **{key: value})
+            ber_run(hamming, BpDecoder(hamming, BpConfig()), 4.0, **{key: value})
 
     def test_vcdc_decoder_records_steps(self, hamming):
         weights = zero_weights(hamming)
         dec = VcdcDecoder(hamming, weights, timesteps=6)
-        run = run_ber(hamming, dec, 4.0, stop_errors=20, max_frames=256, seed=5,
+        run = ber_run(hamming, dec, 4.0, stop_errors=20, max_frames=256, seed=5,
                       batch_frames=64)
         assert dec.name == "vcdc-t6"
         assert 0.0 <= run.mean_steps_used <= 5.0

@@ -556,8 +556,9 @@ class TestParser:
 
 class TestDefaults:
     """The CLI takes TrainConfig's and BpConfig's defaults from the objects
-    and restates the plain keyword defaults of VcdcDecoder and run_ber; the
-    keys, values and captured configs stay as they were."""
+    and step_db's from VcdcDecoder, and owns the Monte-Carlo protocol and T,
+    which the library takes from its callers; the keys, values and captured
+    configs stay as they were."""
 
     def test_train_defaults_are_train_config_defaults(self):
         # each TrainConfig field under its CLI key; a new field fails here
@@ -576,15 +577,16 @@ class TestDefaults:
         assert defaults["bp_iters"] == BpConfig().max_iters
         assert defaults["bp_variant"] == BpConfig().variant
         params = inspect.signature(VcdcDecoder).parameters
-        assert defaults["step_db"] == params["step_db"].default
-        assert int(defaults["timesteps"]) == params["timesteps"].default
+        assert defaults["step_db"] == params["step_db"].default == 0.5
+        assert params["timesteps"].default is inspect.Parameter.empty
+        assert int(defaults["timesteps"]) == 20
 
-    def test_bench_run_defaults_are_run_ber_defaults(self):
+    def test_bench_owns_the_monte_carlo_protocol(self):
         params = inspect.signature(run_ber).parameters
-        for key in ("stop_errors", "batch_frames", "seed"):
-            assert BENCH_DEFAULTS[key] == params[key].default, key
-        assert (BENCH_DEFAULTS["stop_errors"], BENCH_DEFAULTS["batch_frames"],
-                BENCH_DEFAULTS["seed"]) == (100, 512, 0)
+        for key in ("stop_errors", "max_frames", "seed", "code_id", "batch_frames"):
+            assert params[key].default is inspect.Parameter.empty, key
+        assert (BENCH_DEFAULTS["stop_errors"], BENCH_DEFAULTS["max_frames"],
+                BENCH_DEFAULTS["batch_frames"], BENCH_DEFAULTS["seed"]) == (100, 0, 512, 0)
 
     # the flags and captured config of two fixed commands, as the config
     # has always read: key for key and type for type (4.0, not 4)

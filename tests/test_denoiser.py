@@ -110,7 +110,7 @@ class TestNeuralBlock:
             with pytest.raises(ValueError, match="cannot decode"):
                 decode_vcdc_batch(hamming, w, sched, np.zeros((1, hamming.n)))
             with pytest.raises(ValueError, match="cannot decode"):
-                VcdcDecoder(hamming, w)
+                VcdcDecoder(hamming, w, timesteps=3)
         with pytest.raises(ValueError, match="one-dimensional"):
             NeuralBlockWeights(values=np.zeros((1, 3)), n=7, k=4)
 

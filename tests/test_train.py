@@ -10,7 +10,7 @@ from vcdc.train import (Adam, TrainConfig, TrainingDiverged, block_gradients, mi
 import serial
 import tape
 from analysis import loss
-from conftest import bundled_codes, numeric_grad, random_layered_code
+from conftest import assert_same_bits, bundled_codes, numeric_grad, random_layered_code
 from tape import Var, bce_with_logits, minsum_extrinsic
 
 
@@ -81,11 +81,14 @@ class TestBlockGradients:
         for batch in (1, 5, 32):
             wvals = rng.normal(0, 0.5, h.num_checks)
             llr = rng.normal(1.0, 3.0, (batch, h.n))
+            # zeros of either sign, which only a comparison of bits tells apart
+            wvals[1::5], wvals[3::5] = 0.0, -0.0
+            llr.flat[1::7], llr.flat[4::7] = 0.0, -0.0
             bits = rng.integers(0, 2, (batch, h.n)).astype(np.uint8)
             value, grads = block_gradients(h, wvals, llr, bits)
             ref_value, ref_grads = tape.block_gradients(h, wvals, llr, bits)
-            assert value == ref_value
-            np.testing.assert_array_equal(grads, ref_grads)
+            assert_same_bits(value, ref_value)
+            assert_same_bits(grads, ref_grads)
 
     @pytest.mark.parametrize("count", [2, 4])
     def test_wrong_weight_count_rejected(self, hamming, count):
