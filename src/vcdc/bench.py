@@ -21,7 +21,7 @@ from . import denoiser
 from .bp import EdgeIndex, check_count, check_llr_batch, decode_bp_batch
 from .channel import hard_decide, noise_scale, to_llr, transmit
 from .codebook import bipolar, derive_generator, encode
-from .diffusion import build_schedule
+from .diffusion import build_schedule, check_spacing
 
 RESULT_COLUMNS = ("code", "n", "k", "decoder", "csnr_db", "bits", "bit_errors", "ber",
                   "neg_ln_ber", "frames", "frame_errors", "mean_steps", "censored", "seed")
@@ -76,9 +76,8 @@ class VcdcDecoder:
 
     def __init__(self, h, weights, timesteps, step_db=0.5):
         weights.check_code(h)
-        # the schedule's own checks, before any run: its levels differ from
-        # run to run only by the channel CSNR they end at
-        build_schedule(0.0, timesteps, step_db, h.rate)
+        # each run's schedule checks its own CSNR range, in decode_batch
+        check_spacing(timesteps, step_db)
         self.h, self.weights, self.timesteps, self.step_db = h, weights, timesteps, step_db
         self.name = f"vcdc-t{timesteps}"
 

@@ -56,9 +56,9 @@ class NeuralBlockWeights:
 
 
 def walk_size(h, keep=False):
-    """Float64 entries per frame of the ``work`` buffer ``block_layers``
-    needs, with or without ``keep``: a walk over B frames needs B times as
-    many."""
+    """Float64 entries per frame of the ``work`` ``block_layers`` needs,
+    with or without ``keep``; without it, all the caller work of the block
+    and its decoder.  A walk over B frames needs B times as many."""
     edges = [table.size for _, table in h.layer_groups]
     return minsum_work_size(max(edges)) + 2 * (sum(edges) if keep else max(edges))
 
@@ -117,29 +117,23 @@ def block_layers(h, w, xt, work, keep=False):
 
 
 def neural_block(h, weights, zt, work):
-    """Run one block on the beliefs ``zt``, an (n, B) array, frames as
-    columns: (final beliefs, soft estimate tanh(beliefs/2)), both C-ordered
-    (n, B) arrays.  With all weights zero the block is the identity on
-    beliefs.
+    """Run one block on the beliefs ``zt``, a C-ordered (n, B) array, frames
+    as columns, in place, and return ``zt``.  With all weights zero the
+    block is the identity on beliefs.
 
     The beliefs must be finite: the min-sum kernel's contract excludes NaN,
     and the block does not test for it.  The decoders' ``RunningSet``
     guarantees it, since it rejects non-finite LLRs.
 
-    Both arrays, and every one the walk writes, are views of ``work``, a
-    flat float64 array of at least ``B * (2 n + walk_size(h))`` entries.
+    Every array the walk writes besides ``zt`` is a view of ``work``, a flat
+    float64 array of at least ``B * walk_size(h)`` entries.
     """
     weights.check_code(h)
     if zt.ndim != 2 or zt.shape[0] != h.n:
         raise ValueError(f"expected ({h.n}, B) beliefs, got {zt.shape}")
-    xt = work[:zt.size].reshape(h.n, -1)
-    x_hat = work[zt.size:2 * zt.size].reshape(h.n, -1)
-    np.copyto(xt, zt)  # the layers run in place
-    for _ in block_layers(h, weights.values, xt, work[2 * zt.size:]):
+    for _ in block_layers(h, weights.values, zt, work):
         pass
-    # xt * 0.5 is xt / 2.0 exactly: both round the same real number
-    np.tanh(np.multiply(xt, 0.5, out=x_hat), out=x_hat)
-    return xt, x_hat
+    return zt
 
 
 def decode_vcdc_batch(h, weights, sched, llrs):
@@ -154,25 +148,27 @@ def decode_vcdc_batch(h, weights, sched, llrs):
     has a single level.  Its ``RunningSet`` checks and clamps the LLRs.
 
     The running frames are the columns of the state of a ``RunningSet``,
-    an (n, B') array zt that the block and the reverse step take as it is;
-    the set's caller work, 2 n + walk_size(h) entries a frame, holds the
-    block's beliefs, estimate and walk.  The reverse step writes into the
-    estimate, which is copied into zt for the exit test; the final block's
-    beliefs are tested where the block left them.
+    an (n, B') array zt; the set's caller work, walk_size(h) entries a
+    frame, is the block's walk.  Below the cleanest level zt waits in the
+    spare while the block and then the estimate tanh(beliefs / 2) overwrite
+    the state, and the reverse step writes z_s over the estimate for the
+    exit test.  The final block's beliefs are tested where it left them.
     """
     weights.check_code(h)
-    rs = RunningSet(h, llrs, h.n, 2 * h.n + walk_size(h))
+    rs = RunningSet(h, llrs, h.n, walk_size(h))
     # the entry test: frames that already satisfy every check take 0 steps
     zt = rs.settle(rs.state, 0)
-    for t_index in range(len(sched) - 1, -1, -1):
+    for t_index in range(len(sched) - 1, 0, -1):
         if zt.shape[1] == 0:
-            break
-        block_beliefs, x_hat = neural_block(h, weights, zt, work=rs.work)
-        if t_index:
-            np.copyto(zt, reverse_step(sched, t_index, zt, x_hat, out=x_hat))
-            zt = rs.settle(zt, len(sched) - t_index)
-        else:  # the final block's beliefs are the decoder output
-            rs.settle(block_beliefs, len(sched) - 1, last=True)
+            return rs.outputs
+        z_prev = rs.spare[:zt.size].reshape(zt.shape)
+        np.copyto(z_prev, zt)
+        x_hat = neural_block(h, weights, zt, work=rs.work)
+        # x * 0.5 is x / 2.0 exactly: both round the same real number
+        np.tanh(np.multiply(x_hat, 0.5, out=x_hat), out=x_hat)
+        zt = rs.settle(reverse_step(sched, t_index, z_prev, x_hat), len(sched) - t_index)
+    if zt.shape[1]:  # the final block, at the cleanest level, gives the outputs
+        rs.settle(neural_block(h, weights, zt, work=rs.work), len(sched) - 1, last=True)
     return rs.outputs
 
 

@@ -47,39 +47,43 @@ class DiffusionSchedule:
         return self.csnr_levels.size
 
 
+def check_spacing(steps, step_db):
+    """ValueError unless ``steps`` is a count of levels (a fraction would shift
+    them off the channel) and ``step_db``, their spacing, finite and positive."""
+    check_count("steps", steps)
+    if not 0.0 < step_db < np.inf:  # NaN fails both tests
+        raise ValueError(f"step_db must be finite and positive, got {step_db}")
+
+
 def build_schedule(observed_csnr_db, steps, step_db, rate):
     """Uniformly spaced schedule ending at the observed channel CSNR.
 
     Levels are observed + (steps-1)*step_db, ..., observed + step_db,
     observed, so the noisiest end coincides with the physical channel.
-    ``steps`` must be an integer: a fractional count would shift every
-    level off the channel, and a bool is not a count.
     """
-    check_count("steps", steps)
-    if step_db <= 0:
-        raise ValueError(f"step_db must be positive, got {step_db}")
+    check_spacing(steps, step_db)
     levels = observed_csnr_db + step_db * np.arange(steps - 1, -1, -1, dtype=np.float64)
     return DiffusionSchedule(csnr_levels=levels, rate=float(rate))
 
 
-def reverse_step(sched, t_index, z_t, x_hat, out):
+def reverse_step(sched, t_index, z_t, x_hat):
     """Deterministic reverse update from level t_index to t_index - 1.
 
     z_s = z_t + (alpha_s - alpha_t) * x_hat, the mean of the reverse
-    transition with the noise-injection step skipped; x_hat must be a
-    bipolar-valued estimate with entries in [-1, 1].  z_s goes into
-    ``out``, which may be ``x_hat`` itself, and is returned; an ``out``
-    whose memory bounds overlap ``z_t``'s, or an x_hat out of range, raises
+    transition with the noise-injection step skipped, written over x_hat
+    and returned.  x_hat, a bipolar-valued estimate, must be a float64
+    ndarray with entries in [-1, 1] whose memory does not overlap z_t's; a
+    t_index past the schedule start, or an x_hat that fails, raises
     ValueError before anything is written.
     """
     if not 1 <= t_index < len(sched):
         raise ValueError(f"t_index {t_index} cannot step past the schedule start")
-    z_t = np.asarray(z_t, dtype=np.float64)
-    x_hat = np.asarray(x_hat, dtype=np.float64)
-    if np.may_share_memory(out, z_t):
-        raise ValueError("out must not overlap z_t")
+    if not (isinstance(x_hat, np.ndarray) and x_hat.dtype == np.float64):
+        raise ValueError("x_hat must be a float64 ndarray")
+    if np.may_share_memory(x_hat, z_t):
+        raise ValueError("x_hat must not overlap z_t")
     # NaN fails both tests
     if not (x_hat.min(initial=0.0) >= -1.0 and x_hat.max(initial=0.0) <= 1.0):
         raise ValueError("x_hat entries must lie in [-1, 1]")
     gain = sched.alphas[t_index - 1] - sched.alphas[t_index]
-    return np.add(z_t, np.multiply(gain, x_hat, out=out), out=out)
+    return np.add(z_t, np.multiply(gain, x_hat, out=x_hat), out=x_hat)

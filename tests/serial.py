@@ -69,12 +69,14 @@ def belief_sums(ei, c2v):
 
 
 def block(h, weights, llrs):
-    """``vcdc.denoiser.neural_block`` on a (B, n) batch of beliefs and a new
-    workspace: (final beliefs, soft estimate), both (B, n)."""
+    """``vcdc.denoiser.neural_block`` on a C-ordered copy of the transpose
+    of a (B, n) batch of beliefs and a new workspace: (final beliefs, soft
+    estimate tanh(beliefs * 0.5), formed as the decoder forms it), both
+    (B, n)."""
     llrs = np.asarray(llrs, dtype=np.float64)
-    work = np.empty(len(llrs) * (2 * h.n + denoiser.walk_size(h)))
-    beliefs, x_hat = denoiser.neural_block(h, weights, llrs.T, work)
-    return beliefs.T, x_hat.T
+    zt = np.array(llrs.T, order="C")  # a copy: the block runs in place
+    beliefs = denoiser.neural_block(h, weights, zt, np.empty(len(llrs) * denoiser.walk_size(h)))
+    return beliefs.T, np.tanh(beliefs.T * 0.5)
 
 
 def bp_decode(h, llrs, cfg=BpConfig()):

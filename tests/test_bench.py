@@ -9,6 +9,8 @@ from vcdc.bench import (BerRun, BpDecoder, IdentityDecoder, VcdcDecoder, emit_re
 from vcdc.bp import BpConfig, MIN_SUM
 from vcdc.channel import hard_decide
 from vcdc.codebook import ParityCheckMatrix
+from vcdc.denoiser import decode_vcdc_batch
+from vcdc.diffusion import build_schedule
 
 from analysis import count_flops_bp, count_flops_vcdc
 from conftest import ber_run, read_results_csv, zero_weights
@@ -129,6 +131,27 @@ class TestRunBer:
                       batch_frames=64)
         assert dec.name == "vcdc-t6"
         assert 0.0 <= run.mean_steps_used <= 5.0
+
+    def test_vcdc_decoder_checks_each_csnr_range_only_at_its_run(self, hamming):
+        # 7000 levels 0.5 dB apart fit the channel range from -2500 dB, whose
+        # top level is 999.5 dB, but not from 0 dB, whose top is 3499.5 dB:
+        # the constructor builds no schedule, so it names no CSNR
+        weights = zero_weights(hamming)
+        dec = VcdcDecoder(hamming, weights, timesteps=7000)
+        llrs = np.random.default_rng(6).normal(0.0, 1.0, (2, hamming.n))
+        bits, steps = dec.decode_batch(llrs, -2500.0)
+        sched = build_schedule(-2500.0, 7000, 0.5, hamming.rate)
+        want = decode_vcdc_batch(hamming, weights, sched, llrs)
+        assert np.array_equal(bits, want[0]) and np.array_equal(steps, want[2])
+        with pytest.raises(ValueError, match="CSNR 3499.5 dB is out of range"):
+            dec.decode_batch(llrs, 0.0)
+
+    @pytest.mark.parametrize("timesteps, step_db, match", [
+        *((t, 0.5, "steps") for t in (0, -1, 1.5, True)),
+        *((20, s, "step_db") for s in (0.0, -0.5, math.nan, math.inf))])
+    def test_vcdc_decoder_rejects_bad_spacing(self, hamming, timesteps, step_db, match):
+        with pytest.raises(ValueError, match=match):
+            VcdcDecoder(hamming, zero_weights(hamming), timesteps=timesteps, step_db=step_db)
 
 
 class TestCountFlops:

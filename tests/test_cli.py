@@ -314,6 +314,19 @@ class TestDecode:
                        "--csnr", 4.0) == 0
         assert capsys.readouterr().out.splitlines()[0] == "".join(str(b) for b in cw)
 
+    def test_schedule_below_zero_db_decodes(self, hamming_file, tmp_path, capsys):
+        # 7000 levels from -2500 dB reach 999.5 dB, in range; from 0 dB they
+        # would reach 3499.5 dB, which the decoder once checked and named;
+        # the word's hard decision is the all-zero codeword
+        ckpt = tmp_path / "zeros.vcdc"
+        ckpt.write_bytes(save_checkpoint(zero_weights(codes.load("hamming_7_4"))))
+        llr_file = tmp_path / "word.llr"
+        llr_file.write_text("1.5 0.5 2 0.25 3 1 0.5")
+        assert run_cli("decode", "--code", hamming_file, "--llr", llr_file,
+                       "--decoder", "vcdc", "--checkpoint", ckpt, "--csnr", "-2500",
+                       "--timesteps", 7000) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("csnr, timesteps", [(c, t) for c in ("nan", "inf", "4000", "-4000")
                                                  for t in (1, 3)] + [("nan", 20), ("3075", 20)])
     def test_non_finite_csnr_exits_two(self, hamming_file, tmp_path, capsys, csnr, timesteps):

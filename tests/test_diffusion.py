@@ -208,15 +208,14 @@ class TestReverseStep:
     def test_zero_estimate_leaves_state_unchanged(self):
         sched = build_schedule(4.0, 6, 0.5, 0.5)
         z = np.array([1.0, -2.0, 0.5])
-        out = reverse_step(sched, 3, z, np.zeros(3), out=np.empty(3))
-        np.testing.assert_array_equal(out, z)
+        np.testing.assert_array_equal(reverse_step(sched, 3, z, np.zeros(3)), z)
 
     def test_scalar_example_w_half_to_one(self):
         # levels chosen so the scales are w=0.5 and w=1.0 at rate 1/2:
         # z_s = 1 + (2/0.25 - 2/1) * 1 = 7
         step = 10 * np.log10(4.0)
         sched = build_schedule(0.0, 2, step, 0.5)
-        out = reverse_step(sched, 1, np.array([1.0]), np.array([1.0]), out=np.empty(1))
+        out = reverse_step(sched, 1, np.array([1.0]), np.array([1.0]))
         assert out[0] == pytest.approx(7.0, rel=1e-12)
 
     def test_telescoping_with_constant_estimate(self):
@@ -226,66 +225,78 @@ class TestReverseStep:
         x_hat = rng.uniform(-1, 1, 11)
         cur = z.copy()
         for t in range(len(sched) - 1, 0, -1):
-            cur = reverse_step(sched, t, cur, x_hat, out=np.empty(11))
+            cur = reverse_step(sched, t, cur, x_hat.copy())
         expected = z + (sched.alphas[0] - sched.alphas[-1]) * x_hat
         np.testing.assert_allclose(cur, expected, rtol=1e-10, atol=1e-10)
 
+    def test_writes_the_update_law_over_the_estimate(self):
+        # on the (n, B) columns the decoder passes, signed zeros and the
+        # estimate's bounds included: -0.0 + gain * -0.0 stays -0.0
+        sched = build_schedule(4.0, 6, 0.5, 0.5)
+        rng = np.random.default_rng(5)
+        z = rng.normal(0, 3, (5, 7)).T
+        x_hat = np.ascontiguousarray(np.tanh(rng.normal(0, 2, (5, 7))).T)
+        x_hat[:3, 0] = [1.0, -1.0, -0.0]
+        z[2:5, 1], x_hat[2:5, 1] = [-0.0, 0.0, -0.0], [-0.0, -0.0, 0.0]
+        want = z + (sched.alphas[2] - sched.alphas[3]) * x_hat
+        assert np.signbit(want[2:5, 1]).tolist() == [True, False, False]
+        assert reverse_step(sched, 3, z, x_hat) is x_hat
+        assert_same_bits(x_hat, want)
+
     def test_rejects_stepping_past_start(self):
         sched = build_schedule(4.0, 3, 0.5, 0.5)
-        with pytest.raises(ValueError):
-            reverse_step(sched, 0, np.zeros(2), np.zeros(2), out=np.empty(2))
+        for t_index in (0, len(sched)):
+            x_hat = np.full(2, 0.5)
+            with pytest.raises(ValueError, match="past the schedule start"):
+                reverse_step(sched, t_index, np.zeros(2), x_hat)
+            assert_same_bits(x_hat, [0.5, 0.5])
 
     def test_rejects_out_of_range_estimate(self):
         sched = build_schedule(4.0, 3, 0.5, 0.5)
         with pytest.raises(ValueError):
-            reverse_step(sched, 1, np.zeros(2), np.array([1.5, 0.0]), out=np.empty(2))
+            reverse_step(sched, 1, np.zeros(2), np.array([1.5, 0.0]))
 
     def test_rejects_nan_estimate(self):
         # a NaN fails no `> 1` test, and would come back as NaN beliefs
         sched = build_schedule(4.0, 6, 0.5, 0.5)
         with pytest.raises(ValueError, match="x_hat"):
-            reverse_step(sched, 3, np.zeros(3), np.full(3, np.nan), out=np.empty(3))
-
-    def test_out_matches_the_update_law(self):
-        # into a separate array and into the estimate itself, on the (B, n)
-        # transposes the decoder passes
-        sched = build_schedule(4.0, 6, 0.5, 0.5)
-        rng = np.random.default_rng(5)
-        z = rng.normal(0, 3, (5, 7)).T
-        x_hat = np.tanh(rng.normal(0, 2, (5, 7))).T
-        x_hat[:3, 0] = [1.0, -1.0, -0.0]
-        want = z + (sched.alphas[2] - sched.alphas[3]) * x_hat
-        out = np.full(x_hat.shape, np.nan)
-        assert reverse_step(sched, 3, z, x_hat, out=out) is out
-        assert_same_bits(out, want)
-        est = x_hat.copy(order="K")
-        reverse_step(sched, 3, z, est, out=est)
-        assert_same_bits(est, want)
+            reverse_step(sched, 3, np.zeros(3), np.full(3, np.nan))
 
     @pytest.mark.parametrize("bad", [np.nan, 1.5, -1.0 - 1e-12])
     def test_rejected_estimate_writes_nothing(self, bad):
         sched = build_schedule(4.0, 6, 0.5, 0.5)
-        x_hat = np.array([0.5, bad, -0.25])
-        out = np.full(3, 7.0)
-        for target in (out, x_hat):
-            before = target.copy()
-            with pytest.raises(ValueError, match="x_hat"):
-                reverse_step(sched, 3, np.zeros(3), x_hat, out=target)
-            assert_same_bits(target, before)
+        z, x_hat = np.full(3, 7.0), np.array([0.5, bad, -0.25])
+        before = x_hat.copy()
+        with pytest.raises(ValueError, match="x_hat entries"):
+            reverse_step(sched, 3, z, x_hat)
+        assert_same_bits(z, np.full(3, 7.0))
+        assert_same_bits(x_hat, before)
 
-    def test_out_overlapping_the_state_is_rejected(self):
+    @pytest.mark.parametrize("x_hat", [np.full(3, 0.5, dtype=np.float32), [0.5, 0.5, 0.5]],
+                             ids=["float32", "list"])
+    def test_rejects_estimate_it_cannot_write_over(self, x_hat):
+        # np.asarray would step a float64 copy, and the caller's estimate
+        # would never hold z_s
+        sched = build_schedule(4.0, 6, 0.5, 0.5)
+        z = np.full(3, 7.0)
+        with pytest.raises(ValueError, match="float64 ndarray"):
+            reverse_step(sched, 3, z, x_hat)
+        assert_same_bits(z, np.full(3, 7.0))
+        np.testing.assert_array_equal(x_hat, [0.5, 0.5, 0.5])
+
+    def test_estimate_overlapping_the_state_is_rejected(self):
         # written in place, z_s = z_t + gain x_hat would multiply into z_t
         # before the add reads it: z = 1, x_hat = 0.5 would step to 0.772
         # where the right value is 1.386
         sched = build_schedule(4.0, 6, 0.5, 0.5)
-        x_hat = np.full(3, 0.5)
-        want = reverse_step(sched, 3, np.ones(3), x_hat, out=np.empty(3))
+        want = reverse_step(sched, 3, np.ones(3), np.full(3, 0.5))
         assert want == pytest.approx(1.386, abs=1e-3)
-        work = np.ones(6)
-        for out in (work[:3], work[1:4], work):
+        work = np.array([1.0, 1.0, 1.0, 0.5, 0.5, 0.5])
+        for x_hat in (work[:3], work[2:5], work):
             with pytest.raises(ValueError, match="overlap"):
-                reverse_step(sched, 3, work[:3], x_hat, out=out)
-            assert (work == 1.0).all()
+                reverse_step(sched, 3, work[:3], x_hat)
+            assert_same_bits(work, [1.0, 1.0, 1.0, 0.5, 0.5, 0.5])
         # disjoint parts of one buffer, as in the decoder, step as usual
-        reverse_step(sched, 3, work[:3], x_hat, out=work[3:])
+        x_hat = work[3:]
+        assert reverse_step(sched, 3, work[:3], x_hat) is x_hat
         assert_same_bits(work[3:], want)
