@@ -102,14 +102,11 @@ def run_ber(h, decoder, csnr_db, stop_errors, max_frames, seed, code_id, batch_f
             workers=1):
     """Simulate frames until ``stop_errors`` bit errors or ``max_frames``.
 
-    ``max_frames=None`` means the equivalent of 1e8 bits.  Runs stopped by
-    the frame budget before reaching the error target are flagged censored.
-    ``workers`` must be 1: it stays only because ``perfbench/harness.py``
-    passes ``workers=1``, and goes with the benchmark's mending (ROADMAP
-    item 1).
+    Runs stopped by the frame budget before reaching the error target are
+    flagged censored.  ``workers`` must be 1: it stays only because
+    ``perfbench/harness.py`` passes ``workers=1``, and goes with the
+    benchmark's mending (ROADMAP item 1).
     """
-    if max_frames is None:
-        max_frames = max(1, 10**8 // h.n)
     check_count("stop_errors", stop_errors)
     check_count("max_frames", max_frames)
     check_count("batch_frames", batch_frames)

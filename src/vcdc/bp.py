@@ -47,16 +47,10 @@ def check_count(name, value):
 
 @dataclass(frozen=True)
 class BpConfig:
-    """Decoder knobs: iteration cap and check-update rule.
-
-    ``early_exit`` stops a frame once its hard decision satisfies every
-    parity check; disabling it runs all iterations (used when converged
-    marginals themselves are of interest).
-    """
+    """Decoder knobs: iteration cap and check-update rule."""
 
     max_iters: int = 5
     variant: str = SUM_PRODUCT
-    early_exit: bool = True
 
     def __post_init__(self):
         check_count("max_iters", self.max_iters)
@@ -386,7 +380,7 @@ class RunningSet:
 
 def decode_bp_batch(h, llrs, cfg, *, edge_index):
     """Flooding BP over a (B, n) batch of LLR vectors, on ``edge_index``,
-    the ``EdgeIndex`` of ``h``.
+    the ``EdgeIndex`` of ``h``; ValueError on an index of other checks.
 
     Returns (bits, beliefs, iterations, syndrome_zero) arrays; each frame
     exits as soon as its hard decision satisfies every parity check.  The
@@ -402,6 +396,9 @@ def decode_bp_batch(h, llrs, cfg, *, edge_index):
     the LLRs.
     """
     ei = edge_index
+    if ei.h is not h and not np.array_equal(ei.h.rows, h.rows):
+        raise ValueError(f"edge index of a ({ei.h.n},{ei.h.k}) code with {ei.h.num_checks} "
+                         f"checks cannot decode ({h.n},{h.k}) with {h.num_checks} checks")
     n, edges = h.n, ei.num_edges
     # min-sum's kernel workspace is sized for the widest degree group
     kernel = 0 if cfg.variant == SUM_PRODUCT else minsum_work_size(
@@ -430,7 +427,7 @@ def decode_bp_batch(h, llrs, cfg, *, edge_index):
         sweep(v2c, ei, c2v)
         ei.belief_sums(c2v, out=s, gather=v2c)
         s += l
-        state = rs.settle(s, it, it == cfg.max_iters or not cfg.early_exit)
+        state = rs.settle(s, it, it == cfg.max_iters)
         if state.shape[1] == 0 or it == cfg.max_iters:
             break
         v2c = np.take(state[n:2 * n], ei.row_var, axis=0,

@@ -51,6 +51,16 @@ def _config_text(values):
     return "".join(f"{key}={values[key]}\n" for key in sorted(values))
 
 
+def _check_out(out_dir):
+    """ValueError when ``out_dir``, or the nearest of its parents that
+    exists, is not a directory: the run could not write its output there."""
+    path = out_dir
+    while path and not os.path.exists(path):
+        path = os.path.dirname(path)
+    if path and not os.path.isdir(path):
+        raise ValueError(f"--out {out_dir!r}: {path!r} exists and is not a directory")
+
+
 def _capture_config(out_dir, name, text):
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, f"{name}.config"), "w", encoding="ascii") as fh:
@@ -111,6 +121,7 @@ def cmd_train(args):
     config = _config_text(cfg)
     if not cfg["code"]:
         raise ValueError("train requires --code")
+    _check_out(cfg["out"])
     h = _load_code(cfg["code"])
     train_cfg = TrainConfig(**{field: cfg[key] for field, key in TRAIN_KEYS.items()})
     with np.errstate(over="ignore", invalid="ignore"):  # the divergence guard reports these
@@ -148,6 +159,7 @@ def cmd_bench(args):
     config = _config_text(cfg)
     if not cfg["code"]:
         raise ValueError("bench requires --code")
+    _check_out(cfg["out"])
     h = _load_code(cfg["code"])
     code_id = os.path.splitext(os.path.basename(cfg["code"]))[0]
     decoder_ids = [d.strip() for d in cfg["decoders"].split(",") if d.strip()]
@@ -168,7 +180,7 @@ def cmd_bench(args):
             build_schedule(csnr, t, cfg["step_db"], h.rate)
 
     runs = []
-    max_frames = cfg["max_frames"] or None
+    max_frames = cfg["max_frames"] or max(1, 10**8 // h.n)  # 0: the 1e8-bit budget
     for decoder in decoders:
         for csnr in csnrs:
             run = bench.run_ber(h, decoder, csnr, stop_errors=cfg["stop_errors"],

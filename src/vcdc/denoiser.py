@@ -145,7 +145,8 @@ def decode_vcdc_batch(h, weights, sched, llrs):
     whose hard decision already satisfies the syndrome cost zero reverse
     steps; the rest stop at the first satisfied syndrome or after the
     final block at the cleanest level, which runs even when the schedule
-    has a single level.  Its ``RunningSet`` checks and clamps the LLRs.
+    has a single level.  Its ``RunningSet`` checks and clamps the LLRs; a
+    schedule built for another code rate is a ValueError.
 
     The running frames are the columns of the state of a ``RunningSet``,
     an (n, B') array zt; the set's caller work, walk_size(h) entries a
@@ -155,6 +156,8 @@ def decode_vcdc_batch(h, weights, sched, llrs):
     exit test.  The final block's beliefs are tested where it left them.
     """
     weights.check_code(h)
+    if sched.rate != h.rate:
+        raise ValueError(f"schedule of rate {sched.rate!r} cannot decode rate {h.rate!r}")
     rs = RunningSet(h, llrs, h.n, walk_size(h))
     # the entry test: frames that already satisfy every check take 0 steps
     zt = rs.settle(rs.state, 0)
@@ -186,7 +189,10 @@ def save_checkpoint(weights):
 
 def load_checkpoint(data):
     """Parse a checkpoint byte stream back into NeuralBlockWeights."""
-    text = data.decode("ascii") if isinstance(data, bytes) else data
+    try:
+        text = data.decode("ascii") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"checkpoint is not ASCII: {exc}") from None
     lines = text.splitlines()
     if not lines:
         raise CheckpointError("empty checkpoint")

@@ -69,14 +69,18 @@ def traced_peak(fn):
 
 
 # the run_ber settings tests share unless they give their own: the CLI's
-# error target, seed and batch, the 1e8-bit frame budget and one code id
+# error target, seed and batch, and one code id; a max_frames of None is
+# the CLI's 1e8-bit frame budget
 BER_SETTINGS = {"stop_errors": 100, "max_frames": None, "seed": 0, "code_id": "code",
                 "batch_frames": 512}
 
 
 def ber_run(h, decoder, csnr_db, **settings):
     """``vcdc.bench.run_ber`` with ``BER_SETTINGS`` for each setting not given."""
-    return run_ber(h, decoder, csnr_db, **{**BER_SETTINGS, **settings})
+    settings = {**BER_SETTINGS, **settings}
+    if settings["max_frames"] is None:
+        settings["max_frames"] = max(1, 10**8 // h.n)
+    return run_ber(h, decoder, csnr_db, **settings)
 
 
 def read_results_csv(path):

@@ -4,7 +4,8 @@ The fast paths take their buffers from their caller.  The first section
 calls them on new buffers, for the tests, the tape and the oracles here:
 ``kernel`` (``vcdc.bp.check_minsum_terms``), ``belief_sums``
 (``vcdc.bp.EdgeIndex.belief_sums``), ``block`` (``vcdc.denoiser.neural_block``,
-on frames as rows) and ``bp_decode`` (``vcdc.bp.decode_bp_batch``).
+on frames as rows) and ``bp_decode`` (``vcdc.bp.decode_bp_batch``, with
+a mode that runs every frame for all its iterations).
 
 The one-check-at-a-time block walk: ``vcdc.denoiser.block_layers`` updates
 each run of consecutive checks with disjoint variables
@@ -43,6 +44,8 @@ edge-major decoder.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 
 from vcdc import bp, denoiser
@@ -79,9 +82,19 @@ def block(h, weights, llrs):
     return beliefs.T, np.tanh(beliefs.T * 0.5)
 
 
-def bp_decode(h, llrs, cfg=BpConfig()):
-    """``vcdc.bp.decode_bp_batch`` on a new ``EdgeIndex`` of ``h``."""
-    return bp.decode_bp_batch(h, llrs, cfg, edge_index=bp.EdgeIndex(h))
+def bp_decode(h, llrs, cfg=BpConfig(), early_exit=True):
+    """``vcdc.bp.decode_bp_batch`` on a new ``EdgeIndex`` of ``h``.
+
+    Without ``early_exit`` every ``RunningSet.settle`` call is a last one,
+    so no frame stops and each runs all ``cfg.max_iters`` iterations: the
+    mode for tests of the converged marginals themselves.
+    """
+    if early_exit:
+        return bp.decode_bp_batch(h, llrs, cfg, edge_index=bp.EdgeIndex(h))
+    settle = bp.RunningSet.settle
+    with mock.patch.object(bp.RunningSet, "settle",
+                           lambda rs, s, count, last=False: settle(rs, s, count, True)):
+        return bp.decode_bp_batch(h, llrs, cfg, edge_index=bp.EdgeIndex(h))
 
 
 # the reference forms --------------------------------------------------------
@@ -324,8 +337,9 @@ def _sweep_minsum(v2c, ei):
     return c2v
 
 
-def decode_bp_batch(h, llrs, cfg):
-    """``vcdc.bp.decode_bp_batch`` on frame-major (B, E) messages."""
+def decode_bp_batch(h, llrs, cfg, early_exit=True):
+    """``vcdc.bp.decode_bp_batch`` on frame-major (B, E) messages; without
+    ``early_exit`` it is ``bp_decode``'s mode of that name."""
     llrs = check_llr_batch(h, llrs)
     ei = RowMajorEdges(h)
     sweep = _sweep_sumproduct if cfg.variant == SUM_PRODUCT else _sweep_minsum
@@ -344,7 +358,7 @@ def decode_bp_batch(h, llrs, cfg):
         hard = hard_decide(s)
         done = syndrome(h, hard)[1] == 0
         bits[idx], beliefs[idx], iters[idx], ok[idx] = hard, s, it, done
-        if cfg.early_exit:
+        if early_exit:
             keep = ~done
             idx, l, s, c2v = idx[keep], l[keep], s[keep], c2v[keep]
         if idx.size == 0 or it == cfg.max_iters:

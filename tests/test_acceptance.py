@@ -156,11 +156,11 @@ class TestCriterion5TreeExactness:
     def test_sum_product_equals_brute_force_enumeration(self):
         h = make_tree_code(8)  # n=17, k=9 <= 12
         rng = np.random.default_rng(505)
-        cfg = BpConfig(max_iters=2 * (h.n + h.num_checks), early_exit=False)
+        cfg = BpConfig(max_iters=2 * (h.n + h.num_checks))
         worst = 0.0
         for _ in range(20):
             llr = rng.uniform(-3, 3, h.n)
-            beliefs = serial.bp_decode(h, llr[None], cfg)[1][0]
+            beliefs = serial.bp_decode(h, llr[None], cfg, early_exit=False)[1][0]
             exact = map_marginals(h, llr)
             worst = max(worst, float(np.max(np.abs(beliefs - exact))))
         assert worst < 1e-6

@@ -5,7 +5,7 @@ import pytest
 
 from vcdc import codebook
 from vcdc.bench import (BerRun, BpDecoder, IdentityDecoder, VcdcDecoder, emit_results,
-                        neg_ln_ber)
+                        neg_ln_ber, run_ber)
 from vcdc.bp import BpConfig, MIN_SUM
 from vcdc.channel import hard_decide
 from vcdc.codebook import ParityCheckMatrix
@@ -13,7 +13,7 @@ from vcdc.denoiser import decode_vcdc_batch
 from vcdc.diffusion import build_schedule
 
 from analysis import count_flops_bp, count_flops_vcdc
-from conftest import ber_run, read_results_csv, zero_weights
+from conftest import BER_SETTINGS, ber_run, read_results_csv, zero_weights
 
 # Gaussian tail oracle Q(1/w) for the raw channel at 4 dB, rate 60/121
 # (40-digit erfc evaluation)
@@ -115,14 +115,16 @@ class TestRunBer:
         assert r1 == r2
 
     # max_frames < 1 would measure nothing and report a censored BER of 0;
-    # 2.5 frames would fail inside numpy, and True run as a count of 1
+    # 2.5 frames would fail inside numpy, and True run as a count of 1; the
+    # frame budget is a count, which the CLI works out (None is no budget)
     @pytest.mark.parametrize("key, value", [
-        ("stop_errors", 0), ("max_frames", 0), ("max_frames", -1),
+        ("stop_errors", 0), ("max_frames", 0), ("max_frames", -1), ("max_frames", None),
         *((key, bad) for key in ("stop_errors", "batch_frames", "max_frames")
           for bad in (2.5, True))])
     def test_bad_stop_errors(self, hamming, key, value):
         with pytest.raises(ValueError, match=key):
-            ber_run(hamming, BpDecoder(hamming, BpConfig()), 4.0, **{key: value})
+            run_ber(hamming, BpDecoder(hamming, BpConfig()), 4.0,
+                    **{**BER_SETTINGS, "max_frames": 64, key: value})
 
     def test_vcdc_decoder_records_steps(self, hamming):
         weights = zero_weights(hamming)

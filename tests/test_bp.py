@@ -1,4 +1,3 @@
-import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -361,6 +360,24 @@ class TestDecodeBp:
         with pytest.raises(ValueError):
             serial.bp_decode(hamming, np.zeros(hamming.n))  # a word, not a batch
 
+    # an index of the same n once passed messages on its own graph and ran
+    # the exit test on h's; one of another n raised IndexError
+    @pytest.mark.parametrize("code, other", [("ldpc_121_60", "ldpc_121_80"),
+                                             ("hamming_7_4", "ldpc_121_60")])
+    def test_edge_index_of_another_code_rejected(self, code, other):
+        h, g = codes.load(code), codes.load(other)
+        message = (rf"edge index of a \({g.n},{g.k}\) code with {g.num_checks} checks cannot "
+                   rf"decode \({h.n},{h.k}\) with {h.num_checks} checks")
+        with pytest.raises(ValueError, match=message):
+            decode_bp_batch(h, np.zeros((2, h.n)), BpConfig(), edge_index=EdgeIndex(g))
+
+    def test_edge_index_of_equal_checks_accepted(self, hamming):
+        copy = ParityCheckMatrix(hamming.rows.copy())
+        llrs = np.random.default_rng(3).normal(1.0, 2.0, (8, hamming.n))
+        got = decode_bp_batch(hamming, llrs, BpConfig(), edge_index=EdgeIndex(copy))
+        for a, b in zip(got, serial.bp_decode(hamming, llrs)):
+            assert_same_bits(a, b)
+
     def test_early_exit_returns_valid_codewords(self, ldpc_49_24):
         rng = np.random.default_rng(14)
         g = derive_generator(ldpc_49_24)
@@ -378,10 +395,10 @@ class TestTreeExactness:
     def test_sum_product_matches_brute_force_map(self):
         h = make_tree_code(5)  # n=11, k=6
         rng = np.random.default_rng(21)
-        cfg = BpConfig(max_iters=2 * (h.n + h.num_checks), early_exit=False)
+        cfg = BpConfig(max_iters=2 * (h.n + h.num_checks))
         for _ in range(10):
             llr = rng.uniform(-3, 3, h.n)
-            bits, beliefs, _, _ = serial.bp_decode(h, llr[None], cfg)
+            bits, beliefs, _, _ = serial.bp_decode(h, llr[None], cfg, early_exit=False)
             exact = map_marginals(h, llr)
             np.testing.assert_allclose(beliefs[0], exact, atol=1e-6)
             assert np.array_equal(bits[0], hard_decide(exact))
@@ -561,17 +578,16 @@ def test_matches_row_major_oracle_on_random_codes(h, variant, early_exit, frames
     llrs = rng.normal(1.0, 2.5, (frames, h.n))
     llrs[rng.random(llrs.shape) < 0.05] = 0.0
     llrs[rng.random(llrs.shape) < 0.05] = -0.0
-    cfg = BpConfig(max_iters=iters, variant=variant, early_exit=early_exit)
+    cfg = BpConfig(max_iters=iters, variant=variant)
     with mock.patch.object(bp, "MESSAGE_CLAMP", clamp):
-        bits, beliefs, its, ok = decode_bp_batch(h, llrs, cfg, edge_index=ei)
-        want = serial.decode_bp_batch(h, llrs, cfg)
+        bits, beliefs, its, ok = serial.bp_decode(h, llrs, cfg, early_exit=early_exit)
+        want = serial.decode_bp_batch(h, llrs, cfg, early_exit=early_exit)
     assert np.array_equal(bits, want[0])
     assert_same_bits(beliefs, want[1])
     assert np.array_equal(its, want[2]) and np.array_equal(ok, want[3])
 
     # the scalar rules, at a clamp that keeps check products clear of the
     # arctanh clip, where rounding differences would outgrow the tolerance
-    cfg = dataclasses.replace(cfg, early_exit=True)
     with mock.patch.object(bp, "MESSAGE_CLAMP", 3.0):
         bits, beliefs, its, ok = decode_bp_batch(h, llrs[:3], cfg, edge_index=ei)
         refs = [reference_decode(h, llr, cfg) for llr in llrs[:3]]
@@ -788,9 +804,9 @@ def test_exit_edge_cases_match_the_row_major_oracle(ldpc_121_60, variant, case):
     else:
         w = noise_scale(csnr, h.k, h.n)
         llrs = to_llr(transmit(x, w, rng), w)
-    cfg = BpConfig(max_iters=iters, variant=variant, early_exit=early_exit)
-    bits, beliefs, its, ok = serial.bp_decode(h, llrs, cfg)
-    want = serial.decode_bp_batch(h, llrs, cfg)
+    cfg = BpConfig(max_iters=iters, variant=variant)
+    bits, beliefs, its, ok = serial.bp_decode(h, llrs, cfg, early_exit=early_exit)
+    want = serial.decode_bp_batch(h, llrs, cfg, early_exit=early_exit)
     assert np.array_equal(bits, want[0])
     assert_same_bits(beliefs, want[1])
     assert np.array_equal(its, want[2]) and np.array_equal(ok, want[3])

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import vcdc
-from vcdc import codes
+from vcdc import bench, cli, codes
 from vcdc.bench import VcdcDecoder, run_ber
 from vcdc.bp import BpConfig
 from vcdc.cli import BENCH_DEFAULTS, DECODE_DEFAULTS, TRAIN_DEFAULTS, build_parser, main
@@ -532,6 +532,29 @@ class TestRejections:
         assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
         assert sorted(os.listdir(tmp_path)) == ["word.llr"]
 
+    # bench once printed its BER lines, and train ran every iteration,
+    # before failing to write into or below a file
+    @pytest.mark.parametrize("below", ["", "sub", "sub/dir"])
+    @pytest.mark.parametrize("command, flags, work", [
+        ("bench", ("--decoders", "bp", "--csnr", 3, "--stop-errors", 5), (bench, "run_ber")),
+        ("train", ("--iterations", 50, "--batch-size", 8), (cli, "train")),
+    ])
+    def test_out_that_is_or_is_below_a_file(self, tmp_path, monkeypatch, capsys, command,
+                                            flags, work, below):
+        calls = []
+        real = getattr(*work)
+        monkeypatch.setattr(*work, lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        afile = tmp_path / "afile"
+        afile.write_bytes(b"not a directory\n")
+        out = os.path.join(afile, below) if below else str(afile)
+        assert run_cli(command, "--code", "hamming_7_4", *flags, "--out", out) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: --out {out!r}: {str(afile)!r} exists and is not a "
+                                f"directory\n")
+        assert captured.out == "" and calls == []
+        assert os.listdir(tmp_path) == ["afile"]
+        assert afile.read_bytes() == b"not a directory\n"
+
     def test_config_line_without_equals(self, tmp_path, capsys):
         cfg = tmp_path / "run.config"
         cfg.write_text("code=hamming_7_4\niterations 2\n", encoding="ascii")
@@ -600,6 +623,17 @@ class TestDefaults:
             assert params[key].default is inspect.Parameter.empty, key
         assert (BENCH_DEFAULTS["stop_errors"], BENCH_DEFAULTS["max_frames"],
                 BENCH_DEFAULTS["batch_frames"], BENCH_DEFAULTS["seed"]) == (100, 0, 512, 0)
+
+    @pytest.mark.parametrize("code, n", [("hamming_7_4", 7), ("ldpc_121_60", 121)])
+    def test_default_budget_is_1e8_bits_as_a_count(self, tmp_path, monkeypatch, code, n):
+        # max_frames=0 is the CLI's spelling of the budget; run_ber takes a count
+        budgets = []
+        real = bench.run_ber
+        monkeypatch.setattr(bench, "run_ber",
+                            lambda *a, **kw: budgets.append(kw["max_frames"]) or real(*a, **kw))
+        assert run_cli("bench", "--code", code, "--decoders", "identity", "--csnr", "3",
+                       "--stop-errors", 5, "--out", tmp_path / "o") == 0
+        assert budgets == [max(1, 10**8 // n)] == [{7: 14285714, 121: 826446}[n]]
 
     # the flags and captured config of two fixed commands, as the config
     # has always read: key for key and type for type (4.0, not 4)

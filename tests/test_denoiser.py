@@ -470,6 +470,13 @@ class TestDecodeVcdc:
             np.testing.assert_allclose(beliefs, block_beliefs, atol=1e-12)
         assert steps[0] == 0
 
+    def test_schedule_of_another_rate_rejected(self, ldpc_121_60):
+        # a rate-0.9 schedule once decoded rate-60/121 frames with its gains
+        h = ldpc_121_60
+        sched = build_schedule(4.0, 20, 0.5, 0.9)
+        with pytest.raises(ValueError, match=f"schedule of rate 0.9 cannot decode rate {h.rate}"):
+            decode_vcdc_batch(h, zero_weights(h), sched, np.zeros((2, h.n)))
+
 
     def test_decode_allocates_one_workspace(self, ldpc_121_60):
         # the outputs, the running set's two (n, B) slabs, which also hold the
@@ -526,6 +533,11 @@ class TestCheckpoint:
         data = save_checkpoint(zero_weights(hamming)).decode()
         with pytest.raises(CheckpointError, match="bad weight value"):
             load_checkpoint(data.replace("0\n", "zero\n", 1))
+
+    def test_non_ascii_bytes_rejected(self):
+        # once a UnicodeDecodeError rather than the module's error
+        with pytest.raises(CheckpointError, match="checkpoint is not ASCII"):
+            load_checkpoint(b"VCDC1 7 4 3\n0.5\n0.5\n\xff\n")
 
     def test_non_finite_weights_rejected(self, hamming):
         data = save_checkpoint(zero_weights(hamming)).decode()
