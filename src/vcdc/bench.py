@@ -103,7 +103,11 @@ def run_ber(h, decoder, csnr_db, stop_errors, max_frames, seed, code_id, batch_f
     """Simulate frames until ``stop_errors`` bit errors or ``max_frames``.
 
     Runs stopped by the frame budget before reaching the error target are
-    flagged censored.  ``workers`` must be 1: it stays only because
+    flagged censored.  The channel CSNR is checked before the first batch,
+    but a decoder's own CSNR checks, such as ``VcdcDecoder``'s schedule
+    range, fail inside the first ``decode_batch``, after that batch has been
+    drawn; ``vcdc bench`` checks every channel CSNR and schedule level before
+    any work.  ``workers`` must be 1: it stays only because
     ``perfbench/harness.py`` passes ``workers=1``, and goes with the
     benchmark's mending (ROADMAP item 1).
     """

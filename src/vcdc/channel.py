@@ -71,4 +71,5 @@ def to_llr(y, w):
 
 def hard_decide(llr):
     """Hard decisions from LLRs: bit 0 where the LLR is >= 0, else bit 1."""
-    return (np.asarray(llr) < 0).astype(np.uint8)
+    # the bool decisions read as uint8 in place: numpy stores True as 1
+    return (np.asarray(llr) < 0).view(np.uint8)

@@ -116,13 +116,21 @@ BENCH_DEFAULTS = {"code": "", "out": "bench_out", "seed": 0, "decoders": "bp", "
                   **_DECODER_DEFAULTS, "stop_errors": 100, "max_frames": 0, "batch_frames": 512}
 
 
-def cmd_train(args):
-    cfg = _resolve(args, TRAIN_DEFAULTS)
+def _setup(args, command, defaults):
+    """(resolved config, its captured text, code) of ``train`` or ``bench``.
+    Before any work it rejects, first to last: a bad config file, a value the
+    captured config could not read back, no --code, an --out it could not
+    write, and a code it cannot load."""
+    cfg = _resolve(args, defaults)
     config = _config_text(cfg)
     if not cfg["code"]:
-        raise ValueError("train requires --code")
+        raise ValueError(f"{command} requires --code")
     _check_out(cfg["out"])
-    h = _load_code(cfg["code"])
+    return cfg, config, _load_code(cfg["code"])
+
+
+def cmd_train(args):
+    cfg, config, h = _setup(args, "train", TRAIN_DEFAULTS)
     train_cfg = TrainConfig(**{field: cfg[key] for field, key in TRAIN_KEYS.items()})
     with np.errstate(over="ignore", invalid="ignore"):  # the divergence guard reports these
         result = train(h, train_cfg)
@@ -155,12 +163,7 @@ def _decoder(h, cfg, choice, timesteps):
 
 
 def cmd_bench(args):
-    cfg = _resolve(args, BENCH_DEFAULTS)
-    config = _config_text(cfg)
-    if not cfg["code"]:
-        raise ValueError("bench requires --code")
-    _check_out(cfg["out"])
-    h = _load_code(cfg["code"])
+    cfg, config, h = _setup(args, "bench", BENCH_DEFAULTS)
     code_id = os.path.splitext(os.path.basename(cfg["code"]))[0]
     decoder_ids = [d.strip() for d in cfg["decoders"].split(",") if d.strip()]
     csnrs = [float(s) for s in str(cfg["csnr"]).split(",") if s.strip()]
@@ -171,11 +174,13 @@ def cmd_bench(args):
     if cfg["max_frames"] < 0:
         raise ValueError(f"max_frames must be >= 0 (0: the default budget), "
                          f"got {cfg['max_frames']}")
-    decoders = [_decoder(h, cfg, choice, t) for choice in decoder_ids
-                for t in (timesteps if choice == "vcdc" else [None])]
+    # (decoder, T) in run order; only vcdc takes timestep counts
+    pairs = [(choice, t) for choice in decoder_ids
+             for t in (timesteps if choice == "vcdc" else [None])]
+    decoders = [_decoder(h, cfg, choice, t) for choice, t in pairs]
     # every CSNR a run will use fails before any run, the vcdc schedules' levels too
     noise_scale(np.array(csnrs), h.k, h.n)
-    for t in (timesteps if "vcdc" in decoder_ids else []):
+    for t in [t for _, t in pairs if t is not None]:
         for csnr in csnrs:
             build_schedule(csnr, t, cfg["step_db"], h.rate)
 

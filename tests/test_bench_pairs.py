@@ -1,6 +1,8 @@
-"""tools/bench_pairs.py on canned benchmark output: no benchmark runs."""
+"""tools/bench_pairs.py on canned benchmark output from small git trees: no benchmark runs."""
 
 import json
+import os
+import subprocess
 from types import SimpleNamespace
 
 import pytest
@@ -25,23 +27,39 @@ def canned_stdout(frames_per_s, rss, digest="616e1bf682cf467a", neg_ln_err=4.419
 
 
 def fake_runner(tables):
-    """A ``subprocess.run`` stand-in answering from {tree: {seed: stdout}}
-    and recording (tree, seed) per call."""
-    calls = []
+    """A ``subprocess.run`` stand-in answering from {side: {seed: stdout}},
+    the side read from ``side.txt`` in the run's working directory; it
+    records (side, seed) per call and the files each run's directory holds."""
+    calls, seen = [], []
 
     def run(cmd, cwd, **kwargs):
         seed = int(cmd[cmd.index("--seed") + 1])
-        calls.append((cwd, seed))
-        return SimpleNamespace(stdout=tables[cwd][seed])
-    return run, calls
+        with open(os.path.join(cwd, "side.txt"), encoding="ascii") as fh:
+            side = fh.read().strip()
+        calls.append((side, seed))
+        seen.append((cwd, sorted(os.path.relpath(os.path.join(d, f), cwd)
+                                 for d, _, files in os.walk(cwd) for f in files)))
+        return SimpleNamespace(stdout=tables[side][seed])
+    return run, calls, seen
 
 
-def write_spec(tree):
+def git(tree, *args):
+    subprocess.run(["git", "-C", str(tree), "-c", "user.name=t", "-c", "user.email=t@t",
+                    "-c", "commit.gpgsign=false", *args], check=True, capture_output=True)
+
+
+def make_tree(tree):
+    """A git repository holding a BENCHMARK.json and ``side.txt``, which
+    names the side, both committed."""
     tree.mkdir()
     spec = {"end_to_end": [{"name": "frames_per_s", "better": "higher", "bound": 0.15},
                            {"name": "neg_ln_err", "better": "higher", "bound": 0.03},
                            {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]}
     (tree / "BENCHMARK.json").write_text(json.dumps(spec), encoding="ascii")
+    (tree / "side.txt").write_text(tree.name, encoding="ascii")
+    git(tree, "init", "-q")
+    git(tree, "add", "-A")
+    git(tree, "commit", "-q", "-m", "tree")
     return str(tree)
 
 
@@ -53,16 +71,16 @@ def test_parse_run_reads_the_summary_and_digests():
 
 
 def test_pairs_alternate_with_own_seeds_and_count_moves(tmp_path, capsys):
-    base, head = write_spec(tmp_path / "base"), str(tmp_path / "head")
+    base, head = make_tree(tmp_path / "base"), make_tree(tmp_path / "head")
     fps = {"base": [100.0, 110.0, 90.0, 100.0], "head": [120.0, 110.0, 99.0, 130.0]}
     rss = {"base": [40.0, 40.0, 40.0, 40.0], "head": [40.5, 39.0, 40.0, 40.0]}
-    tables = {tree: {7 + i: canned_stdout(fps[side][i], rss[side][i]) for i in range(4)}
-              for side, tree in (("base", base), ("head", head))}
-    run, calls = fake_runner(tables)
+    tables = {side: {7 + i: canned_stdout(fps[side][i], rss[side][i]) for i in range(4)}
+              for side in ("base", "head")}
+    run, calls, _ = fake_runner(tables)
     assert bench_pairs.main([base, head, "--workload", "vcdc-ldpc121", "--pairs", "4",
                              "--seed", "7"], run=run) == 0
-    assert calls == [(base, 7), (head, 7), (head, 8), (base, 8),
-                     (base, 9), (head, 9), (head, 10), (base, 10)]
+    assert calls == [("base", 7), ("head", 7), ("head", 8), ("base", 8),
+                     ("base", 9), ("head", 9), ("head", 10), ("base", 10)]
     out = capsys.readouterr().out
     # ratios 1.2, 1.0, 1.1, 1.3: median 1.15, three better and one equal
     assert ("median head/base 1.1500; head better in 3, worse in 0, equal in 1 of 4 pairs"
@@ -81,17 +99,53 @@ def test_pairs_alternate_with_own_seeds_and_count_moves(tmp_path, capsys):
 
 
 def test_a_digest_or_quality_that_differs_fails(tmp_path, capsys):
-    base, head = write_spec(tmp_path / "base"), str(tmp_path / "head")
-    tables = {base: {1: canned_stdout(100.0, 40.0), 2: canned_stdout(100.0, 40.0)},
-              head: {1: canned_stdout(120.0, 40.0, digest="0000000000000000"),
-                     2: canned_stdout(120.0, 40.0, neg_ln_err=4.5)}}
-    run, _ = fake_runner(tables)
+    base, head = make_tree(tmp_path / "base"), make_tree(tmp_path / "head")
+    tables = {"base": {1: canned_stdout(100.0, 40.0), 2: canned_stdout(100.0, 40.0)},
+              "head": {1: canned_stdout(120.0, 40.0, digest="0000000000000000"),
+                       2: canned_stdout(120.0, 40.0, neg_ln_err=4.5)}}
+    run, _, _ = fake_runner(tables)
     assert bench_pairs.main([base, head, "--workload", "vcdc-ldpc121", "--pairs", "2",
                              "--seed", "1"], run=run) == 1
     out = capsys.readouterr().out
     assert "PROBLEM pair 0: digests differ" in out
     assert "PROBLEM pair 1: neg_ln_err differs" in out
     assert "digests equal in 1 of 2 pairs" in out
+
+
+def test_each_side_runs_from_a_fresh_copy_of_its_visible_files(tmp_path, capsys):
+    # the base tree is dirty the way a checkout gets after a test run: an
+    # ignored bytecode file, and an untracked file git still sees; the head
+    # tree has a tracked file deleted from its working tree
+    base, head = make_tree(tmp_path / "base"), make_tree(tmp_path / "head")
+    (tmp_path / "base" / ".gitignore").write_text("__pycache__/\n", encoding="ascii")
+    git(base, "add", ".gitignore")
+    git(base, "commit", "-q", "-m", "ignore bytecode")
+    (tmp_path / "base" / "__pycache__").mkdir()
+    (tmp_path / "base" / "__pycache__" / "stale.pyc").write_bytes(b"stale")
+    (tmp_path / "base" / "notes.txt").write_text("untracked\n", encoding="ascii")
+    (tmp_path / "head" / "gone.txt").write_text("tracked\n", encoding="ascii")
+    git(head, "add", "gone.txt")
+    git(head, "commit", "-q", "-m", "add gone.txt")
+    os.remove(tmp_path / "head" / "gone.txt")
+    tables = {side: {s: canned_stdout(100.0, 40.0) for s in (1, 2)} for side in ("base", "head")}
+    run, calls, seen = fake_runner(tables)
+    assert bench_pairs.main([base, head, "--workload", "vcdc-ldpc121", "--pairs", "2",
+                             "--seed", "1"], run=run) == 0
+    files = {"base": [".gitignore", "BENCHMARK.json", "notes.txt", "side.txt"],
+             "head": ["BENCHMARK.json", "side.txt"]}
+    dirs = {}
+    for (side, _), (cwd, listing) in zip(calls, seen):
+        assert listing == files[side]
+        # one copy per side for the whole invocation, outside either tree
+        assert dirs.setdefault(side, cwd) == cwd and not cwd.startswith(str(tmp_path))
+    assert sorted(dirs) == ["base", "head"] and dirs["base"] != dirs["head"]
+    # the copies are gone once the tool returns
+    assert not any(os.path.exists(cwd) for cwd in dirs.values())
+    out = capsys.readouterr().out
+    for side, tree in (("base", base), ("head", head)):
+        rev = subprocess.run(["git", "-C", tree, "rev-parse", "HEAD"], check=True,
+                             capture_output=True, text=True).stdout.strip()
+        assert f"{side} {tree} at {rev}\n" in out
 
 
 TEN = [100.0, 101.0, 99.0, 100.5, 100.0, 99.5, 100.0, 101.5, 98.5, 100.0]

@@ -127,6 +127,23 @@ class TestHardDecide:
     def test_zero_tie_resolves_to_bit_zero(self):
         assert hard_decide(np.array([0.0])).tolist() == [0]
 
+    def test_signed_zeros_and_infinities(self):
+        bits = hard_decide(np.array([0.0, -0.0, np.inf, -np.inf]))
+        assert bits.dtype == np.uint8 and bits.tolist() == [0, 0, 0, 1]
+
+    @pytest.mark.parametrize("llr, bit", [(0.0, 0), (-0.0, 0), (np.inf, 0), (-np.inf, 1),
+                                          (-2.5, 1), (np.float64(-0.0), 0)])
+    def test_scalar_gives_a_uint8_scalar(self, llr, bit):
+        out = hard_decide(llr)
+        assert type(out) is np.uint8 and out == bit
+
+    def test_keeps_the_layout_of_its_llrs(self):
+        # frames as columns: an F-ordered (B, n) view of an (n, B) array
+        llr = np.random.default_rng(5).normal(size=(7, 3)).T
+        bits = hard_decide(llr)
+        assert bits.dtype == np.uint8 and bits.flags.f_contiguous
+        assert np.array_equal(bits, (llr < 0).astype(np.uint8))
+
     def test_recovers_scaled_bipolar(self):
         rng = np.random.default_rng(3)
         bits = rng.integers(0, 2, 100).astype(np.uint8)

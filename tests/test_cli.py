@@ -555,6 +555,28 @@ class TestRejections:
         assert os.listdir(tmp_path) == ["afile"]
         assert afile.read_bytes() == b"not a directory\n"
 
+    # train and bench share one setup; when two of its checks fail at once,
+    # the first in its order names the error: config file, a value the
+    # captured config could not carry back, --code, --out, the code
+    @pytest.mark.parametrize("command", ["train", "bench"])
+    @pytest.mark.parametrize("flags, message", [
+        (("--config", "bad.config", "--out", "run#1"), "unknown config key 'typo'"),
+        (("--out", "run#1"), "config key 'out': 'run#1' would not read back"),
+        (("--out", "afile/sub"), "{command} requires --code"),
+        (("--code", "no_such_code", "--out", "afile/sub"),
+         "--out 'afile/sub': 'afile' exists and is not a directory"),
+    ])
+    def test_setup_reports_the_first_of_two_failures(self, tmp_path, monkeypatch, capsys,
+                                                     command, flags, message):
+        monkeypatch.chdir(tmp_path)
+        Path("afile").write_bytes(b"not a directory\n")
+        Path("bad.config").write_text("typo=1\n", encoding="ascii")
+        assert run_cli(command, *flags) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {message.format(command=command)}")
+        assert captured.out == "" and sorted(os.listdir(tmp_path)) == ["afile", "bad.config"]
+
     def test_config_line_without_equals(self, tmp_path, capsys):
         cfg = tmp_path / "run.config"
         cfg.write_text("code=hamming_7_4\niterations 2\n", encoding="ascii")

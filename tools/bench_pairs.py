@@ -3,9 +3,14 @@
     python3 tools/bench_pairs.py BASE HEAD --workload vcdc-ldpc121 --pairs 10 \
         --seconds 20 --seed 9101
 
-BASE and HEAD are source checkouts, for example a ``git worktree`` or a
-clone of the parent commit and the working tree.  Pair i runs
-``perfbench/run.py --trace 0`` once from each tree, both with seed ``seed + i``; BASE runs
+BASE and HEAD are git checkouts, for example a ``git worktree`` or a
+clone of the parent commit and the working tree.  Each side runs from a
+fresh copy of its tree's git-visible files (tracked, and untracked but not
+ignored), made once in a temporary directory and removed at exit, so
+ignored leftovers (``__pycache__/``, ``.pytest_cache/``, ``perfbench/out/``)
+cannot differ between the sides; the tool prints each tree's ``git
+rev-parse HEAD``, which the copies do not carry.  Pair i runs
+``perfbench/run.py --trace 0`` once from each copy, both with seed ``seed + i``; BASE runs
 first in even pairs and HEAD in odd ones.  For every end-to-end metric the
 tool prints each pair's values, the median and quartiles of each side, the
 median head/base ratio, and in how many pairs HEAD was better, worse or
@@ -27,9 +32,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 
 DIGESTS = ("bits_digest", "loss_digest")
 
@@ -48,8 +55,26 @@ def parse_run(stdout):
     return summary["correct"], metrics, digests
 
 
+def git(tree, *args):
+    """Standard output of ``git -C tree ARGS``."""
+    return subprocess.run(["git", "-C", tree, *args], capture_output=True, text=True,
+                          check=True).stdout
+
+
+def copy_tree(tree, into):
+    """Copy the git-visible files of the checkout ``tree`` (tracked, and
+    untracked but not ignored) into the new directory ``into``; a tracked
+    file deleted from the working tree is left out, as it is from ``tree``."""
+    listed = git(tree, "ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    for name in filter(None, listed.split("\0")):
+        source = os.path.join(tree, name)
+        if os.path.isfile(source):
+            os.makedirs(os.path.dirname(os.path.join(into, name)), exist_ok=True)
+            shutil.copy2(source, os.path.join(into, name))
+
+
 def run_tree(tree, workload, seed, seconds, run=subprocess.run):
-    """One untraced benchmark run from the checkout ``tree``, parsed."""
+    """One untraced benchmark run from the source tree ``tree``, parsed."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = run(cmd, cwd=tree, capture_output=True, text=True, check=True)
@@ -126,15 +151,26 @@ def main(argv=None, run=subprocess.run):
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
 
-    better = directions(args.base)
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as scratch:
+        copies = {}
+        for side in ("base", "head"):
+            tree = getattr(args, side)
+            print(f"{side} {tree} at {git(tree, 'rev-parse', 'HEAD').strip()}")
+            copies[side] = os.path.join(scratch, side)
+            copy_tree(tree, copies[side])
+        return run_pairs(args, copies, run)
+
+
+def run_pairs(args, copies, run):
+    """Run the pairs from the tree ``copies`` {side: directory} and report them."""
+    better = directions(copies["base"])
     runs = {"base": [], "head": []}
     problems = []
     for i in range(args.pairs):
         seed = args.seed + i
         order = ("base", "head") if i % 2 == 0 else ("head", "base")
         for side in order:
-            tree = getattr(args, side)
-            runs[side].append(run_tree(tree, args.workload, seed, args.seconds, run))
+            runs[side].append(run_tree(copies[side], args.workload, seed, args.seconds, run))
             print(f"pair {i} seed {seed}: ran {side}", file=sys.stderr)
         (base_ok, base_m, base_d), (head_ok, head_m, head_d) = runs["base"][-1], runs["head"][-1]
         if not (base_ok and head_ok):
