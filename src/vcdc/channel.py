@@ -38,8 +38,6 @@ def noise_scale_at_rate(csnr_db, rate):
 
 def noise_scale(csnr_db, k, n):
     """``noise_scale_at_rate(csnr_db, k / n)`` for a code of k bits in n."""
-    if not 0 < k < n:
-        raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
     return noise_scale_at_rate(csnr_db, k / n)
 
 

@@ -37,11 +37,12 @@ class ParityCheckMatrix:
     """Binary parity-check matrix H, stored as its rows, one per check.
 
     n and ``num_checks`` are the shape of ``rows`` and k is n minus the
-    GF(2) rank of H, so a redundant row adds a check but no constraint.
-    Instances are immutable; ``check_tables``, ``layer_groups`` and the
-    ``generator``, which also gives k, are built from ``rows`` on first use.
-    The constructor keeps a copy of ``rows``; it rejects entries but 0 and 1,
-    a shape but 0 < rows < n, and (an ``AlistError``) a check of degree < 2.
+    GF(2) rank of H, so a redundant row adds a check but no constraint and
+    H may have more rows than n.  Instances are immutable; ``check_tables``
+    and ``layer_groups`` are built from ``rows`` on first use, and the
+    ``generator``, which also gives k, by the constructor.  The constructor
+    keeps a copy of ``rows``; it rejects entries but 0 and 1, no rows, (an
+    ``AlistError``) a check of degree < 2, and rank n, which leaves k = 0.
     """
 
     rows: np.ndarray
@@ -50,14 +51,15 @@ class ParityCheckMatrix:
         rows = _as_bits(self.rows, "parity-check matrix")  # a copy, frozen below
         if rows.ndim != 2:
             raise ValueError("parity-check matrix must be two-dimensional")
-        m, n = rows.shape
-        if not 0 < m < n:
-            raise ValueError(f"need 0 < rows < n, got {m} rows of length {n}")
+        if not rows.shape[0]:
+            raise ValueError("parity-check matrix has no rows")
         chk_deg = rows.sum(axis=1)
         if (chk_deg < 2).any():
             bad = int(np.argmax(chk_deg < 2))
             raise AlistError(f"check {bad} has degree {int(chk_deg[bad])} < 2")
         object.__setattr__(self, "rows", _frozen(rows))
+        if not self.k:
+            raise ValueError(f"parity-check matrix has rank n={self.n}, so k = 0 (need rank < n)")
 
     @property
     def n(self):
@@ -189,8 +191,8 @@ def parse_alist(text):
         return np.array(tokens[pos - count:pos], dtype=object)
 
     n, m = take(2, "header")
-    if not 0 < m < n:
-        raise AlistError(f"bad header: N={n}, M={m} (need 0 < M < N)")
+    if n < 1 or m < 1:
+        raise AlistError(f"bad header: N={n}, M={m} (need N > 0, M > 0)")
     max_var_deg, max_chk_deg = take(2, "max degrees")
     if max_var_deg < 1 or max_chk_deg < 2:
         raise AlistError(f"bad max degrees {max_var_deg}/{max_chk_deg}")
@@ -236,8 +238,8 @@ def load_alist(path):
 
 
 def derive_generator(h):
-    """The (k, n) generator of ``h``, ``h.generator``: derived by the code's
-    first call and cached with it."""
+    """The (k, n) generator of ``h``, ``h.generator``: derived once, when
+    ``h`` is built, and cached with it."""
     return h.generator
 
 

@@ -168,18 +168,20 @@ def random_layered_code(seed, n, m):
     """A random m x n parity-check matrix whose consecutive checks mix
     degrees (2 to 5) and mix disjoint with overlapping variable sets, so its
     layer groups mix single checks with runs of several.  Neither full rank
-    nor cycle free."""
+    nor cycle free; from m = n on, the last variable is in no check, so the
+    rank stays below n however many checks there are."""
     rng = np.random.default_rng(seed)
     rows = np.zeros((m, n), dtype=np.uint8)
+    width = n - 1 if m >= n else n
     degree, run = 2, set()
     for c in range(m):
         if rng.random() < 0.3:
-            degree = int(rng.integers(2, min(5, n) + 1))
-        free = np.setdiff1d(np.arange(n), sorted(run))
+            degree = int(rng.integers(2, min(5, width) + 1))
+        free = np.setdiff1d(np.arange(width), sorted(run))
         if rng.random() < 0.7 and free.size >= degree:
             cols = rng.choice(free, degree, replace=False)
         else:
-            cols = rng.choice(n, degree, replace=False)
+            cols = rng.choice(width, degree, replace=False)
             run = set()
         run.update(cols.tolist())
         rows[c, cols] = 1

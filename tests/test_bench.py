@@ -94,11 +94,12 @@ class TestRunBer:
         assert r1 == r2
 
     def test_generator_is_derived_once_per_code(self, ldpc_49_24, monkeypatch):
-        # a fresh instance, since the session fixture may hold its generator
-        h = ParityCheckMatrix(ldpc_49_24.rows)
+        # a fresh instance built under the patch: the constructor reads k,
+        # so the one elimination is the construction's
         reduced, row_reduce = [], codebook._row_reduce
         monkeypatch.setattr(codebook, "_row_reduce",
                             lambda a: reduced.append(a.shape) or row_reduce(a))
+        h = ParityCheckMatrix(ldpc_49_24.rows)
         runs = [ber_run(h, IdentityDecoder(h), 4.0, stop_errors=1, max_frames=8, seed=seed)
                 for seed in (1, 2)]
         assert reduced == [h.rows.shape]

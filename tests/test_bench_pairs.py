@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 from types import SimpleNamespace
 
@@ -146,6 +147,34 @@ def test_each_side_runs_from_a_fresh_copy_of_its_visible_files(tmp_path, capsys)
         rev = subprocess.run(["git", "-C", tree, "rev-parse", "HEAD"], check=True,
                              capture_output=True, text=True).stdout.strip()
         assert f"{side} {tree} at {rev}\n" in out
+
+
+def test_a_tree_with_uncommitted_edits_prints_another_digest(tmp_path, capsys):
+    # a tree and a clone of it at the same commit: one digest while the two
+    # hold the same files, another once the tree has an uncommitted edit
+    tree = make_tree(tmp_path / "base")
+    (tmp_path / "base" / "code.py").write_text("x = 1\n", encoding="ascii")
+    git(tree, "add", "code.py")
+    git(tree, "commit", "-q", "-m", "add code.py")
+    clone = str(tmp_path / "clone")
+    git(tmp_path, "clone", "-q", tree, clone)
+    tables = {"base": {1: canned_stdout(100.0, 40.0)}}
+
+    def printed():
+        run, _, _ = fake_runner(tables)
+        assert bench_pairs.main([clone, tree, "--workload", "vcdc-ldpc121", "--pairs", "1",
+                                 "--seed", "1"], run=run) == 0
+        out = capsys.readouterr().out
+        revs = re.findall(r"^(?:base|head) \S+ at (\w+)$", out, re.M)
+        digests = re.findall(r"^(?:base|head) files sha256 ([0-9a-f]{64})$", out, re.M)
+        assert len(revs) == len(digests) == 2 and revs[0] == revs[1]
+        return digests
+
+    same = printed()
+    assert same[0] == same[1]
+    (tmp_path / "base" / "code.py").write_text("x = 2\n", encoding="ascii")
+    edited = printed()
+    assert edited[0] == same[0] and edited[1] != same[1]
 
 
 TEN = [100.0, 101.0, 99.0, 100.5, 100.0, 99.5, 100.0, 101.5, 98.5, 100.0]

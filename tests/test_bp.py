@@ -539,11 +539,11 @@ def test_layout_matches_the_sorting_oracle(name):
 
 @st.composite
 def sparse_codes(draw):
-    """Parity-check matrices whose check degrees (2 to 12) interleave, with
-    a repeated row (so rank < rows), a variable in no check, and at times a
-    variable in every check."""
+    """Parity-check matrices of 2 to n + 6 checks whose degrees (2 to 12)
+    interleave, with a repeated row (so rank < rows), the last variable in
+    no check (so rank < n), and at times a variable in every check."""
     n = draw(st.integers(6, 20))
-    m = draw(st.integers(2, min(n - 2, 14)))
+    m = draw(st.integers(2, n + 6))
     rows = np.zeros((m, n), dtype=np.uint8)
     for r in range(m):
         d = draw(st.integers(2, min(12, n - 1)))

@@ -68,12 +68,22 @@ class TestInspect:
 
 class TestRedundantRows:
     """ldpc_49_24's array matrix before its 3 dependent rows are dropped:
-    28 checks of rank 25, so k = 24 and one weight per check."""
+    28 checks of rank 25, so k = 24 and one weight per check; and the same
+    rows with the sum of each and the next appended: 56 checks on 49
+    variables, more than n, at the same rank."""
 
     @pytest.fixture()
     def redundant_file(self, tmp_path):
         path = tmp_path / "ldpc_49_24_redundant.alist"
         h = ParityCheckMatrix(make_codes.array_rows(7, 4))
+        path.write_text(serialize_alist(h), encoding="ascii")
+        return path
+
+    @pytest.fixture()
+    def overcomplete_file(self, tmp_path):
+        path = tmp_path / "ldpc_49_24_overcomplete.alist"
+        rows = make_codes.array_rows(7, 4)
+        h = ParityCheckMatrix(np.concatenate([rows, rows ^ np.roll(rows, -1, axis=0)]))
         path.write_text(serialize_alist(h), encoding="ascii")
         return path
 
@@ -83,14 +93,27 @@ class TestRedundantRows:
         assert out.startswith("n=49 k=24 rate=0.4898 checks=28 edges=196\n")
 
     def test_train_and_bench(self, redundant_file, tmp_path, capsys):
+        self.train_and_bench(redundant_file, 28, tmp_path)
+
+    def test_more_checks_than_variables(self, overcomplete_file, tmp_path, capsys):
+        assert run_cli("inspect-code", "--code", overcomplete_file) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("n=49 k=24 rate=0.4898 checks=56 edges=580\n")
+        self.train_and_bench(overcomplete_file, 56, tmp_path)
+
+    @staticmethod
+    def train_and_bench(path, checks, tmp_path):
+        """Train on the code at ``path``, which has k = 24 and ``checks``
+        checks, and bench BP and VCDC on it with the trained weights."""
         out = tmp_path / "run"
-        assert run_cli("train", "--code", redundant_file, "--out", out,
+        assert run_cli("train", "--code", path, "--out", out,
                        "--iterations", 20, "--batch-size", 8, "--seed", 0) == 0
         data = (out / "weights.vcdc").read_bytes()
-        assert data.decode().splitlines()[0] == "VCDC1 49 24 28"
+        assert data.decode().splitlines()[0] == f"VCDC1 49 24 {checks}"
+        assert load_checkpoint(data).values.shape == (checks,)
         assert save_checkpoint(load_checkpoint(data)) == data
         bench = tmp_path / "bench"
-        assert run_cli("bench", "--code", redundant_file, "--out", bench,
+        assert run_cli("bench", "--code", path, "--out", bench,
                        "--decoders", "bp,vcdc", "--checkpoint", out / "weights.vcdc",
                        "--csnr", 3, "--timesteps", 4, "--max-frames", 64,
                        "--batch-frames", 32, "--seed", 1) == 0

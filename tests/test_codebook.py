@@ -115,8 +115,8 @@ class TestParseAlist:
     # of error, each naming the first offending list where a list is at fault
     MALFORMED = [
         ({0: "7 x"}, r"non-integer token in alist: .*'x'"),
-        ({0: "3 7"}, r"bad header: N=3, M=7 \(need 0 < M < N\)"),
-        ({0: "7 0"}, r"bad header: N=7, M=0 \(need 0 < M < N\)"),
+        ({0: "0 3"}, r"bad header: N=0, M=3 \(need N > 0, M > 0\)"),
+        ({0: "7 0"}, r"bad header: N=7, M=0 \(need N > 0, M > 0\)"),
         ({1: "0 4"}, r"bad max degrees 0/4"),
         ({1: "3 1"}, r"bad max degrees 3/1"),
         ({2: "1 1 2 1 2 2 4"}, r"declared degree exceeds declared maximum"),
@@ -132,6 +132,10 @@ class TestParseAlist:
         ({4: "2 0 0", 5: "1 0 0"}, r"variable list 0 disagrees with check lists"),
         ({9: "1 3 0"}, r"variable list 5 disagrees with check lists"),
         ({13: "4 5 6 7 9"}, r"1 unexpected trailing tokens"),
+        ({0: "-1 3"}, r"bad header: N=-1, M=3 \(need N > 0, M > 0\)"),
+        # more checks than variables passes the header; H's shape is the
+        # constructor's to judge, and here the lists run out first
+        ({0: "3 7"}, r"alist truncated while reading check lists"),
     ]
     TRUNCATED = [(1, "header"), (3, "max degrees"), (6, "variable degrees"),
                  (12, "check degrees"), (20, "variable list"), (40, "check list")]
@@ -155,7 +159,7 @@ class TestParseAlist:
 
     @pytest.mark.parametrize("edits, message", [
         ({0: f"{BIG} 3"}, r"alist truncated while reading variable degrees"),
-        ({0: f"7 {BIG}"}, rf"bad header: N=7, M={BIG} \(need 0 < M < N\)"),
+        ({0: f"7 {BIG}"}, r"alist truncated while reading check degrees"),
         ({1: f"{BIG} 4"}, r"alist truncated while reading variable list.*"),
         ({2: f"1 1 2 1 2 2 {BIG}"}, r"declared degree exceeds declared maximum"),
         ({2: f"1 1 2 1 2 2 -{BIG}"}, rf"variable list 6: 3 entries but declared degree -{BIG}"),
@@ -266,6 +270,18 @@ class TestDeriveGenerator:
         assert g.shape == (h.k, h.n) and gf2_rank(g) == h.k
         for rows in (h.rows, bundled.rows):
             assert not ((g.astype(int) @ rows.T.astype(int)) % 2).any()
+
+    def test_hamming_dual_words_give_the_bundled_code(self, hamming):
+        # the seven nonzero words of the row space, one check each: 7 rows
+        # of rank 3, so k = 4 and the same 16 codewords
+        msgs = (np.arange(1, 8)[:, None] >> np.arange(3)) & 1
+        h = ParityCheckMatrix((msgs @ hamming.rows.astype(int)) % 2)
+        assert (h.n, h.k, h.num_checks) == (7, 4, 7)
+        assert (h.rows.sum(axis=1) == 4).all()
+        assert np.array_equal(parse_alist(make_codes.serialize_alist(h)).rows, h.rows)
+        words = {tuple(w) for w in enumerate_codewords(h).tolist()}
+        assert len(words) == 16
+        assert words == {tuple(w) for w in enumerate_codewords(hamming).tolist()}
 
     def test_bundled_redundant_code_keeps_every_array_row(self):
         h = codes.load("ldpc_121_60_redundant")
@@ -504,7 +520,7 @@ class TestLayerGroups:
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(3, 48), data=st.data(), seed=st.integers(0, 2**32 - 1))
     def test_random_codes(self, n, data, seed):
-        assert_layer_partition(random_layered_code(seed, n, data.draw(st.integers(1, n - 1))))
+        assert_layer_partition(random_layered_code(seed, n, data.draw(st.integers(1, 2 * n))))
 
 
 class TestFromRowsRejects:
@@ -512,11 +528,22 @@ class TestFromRowsRejects:
         with pytest.raises(ValueError, match="must be two-dimensional"):
             ParityCheckMatrix(np.array([1, 1, 0], dtype=np.uint8))
 
-    @pytest.mark.parametrize("m", [3, 4])
-    def test_rows_not_below_n(self, m):
-        rows = np.ones((m, 3), dtype=np.uint8)
-        with pytest.raises(ValueError, match=f"need 0 < rows < n, got {m} rows of length 3"):
+    def test_rank_n(self):
+        # three independent checks on three variables leave only the zero word
+        rows = np.array([[1, 1, 0], [0, 1, 1], [1, 1, 1]], dtype=np.uint8)
+        with pytest.raises(ValueError, match=r"^parity-check matrix has rank n=3, so k = 0 "
+                                             r"\(need rank < n\)$"):
             ParityCheckMatrix(rows)
+
+    def test_no_rows(self):
+        with pytest.raises(ValueError, match="^parity-check matrix has no rows$"):
+            ParityCheckMatrix(np.zeros((0, 3), dtype=np.uint8))
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_accepts_rows_not_below_n_at_rank_below_n(self, m):
+        # all-ones rows have rank 1 however many there are
+        h = ParityCheckMatrix(np.ones((m, 3), dtype=np.uint8))
+        assert (h.num_checks, h.n, h.k) == (m, 3, 2)
 
     def test_bare_constructor_checks_rows(self):
         # an entry of 2 and a degree-1 check: both once passed the bare

@@ -153,7 +153,7 @@ class TestGroupedWalk:
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(3, 40), data=st.data(), seed=SEEDS, ties=st.booleans())
     def test_matches_serial_walk_and_tape_bit_for_bit(self, n, data, seed, ties):
-        h = random_layered_code(seed, n, data.draw(st.integers(1, n - 1)))
+        h = random_layered_code(seed, n, data.draw(st.integers(1, 2 * n)))
         batch = data.draw(st.integers(1, 9))
         rng = np.random.default_rng(seed)
         w = rand_weights(h, rng, scale=0.5)
@@ -423,7 +423,7 @@ class TestDecodeVcdc:
     @given(n=st.integers(3, 40), data=st.data(), seed=SEEDS, ties=st.booleans(),
            steps=st.integers(1, 8), csnr=st.floats(-2.0, 8.0))
     def test_steps_in_range_beliefs_finite_flag_honest(self, n, data, seed, ties, steps, csnr):
-        h = random_layered_code(seed, n, data.draw(st.integers(1, n - 1)))
+        h = random_layered_code(seed, n, data.draw(st.integers(1, 2 * n)))
         batch = data.draw(st.integers(1, 16))
         rng = np.random.default_rng(seed)
         sched = build_schedule(csnr, steps, 0.5, h.rate)

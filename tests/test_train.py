@@ -69,8 +69,10 @@ class TestMinsumOp:
         np.testing.assert_allclose(grad, [[1.0, 0.0, 0.0]])
 
 
-# (seed, n, m) of random codes whose layer groups mix single checks and runs
-RANDOM_CODES = {"random_0": (0, 30, 20), "random_1": (1, 40, 30), "random_2": (2, 25, 12)}
+# (seed, n, m) of random codes whose layer groups mix single checks and runs,
+# the last with more checks than variables
+RANDOM_CODES = {"random_0": (0, 30, 20), "random_1": (1, 40, 30), "random_2": (2, 25, 12),
+                "random_3": (3, 16, 30)}
 
 
 class TestBlockGradients:

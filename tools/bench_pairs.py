@@ -8,8 +8,10 @@ clone of the parent commit and the working tree.  Each side runs from a
 fresh copy of its tree's git-visible files (tracked, and untracked but not
 ignored), made once in a temporary directory and removed at exit, so
 ignored leftovers (``__pycache__/``, ``.pytest_cache/``, ``perfbench/out/``)
-cannot differ between the sides; the tool prints each tree's ``git
-rev-parse HEAD``, which the copies do not carry.  Pair i runs
+cannot differ between the sides.  The tool prints each tree's ``git
+rev-parse HEAD``, which the copies do not carry, and a sha256 of its copied
+files taken over their sorted paths and contents, which tells a tree with
+uncommitted edits from a checkout of its HEAD.  Pair i runs
 ``perfbench/run.py --trace 0`` once from each copy, both with seed ``seed + i``; BASE runs
 first in even pairs and HEAD in odd ones.  For every end-to-end metric the
 tool prints each pair's values, the median and quartiles of each side, the
@@ -30,6 +32,7 @@ reports itself incorrect, else 0; the verdicts do not set the exit code.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import shutil
@@ -64,13 +67,19 @@ def git(tree, *args):
 def copy_tree(tree, into):
     """Copy the git-visible files of the checkout ``tree`` (tracked, and
     untracked but not ignored) into the new directory ``into``; a tracked
-    file deleted from the working tree is left out, as it is from ``tree``."""
+    file deleted from the working tree is left out, as it is from ``tree``.
+    Returns the sha256 hex digest of the copied files: each one's path, a
+    NUL and the sha256 of its contents, in sorted path order."""
     listed = git(tree, "ls-files", "-z", "--cached", "--others", "--exclude-standard")
-    for name in filter(None, listed.split("\0")):
+    digest = hashlib.sha256()
+    for name in sorted(filter(None, listed.split("\0"))):
         source = os.path.join(tree, name)
         if os.path.isfile(source):
             os.makedirs(os.path.dirname(os.path.join(into, name)), exist_ok=True)
             shutil.copy2(source, os.path.join(into, name))
+            with open(source, "rb") as fh:
+                digest.update(name.encode() + b"\0" + hashlib.sha256(fh.read()).digest())
+    return digest.hexdigest()
 
 
 def run_tree(tree, workload, seed, seconds, run=subprocess.run):
@@ -157,7 +166,7 @@ def main(argv=None, run=subprocess.run):
             tree = getattr(args, side)
             print(f"{side} {tree} at {git(tree, 'rev-parse', 'HEAD').strip()}")
             copies[side] = os.path.join(scratch, side)
-            copy_tree(tree, copies[side])
+            print(f"{side} files sha256 {copy_tree(tree, copies[side])}")
         return run_pairs(args, copies, run)
 
 
