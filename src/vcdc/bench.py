@@ -70,11 +70,15 @@ class BpDecoder:
         return bits, iters
 
 
+# The default spacing of the reverse-process CSNR levels, in dB; the CLI's too.
+STEP_DB = 0.5
+
+
 class VcdcDecoder:
     """Reverse-process decoder; the schedule's observed level tracks the
     channel CSNR of each run."""
 
-    def __init__(self, h, weights, timesteps, step_db=0.5):
+    def __init__(self, h, weights, timesteps, step_db=STEP_DB):
         weights.check_code(h)
         # each run's schedule checks its own CSNR range, in decode_batch
         check_spacing(timesteps, step_db)

@@ -9,6 +9,7 @@ block and its training.
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -25,6 +26,12 @@ LLR_CLAMP = 1e9
 
 # Clamp on variable-to-check messages; no BER effect at the tested CSNRs.
 MESSAGE_CLAMP = 30.0
+
+# Relative headroom per factor of a check product, 8 units of 2**-52: numpy's
+# tanh and math.tanh each lie within a few ulps of tanh (3 apart at most on a
+# dense grid of [0, 20] with numpy 2.4.6), and each multiplication rounds by
+# at most half of one.
+_FACTOR_SLACK = 2.0 ** -49
 
 SUM_PRODUCT = "sum-product"
 MIN_SUM = "min-sum"
@@ -166,13 +173,32 @@ def _exclusive_products(t, out):
     out[d - 1] = fwd
 
 
+def _products_reach_clamp(d):
+    """Whether the products of a degree-d check can reach the arctanh clamp
+    +-(1 - ATANH_EPS) at ``MESSAGE_CLAMP`` as it reads at the call.
+
+    Each of the d - 1 factors of a product is tanh(x / 2) of a message
+    clipped to +-MESSAGE_CLAMP, so it is at most T = tanh(MESSAGE_CLAMP / 2)
+    in magnitude, up to tanh's error.  Rounding to nearest is monotone, so
+    the computed product of factors no larger than T in magnitude stays
+    under the same chain of multiplications on T, at most
+    T ** (d - 1) (1 + 2**-53) ** (d - 2).  ``_FACTOR_SLACK`` pads each factor
+    for both roundings; a NaN bound reaches the clamp.
+    """
+    bound = (math.tanh(MESSAGE_CLAMP / 2) * (1 + _FACTOR_SLACK)) ** (d - 1)
+    return not bound < 1 - ATANH_EPS
+
+
 def _check_sweep_sumproduct(t, ei, c2v):
     """Sum-product check-to-variable messages into the (E, B) array ``c2v``
     from the (E, B) array ``t`` of tanh(v2c / 2), the variable-to-check
-    messages as the check products take them."""
+    messages as the check products take them.  A degree group's products
+    are clamped for arctanh only where they can reach the clamp; elsewhere
+    the clip could not change a bit (at MESSAGE_CLAMP = 30, degree 7 up)."""
     for tb, excl in zip(ei.check_blocks(t), ei.check_blocks(c2v)):
         _exclusive_products(tb, excl)
-    np.clip(c2v, -(1 - ATANH_EPS), 1 - ATANH_EPS, out=c2v)
+        if _products_reach_clamp(len(excl)):
+            np.clip(excl, -(1 - ATANH_EPS), 1 - ATANH_EPS, out=excl)
     np.arctanh(c2v, out=c2v)
     c2v *= 2.0
     return c2v

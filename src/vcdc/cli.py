@@ -10,7 +10,6 @@ a value that file could not carry back.
 from __future__ import annotations
 
 import argparse
-import inspect
 import os
 import sys
 
@@ -80,6 +79,23 @@ def _load_code(path):
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
+def _parse(kind, text, where):
+    """``text`` parsed by ``kind`` (str, int or float); ValueError naming
+    ``where`` the text came from when it is no such number."""
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{where}: expected {noun}, got {text!r}") from None
+
+
+def _parse_list(cfg, key, kind):
+    """The comma-separated entries of the resolved ``cfg[key]``, each parsed
+    by ``kind``; empty entries are skipped."""
+    return [_parse(kind, s, f"{key} entry {i} (--{key} or config key {key!r})")
+            for i, s in enumerate(str(cfg[key]).split(","), 1) if s.strip()]
+
+
 def _resolve(args, defaults):
     """defaults < config file (``--config``) < explicit flags."""
     resolved = dict(defaults)
@@ -89,7 +105,8 @@ def _resolve(args, defaults):
         kind = type(defaults[key])
         if kind is bool and raw.lower() not in _BOOLS:
             raise ValueError(f"config key {key!r}: expected 1/0/true/false/yes/no, got {raw!r}")
-        resolved[key] = _BOOLS[raw.lower()] if kind is bool else kind(raw)
+        resolved[key] = (_BOOLS[raw.lower()] if kind is bool
+                         else _parse(kind, raw, f"{args.config}: config key {key!r}"))
     for key in defaults:
         value = getattr(args, key, None)
         if value is not None:
@@ -105,8 +122,7 @@ TRAIN_DEFAULTS = {"code": "", "out": "train_out",
                   **{key: getattr(TrainConfig(), field) for field, key in TRAIN_KEYS.items()}}
 
 _DECODER_DEFAULTS = {  # step_db is VcdcDecoder's default and the BP knobs BpConfig's
-    "step_db": inspect.signature(bench.VcdcDecoder).parameters["step_db"].default,
-    "bp_iters": BpConfig().max_iters, "bp_variant": BpConfig().variant}
+    "step_db": bench.STEP_DB, "bp_iters": BpConfig().max_iters, "bp_variant": BpConfig().variant}
 
 DECODE_DEFAULTS = {"code": "", "llr": "", "decoder": "bp", "checkpoint": "", "csnr": 4.0,
                    "timesteps": 20, **_DECODER_DEFAULTS}  # T is the CLI's, for bench too
@@ -146,16 +162,24 @@ def cmd_train(args):
     return 0
 
 
-def _decoder(h, cfg, choice, timesteps):
+def _weights(cfg, choices):
+    """The weights of the resolved ``cfg``'s checkpoint, read once, when the
+    decoder names ``choices`` hold ``vcdc``; else None."""
+    if "vcdc" not in choices:
+        return None
+    if not cfg["checkpoint"]:
+        raise ValueError("decoder 'vcdc' requires --checkpoint")
+    with open(cfg["checkpoint"], "rb") as fh:
+        return load_checkpoint(fh.read())
+
+
+def _decoder(h, cfg, choice, timesteps, weights):
     """The ``bench`` decoder named ``choice``, configured from the resolved
-    ``cfg``; ``timesteps`` sets the reverse-process length of ``vcdc``."""
+    ``cfg``; ``timesteps`` sets the reverse-process length of ``vcdc`` and
+    ``weights``, from ``_weights``, its block weights."""
     if choice == "bp":
         return bench.BpDecoder(h, BpConfig(max_iters=cfg["bp_iters"], variant=cfg["bp_variant"]))
     if choice == "vcdc":
-        if not cfg["checkpoint"]:
-            raise ValueError("decoder 'vcdc' requires --checkpoint")
-        with open(cfg["checkpoint"], "rb") as fh:
-            weights = load_checkpoint(fh.read())
         return bench.VcdcDecoder(h, weights, timesteps=timesteps, step_db=cfg["step_db"])
     if choice == "identity":
         return bench.IdentityDecoder(h)
@@ -166,8 +190,7 @@ def cmd_bench(args):
     cfg, config, h = _setup(args, "bench", BENCH_DEFAULTS)
     code_id = os.path.splitext(os.path.basename(cfg["code"]))[0]
     decoder_ids = [d.strip() for d in cfg["decoders"].split(",") if d.strip()]
-    csnrs = [float(s) for s in str(cfg["csnr"]).split(",") if s.strip()]
-    timesteps = [int(t) for t in str(cfg["timesteps"]).split(",") if t.strip()]
+    csnrs, timesteps = _parse_list(cfg, "csnr", float), _parse_list(cfg, "timesteps", int)
     # an empty list would write a results.csv that measured nothing
     if not decoder_ids or not csnrs or ("vcdc" in decoder_ids and not timesteps):
         raise ValueError("bench needs at least one decoder, CSNR and (for vcdc) timestep count")
@@ -177,7 +200,8 @@ def cmd_bench(args):
     # (decoder, T) in run order; only vcdc takes timestep counts
     pairs = [(choice, t) for choice in decoder_ids
              for t in (timesteps if choice == "vcdc" else [None])]
-    decoders = [_decoder(h, cfg, choice, t) for choice, t in pairs]
+    weights = _weights(cfg, decoder_ids)
+    decoders = [_decoder(h, cfg, choice, t, weights) for choice, t in pairs]
     # every CSNR a run will use fails before any run, the vcdc schedules' levels too
     noise_scale(np.array(csnrs), h.k, h.n)
     for t in [t for _, t in pairs if t is not None]:
@@ -208,9 +232,11 @@ def cmd_decode(args):
         raise ValueError("decode requires --code and --llr")
     h = _load_code(cfg["code"])
     with open(cfg["llr"], "r", encoding="ascii") as fh:
-        values = np.array([float(tok) for tok in fh.read().split()])
+        values = np.array([_parse(float, tok, f"{cfg['llr']}: token {i}")
+                           for i, tok in enumerate(fh.read().split(), 1)])
     # the decoder's frame boundary checks the word's length and values
-    decoder = _decoder(h, cfg, cfg["decoder"], cfg["timesteps"])
+    decoder = _decoder(h, cfg, cfg["decoder"], cfg["timesteps"],
+                       _weights(cfg, [cfg["decoder"]]))
     bits, steps = (a[0] for a in decoder.decode_batch(values[None], cfg["csnr"]))
     _, errors = syndrome(h, bits)
     print("".join(str(b) for b in bits))

@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -565,7 +566,7 @@ def rows_code(n, rows):
 @settings(max_examples=80, deadline=None)
 @given(h=sparse_codes(), variant=st.sampled_from([SUM_PRODUCT, MIN_SUM]),
        early_exit=st.booleans(), frames=st.integers(1, 40), iters=st.integers(1, 8),
-       clamp=st.sampled_from([30.0, 3.0]), seed=st.integers(0, 2 ** 32 - 1))
+       clamp=st.sampled_from([30.0, 3.0, 3000.0]), seed=st.integers(0, 2 ** 32 - 1))
 # a belief of -1.1e-16 where the scalar rules sum to 0.0 flips a bit
 @example(h=rows_code(19, [(0, 1), (0, 1, 2, 3, 4, 6, 8, 9, 10), (3, 6), (0, 1, 6, 7, 8),
                           (0, 1), (0, 1)]),
@@ -597,6 +598,63 @@ def test_matches_row_major_oracle_on_random_codes(h, variant, early_exit, frames
         assert np.array_equal(bits[i][signed], ref_bits[signed])
         np.testing.assert_allclose(beliefs[i], ref_beliefs, atol=1e-9)
         assert its[i] == ref_iters and ok[i] == ref_ok
+
+
+def clamped_sweep(t, ei, c2v):
+    """The sum-product sweep with every check product clamped for arctanh."""
+    for tb, excl in zip(ei.check_blocks(t), ei.check_blocks(c2v)):
+        bp._exclusive_products(tb, excl)
+    np.clip(c2v, -(1 - ATANH_EPS), 1 - ATANH_EPS, out=c2v)
+    np.arctanh(c2v, out=c2v)
+    c2v *= 2.0
+    return c2v
+
+
+class TestProductClamp:
+    """The sweep clamps a degree group's products only where their bound,
+    tanh(MESSAGE_CLAMP / 2) ** (d - 1), can reach the clamp; at 3.0 no group
+    reaches it, at 30 degrees 2 to 6 do, and at 3000 tanh rounds to 1 and
+    every group does."""
+
+    # one check of each degree 2 to 12; the last variable is in none
+    H = rows_code(13, [range(d) for d in range(2, 13)])
+
+    def test_a_clipped_message_is_below_one_as_tanh_takes_it(self):
+        # the skip rests on it, and so do finite messages wherever the clamp
+        # is skipped
+        assert math.tanh(bp.MESSAGE_CLAMP / 2) < 1
+
+    @pytest.mark.parametrize("clamp, degrees", [(30.0, range(2, 7)), (3.0, ()),
+                                                (3000.0, range(2, 13))])
+    def test_the_groups_that_clamp(self, clamp, degrees):
+        with mock.patch.object(bp, "MESSAGE_CLAMP", clamp):
+            assert [d for d in range(2, 13) if bp._products_reach_clamp(d)] == list(degrees)
+
+    @pytest.mark.parametrize("clamp", [30.0, 3.0, 3000.0])
+    def test_messages_at_the_clamp_match_the_clamped_sweep(self, clamp):
+        ei = EdgeIndex(self.H)
+        assert sorted(ei.degree_groups) == list(range(2, 13))
+        # every message at +-clamp, mixed signs, frame 0 all positive
+        rng = np.random.default_rng(11)
+        v2c = clamp * rng.choice([-1.0, 1.0], (ei.num_edges, 64))
+        v2c[:, 0] = clamp
+        t = np.tanh(v2c * 0.5)
+        with mock.patch.object(bp, "MESSAGE_CLAMP", clamp):
+            got = bp._check_sweep_sumproduct(t, ei, np.empty_like(t))
+        assert_same_bits(got, clamped_sweep(t, ei, np.empty_like(t)))
+        assert np.isfinite(got).all()
+        if clamp == 30.0:
+            # the products of degrees 2 to 6 pass the clamp, so they were
+            # clipped to it, and degree 7's stay below it
+            top = 2 * np.arctanh(1 - ATANH_EPS)
+            for d, rows in ei.degree_groups.items():
+                assert (got[rows, 0] == top).all() == (d <= 6)
+                assert (got[rows, 0] <= top).all()
+
+    def test_ldpc_121_60_skips_the_clamp(self, ldpc_121_60):
+        # its 61 checks all have degree 11
+        assert list(EdgeIndex(ldpc_121_60).degree_groups) == [11]
+        assert not bp._products_reach_clamp(11)
 
 
 @settings(max_examples=80, deadline=None)

@@ -399,6 +399,20 @@ class TestBench:
         runs = read_results_csv(out / "results.csv")
         assert [r.decoder_id for r in runs] == ["vcdc-t1", "vcdc-t2", "vcdc-t4"]
 
+    @pytest.mark.parametrize("decoders, reads", [("vcdc,bp", 1), ("bp,identity", 0)])
+    def test_checkpoint_is_read_once_per_run(self, tmp_path, monkeypatch, decoders, reads):
+        # each vcdc timestep count once opened and parsed the checkpoint again
+        ckpt = tmp_path / "zeros.vcdc"
+        ckpt.write_bytes(save_checkpoint(zero_weights(codes.load("hamming_7_4"))))
+        calls = []
+        monkeypatch.setattr(cli, "load_checkpoint",
+                            lambda data: calls.append(data) or load_checkpoint(data))
+        assert run_cli("bench", "--code", "hamming_7_4", "--out", tmp_path / "b",
+                       "--decoders", decoders, "--timesteps", "1,2,4", "--checkpoint", ckpt,
+                       "--csnr", "3", "--stop-errors", 2, "--batch-frames", 16,
+                       "--max-frames", 32) == 0
+        assert calls == [ckpt.read_bytes()] * reads
+
     def test_censored_flag_lands_in_csv(self, hamming_file, tmp_path):
         out = tmp_path / "bench"
         run_cli("bench", "--code", hamming_file, "--out", out, "--decoders", "bp",
@@ -608,6 +622,37 @@ class TestRejections:
         assert err == [f"error: {cfg}:2: expected key=value, got 'iterations 2'"]
         assert not (tmp_path / "o").exists()
 
+    # a malformed number names its config key, its flag or its file and token
+    @pytest.mark.parametrize("command, flags, files, message", [
+        ("train", ("--config", "run.config"), {"run.config": "iterations=4.0\n"},
+         "run.config: config key 'iterations': expected an integer, got '4.0'"),
+        ("train", ("--config", "run.config"), {"run.config": "learning_rate=1e-3x\n"},
+         "run.config: config key 'learning_rate': expected a number, got '1e-3x'"),
+        ("bench", ("--config", "run.config"), {"run.config": "step_db=half\n"},
+         "run.config: config key 'step_db': expected a number, got 'half'"),
+        ("bench", ("--csnr", "4,x"), {},
+         "csnr entry 2 (--csnr or config key 'csnr'): expected a number, got 'x'"),
+        ("bench", ("--config", "run.config"), {"run.config": "csnr=4,,5 dB\n"},
+         "csnr entry 3 (--csnr or config key 'csnr'): expected a number, got '5 dB'"),
+        ("bench", ("--decoders", "vcdc", "--timesteps", "1,2.5"), {},
+         "timesteps entry 2 (--timesteps or config key 'timesteps'): expected an integer, "
+         "got '2.5'"),
+        ("decode", ("--llr", "word.llr"), {"word.llr": "1 2 x 4 5 6 7"},
+         "word.llr: token 3: expected a number, got 'x'"),
+        ("decode", ("--llr", "word.llr", "--config", "run.config"),
+         {"word.llr": "1 " * 7, "run.config": "timesteps=20.0\n"},
+         "run.config: config key 'timesteps': expected an integer, got '20.0'"),
+    ])
+    def test_malformed_number_names_its_source(self, tmp_path, monkeypatch, capsys, command,
+                                               flags, files, message):
+        monkeypatch.chdir(tmp_path)
+        for name, text in files.items():
+            Path(name).write_text(text, encoding="ascii")
+        assert run_cli(command, "--code", "hamming_7_4", *flags) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == "" and sorted(os.listdir(tmp_path)) == sorted(files)
+
     def test_config_comments_and_blank_lines_accepted(self, tmp_path):
         cfg = tmp_path / "run.config"
         cfg.write_text("# a short run\n\ncode=hamming_7_4\niterations=2  # two steps\n"
@@ -637,7 +682,7 @@ class TestParser:
 
 class TestDefaults:
     """The CLI takes TrainConfig's and BpConfig's defaults from the objects
-    and step_db's from VcdcDecoder, and owns the Monte-Carlo protocol and T,
+    and step_db's from bench.STEP_DB, VcdcDecoder's default, and owns the Monte-Carlo protocol and T,
     which the library takes from its callers; the keys, values and captured
     configs stay as they were."""
 
@@ -658,7 +703,7 @@ class TestDefaults:
         assert defaults["bp_iters"] == BpConfig().max_iters
         assert defaults["bp_variant"] == BpConfig().variant
         params = inspect.signature(VcdcDecoder).parameters
-        assert defaults["step_db"] == params["step_db"].default == 0.5
+        assert defaults["step_db"] == bench.STEP_DB == params["step_db"].default == 0.5
         assert params["timesteps"].default is inspect.Parameter.empty
         assert int(defaults["timesteps"]) == 20
 
