@@ -20,7 +20,7 @@ import numpy as np
 from . import denoiser
 from .bp import EdgeIndex, check_count, check_llr_batch, decode_bp_batch
 from .channel import hard_decide, noise_scale, to_llr, transmit
-from .codebook import bipolar, derive_generator, encode
+from .codebook import bipolar, encode
 from .diffusion import build_schedule, check_spacing
 
 RESULT_COLUMNS = ("code", "n", "k", "decoder", "csnr_db", "bits", "bit_errors", "ber",
@@ -120,14 +120,13 @@ def run_ber(h, decoder, csnr_db, stop_errors, max_frames, seed, code_id, batch_f
     check_count("batch_frames", batch_frames)
     if workers != 1:
         raise ValueError(f"run_ber draws one stream; workers must be 1, got {workers!r}")
-    gen = derive_generator(h)
     w = float(noise_scale(csnr_db, h.k, h.n))
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
 
     bit_errors = frames_done = frame_errors = steps_total = 0
     while bit_errors < stop_errors and frames_done < max_frames:
         frames = min(batch_frames, max_frames - frames_done)
-        code = encode(gen, rng.integers(0, 2, size=(frames, h.k)))
+        code = encode(h.generator, rng.integers(0, 2, size=(frames, h.k)))
         llrs = to_llr(transmit(bipolar(code), w, rng), w)
         bits, steps = decoder.decode_batch(llrs, csnr_db)
         wrong = bits != code

@@ -91,7 +91,6 @@ class EdgeIndex:
             row_of[checks, table] = np.arange(start, start + table.size).reshape(table.shape)
             start += table.size
         self.row_var = np.concatenate([table.ravel() for _, table in h.check_tables])
-        self.num_edges = self.row_var.size
 
         # each variable's rows in check order; variables of degree zero are
         # legal in principle, form H's (0, variables) table and keep a zero sum
@@ -425,7 +424,7 @@ def decode_bp_batch(h, llrs, cfg, *, edge_index):
     if ei.h is not h and not np.array_equal(ei.h.rows, h.rows):
         raise ValueError(f"edge index of a ({ei.h.n},{ei.h.k}) code with {ei.h.num_checks} "
                          f"checks cannot decode ({h.n},{h.k}) with {h.num_checks} checks")
-    n, edges = h.n, ei.num_edges
+    n, edges = h.n, h.num_edges
     # min-sum's kernel workspace is sized for the widest degree group
     kernel = 0 if cfg.variant == SUM_PRODUCT else minsum_work_size(
         max(r.stop - r.start for r in ei.degree_groups.values()))

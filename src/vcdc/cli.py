@@ -135,10 +135,12 @@ BENCH_DEFAULTS = {"code": "", "out": "bench_out", "seed": 0, "decoders": "bp", "
 def _setup(args, command, defaults):
     """(resolved config, its captured text, code) of ``train`` or ``bench``.
     Before any work it rejects, first to last: a bad config file, a value the
-    captured config could not read back, no --code, an --out it could not
-    write, and a code it cannot load."""
+    captured config could not read back, a negative seed, no --code, an --out
+    it could not write, and a code it cannot load."""
     cfg = _resolve(args, defaults)
     config = _config_text(cfg)
+    if cfg["seed"] < 0:  # numpy's own error would name neither flag nor key
+        raise ValueError(f"seed (--seed or config key 'seed') must be >= 0, got {cfg['seed']}")
     if not cfg["code"]:
         raise ValueError(f"{command} requires --code")
     _check_out(cfg["out"])

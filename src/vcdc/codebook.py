@@ -38,11 +38,12 @@ class ParityCheckMatrix:
 
     n and ``num_checks`` are the shape of ``rows`` and k is n minus the
     GF(2) rank of H, so a redundant row adds a check but no constraint and
-    H may have more rows than n.  Instances are immutable; ``check_tables``
-    and ``layer_groups`` are built from ``rows`` on first use, and the
-    ``generator``, which also gives k, by the constructor.  The constructor
-    keeps a copy of ``rows``; it rejects entries but 0 and 1, no rows, (an
-    ``AlistError``) a check of degree < 2, and rank n, which leaves k = 0.
+    H may have more rows than n.  Instances are immutable; ``num_edges``,
+    ``check_tables`` and ``layer_groups`` are built from ``rows`` on first
+    use, and the ``generator``, which also gives k, by the constructor.  The
+    constructor keeps a copy of ``rows``; it rejects entries but 0 and 1, no
+    rows, (an ``AlistError``) a check of degree < 2, and rank n, which leaves
+    k = 0.
     """
 
     rows: np.ndarray
@@ -74,12 +75,13 @@ class ParityCheckMatrix:
         return self.generator.shape[0]
 
     @property
-    def num_edges(self):
-        return int(self.rows.sum())
-
-    @property
     def rate(self):
         return self.k / self.n
+
+    @cached_property
+    def num_edges(self):
+        """The number of ones in H: edges of the Tanner graph."""
+        return int(self.rows.sum())
 
     @cached_property
     def check_tables(self):
@@ -238,8 +240,8 @@ def load_alist(path):
 
 
 def derive_generator(h):
-    """The (k, n) generator of ``h``, ``h.generator``: derived once, when
-    ``h`` is built, and cached with it."""
+    """``h.generator``, under the name ``perfbench/harness.py`` (``load_code``,
+    ``_frames``) calls and wraps; the library reads ``h.generator``."""
     return h.generator
 
 

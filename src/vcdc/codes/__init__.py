@@ -9,10 +9,6 @@ from importlib import resources
 from ..codebook import parse_alist
 
 
-def alist_text(name):
-    return resources.files(__package__).joinpath(f"{name}.alist").read_text("ascii")
-
-
 def load(name):
-    """Parse a bundled code into a ParityCheckMatrix."""
-    return parse_alist(alist_text(name))
+    """Parse the bundled code ``name`` into a ParityCheckMatrix."""
+    return parse_alist(resources.files(__package__).joinpath(f"{name}.alist").read_text("ascii"))

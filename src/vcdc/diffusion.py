@@ -47,22 +47,24 @@ class DiffusionSchedule:
         return self.csnr_levels.size
 
 
-def check_spacing(steps, step_db):
-    """ValueError unless ``steps`` is a count of levels (a fraction would shift
-    them off the channel) and ``step_db``, their spacing, finite and positive."""
-    check_count("steps", steps)
+def check_spacing(timesteps, step_db):
+    """ValueError unless ``timesteps`` is a count of levels (a fraction would
+    shift them off the channel) and ``step_db``, their spacing, finite and
+    positive."""
+    check_count("timesteps", timesteps)
     if not 0.0 < step_db < np.inf:  # NaN fails both tests
         raise ValueError(f"step_db must be finite and positive, got {step_db}")
 
 
-def build_schedule(observed_csnr_db, steps, step_db, rate):
-    """Uniformly spaced schedule ending at the observed channel CSNR.
+def build_schedule(observed_csnr_db, timesteps, step_db, rate):
+    """Uniformly spaced schedule of ``timesteps`` levels ending at the
+    observed channel CSNR.
 
-    Levels are observed + (steps-1)*step_db, ..., observed + step_db,
+    Levels are observed + (timesteps-1)*step_db, ..., observed + step_db,
     observed, so the noisiest end coincides with the physical channel.
     """
-    check_spacing(steps, step_db)
-    levels = observed_csnr_db + step_db * np.arange(steps - 1, -1, -1, dtype=np.float64)
+    check_spacing(timesteps, step_db)
+    levels = observed_csnr_db + step_db * np.arange(timesteps - 1, -1, -1, dtype=np.float64)
     return DiffusionSchedule(csnr_levels=levels, rate=float(rate))
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .bp import RunningSet, _pairwise_sum, check_count
 from .channel import noise_scale, to_llr, transmit
-from .codebook import bipolar, derive_generator, encode
+from .codebook import bipolar, encode
 from .denoiser import NeuralBlockWeights, block_layers, walk_size
 
 
@@ -212,7 +212,6 @@ def train(h, cfg):
     # the channel's range is one interval, so its bounds check every draw
     noise_scale(np.array([cfg.csnr_low_db, cfg.csnr_high_db]), h.k, h.n)
     rng = np.random.default_rng(cfg.seed)
-    gen = derive_generator(h)
     params = np.zeros(h.num_checks)
     adam = Adam(cfg.learning_rate, h.num_checks)
     raw = np.empty(cfg.iterations)
@@ -222,7 +221,7 @@ def train(h, cfg):
         if cfg.all_zero_codewords:
             code = np.zeros((cfg.batch_size, h.n), dtype=np.uint8)
         else:
-            code = encode(gen, rng.integers(0, 2, size=(cfg.batch_size, h.k)))
+            code = encode(h.generator, rng.integers(0, 2, size=(cfg.batch_size, h.k)))
         llrs = to_llr(transmit(bipolar(code), w[:, None], rng), w[:, None])
         value, grads = block_gradients(h, params, llrs, code)
         if not np.isfinite(value):

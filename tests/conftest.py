@@ -10,7 +10,7 @@ import pytest
 
 from vcdc import codes
 from vcdc.bench import BerRun, run_ber
-from vcdc.codebook import ParityCheckMatrix, _row_reduce, derive_generator, encode
+from vcdc.codebook import ParityCheckMatrix, _row_reduce, encode
 from vcdc.denoiser import NeuralBlockWeights
 
 
@@ -190,7 +190,7 @@ def random_layered_code(seed, n, m):
 
 def enumerate_codewords(h):
     """All 2^k codewords by exhaustive message enumeration."""
-    g = derive_generator(h)
+    g = h.generator
     msgs = np.array(np.meshgrid(*[[0, 1]] * h.k, indexing="ij"),
                     dtype=np.uint8).reshape(h.k, -1).T
     return encode(g, msgs)

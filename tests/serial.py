@@ -68,7 +68,7 @@ def belief_sums(ei, c2v):
     """``vcdc.bp.EdgeIndex.belief_sums`` of the (E, B) messages ``c2v`` on
     the edge index ``ei``, into new arrays."""
     frames = c2v.shape[1]
-    return ei.belief_sums(c2v, np.empty((ei.h.n, frames)), np.empty((ei.num_edges, frames)))
+    return ei.belief_sums(c2v, np.empty((ei.h.n, frames)), np.empty((ei.h.num_edges, frames)))
 
 
 def block(h, weights, llrs):

@@ -49,11 +49,11 @@ def git(tree, *args):
                     "-c", "commit.gpgsign=false", *args], check=True, capture_output=True)
 
 
-def make_tree(tree):
+def make_tree(tree, run_seconds=20):
     """A git repository holding a BENCHMARK.json and ``side.txt``, which
     names the side, both committed."""
     tree.mkdir()
-    spec = {"end_to_end": [{"name": "frames_per_s", "better": "higher", "bound": 0.15},
+    spec = {"run_seconds": run_seconds, "end_to_end": [{"name": "frames_per_s", "better": "higher", "bound": 0.15},
                            {"name": "neg_ln_err", "better": "higher", "bound": 0.03},
                            {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]}
     (tree / "BENCHMARK.json").write_text(json.dumps(spec), encoding="ascii")
@@ -97,6 +97,25 @@ def test_pairs_alternate_with_own_seeds_and_count_moves(tmp_path, capsys):
             "spread 15.25%)") in out
     assert "gain: no (head won 1 of 4 pairs" in out
     assert "bound: worse" not in out and out.count("bound: within") == 2
+
+
+@pytest.mark.parametrize("flags, seconds", [((), 7), (("--seconds", "3.5"), 3.5)])
+def test_runs_last_base_run_seconds_unless_given(tmp_path, capsys, flags, seconds):
+    # the run length belongs to the benchmark: BASE's, whatever HEAD's says
+    base = make_tree(tmp_path / "base", run_seconds=7)
+    head = make_tree(tmp_path / "head", run_seconds=30)
+    tables = {side: {1: canned_stdout(100.0, 40.0)} for side in ("base", "head")}
+    run, _, _ = fake_runner(tables)
+    asked = []
+
+    def timed_run(cmd, cwd, **kwargs):
+        asked.append(float(cmd[cmd.index("--seconds") + 1]))
+        return run(cmd, cwd, **kwargs)
+
+    assert bench_pairs.main([base, head, "--workload", "vcdc-ldpc121", "--pairs", "1",
+                             "--seed", "1", *flags], run=timed_run) == 0
+    assert asked == [seconds, seconds]
+    assert f"seeds 1-1, {seconds:g} s a run" in capsys.readouterr().out
 
 
 def test_a_digest_or_quality_that_differs_fails(tmp_path, capsys):

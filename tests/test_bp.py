@@ -10,8 +10,7 @@ from vcdc import bp, codes
 from vcdc.bp import (ATANH_EPS, BROADCAST_ROW, LLR_CLAMP, BpConfig, EdgeIndex, MIN_SUM,
                      SUM_PRODUCT, RunningSet, _two_least, check_minsum_terms, decode_bp_batch,
                      minsum_work_size)
-from vcdc.codebook import (ParityCheckMatrix, _row_reduce, bipolar, derive_generator, encode,
-                           syndrome)
+from vcdc.codebook import ParityCheckMatrix, _row_reduce, bipolar, encode, syndrome
 from vcdc.channel import hard_decide, noise_scale, to_llr, transmit
 from vcdc.train import minsum_backward
 
@@ -302,7 +301,7 @@ class TestDecodeBp:
             serial.bp_decode(hamming, llrs)
 
     def test_noiseless_exits_first_iteration(self, hamming):
-        g = derive_generator(hamming)
+        g = hamming.generator
         cw = encode(g, np.array([1, 0, 1, 1], dtype=np.uint8)[None])[0]
         bits, _, iters, ok = serial.bp_decode(hamming, 20.0 * bipolar(cw)[None],
                                               BpConfig(max_iters=5))
@@ -355,6 +354,27 @@ class TestDecodeBp:
             assert_same_bits(bel1[0], beliefs[i])
             assert it1[0] == iters[i] and ok1[0] == ok[i]
 
+    @pytest.mark.parametrize("variant", [SUM_PRODUCT, MIN_SUM])
+    def test_polar_frames_decode_alike_alone_and_in_a_batch(self, polar_64_32, variant):
+        # polar_64_32's variable degrees reach 32, so its belief sums run
+        # _pairwise_sum's branch of 8 to 128 terms, which ldpc_49_24's (at
+        # most 4) never reach; numpy's sum over axis 0 adds pairwise only
+        # when every other axis has length 1, so a frame alone would round
+        # its beliefs otherwise than in a batch
+        h, frames = polar_64_32, 64
+        rng = np.random.default_rng(14)
+        w = noise_scale(2.0, h.k, h.n)
+        llrs = to_llr(transmit(bipolar(encode(h.generator, rng.integers(0, 2, (frames, h.k)))),
+                               w, rng), w)
+        cfg = BpConfig(max_iters=10, variant=variant)
+        bits, beliefs, iters, ok = serial.bp_decode(h, llrs, cfg)
+        assert iters.max() > 1
+        for i in range(frames):
+            b1, bel1, it1, ok1 = serial.bp_decode(h, llrs[i:i + 1], cfg)
+            assert np.array_equal(b1[0], bits[i])
+            assert_same_bits(bel1[0], beliefs[i])
+            assert it1[0] == iters[i] and ok1[0] == ok[i]
+
     def test_dimension_mismatch(self, hamming):
         with pytest.raises(ValueError):
             serial.bp_decode(hamming, np.zeros((1, 6)))
@@ -381,7 +401,7 @@ class TestDecodeBp:
 
     def test_early_exit_returns_valid_codewords(self, ldpc_49_24):
         rng = np.random.default_rng(14)
-        g = derive_generator(ldpc_49_24)
+        g = ldpc_49_24.generator
         cw = encode(g, rng.integers(0, 2, ldpc_49_24.k)[None])[0]
         llr = 2.2 * bipolar(cw) + rng.normal(0, 1.4, ldpc_49_24.n)
         bits, _, _, ok = serial.bp_decode(ldpc_49_24, llr[None, :] + np.zeros((64, 1)),
@@ -429,7 +449,7 @@ class TestExtrinsicIdentity:
 class TestVariantAgreement:
     def test_minsum_matches_sumproduct_at_high_snr(self, ldpc_49_24):
         rng = np.random.default_rng(31)
-        g = derive_generator(ldpc_49_24)
+        g = ldpc_49_24.generator
         agree = 0
         trials = 300
         for _ in range(trials):
@@ -445,7 +465,7 @@ class TestVariantAgreement:
 class TestClampInsensitivity:
     def test_message_clamp_leaves_decisions_unchanged_at_tested_snr(self, ldpc_121_60):
         rng = np.random.default_rng(41)
-        g = derive_generator(ldpc_121_60)
+        g = ldpc_121_60.generator
         from vcdc.channel import noise_scale, to_llr, transmit
         w = noise_scale(4.0, 60, 121)
         cw = encode(g, rng.integers(0, 2, (2000, 60)))
@@ -504,7 +524,7 @@ def assert_check_blocks(h, ei):
     """Each degree group's (d, checks, B) block is a view of the messages
     whose rows are, slot j by slot j, the j-th variables of its checks:
     the (d, checks) table of the degree-d checks of H, in order."""
-    msgs = np.zeros((ei.num_edges, 3))
+    msgs = np.zeros((h.num_edges, 3))
     start = 0
     for (d, rows), block in zip(ei.degree_groups.items(), ei.check_blocks(msgs)):
         assert rows.start == start
@@ -513,7 +533,7 @@ def assert_check_blocks(h, ei):
         assert np.array_equal(ei.row_var[rows].reshape(d, -1), table.T)
         start = rows.stop
     assert list(ei.degree_groups) == sorted(set(h.rows.sum(axis=1).tolist()))
-    assert start == ei.num_edges == ei.row_var.size
+    assert start == h.num_edges == ei.row_var.size
 
 
 def assert_sorted_layout(h, ei):
@@ -636,7 +656,7 @@ class TestProductClamp:
         assert sorted(ei.degree_groups) == list(range(2, 13))
         # every message at +-clamp, mixed signs, frame 0 all positive
         rng = np.random.default_rng(11)
-        v2c = clamp * rng.choice([-1.0, 1.0], (ei.num_edges, 64))
+        v2c = clamp * rng.choice([-1.0, 1.0], (self.H.num_edges, 64))
         v2c[:, 0] = clamp
         t = np.tanh(v2c * 0.5)
         with mock.patch.object(bp, "MESSAGE_CLAMP", clamp):
@@ -672,14 +692,14 @@ def test_layout_of_random_codes(h, seed):
         assert np.array_equal(ei.row_var[block], np.broadcast_to(variables, block.shape))
         assert np.array_equal(checks[block].T, adjacency(h.rows.T[variables]))
         start += block.size
-    assert start == ei.num_edges
+    assert start == h.num_edges
     grouped = np.concatenate([ei.isolated] + [v for _, v in ei.var_groups])
     assert sorted(grouped.tolist()) == list(range(h.n))
     assert ei.isolated.tolist() == np.flatnonzero(h.rows.sum(axis=0) == 0).tolist()
     assert_sorted_layout(h, ei)
     # the belief sums of the oracle's canonical edges, bit for bit
     rng = np.random.default_rng(seed)
-    c2v = rng.normal(size=(ei.num_edges, 5)) * 10.0 ** rng.integers(-8, 9, (ei.num_edges, 5))
+    c2v = rng.normal(size=(h.num_edges, 5)) * 10.0 ** rng.integers(-8, 9, (h.num_edges, 5))
     canonical = np.empty_like(c2v.T)
     canonical[:, canonical_rows(h, ei)] = c2v.T
     assert_same_bits(serial.belief_sums(ei, c2v),
@@ -697,7 +717,7 @@ def test_belief_sums_round_as_reduceat():
         rows[rng.choice(m, size=rng.integers(1, 140), replace=False), v] = 1
     h = ParityCheckMatrix(rows)
     ei = EdgeIndex(h)
-    c2v = rng.normal(size=(ei.num_edges, 4)) * 10.0 ** rng.integers(-8, 17, (ei.num_edges, 4))
+    c2v = rng.normal(size=(h.num_edges, 4)) * 10.0 ** rng.integers(-8, 17, (h.num_edges, 4))
     c2v[rng.random(c2v.shape) < 0.05] = -0.0
     canonical = np.empty_like(c2v.T)
     canonical[:, canonical_rows(h, ei)] = c2v.T
@@ -718,7 +738,7 @@ def test_belief_sums_into_out_match_the_allocating_form():
     h = ParityCheckMatrix(rows)
     assert h.rows[:, :4].sum(axis=0).tolist() == [0, 1, 5, 12]
     ei = EdgeIndex(h)
-    c2v = rng.normal(size=(ei.num_edges, 6))
+    c2v = rng.normal(size=(h.num_edges, 6))
     canonical = np.empty_like(c2v.T)
     canonical[:, canonical_rows(h, ei)] = c2v.T
     out, gather = np.full((n, 6), np.nan), np.full_like(c2v, np.nan)
@@ -733,12 +753,12 @@ def test_decode_allocates_one_workspace(ldpc_121_60, variant, bound):
     h, frames = ldpc_121_60, 512
     rng = np.random.default_rng(12)
     w = noise_scale(4.0, h.k, h.n)
-    cw = encode(derive_generator(h), rng.integers(0, 2, (frames, h.k)))
+    cw = encode(h.generator, rng.integers(0, 2, (frames, h.k)))
     llrs = to_llr(transmit(bipolar(cw), w, rng), w)
     ei = EdgeIndex(h)
     cfg = BpConfig(variant=variant)
     peak = traced_peak(lambda: decode_bp_batch(h, llrs, cfg, edge_index=ei))
-    assert peak < bound * ei.num_edges * frames * 8
+    assert peak < bound * h.num_edges * frames * 8
 
 
 def null_space(h):
@@ -793,7 +813,7 @@ def test_settle_writes_only_the_frames_that_stop(hamming):
     # 2, 5 and 7 are codewords, the others have one bit flipped
     rng = np.random.default_rng(4)
     h, n = hamming, hamming.n
-    hard = encode(derive_generator(h), rng.integers(0, 2, (10, h.k)))
+    hard = encode(h.generator, rng.integers(0, 2, (10, h.k)))
     hard[[1, 3, 4, 6, 8, 9], [0, 6, 2, 5, 1, 3]] ^= 1
     llrs = bipolar(hard) * rng.uniform(0.5, 4.0, hard.shape)
     rs = RunningSet(h, llrs, n + 2, 5)
@@ -856,7 +876,7 @@ EXIT_CASES = {
 def test_exit_edge_cases_match_the_row_major_oracle(ldpc_121_60, variant, case):
     h, (iters, early_exit, csnr) = ldpc_121_60, EXIT_CASES[case]
     rng = np.random.default_rng(21)
-    x = bipolar(encode(derive_generator(h), rng.integers(0, 2, (64, h.k))))
+    x = bipolar(encode(h.generator, rng.integers(0, 2, (64, h.k))))
     if csnr is None:
         llrs = 8.0 * x
     else:

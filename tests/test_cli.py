@@ -15,7 +15,7 @@ from vcdc import bench, cli, codes
 from vcdc.bench import VcdcDecoder, run_ber
 from vcdc.bp import BpConfig
 from vcdc.cli import BENCH_DEFAULTS, DECODE_DEFAULTS, TRAIN_DEFAULTS, build_parser, main
-from vcdc.codebook import ParityCheckMatrix, bipolar, derive_generator, encode
+from vcdc.codebook import ParityCheckMatrix, bipolar, encode
 from vcdc.denoiser import load_checkpoint, save_checkpoint
 from vcdc.train import TrainConfig
 
@@ -263,7 +263,7 @@ class TestTrain:
 class TestDecode:
     def test_noiseless_codeword_exits_zero(self, hamming_file, tmp_path, capsys):
         h = codes.load("hamming_7_4")
-        cw = encode(derive_generator(h), np.array([1, 0, 1, 1], dtype=np.uint8)[None])[0]
+        cw = encode(h.generator, np.array([1, 0, 1, 1], dtype=np.uint8)[None])[0]
         llr_file = tmp_path / "word.llr"
         llr_file.write_text(" ".join(f"{v:.1f}" for v in 9.0 * bipolar(cw)))
         assert run_cli("decode", "--code", hamming_file, "--llr", llr_file) == 0
@@ -296,7 +296,7 @@ class TestDecode:
     def test_identity_decoder(self, hamming_file, tmp_path, capsys):
         # one flipped bit: identity reports it, BP corrects it
         h = codes.load("hamming_7_4")
-        cw = encode(derive_generator(h), np.array([1, 1, 0, 1], dtype=np.uint8)[None])[0]
+        cw = encode(h.generator, np.array([1, 1, 0, 1], dtype=np.uint8)[None])[0]
         llrs = 4.0 * bipolar(cw)
         llrs[2] = -llrs[2]
         llr_file = tmp_path / "word.llr"
@@ -329,7 +329,7 @@ class TestDecode:
                 "--iterations", 5, "--batch-size", 8, "--seed", 1)
         capsys.readouterr()  # drop the train subcommand's output
         h = codes.load("hamming_7_4")
-        cw = encode(derive_generator(h), np.array([0, 1, 1, 0], dtype=np.uint8)[None])[0]
+        cw = encode(h.generator, np.array([0, 1, 1, 0], dtype=np.uint8)[None])[0]
         llr_file = tmp_path / "word.llr"
         llr_file.write_text(" ".join(f"{v:.1f}" for v in 8.0 * bipolar(cw)))
         assert run_cli("decode", "--code", hamming_file, "--llr", llr_file,
@@ -592,9 +592,44 @@ class TestRejections:
         assert os.listdir(tmp_path) == ["afile"]
         assert afile.read_bytes() == b"not a directory\n"
 
+    # the schedule's length is the count --timesteps gives; its check once
+    # named it "steps"
+    @pytest.mark.parametrize("command, flags", [
+        ("bench", ("--decoders", "vcdc", "--csnr", "2")),
+        ("decode", ("--decoder", "vcdc", "--llr", "word.llr")),
+    ])
+    def test_zero_timesteps_names_timesteps(self, tmp_path, monkeypatch, capsys, command,
+                                            flags):
+        monkeypatch.chdir(tmp_path)
+        Path("word.llr").write_text("1 " * 7, encoding="ascii")
+        Path("zeros.vcdc").write_bytes(save_checkpoint(zero_weights(codes.load("hamming_7_4"))))
+        assert run_cli(command, "--code", "hamming_7_4", *flags, "--checkpoint", "zeros.vcdc",
+                       "--timesteps", 0) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: timesteps must be >= 1, got 0\n"
+        assert captured.out == "" and sorted(os.listdir(tmp_path)) == ["word.llr", "zeros.vcdc"]
+
+    # a negative seed once reached numpy, whose error named neither the flag
+    # nor the config key
+    @pytest.mark.parametrize("command", ["train", "bench"])
+    @pytest.mark.parametrize("flags, files", [
+        (("--seed", "-1"), {}),
+        (("--config", "run.config"), {"run.config": "seed=-1\n"}),
+    ])
+    def test_negative_seed_names_seed(self, tmp_path, monkeypatch, capsys, command, flags,
+                                      files):
+        monkeypatch.chdir(tmp_path)
+        for name, text in files.items():
+            Path(name).write_text(text, encoding="ascii")
+        assert run_cli(command, "--code", "hamming_7_4", *flags) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed (--seed or config key 'seed') must be >= 0, got -1\n"
+        assert captured.out == "" and sorted(os.listdir(tmp_path)) == sorted(files)
+
     # train and bench share one setup; when two of its checks fail at once,
     # the first in its order names the error: config file, a value the
-    # captured config could not carry back, --code, --out, the code
+    # captured config could not carry back, a negative seed, --code, --out,
+    # the code
     @pytest.mark.parametrize("command", ["train", "bench"])
     @pytest.mark.parametrize("flags, message", [
         (("--config", "bad.config", "--out", "run#1"), "unknown config key 'typo'"),
@@ -602,6 +637,8 @@ class TestRejections:
         (("--out", "afile/sub"), "{command} requires --code"),
         (("--code", "no_such_code", "--out", "afile/sub"),
          "--out 'afile/sub': 'afile' exists and is not a directory"),
+        (("--out", "run#1", "--seed", "-1"), "config key 'out': 'run#1' would not read back"),
+        (("--seed", "-1", "--out", "afile/sub"), "seed (--seed or config key 'seed') must be"),
     ])
     def test_setup_reports_the_first_of_two_failures(self, tmp_path, monkeypatch, capsys,
                                                      command, flags, message):

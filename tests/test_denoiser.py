@@ -7,7 +7,7 @@ from vcdc import denoiser
 from vcdc.bench import VcdcDecoder
 from vcdc.bp import LLR_CLAMP, MIN_SUM, SUM_PRODUCT, BpConfig
 from vcdc.channel import hard_decide, noise_scale, to_llr, transmit
-from vcdc.codebook import ParityCheckMatrix, bipolar, derive_generator, encode, syndrome
+from vcdc.codebook import ParityCheckMatrix, bipolar, encode, syndrome
 from vcdc.denoiser import (CheckpointError, NeuralBlockWeights, decode_vcdc_batch,
                            load_checkpoint, neural_block, save_checkpoint, walk_size)
 from vcdc.diffusion import build_schedule
@@ -44,7 +44,7 @@ class TestNeuralBlock:
 
     def test_unit_weights_on_tree_matches_one_bp_iteration_noiseless(self):
         h = make_tree_code(4)
-        g = derive_generator(h)
+        g = h.generator
         rng = np.random.default_rng(2)
         weights = NeuralBlockWeights(values=np.ones(h.num_checks), n=h.n, k=h.k)
         for _ in range(10):
@@ -241,7 +241,7 @@ class TestFramesAsColumns:
         h = ldpc_121_60
         rng = np.random.default_rng(12)
         w = rand_weights(h, rng, scale=0.3)
-        g = derive_generator(h)
+        g = h.generator
         cases = [(frames, levels) for frames in (1, 7, 512) for levels in (1, 2, 20)]
         for frames, levels in cases + [(7, 0)]:
             x = bipolar(encode(g, rng.integers(0, 2, (frames, h.k))))
@@ -271,7 +271,7 @@ def test_exit_edge_cases_match_the_frame_major_oracle(ldpc_121_60, case):
     h, (levels, scale, valid) = ldpc_121_60, VCDC_EXIT_CASES[case]
     rng = np.random.default_rng(31)
     w = rand_weights(h, rng, scale=0.3)
-    x = bipolar(encode(derive_generator(h), rng.integers(0, 2, (48, h.k))))
+    x = bipolar(encode(h.generator, rng.integers(0, 2, (48, h.k))))
     llrs = rng.normal(0.0, 1.0, x.shape)
     if scale is not None:
         llrs = scale * x + (valid == "some") * 2.0 * llrs
@@ -309,7 +309,7 @@ def test_llrs_are_clamped_at_the_frame_boundary(ldpc_49_24):
     # sums overflow, and the channel's own at 100 dB, where |LLR| ~ 2e10
     h = ldpc_49_24
     rng = np.random.default_rng(17)
-    x_b = encode(derive_generator(h), rng.integers(0, 2, (24, h.k)))
+    x_b = encode(h.generator, rng.integers(0, 2, (24, h.k)))
     w = noise_scale(100.0, h.k, h.n)
     channel_llrs = to_llr(transmit(bipolar(x_b), w, rng), w)
     weights = rand_weights(h, rng)
@@ -332,7 +332,7 @@ def test_channel_llrs_that_overflow_are_rejected_at_the_frame_boundary(ldpc_49_2
     # channel's LLRs are +-inf, and the frame boundary rejects them
     h = ldpc_49_24
     rng = np.random.default_rng(19)
-    x_b = encode(derive_generator(h), rng.integers(0, 2, (4, h.k)))
+    x_b = encode(h.generator, rng.integers(0, 2, (4, h.k)))
     w = 1e-160
     with np.errstate(over="ignore"):
         llrs = to_llr(transmit(bipolar(x_b), w, rng), w)
@@ -367,7 +367,7 @@ def test_frames_decode_alike_in_any_batch(h, data, seed):
 
 class TestDecodeVcdc:
     def test_noiseless_input_costs_zero_steps(self, hamming):
-        g = derive_generator(hamming)
+        g = hamming.generator
         cw = encode(g, np.array([1, 1, 0, 0], dtype=np.uint8)[None])[0]
         sched = build_schedule(4.0, 20, 0.5, hamming.rate)
         bits, _, steps, ok = decode_vcdc_batch(hamming, zero_weights(hamming),
@@ -407,7 +407,7 @@ class TestDecodeVcdc:
     def test_early_stopping_returns_valid_codewords(self, polar_64_32):
         rng = np.random.default_rng(6)
         h = polar_64_32
-        g = derive_generator(h)
+        g = h.generator
         weights = rand_weights(h, rng, scale=0.3)
         sched = build_schedule(5.0, 20, 0.5, h.rate)
         cw = encode(g, rng.integers(0, 2, (64, h.k)))
@@ -486,7 +486,7 @@ class TestDecodeVcdc:
         h, frames = ldpc_121_60, 512
         rng = np.random.default_rng(12)
         w = noise_scale(4.0, h.k, h.n)
-        cw = encode(derive_generator(h), rng.integers(0, 2, (frames, h.k)))
+        cw = encode(h.generator, rng.integers(0, 2, (frames, h.k)))
         llrs = to_llr(transmit(bipolar(cw), w, rng), w)
         weights = NeuralBlockWeights(values=rng.normal(0.3, 0.1, h.num_checks), n=h.n, k=h.k)
         sched = build_schedule(4.0, 20, 0.5, h.rate)

@@ -58,7 +58,7 @@ class TestBuildSchedule:
     def test_rejects_steps_that_are_not_integers(self, bad):
         # 2.5 would give levels 4.75, 4.25, 3.75 at an observed 4 dB, so the
         # noisiest level would no longer be the channel; True, one level
-        with pytest.raises(ValueError, match="steps"):
+        with pytest.raises(ValueError, match="timesteps must be an integer"):
             build_schedule(4.0, bad, 0.5, 0.5)
 
     def test_accepts_numpy_integer_steps(self):

@@ -1,7 +1,7 @@
 """Run the benchmark alternately from two source trees and compare them pair by pair.
 
     python3 tools/bench_pairs.py BASE HEAD --workload vcdc-ldpc121 --pairs 10 \
-        --seconds 20 --seed 9101
+        --seed 9101
 
 BASE and HEAD are git checkouts, for example a ``git worktree`` or a
 clone of the parent commit and the working tree.  Each side runs from a
@@ -13,7 +13,8 @@ rev-parse HEAD``, which the copies do not carry, and a sha256 of its copied
 files taken over their sorted paths and contents, which tells a tree with
 uncommitted edits from a checkout of its HEAD.  Pair i runs
 ``perfbench/run.py --trace 0`` once from each copy, both with seed ``seed + i``; BASE runs
-first in even pairs and HEAD in odd ones.  For every end-to-end metric the
+first in even pairs and HEAD in odd ones.  A run lasts ``--seconds``, by default
+the ``run_seconds`` of BASE's ``BENCHMARK.json``.  For every end-to-end metric the
 tool prints each pair's values, the median and quartiles of each side, the
 median head/base ratio, and in how many pairs HEAD was better, worse or
 equal, by the direction BASE's ``BENCHMARK.json`` gives the metric.  Two
@@ -90,11 +91,10 @@ def run_tree(tree, workload, seed, seconds, run=subprocess.run):
     return parse_run(proc.stdout)
 
 
-def directions(tree):
-    """{end-to-end metric: ("higher" or "lower", relative bound)} from
-    ``tree``'s BENCHMARK.json."""
+def read_benchmark(tree):
+    """``tree``'s BENCHMARK.json, parsed."""
     with open(os.path.join(tree, "BENCHMARK.json"), encoding="ascii") as fh:
-        return {m["name"]: (m["better"], m["bound"]) for m in json.load(fh)["end_to_end"]}
+        return json.load(fh)
 
 
 def quartiles(values):
@@ -154,7 +154,8 @@ def main(argv=None, run=subprocess.run):
     ap.add_argument("head", help="source checkout of the change")
     ap.add_argument("--workload", required=True, help="a workload of perfbench/run.py, or all")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=20)
+    ap.add_argument("--seconds", type=float,
+                    help="length of a run (default: BASE's BENCHMARK.json run_seconds)")
     ap.add_argument("--seed", type=int, default=1, help="seed of pair 0; pair i uses seed + i")
     args = ap.parse_args(argv)
     if args.pairs < 1:
@@ -172,14 +173,17 @@ def main(argv=None, run=subprocess.run):
 
 def run_pairs(args, copies, run):
     """Run the pairs from the tree ``copies`` {side: directory} and report them."""
-    better = directions(copies["base"])
+    spec = read_benchmark(copies["base"])
+    # {end-to-end metric: ("higher" or "lower", relative bound)}
+    better = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
     runs = {"base": [], "head": []}
     problems = []
     for i in range(args.pairs):
         seed = args.seed + i
         order = ("base", "head") if i % 2 == 0 else ("head", "base")
         for side in order:
-            runs[side].append(run_tree(copies[side], args.workload, seed, args.seconds, run))
+            runs[side].append(run_tree(copies[side], args.workload, seed, seconds, run))
             print(f"pair {i} seed {seed}: ran {side}", file=sys.stderr)
         (base_ok, base_m, base_d), (head_ok, head_m, head_d) = runs["base"][-1], runs["head"][-1]
         if not (base_ok and head_ok):
@@ -192,7 +196,7 @@ def run_pairs(args, copies, run):
                                 f"head {head_m[name]!r}")
 
     print(f"workload {args.workload}, {args.pairs} pairs, seeds {args.seed}-"
-          f"{args.seed + args.pairs - 1}, {args.seconds:g} s a run")
+          f"{args.seed + args.pairs - 1}, {seconds:g} s a run")
     for name in runs["base"][0][1]:
         direction, bound = better[name.rsplit(".", 1)[-1]]
         base = [m[name] for _, m, _ in runs["base"]]

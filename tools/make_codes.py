@@ -48,10 +48,9 @@ def full_rank_rows(rows):
 
 def array_rows(q, j):
     """The j q x q^2 array-code rows, j - 1 of them linearly dependent."""
-    shift = np.roll(np.eye(q, dtype=np.uint8), 1, axis=1)
-    powers = [np.linalg.matrix_power(shift, p) % 2 for p in range(q)]
+    powers = [np.roll(np.eye(q, dtype=np.uint8), p, axis=1) for p in range(q)]
     blocks = [[powers[(i * l) % q] for l in range(q)] for i in range(j)]
-    return np.block(blocks).astype(np.uint8)
+    return np.block(blocks)
 
 
 def array_code(q, j):
@@ -72,10 +71,8 @@ def polar_code(m, k):
     for _ in range(m):
         z = np.concatenate([2 * z - z**2, z**2])
     frozen = np.sort(np.argsort(-z, kind="stable")[: n - k])
-    f = np.zeros((n, n), dtype=np.uint8)
-    for i in range(n):
-        for jj in range(n):
-            f[i, jj] = 1 if (jj & ~i) == 0 else 0
+    idx = np.arange(n)
+    f = ((idx[None, :] & ~idx[:, None]) == 0).astype(np.uint8)
     h = f[:, frozen].T
     # rows sorted by weight: low-degree checks carry the most reliable
     # extrinsics, so serial per-check sweeps profit from meeting them first
