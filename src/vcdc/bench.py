@@ -1,4 +1,7 @@
-"""Monte-Carlo BER evaluation and result emission.
+"""Monte-Carlo BER evaluation, frame synthesis and result emission.
+
+``channel_frames`` is the one frame law, for ``run_ber`` and ``train``:
+encode, map to +-1, add AWGN, form the channel LLRs.
 
 A run simulates random-message frames through the AWGN channel and a
 decoder until the configured number of bit errors has been observed (the
@@ -102,6 +105,15 @@ class IdentityDecoder:
         return hard_decide(check_llr_batch(self.h, llrs)), np.zeros(len(llrs), dtype=np.int64)
 
 
+def channel_frames(h, messages, w, rng):
+    """(code, llrs) of the (B, k) ``messages``: ``code = encode(h.generator,
+    messages)`` sent through AWGN of noise scale ``w``, a scalar or a (B, 1)
+    column.  The caller draws the messages, so ``rng`` gives the noise after them.
+    """
+    code = encode(h.generator, messages)
+    return code, to_llr(transmit(bipolar(code), w, rng), w)
+
+
 def run_ber(h, decoder, csnr_db, stop_errors, max_frames, seed, code_id, batch_frames,
             workers=1):
     """Simulate frames until ``stop_errors`` bit errors or ``max_frames``.
@@ -126,8 +138,7 @@ def run_ber(h, decoder, csnr_db, stop_errors, max_frames, seed, code_id, batch_f
     bit_errors = frames_done = frame_errors = steps_total = 0
     while bit_errors < stop_errors and frames_done < max_frames:
         frames = min(batch_frames, max_frames - frames_done)
-        code = encode(h.generator, rng.integers(0, 2, size=(frames, h.k)))
-        llrs = to_llr(transmit(bipolar(code), w, rng), w)
+        code, llrs = channel_frames(h, rng.integers(0, 2, size=(frames, h.k)), w, rng)
         bits, steps = decoder.decode_batch(llrs, csnr_db)
         wrong = bits != code
         bit_errors += int(wrong.sum())

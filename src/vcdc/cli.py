@@ -91,9 +91,18 @@ def _parse(kind, text, where):
 
 def _parse_list(cfg, key, kind):
     """The comma-separated entries of the resolved ``cfg[key]``, each parsed
-    by ``kind``; empty entries are skipped."""
-    return [_parse(kind, s, f"{key} entry {i} (--{key} or config key {key!r})")
-            for i, s in enumerate(str(cfg[key]).split(","), 1) if s.strip()]
+    by ``kind``; empty entries are skipped, and a repeated value, which would
+    run the same work twice, is rejected by name."""
+    values = []
+    for i, s in enumerate(str(cfg[key]).split(","), 1):
+        where = f"{key} entry {i} (--{key} or config key {key!r})"
+        if s.strip():
+            value = _parse(kind, s.strip(), where)
+            if value in values:
+                raise ValueError(f"{where} repeats {value:g}" if kind is float
+                                 else f"{where} repeats {value!r}")
+            values.append(value)
+    return values
 
 
 def _resolve(args, defaults):
@@ -191,7 +200,7 @@ def _decoder(h, cfg, choice, timesteps, weights):
 def cmd_bench(args):
     cfg, config, h = _setup(args, "bench", BENCH_DEFAULTS)
     code_id = os.path.splitext(os.path.basename(cfg["code"]))[0]
-    decoder_ids = [d.strip() for d in cfg["decoders"].split(",") if d.strip()]
+    decoder_ids = _parse_list(cfg, "decoders", str)
     csnrs, timesteps = _parse_list(cfg, "csnr", float), _parse_list(cfg, "timesteps", int)
     # an empty list would write a results.csv that measured nothing
     if not decoder_ids or not csnrs or ("vcdc" in decoder_ids and not timesteps):

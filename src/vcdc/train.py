@@ -1,8 +1,9 @@
 """Training for the neural block: loss, hand-written backward, Adam, the loop.
 
 Each iteration draws a fresh batch - per-example CSNR uniform over the
-configured range, random messages (or the all-zero codeword), AWGN
-transmission, LLR conversion - runs the block once as a single-step
+configured range, then random messages (zero messages, so the all-zero
+codeword, in the all-zero mode), made into frames by
+``bench.channel_frames`` - runs the block once as a single-step
 denoising prediction, and applies one Adam update to the layer
 weights, one per check.  Everything is driven by one seeded generator,
 so a fixed config reproduces the loss curve exactly.
@@ -20,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bench import channel_frames
 from .bp import RunningSet, _pairwise_sum, check_count
-from .channel import noise_scale, to_llr, transmit
-from .codebook import bipolar, encode
+from .channel import noise_scale
 from .denoiser import NeuralBlockWeights, block_layers, walk_size
 
 
@@ -218,11 +219,11 @@ def train(h, cfg):
     for it in range(cfg.iterations):
         csnr = rng.uniform(cfg.csnr_low_db, cfg.csnr_high_db, size=cfg.batch_size)
         w = noise_scale(csnr, h.k, h.n)
-        if cfg.all_zero_codewords:
-            code = np.zeros((cfg.batch_size, h.n), dtype=np.uint8)
-        else:
-            code = encode(h.generator, rng.integers(0, 2, size=(cfg.batch_size, h.k)))
-        llrs = to_llr(transmit(bipolar(code), w[:, None], rng), w[:, None])
+        # the all-zero mode draws no messages: its noise follows the CSNRs.
+        # The messages live only through the call, as in run_ber
+        code, llrs = channel_frames(
+            h, np.zeros((cfg.batch_size, h.k), dtype=np.uint8) if cfg.all_zero_codewords
+            else rng.integers(0, 2, size=(cfg.batch_size, h.k)), w[:, None], rng)
         value, grads = block_gradients(h, params, llrs, code)
         if not np.isfinite(value):
             raise TrainingDiverged(f"loss became non-finite at iteration {it}")

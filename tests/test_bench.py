@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from vcdc import codebook
-from vcdc.bench import (BerRun, BpDecoder, IdentityDecoder, VcdcDecoder, emit_results,
-                        neg_ln_ber, run_ber)
+from vcdc.bench import (BerRun, BpDecoder, IdentityDecoder, VcdcDecoder, channel_frames,
+                        emit_results, neg_ln_ber, run_ber)
 from vcdc.bp import BpConfig, MIN_SUM
-from vcdc.channel import hard_decide
+from vcdc.channel import hard_decide, noise_scale
 from vcdc.codebook import ParityCheckMatrix
 from vcdc.denoiser import decode_vcdc_batch
 from vcdc.diffusion import build_schedule
@@ -66,6 +66,33 @@ class TestRunBer:
                       seed=0, batch_frames=32)
         assert run.censored and run.bit_errors == 0 and run.ber == 0.0
         assert run.frames_simulated == 64
+
+    def test_decoders_at_one_seed_see_the_same_frames(self, ldpc_49_24):
+        # a run's frames depend only on (seed, batch_frames): every decoder
+        # at one seed is handed the same batches, the short last one too,
+        # each drawn as channel_frames of fresh messages from the run's stream
+        class Recorder:
+            def __init__(self, name):
+                self.name, self.seen = name, []
+
+            def decode_batch(self, llrs, csnr_db):
+                self.seen.append(llrs.copy())
+                return hard_decide(llrs), np.zeros(llrs.shape[0], dtype=np.int64)
+
+        h, seed, csnr = ldpc_49_24, 11, 2.0
+        recorders = [Recorder("first"), Recorder("second")]
+        for rec in recorders:
+            run = ber_run(h, rec, csnr, stop_errors=10**6, max_frames=40, seed=seed,
+                          batch_frames=16)
+            assert run.censored and run.frames_simulated == 40
+        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+        w = float(noise_scale(csnr, h.k, h.n))
+        want = [channel_frames(h, rng.integers(0, 2, (frames, h.k)), w, rng)[1]
+                for frames in (16, 16, 8)]
+        for rec in recorders:
+            assert len(rec.seen) == len(want)
+            for got, llrs in zip(rec.seen, want):
+                assert got.tobytes() == llrs.tobytes()
 
     def test_identity_decoder_matches_gaussian_tail(self, ldpc_121_60):
         run = ber_run(ldpc_121_60, IdentityDecoder(ldpc_121_60), 4.0,

@@ -132,6 +132,48 @@ def test_a_digest_or_quality_that_differs_fails(tmp_path, capsys):
     assert "digests equal in 1 of 2 pairs" in out
 
 
+def test_a_failed_run_is_reported_with_its_stderr_after_the_pairs_before_it(tmp_path,
+                                                                           capsys):
+    # head fails in pair 1, where it runs first: pair 0 is still reported,
+    # base never runs seed 2, and the report ends with the failed run's
+    # exit status and the tail of its standard error, not a traceback
+    base, head = make_tree(tmp_path / "base"), make_tree(tmp_path / "head")
+    tables = {side: {s: canned_stdout(100.0, 40.0) for s in (1, 2, 3)}
+              for side in ("base", "head")}
+    fake, calls, _ = fake_runner(tables)
+    stderr = "".join(f"line {i}\n" for i in range(20)) + "ValueError: no such workload\n"
+
+    def run(cmd, cwd, **kwargs):
+        out = fake(cmd, cwd, **kwargs)
+        if calls[-1] == ("head", 2):
+            raise subprocess.CalledProcessError(3, cmd, output=out.stdout, stderr=stderr)
+        return out
+
+    assert bench_pairs.main([base, head, "--workload", "vcdc-ldpc121", "--pairs", "3",
+                             "--seed", "1"], run=run) == 1
+    assert calls == [("base", 1), ("head", 1), ("head", 2)]
+    out = capsys.readouterr().out
+    assert "1 of 3 pairs run, seeds 1-3" in out and "digests equal in 1 of 1 pairs" in out
+    assert "  pair 0: base 100 head 100 ratio 1.0000 equal" in out
+    tail = "".join(f"  line {i}\n" for i in range(11, 20))
+    assert out.endswith(f"PROBLEM pair 1 seed 2: head run exited 3\n{tail}"
+                        f"  ValueError: no such workload\n")
+    assert "line 10\n" not in out
+
+
+def test_a_run_that_fails_in_the_first_pair_reports_no_metrics(tmp_path, capsys):
+    base, head = make_tree(tmp_path / "base"), make_tree(tmp_path / "head")
+
+    def run(cmd, cwd, **kwargs):
+        raise subprocess.CalledProcessError(1, cmd, output="", stderr="")
+
+    assert bench_pairs.main([base, head, "--workload", "vcdc-ldpc121", "--pairs", "2",
+                             "--seed", "5"], run=run) == 1
+    out = capsys.readouterr().out
+    assert "0 of 2 pairs run" in out and "median" not in out and "digests equal" not in out
+    assert out.endswith("PROBLEM pair 0 seed 5: base run exited 1\n")
+
+
 def test_each_side_runs_from_a_fresh_copy_of_its_visible_files(tmp_path, capsys):
     # the base tree is dirty the way a checkout gets after a test run: an
     # ignored bytecode file, and an untracked file git still sees; the head

@@ -7,11 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vcdc import bp, codes
+from vcdc.bench import channel_frames
 from vcdc.bp import (ATANH_EPS, BROADCAST_ROW, LLR_CLAMP, BpConfig, EdgeIndex, MIN_SUM,
                      SUM_PRODUCT, RunningSet, _two_least, check_minsum_terms, decode_bp_batch,
                      minsum_work_size)
 from vcdc.codebook import ParityCheckMatrix, _row_reduce, bipolar, encode, syndrome
-from vcdc.channel import hard_decide, noise_scale, to_llr, transmit
+from vcdc.channel import hard_decide, noise_scale
 from vcdc.train import minsum_backward
 
 import serial
@@ -363,9 +364,8 @@ class TestDecodeBp:
         # its beliefs otherwise than in a batch
         h, frames = polar_64_32, 64
         rng = np.random.default_rng(14)
-        w = noise_scale(2.0, h.k, h.n)
-        llrs = to_llr(transmit(bipolar(encode(h.generator, rng.integers(0, 2, (frames, h.k)))),
-                               w, rng), w)
+        _, llrs = channel_frames(h, rng.integers(0, 2, (frames, h.k)),
+                                 noise_scale(2.0, h.k, h.n), rng)
         cfg = BpConfig(max_iters=10, variant=variant)
         bits, beliefs, iters, ok = serial.bp_decode(h, llrs, cfg)
         assert iters.max() > 1
@@ -465,12 +465,8 @@ class TestVariantAgreement:
 class TestClampInsensitivity:
     def test_message_clamp_leaves_decisions_unchanged_at_tested_snr(self, ldpc_121_60):
         rng = np.random.default_rng(41)
-        g = ldpc_121_60.generator
-        from vcdc.channel import noise_scale, to_llr, transmit
-        w = noise_scale(4.0, 60, 121)
-        cw = encode(g, rng.integers(0, 2, (2000, 60)))
-        y = transmit(bipolar(cw), w, rng)
-        llr = to_llr(y, w)
+        _, llr = channel_frames(ldpc_121_60, rng.integers(0, 2, (2000, 60)),
+                                noise_scale(4.0, 60, 121), rng)
         bits_30 = serial.bp_decode(ldpc_121_60, llr, BpConfig(max_iters=5))[0]
         with mock.patch.object(bp, "MESSAGE_CLAMP", 3000.0):
             bits_big = serial.bp_decode(ldpc_121_60, llr, BpConfig(max_iters=5))[0]
@@ -752,9 +748,8 @@ def test_decode_allocates_one_workspace(ldpc_121_60, variant, bound):
     # kernel's workspace; message arrays made per iteration exceed the bound
     h, frames = ldpc_121_60, 512
     rng = np.random.default_rng(12)
-    w = noise_scale(4.0, h.k, h.n)
-    cw = encode(h.generator, rng.integers(0, 2, (frames, h.k)))
-    llrs = to_llr(transmit(bipolar(cw), w, rng), w)
+    _, llrs = channel_frames(h, rng.integers(0, 2, (frames, h.k)),
+                             noise_scale(4.0, h.k, h.n), rng)
     ei = EdgeIndex(h)
     cfg = BpConfig(variant=variant)
     peak = traced_peak(lambda: decode_bp_batch(h, llrs, cfg, edge_index=ei))
@@ -876,12 +871,11 @@ EXIT_CASES = {
 def test_exit_edge_cases_match_the_row_major_oracle(ldpc_121_60, variant, case):
     h, (iters, early_exit, csnr) = ldpc_121_60, EXIT_CASES[case]
     rng = np.random.default_rng(21)
-    x = bipolar(encode(h.generator, rng.integers(0, 2, (64, h.k))))
+    messages = rng.integers(0, 2, (64, h.k))
     if csnr is None:
-        llrs = 8.0 * x
+        llrs = 8.0 * bipolar(encode(h.generator, messages))
     else:
-        w = noise_scale(csnr, h.k, h.n)
-        llrs = to_llr(transmit(x, w, rng), w)
+        _, llrs = channel_frames(h, messages, noise_scale(csnr, h.k, h.n), rng)
     cfg = BpConfig(max_iters=iters, variant=variant)
     bits, beliefs, its, ok = serial.bp_decode(h, llrs, cfg, early_exit=early_exit)
     want = serial.decode_bp_batch(h, llrs, cfg, early_exit=early_exit)

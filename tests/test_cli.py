@@ -690,6 +690,34 @@ class TestRejections:
         assert captured.err == f"error: {message}\n"
         assert captured.out == "" and sorted(os.listdir(tmp_path)) == sorted(files)
 
+    # a repeated decoder, CSNR or timestep count once ran the same work
+    # again and wrote one more identical row to results.csv
+    @pytest.mark.parametrize("key, values, other, message", [
+        ("decoders", "bp,identity, bp", (), "decoders entry 3 (--decoders or config key "
+         "'decoders') repeats 'bp'"),
+        ("csnr", "3,4,3.0", (), "csnr entry 3 (--csnr or config key 'csnr') repeats 3"),
+        ("timesteps", "4,,4", ("--decoders", "vcdc"),
+         "timesteps entry 3 (--timesteps or config key 'timesteps') repeats 4"),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_repeated_list_value_names_its_list(self, tmp_path, monkeypatch, capsys, key,
+                                                values, other, message, source):
+        monkeypatch.chdir(tmp_path)
+        calls = []
+        monkeypatch.setattr(bench, "run_ber", lambda *a, **kw: calls.append(a))
+        Path("zeros.vcdc").write_bytes(save_checkpoint(zero_weights(codes.load("hamming_7_4"))))
+        flags = ("--" + key, values)
+        if source == "config":
+            Path("run.config").write_text(f"{key}={values}\n", encoding="ascii")
+            flags = ("--config", "run.config")
+        assert run_cli("bench", "--code", "hamming_7_4", "--checkpoint", "zeros.vcdc",
+                       "--stop-errors", 5, "--batch-frames", 16, *other, *flags) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == "" and calls == []
+        left = ["run.config", "zeros.vcdc"] if source == "config" else ["zeros.vcdc"]
+        assert sorted(os.listdir(tmp_path)) == left
+
     def test_config_comments_and_blank_lines_accepted(self, tmp_path):
         cfg = tmp_path / "run.config"
         cfg.write_text("# a short run\n\ncode=hamming_7_4\niterations=2  # two steps\n"

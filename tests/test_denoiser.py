@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vcdc import denoiser
-from vcdc.bench import VcdcDecoder
+from vcdc.bench import VcdcDecoder, channel_frames
 from vcdc.bp import LLR_CLAMP, MIN_SUM, SUM_PRODUCT, BpConfig
-from vcdc.channel import hard_decide, noise_scale, to_llr, transmit
+from vcdc.channel import hard_decide, noise_scale
 from vcdc.codebook import ParityCheckMatrix, bipolar, encode, syndrome
 from vcdc.denoiser import (CheckpointError, NeuralBlockWeights, decode_vcdc_batch,
                            load_checkpoint, neural_block, save_checkpoint, walk_size)
@@ -309,9 +309,8 @@ def test_llrs_are_clamped_at_the_frame_boundary(ldpc_49_24):
     # sums overflow, and the channel's own at 100 dB, where |LLR| ~ 2e10
     h = ldpc_49_24
     rng = np.random.default_rng(17)
-    x_b = encode(h.generator, rng.integers(0, 2, (24, h.k)))
-    w = noise_scale(100.0, h.k, h.n)
-    channel_llrs = to_llr(transmit(bipolar(x_b), w, rng), w)
+    x_b, channel_llrs = channel_frames(h, rng.integers(0, 2, (24, h.k)),
+                                       noise_scale(100.0, h.k, h.n), rng)
     weights = rand_weights(h, rng)
     for llrs in (1.7e308 * rng.uniform(-1.0, 1.0, (24, h.n)), channel_llrs):
         clamped = np.clip(llrs, -LLR_CLAMP, LLR_CLAMP)
@@ -332,10 +331,8 @@ def test_channel_llrs_that_overflow_are_rejected_at_the_frame_boundary(ldpc_49_2
     # channel's LLRs are +-inf, and the frame boundary rejects them
     h = ldpc_49_24
     rng = np.random.default_rng(19)
-    x_b = encode(h.generator, rng.integers(0, 2, (4, h.k)))
-    w = 1e-160
     with np.errstate(over="ignore"):
-        llrs = to_llr(transmit(bipolar(x_b), w, rng), w)
+        x_b, llrs = channel_frames(h, rng.integers(0, 2, (4, h.k)), 1e-160, rng)
     assert np.isinf(llrs).all()
     weights = rand_weights(h, rng)
     for decode in every_decoder(h, weights, build_schedule(4.0, 8, 0.5, h.rate)):
@@ -485,9 +482,8 @@ class TestDecodeVcdc:
         # array breaks the bound
         h, frames = ldpc_121_60, 512
         rng = np.random.default_rng(12)
-        w = noise_scale(4.0, h.k, h.n)
-        cw = encode(h.generator, rng.integers(0, 2, (frames, h.k)))
-        llrs = to_llr(transmit(bipolar(cw), w, rng), w)
+        _, llrs = channel_frames(h, rng.integers(0, 2, (frames, h.k)),
+                                 noise_scale(4.0, h.k, h.n), rng)
         weights = NeuralBlockWeights(values=rng.normal(0.3, 0.1, h.num_checks), n=h.n, k=h.k)
         sched = build_schedule(4.0, 20, 0.5, h.rate)
         peak = traced_peak(lambda: decode_vcdc_batch(h, weights, sched, llrs))

@@ -10,7 +10,7 @@ import os
 import numpy as np
 import pytest
 
-from vcdc import codes, denoiser
+from vcdc import bench, codes, denoiser
 from vcdc import train as vtrain
 from vcdc.denoiser import NeuralBlockWeights
 from vcdc.diffusion import build_schedule
@@ -19,9 +19,12 @@ from vcdc.diffusion import build_schedule
 # with the benchmark itself, which must then empty this set: a name that
 # comes back, or one more that goes, fails here.  run_ber and train read
 # h.generator, so their module names for derive_generator are gone; the
-# harness still times codebook.derive_generator, which it calls itself
+# harness still times codebook.derive_generator, which it calls itself.
+# train makes its frames through bench.channel_frames, so its encodes run
+# through bench.encode, which the harness times as codebook.encode too
 KNOWN_STALE = {"vcdc.train.neural_block_tape", "vcdc.train.check_minsum_terms",
-               "vcdc.bench.derive_generator", "vcdc.train.derive_generator"}
+               "vcdc.bench.derive_generator", "vcdc.train.derive_generator",
+               "vcdc.train.encode"}
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -75,5 +78,28 @@ def test_check_update_span_sees_every_group(monkeypatch, name, per_block):
         vtrain.train(h, vtrain.TrainConfig(iterations=iters, batch_size=batch))
     calls = tracer.summary()[0]
     assert calls["train.adam"] == iters
+    # one frame synthesis per iteration, in the encode span; the noise scale
+    # once for the CSNR range and once per iteration
+    assert calls["codebook.encode"] == iters
+    assert calls["channel.noise_scale"] == iters + 1
     assert calls["denoiser.check_update"] == len(h.layer_groups) * iters == per_block * iters
     assert tracer.counts["denoiser.check_update.rows"] == h.num_checks * batch * iters
+
+
+def test_encode_span_sees_every_run_ber_batch(monkeypatch):
+    # run_ber makes one batch of frames per round, the short last one too,
+    # and its encode shows in the span train's encodes count in
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import harness
+    import spans
+
+    h = codes.load("hamming_7_4")
+    tracer = spans.Tracer()
+    with spans.Patches() as patches:
+        harness.instrument(patches, tracer)
+        run = bench.run_ber(h, bench.IdentityDecoder(h), 3.0, stop_errors=10**6,
+                            max_frames=40, seed=0, code_id="hamming_7_4", batch_frames=16)
+    calls = tracer.summary()[0]
+    assert run.frames_simulated == 40
+    assert calls["bench.run_ber"] == 1 and calls["codebook.encode"] == 3
+    assert calls["channel.noise_scale"] == 1

@@ -26,8 +26,11 @@ relative bound; else unresolved when either side's quartile distance,
 relative to BASE's median, exceeds the bound and not every HEAD run beats
 every BASE run; else within.  The output digests a run prints
 (``bits_digest``, ``loss_digest``) and ``neg_ln_err`` must be equal in
-every pair.  Exits 1 when a digest or ``neg_ln_err`` differs or a run
-reports itself incorrect, else 0; the verdicts do not set the exit code.
+every pair.  A run that exits non-zero ends the pairs: the tool reports
+the pairs run before it, then the failed run's exit status and the last
+lines of its standard error.  Exits 1 when a digest or ``neg_ln_err``
+differs, a run reports itself incorrect or a run fails, else 0; the
+verdicts do not set the exit code.
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ import sys
 import tempfile
 
 DIGESTS = ("bits_digest", "loss_digest")
+# the lines of a failed run's standard error that its report repeats
+STDERR_LINES = 10
 
 
 def parse_run(stdout):
@@ -182,9 +187,17 @@ def run_pairs(args, copies, run):
     for i in range(args.pairs):
         seed = args.seed + i
         order = ("base", "head") if i % 2 == 0 else ("head", "base")
-        for side in order:
-            runs[side].append(run_tree(copies[side], args.workload, seed, seconds, run))
-            print(f"pair {i} seed {seed}: ran {side}", file=sys.stderr)
+        try:
+            for side in order:
+                runs[side].append(run_tree(copies[side], args.workload, seed, seconds, run))
+                print(f"pair {i} seed {seed}: ran {side}", file=sys.stderr)
+        except subprocess.CalledProcessError as exc:
+            # report the pairs run so far, and why this one stopped
+            tail = (exc.stderr or "").strip().splitlines()[-STDERR_LINES:]
+            problems.append("\n".join([f"pair {i} seed {seed}: {side} run exited "
+                                       f"{exc.returncode}", *("  " + line for line in tail)]))
+            runs[order[0]] = runs[order[0]][:i]
+            break
         (base_ok, base_m, base_d), (head_ok, head_m, head_d) = runs["base"][-1], runs["head"][-1]
         if not (base_ok and head_ok):
             problems.append(f"pair {i}: a run reports itself incorrect")
@@ -195,16 +208,18 @@ def run_pairs(args, copies, run):
                 problems.append(f"pair {i}: {name} differs: base {base_m[name]!r}, "
                                 f"head {head_m[name]!r}")
 
-    print(f"workload {args.workload}, {args.pairs} pairs, seeds {args.seed}-"
+    pairs = len(runs["base"])
+    print(f"workload {args.workload}, {pairs} of {args.pairs} pairs run, seeds {args.seed}-"
           f"{args.seed + args.pairs - 1}, {seconds:g} s a run")
-    for name in runs["base"][0][1]:
-        direction, bound = better[name.rsplit(".", 1)[-1]]
-        base = [m[name] for _, m, _ in runs["base"]]
-        head = [m[name] for _, m, _ in runs["head"]]
-        print("\n".join(compare(name, direction, bound, base, head)))
-    digests = [d for _, _, d in runs["base"]]
-    print(f"digests equal in {sum(b == h for b, (_, _, h) in zip(digests, runs['head']))} "
-          f"of {args.pairs} pairs; pair 0: {' '.join('='.join(d) for d in digests[0])}")
+    if pairs:
+        for name in runs["base"][0][1]:
+            direction, bound = better[name.rsplit(".", 1)[-1]]
+            base = [m[name] for _, m, _ in runs["base"]]
+            head = [m[name] for _, m, _ in runs["head"]]
+            print("\n".join(compare(name, direction, bound, base, head)))
+        digests = [d for _, _, d in runs["base"]]
+        print(f"digests equal in {sum(b == h for b, (_, _, h) in zip(digests, runs['head']))} "
+              f"of {pairs} pairs; pair 0: {' '.join('='.join(d) for d in digests[0])}")
     for problem in problems:
         print(f"PROBLEM {problem}")
     return 1 if problems else 0
