@@ -43,6 +43,11 @@ MIN_SUM = "min-sum"
 # on numpy 2.4.6 and are to be measured again on another version.
 BROADCAST_ROW = np.getbufsize() // 2 + 1
 
+# The kernel's scalar operands as 0-d arrays: a ufunc converts a Python
+# number on every call, a third to a half of the time of a call on a few
+# rows (numpy 2.4.6).
+_ZERO, _SIGN_SHIFT = np.zeros(()), np.array(63, dtype=np.uint64)
+
 
 def check_count(name, value):
     """ValueError unless ``value`` is an integer >= 1; a bool is not a count."""
@@ -203,43 +208,48 @@ def _check_sweep_sumproduct(t, ei, c2v):
     return c2v
 
 
-def _merge_least(a1, a2, b1, b2):
-    """Fold the two least values b1 <= b2 of one set into those a1 <= a2 of
-    another, in place: a1, a2 become the two least of the union, and b2 is
-    spent as scratch."""
-    np.minimum(a2, b2, out=a2)
-    np.maximum(a1, b1, out=b2)
-    np.minimum(a2, b2, out=a2)
-    np.minimum(a1, b1, out=a1)
-
-
 def _two_least(mags, scratch):
     """The least and second least entries m1 <= m2 along axis 0 of ``mags``
     (length d >= 2), ties counted, as views of ``scratch``, an array of the
     shape of ``mags`` that it overwrites; ``mags`` is only read.
 
-    An exact halving tournament: level one takes the min and max of the
-    two halves of ``mags``, so slot i holds the two least of a pair, and
-    each later level folds the back half of the slots into the front half.
-    An odd entry or slot left over folds into slot 0.  min and max return
-    one of their operands, so m1 and m2 do not depend on the order.
+    An exact halving tournament, in one flat loop: level one takes the min
+    and max of the two halves of ``mags`` into the slots, the lows
+    ``scratch[:top]`` and the highs ``scratch[top:2 top]``, so slot i holds
+    the two least of a pair, and each later level folds the back half of
+    the slots into the front half.  An odd entry or slot left over folds
+    into slot 0.  A fold of the two least b1 <= b2 into a1 <= a2 is four
+    calls on four views of ``scratch``: a2 = min(a2, b2), b2 = max(a1, b1),
+    a2 = min(a2, b2), a1 = min(a1, b1).  min and max return one of their
+    operands, so m1 and m2 do not depend on the order.
     """
-    half = len(mags) // 2
-    lo = np.minimum(mags[:half], mags[half:2 * half], out=scratch[:half])
-    hi = np.maximum(mags[:half], mags[half:2 * half], out=scratch[half:2 * half])
+    top = len(mags) // 2
+    np.minimum(mags[:top], mags[top:2 * top], out=scratch[:top])
+    np.maximum(mags[:top], mags[top:2 * top], out=scratch[top:2 * top])
+    lo, hi = scratch[0], scratch[top]
     if len(mags) % 2:
         # the second least of lo <= hi and m is max(min(hi, m), lo)
         m = mags[-1]
-        np.minimum(hi[0], m, out=hi[0])
-        np.maximum(hi[0], lo[0], out=hi[0])
-        np.minimum(lo[0], m, out=lo[0])
-    while len(lo) > 1:
-        slots, half = len(lo), len(lo) // 2
+        np.minimum(hi, m, out=hi)
+        np.maximum(hi, lo, out=hi)
+        np.minimum(lo, m, out=lo)
+    slots = top
+    while slots > 1:
+        half = slots // 2
         if slots % 2:
-            _merge_least(lo[:1], hi[:1], lo[-1:], hi[-1:])
-        _merge_least(lo[:half], hi[:half], lo[half:2 * half], hi[half:2 * half])
-        lo, hi = lo[:half], hi[:half]
-    return lo[0], hi[0]
+            b1, b2 = scratch[slots - 1], scratch[top + slots - 1]
+            np.minimum(hi, b2, out=hi)
+            np.maximum(lo, b1, out=b2)
+            np.minimum(hi, b2, out=hi)
+            np.minimum(lo, b1, out=lo)
+        a1, b1 = scratch[:half], scratch[half:2 * half]
+        a2, b2 = scratch[top:top + half], scratch[top + half:top + 2 * half]
+        np.minimum(a2, b2, out=a2)
+        np.maximum(a1, b1, out=b2)
+        np.minimum(a2, b2, out=a2)
+        np.minimum(a1, b1, out=a1)
+        slots = half
+    return lo, hi
 
 
 def _exclude_least(mags, scratch):
@@ -305,16 +315,17 @@ def check_minsum_terms(xc, out, work):
     or'ed with a sign bit, the entry's sign xor its row's sign product.
     """
     x, ut = xc.T, out.T
-    mags = np.abs(x, out=work[:x.size].reshape(x.shape))
+    size, shape = x.size, x.shape
+    mags = np.abs(x, out=work[:size].reshape(shape))
     # -0.0 < 0 is false, so either zero counts as positive
-    neg = np.less(x, 0.0, out=work[x.size:].view(bool)[:x.size].reshape(x.shape))
+    neg = np.less(x, _ZERO, out=work[size:].view(bool)[:size].reshape(shape))
     odd = np.logical_xor.reduce(neg, axis=0)
     _exclude_least(mags, ut)
     # x_j's sign xor the row's sign product is the sign of the other entries;
     # copyto casts the bools without the buffer a casting ufunc would take
     bits = ut.view(np.uint64)
     np.copyto(bits, np.not_equal(neg, odd, out=neg))
-    bits <<= 63
+    bits <<= _SIGN_SHIFT
     bits |= mags.view(np.uint64)
     return out
 
@@ -379,21 +390,24 @@ class RunningSet:
         of the (n, B') array ``s``: a frame fails a check when the hard
         decisions of the check's variables xor to 1.  The frames that pass
         every check stop, and only they are written to the outputs: hard
-        decisions, beliefs, ``count`` and True.  With ``last`` every running
-        frame is written, ``ok`` taking whether it passed, and none stops
-        running.  Otherwise, when frames stop, the state's columns of the
-        others are taken into the spare, which becomes the state, and the
-        old state's memory becomes the spare.  Returns the state.  The
-        decoder made the bits, so their parity is taken with no bit check."""
+        decisions, beliefs, ``count`` and True; a round in which none stops
+        writes nothing.  With ``last`` every running frame is written, ``ok``
+        taking whether it passed, and none stops running.  Otherwise, when
+        frames stop, the state's columns of the others are taken into the
+        spare, which becomes the state, and the old state's memory becomes
+        the spare.  Returns the state.  The decoder made the bits, so their
+        parity is taken with no bit check."""
         hard = hard_decide(s)
         fails = np.zeros(len(self.frames), dtype=bool)
         for _, parities in check_parities(self.h, hard):
             fails |= parities.any(axis=0)
+        if not last and fails.all():
+            return self.state
         done = slice(None) if last else np.flatnonzero(~fails)
         at = self.frames[done]
         for out, value in zip(self.outputs, (hard.T[done], s.T[done], count, ~fails[done])):
             out[at] = value
-        if not (last or fails.all()):
+        if not last:
             running = np.flatnonzero(fails)
             self.frames = self.frames[running]
             # mode="clip" keeps take from buffering its output; every index is valid

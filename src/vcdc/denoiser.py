@@ -96,19 +96,21 @@ def block_layers(h, w, xt, work, keep=False):
     at = frames * minsum_work_size(max(table.size for _, table in h.layer_groups))
     kernel = work[:at]
     for checks, table in h.layer_groups:
-        d, size = len(table), table.size * frames
-        block = work[at:at + size].reshape(table.shape + (frames,))
+        (d, g), size = table.shape, table.size * frames
+        block = work[at:at + size].reshape(d, g, frames)
         # mode="clip" keeps take from buffering its output; every index is valid
         xt.take(table, axis=0, out=block, mode="clip")
         xc = block.reshape(d, -1).T
-        u = check_minsum_terms(xc, out=work[at + size:at + 2 * size].reshape(d, -1).T,
-                               work=kernel)
+        # the C-ordered (d, g B) message slot, which the multiply reads as
+        # (d, g, B)
+        msgs = work[at + size:at + 2 * size].reshape(d, -1)
+        u = check_minsum_terms(xc, out=msgs.T, work=kernel)
         # the kernel's magnitudes are spent: they take the step block + w u
         step, w_col = kernel[:size].reshape(block.shape), w[checks, None]
-        if w_col.size > 1:  # a (g, 1) column would be buffered: spread it
+        if g > 1:  # a (g, 1) column would be buffered: spread it
             np.copyto(step, w_col)
             w_col = step
-        np.multiply(u.T.reshape(block.shape), w_col, out=step)
+        np.multiply(msgs.reshape(block.shape), w_col, out=step)
         step += block
         xt[table] = step
         yield checks, table, xc, u

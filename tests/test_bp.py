@@ -212,6 +212,27 @@ class TestMinsumKernel:
             peak = traced_peak(lambda: check_minsum_terms(xc, out=out, work=work))
             assert peak < rows * 8
 
+    @pytest.mark.parametrize("layout", ["C", "F", "block"])
+    def test_one_row_at_every_degree(self, layout):
+        # one check of one frame, as ``vcdc decode`` on one word and the last
+        # frame of a decode pass it: ties, +-0.0 and +-inf, into a workspace
+        # full of NaN
+        rng = np.random.default_rng(36)
+        pool = np.array([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, np.inf, -np.inf])
+        for d in range(2, 141):
+            for values in (rng.choice(pool, d), rng.choice(pool[:2], d),
+                           np.where(rng.random(d) < 0.5, rng.choice(pool, d), rng.normal(size=d))):
+                block = values.reshape(d, 1, 1)
+                xc, out = {"C": (values[None], np.full((1, d), np.nan)),
+                           "F": (np.asfortranarray(values[None]),
+                                 np.full((1, d), np.nan, order="F")),
+                           "block": (block.reshape(d, -1).T,
+                                     np.full((d, 1), np.nan).T)}[layout]
+                work = np.full(minsum_work_size(d) + 3, np.nan)
+                u = check_minsum_terms(xc, out=out, work=work)
+                assert u is out
+                assert_same_bits(u, serial.check_minsum_terms(xc)[0])
+
     def test_infinite_magnitude_is_an_extrinsic_minimum(self):
         # the other entry's magnitude, even when it is infinite
         xc = np.array([[-0.4, -np.inf]])
@@ -257,6 +278,16 @@ class TestTwoLeastTournament:
         self.check(tied_magnitudes(rng, d, 37, [0.0, 1.0, np.inf]))
         self.check(np.full((d, 5), np.inf))
         self.check(np.zeros((d, 5)))
+
+    def test_one_row_at_every_degree(self):
+        # the shape of one frame of a single-check group, which the draws
+        # above reach only by chance: every level's slots are single entries
+        rng = np.random.default_rng(35)
+        for d in range(2, 141):
+            self.check(tied_magnitudes(rng, d, 1, [0.0, 1.0, np.inf]))
+            self.check(tied_magnitudes(rng, d, 1, [2.0]))
+            self.check(np.full((d, 1), np.inf))
+            self.check(np.zeros((d, 1)))
 
     @settings(max_examples=150, deadline=None)
     @given(d=st.integers(2, 70), rows=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
