@@ -150,7 +150,7 @@ def run_ber(h, decoder, csnr_db, stop_errors, max_frames, seed, code_id, batch_f
                   csnr_db=float(csnr_db), bit_errors=bit_errors,
                   bits_simulated=frames_done * h.n, frames_simulated=frames_done,
                   frame_errors=frame_errors,
-                  mean_steps_used=steps_total / frames_done if frames_done else 0.0,
+                  mean_steps_used=steps_total / frames_done,
                   censored=bit_errors < stop_errors, seed=seed)
 
 

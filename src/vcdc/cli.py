@@ -18,7 +18,7 @@ import numpy as np
 from . import bench, codes
 from .bp import BpConfig
 from .channel import noise_scale
-from .codebook import load_alist, syndrome
+from .codebook import syndrome
 from .denoiser import load_checkpoint, save_checkpoint
 from .diffusion import build_schedule
 from .train import TrainConfig, TrainingDiverged, train, write_loss_curve
@@ -64,16 +64,6 @@ def _capture_config(out_dir, name, text):
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, f"{name}.config"), "w", encoding="ascii") as fh:
         fh.write(text)
-
-
-def _load_code(path):
-    path = str(path)
-    if not os.path.exists(path) and os.path.sep not in path:
-        try:
-            return codes.load(path.removesuffix(".alist"))
-        except FileNotFoundError:
-            pass
-    return load_alist(path)
 
 
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
@@ -153,7 +143,7 @@ def _setup(args, command, defaults):
     if not cfg["code"]:
         raise ValueError(f"{command} requires --code")
     _check_out(cfg["out"])
-    return cfg, config, _load_code(cfg["code"])
+    return cfg, config, codes.load(cfg["code"])
 
 
 def cmd_train(args):
@@ -241,7 +231,7 @@ def cmd_decode(args):
     cfg = _resolve(args, DECODE_DEFAULTS)
     if not cfg["code"] or not cfg["llr"]:
         raise ValueError("decode requires --code and --llr")
-    h = _load_code(cfg["code"])
+    h = codes.load(cfg["code"])
     with open(cfg["llr"], "r", encoding="ascii") as fh:
         values = np.array([_parse(float, tok, f"{cfg['llr']}: token {i}")
                            for i, tok in enumerate(fh.read().split(), 1)])
@@ -257,7 +247,7 @@ def cmd_decode(args):
 
 
 def cmd_inspect_code(args):
-    h = _load_code(args.code)
+    h = codes.load(args.code)
     chk_degs = sorted(set(h.rows.sum(axis=1).tolist()))
     var_degs = sorted(set(h.rows.sum(axis=0).tolist()))
     print(f"n={h.n} k={h.k} rate={h.rate:.4f} checks={h.num_checks} edges={h.num_edges}")

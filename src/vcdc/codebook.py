@@ -1,6 +1,6 @@
 """GF(2) linear block-code algebra.
 
-Parses MacKay-style alist files into parity-check matrices, derives
+Parses MacKay-style alist text into parity-check matrices, derives
 generator matrices by Gaussian elimination over GF(2), encodes messages,
 and computes syndromes as parities on H's degree-grouped check tables.
 Bit vectors are numpy uint8 arrays with entries in {0, 1}, and every
@@ -232,11 +232,6 @@ def parse_alist(text):
     if disagree.any():
         raise AlistError(f"variable list {int(disagree.argmax())} disagrees with check lists")
     return ParityCheckMatrix(rows)
-
-
-def load_alist(path):
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_alist(fh.read())
 
 
 def derive_generator(h):

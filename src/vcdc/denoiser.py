@@ -123,9 +123,10 @@ def neural_block(h, weights, zt, work):
     as columns, in place, and return ``zt``.  With all weights zero the
     block is the identity on beliefs.
 
-    The beliefs must be finite: the min-sum kernel's contract excludes NaN,
-    and the block does not test for it.  The decoders' ``RunningSet``
-    guarantees it, since it rejects non-finite LLRs.
+    The beliefs must hold no NaN, which the min-sum kernel's contract
+    excludes.  The block tests neither them nor its output, which weights
+    large enough to overflow make NaN (inf - inf) even from finite beliefs;
+    ``decode_vcdc_batch`` tests every block's output.
 
     Every array the walk writes besides ``zt`` is a view of ``work``, a flat
     float64 array of at least ``B * walk_size(h)`` entries.
@@ -155,7 +156,8 @@ def decode_vcdc_batch(h, weights, sched, llrs):
     frame, is the block's walk.  Below the cleanest level zt waits in the
     spare while the block and then the estimate tanh(beliefs / 2) overwrite
     the state, and the reverse step writes z_s over the estimate for the
-    exit test.  The final block's beliefs are tested where it left them.
+    exit test.  A NaN in the final block's beliefs, as in an estimate, is
+    a ValueError; else they are tested where the block left them.
     """
     weights.check_code(h)
     if sched.rate != h.rate:
@@ -173,7 +175,10 @@ def decode_vcdc_batch(h, weights, sched, llrs):
         np.tanh(np.multiply(x_hat, 0.5, out=x_hat), out=x_hat)
         zt = rs.settle(reverse_step(sched, t_index, z_prev, x_hat), len(sched) - t_index)
     if zt.shape[1]:  # the final block, at the cleanest level, gives the outputs
-        rs.settle(neural_block(h, weights, zt, work=rs.work), len(sched) - 1, last=True)
+        beliefs = neural_block(h, weights, zt, work=rs.work)
+        if np.isnan(beliefs.max()):  # max is NaN when any entry is
+            raise ValueError("the final block's beliefs hold NaN: its weights overflow")
+        rs.settle(beliefs, len(sched) - 1, last=True)
     return rs.outputs
 
 

@@ -110,6 +110,15 @@ def zero_weights(h):
     return NeuralBlockWeights(values=np.zeros(h.num_checks), n=h.n, k=h.k)
 
 
+def overflowing_weights_and_llrs(h, frames):
+    """Weights drawn from +-1e300 and +-1e200 and ``frames`` rows of N(2, 2)
+    LLRs: one block on these overflows to NaN beliefs in every frame that
+    does not exit at the entry test."""
+    rng = np.random.default_rng(1)
+    values = rng.choice([1e300, -1e300, 1e200, -1e200], h.num_checks)
+    return NeuralBlockWeights(values, h.n, h.k), rng.normal(2.0, np.sqrt(2.0), (frames, h.n))
+
+
 @pytest.fixture(scope="session")
 def hamming():
     return codes.load("hamming_7_4")

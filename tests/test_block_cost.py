@@ -36,6 +36,14 @@ def test_reads_the_weights_of_a_checkpoint(tmp_path, capsys):
     assert f"weights {path}, " in capsys.readouterr().out
 
 
+def test_reads_the_code_of_an_alist_path(tmp_path, capsys):
+    path = tmp_path / "mine.alist"
+    path.write_text(load_tool("make_codes").serialize_alist(codes.load("hamming_7_4")),
+                    encoding="ascii")
+    assert block_cost.main(["--code", str(path)] + TOY[2:]) == 0
+    assert capsys.readouterr().out.startswith(f"code {path} (7,4), ")
+
+
 def test_one_frame_count_prints_no_fit(capsys):
     assert block_cost.main(TOY[:2] + ["--frames", "2", "--repeats", "1", "--calls", "1"]) == 0
     assert "fit:" not in capsys.readouterr().out
@@ -53,11 +61,26 @@ def test_fit_is_the_least_squares_line():
     assert fixed == pytest.approx(0.1) and per_frame == pytest.approx(0.2)
 
 
+def imported_modules():
+    """Each module the tool imports, and each ``module.name`` it imports from one."""
+    tree = ast.parse((TOOLS / "block_cost.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            names |= {node.module} | {f"{node.module}.{alias.name}" for alias in node.names}
+    return names
+
+
 def test_imports_nothing_of_the_benchmark():
     # the tool times the program's block on its own, not through perfbench/
-    tree = ast.parse((TOOLS / "block_cost.py").read_text())
-    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
-             for alias in node.names}
-    names |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    names = imported_modules()
     assert names and not any(name.split(".")[0] in {"perfbench", "harness", "spans"}
                              for name in names)
+
+
+def test_imports_nothing_of_the_cli():
+    # codes.load, not a private helper of the CLI, turns --code into H
+    names = imported_modules()
+    assert "vcdc.codes" in names and not any(name.startswith("vcdc.cli") for name in names)

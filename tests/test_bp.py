@@ -54,9 +54,16 @@ def belief(l_v, incoming):
 
 def reference_decode(h, llr, cfg):
     """Straightforward per-edge flooding BP mirroring the documented
-    semantics; the vectorized decoder must agree with it."""
+    semantics; the vectorized decoder must agree with it.
+
+    Returns (bits, beliefs, iterations, ok, decided): ``decided`` is whether
+    every belief its exit tests read, those of the variables in a check, lay
+    beyond 1e-9 of zero.  Within that tolerance a belief's sign is not
+    determined, so neither is the exit test's outcome nor the run after it.
+    """
     l = np.clip(np.asarray(llr, dtype=np.float64), -LLR_CLAMP, LLR_CLAMP)
     chk_adj, var_adj = adjacency(h.rows), adjacency(h.rows.T)
+    read, decided = h.rows.any(axis=0), True
     v2c = {}
     for c, vs in enumerate(chk_adj):
         for v in vs:
@@ -73,8 +80,9 @@ def reference_decode(h, llr, cfg):
                             for v in range(h.n)])
         bits = hard_decide(beliefs)
         _, nerr = syndrome(h, bits)
+        decided &= bool((np.abs(beliefs[read]) > 1e-9).all())
         if nerr == 0 or it == cfg.max_iters:
-            return bits, beliefs, it, nerr == 0
+            return bits, beliefs, it, nerr == 0, decided
         for c, vs in enumerate(chk_adj):
             for v in vs:
                 extrinsic = beliefs[v] - c2v[(c, v)]
@@ -358,7 +366,7 @@ class TestDecodeBp:
         for _ in range(40):
             llr = rng.normal(0, 2.5, hamming.n)
             bits, beliefs, iters, ok = serial.bp_decode(hamming, llr[None], cfg)
-            ref_bits, ref_beliefs, ref_iters, ref_ok = reference_decode(hamming, llr, cfg)
+            ref_bits, ref_beliefs, ref_iters, ref_ok, _ = reference_decode(hamming, llr, cfg)
             assert np.array_equal(bits[0], ref_bits)
             np.testing.assert_allclose(beliefs[0], ref_beliefs, atol=1e-9)
             assert iters[0] == ref_iters and ok[0] == ref_ok
@@ -370,7 +378,7 @@ class TestDecodeBp:
         for _ in range(20):
             llr = rng.normal(0, 2, h.n)
             bits, beliefs, _, _ = serial.bp_decode(h, llr[None], cfg)
-            ref_bits, ref_beliefs, _, _ = reference_decode(h, llr, cfg)
+            ref_bits, ref_beliefs, _, _, _ = reference_decode(h, llr, cfg)
             assert np.array_equal(bits[0], ref_bits)
             np.testing.assert_allclose(beliefs[0], ref_beliefs, atol=1e-9)
 
@@ -610,6 +618,10 @@ def rows_code(n, rows):
     return ParityCheckMatrix(matrix)
 
 
+NEAR_ZERO_H = rows_code(6, [(0, 2), (0, 1, 2, 3, 4), (1, 2, 3), (0, 2), (1, 2),
+                           (0, 1, 2, 3, 4)])
+
+
 @settings(max_examples=80, deadline=None)
 @given(h=sparse_codes(), variant=st.sampled_from([SUM_PRODUCT, MIN_SUM]),
        early_exit=st.booleans(), frames=st.integers(1, 40), iters=st.integers(1, 8),
@@ -618,6 +630,13 @@ def rows_code(n, rows):
 @example(h=rows_code(19, [(0, 1), (0, 1, 2, 3, 4, 6, 8, 9, 10), (3, 6), (0, 1, 6, 7, 8),
                           (0, 1), (0, 1)]),
          variant=MIN_SUM, early_exit=True, frames=4, iters=2, clamp=30.0, seed=1587)
+# frame 0's belief of variable 2 is -2^-51 in the decoder, whose exit test
+# then passes, and 0.0 in the scalar rules, whose test fails: the last exit
+# test at iters 2, an earlier one at iters 3
+@example(h=NEAR_ZERO_H, variant=MIN_SUM, early_exit=False, frames=28, iters=3, clamp=30.0,
+         seed=1062)
+@example(h=NEAR_ZERO_H, variant=MIN_SUM, early_exit=False, frames=28, iters=2, clamp=30.0,
+         seed=1062)
 def test_matches_row_major_oracle_on_random_codes(h, variant, early_exit, frames, iters,
                                                   clamp, seed):
     ei = EdgeIndex(h)
@@ -639,8 +658,11 @@ def test_matches_row_major_oracle_on_random_codes(h, variant, early_exit, frames
     with mock.patch.object(bp, "MESSAGE_CLAMP", 3.0):
         bits, beliefs, its, ok = decode_bp_batch(h, llrs[:3], cfg, edge_index=ei)
         refs = [reference_decode(h, llr, cfg) for llr in llrs[:3]]
-    for i, (ref_bits, ref_beliefs, ref_iters, ref_ok) in enumerate(refs):
-        # within the tolerance of the beliefs their sign is not determined
+    for i, (ref_bits, ref_beliefs, ref_iters, ref_ok, decided) in enumerate(refs):
+        # within the tolerance of the beliefs their sign is not determined,
+        # nor, where an exit test read such a belief, the run after that test
+        if not decided:
+            continue
         signed = np.abs(ref_beliefs) > 1e-9
         assert np.array_equal(bits[i][signed], ref_bits[signed])
         np.testing.assert_allclose(beliefs[i], ref_beliefs, atol=1e-9)

@@ -19,7 +19,8 @@ from vcdc.codebook import ParityCheckMatrix, bipolar, encode
 from vcdc.denoiser import load_checkpoint, save_checkpoint
 from vcdc.train import TrainConfig
 
-from conftest import load_tool, read_results_csv, zero_weights
+from conftest import (load_tool, overflowing_weights_and_llrs, read_results_csv,
+                      zero_weights)
 
 make_codes = load_tool("make_codes")
 serialize_alist = make_codes.serialize_alist
@@ -349,6 +350,20 @@ class TestDecode:
                        "--decoder", "vcdc", "--checkpoint", ckpt, "--csnr", "-2500",
                        "--timesteps", 7000) == 0
         assert capsys.readouterr().err == ""
+
+    def test_weights_that_overflow_exit_two(self, tmp_path, capsys):
+        # one level: the final block's NaN beliefs were once decoded as bits
+        h = codes.load("ldpc_49_24")
+        weights, llrs = overflowing_weights_and_llrs(h, frames=1)
+        ckpt, llr_file = tmp_path / "huge.vcdc", tmp_path / "word.llr"
+        ckpt.write_bytes(save_checkpoint(weights))
+        llr_file.write_text(" ".join(repr(float(v)) for v in llrs[0]), encoding="ascii")
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run_cli("decode", "--code", "ldpc_49_24", "--llr", llr_file,
+                           "--decoder", "vcdc", "--checkpoint", ckpt, "--timesteps", 1) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: the final block's beliefs hold NaN: its weights overflow\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("csnr, timesteps", [(c, t) for c in ("nan", "inf", "4000", "-4000")
                                                  for t in (1, 3)] + [("nan", 20), ("3075", 20)])

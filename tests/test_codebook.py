@@ -1,3 +1,5 @@
+import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -174,6 +176,48 @@ class TestParseAlist:
             lines[i] = line
         with pytest.raises(AlistError, match=f"^{message}$"):
             parse_alist("\n".join(lines) + "\n")
+
+
+class TestCodesLoad:
+    """``codes.load``: the alist file at the path when one exists, else the
+    bundled code of a name with no path separator, else the error of
+    opening the path."""
+
+    BUNDLED = Path(codes.__file__).parent
+
+    @pytest.fixture(autouse=True)
+    def empty_cwd(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+
+    @pytest.mark.parametrize("name", ["hamming_7_4", "hamming_7_4.alist"])
+    def test_bundled_name_with_or_without_suffix(self, name):
+        h = codes.load(name)
+        bundled = parse_alist((self.BUNDLED / "hamming_7_4.alist").read_text("ascii"))
+        assert (h.n, h.k) == (7, 4) and np.array_equal(h.rows, bundled.rows)
+
+    @pytest.mark.parametrize("as_path", [str, Path])
+    def test_alist_path_as_str_or_path(self, tmp_path, as_path):
+        path = tmp_path / "sub" / "mine.alist"
+        path.parent.mkdir()
+        path.write_text(HAMMING_ALIST, encoding="ascii")
+        for name in (path, Path("sub") / "mine.alist"):
+            h = codes.load(as_path(name))
+            assert np.array_equal(h.rows, parse_alist(HAMMING_ALIST).rows)
+
+    @pytest.mark.parametrize("name", ["hamming_7_4", "hamming_7_4.alist"])
+    def test_a_file_in_the_working_directory_shadows_a_bundled_name(self, tmp_path, name):
+        other = codes.load("ldpc_49_24")
+        (tmp_path / name).write_text(make_codes.serialize_alist(other), encoding="ascii")
+        assert np.array_equal(codes.load(name).rows, other.rows)
+
+    @pytest.mark.parametrize("name", ["no_such_code", "no_such_code.alist",
+                                      os.path.join("sub", "no_such_code"),
+                                      os.path.join(".", "hamming_7_4")])
+    def test_missing_name_raises_the_error_of_opening_it(self, name):
+        # a name with a path separator is a path, even when its base is bundled
+        with pytest.raises(FileNotFoundError,
+                           match=re.escape(f"No such file or directory: '{name}'")):
+            codes.load(name)
 
 
 def identity_columns(g):

@@ -16,8 +16,8 @@ from vcdc.train import block_gradients
 import serial
 import tape
 from analysis import model_size_bytes
-from conftest import (assert_same_bits, make_tree_code, random_layered_code, traced_peak,
-                      zero_weights)
+from conftest import (assert_same_bits, make_tree_code, overflowing_weights_and_llrs,
+                      random_layered_code, traced_peak, zero_weights)
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -474,6 +474,20 @@ class TestDecodeVcdc:
         with pytest.raises(ValueError, match=f"schedule of rate 0.9 cannot decode rate {h.rate}"):
             decode_vcdc_batch(h, zero_weights(h), sched, np.zeros((2, h.n)))
 
+
+    @pytest.mark.parametrize("timesteps, message", [
+        (1, "the final block's beliefs hold NaN: its weights overflow"),
+        (2, r"x_hat entries must lie in \[-1, 1\]")])
+    def test_weights_that_overflow_raise(self, ldpc_49_24, timesteps, message):
+        # finite weights, which a checkpoint accepts, whose products overflow
+        # to inf and then inf - inf: with one level the final block's NaN
+        # beliefs were once settled and reported, some as syndrome_zero
+        h = ldpc_49_24
+        weights, llrs = overflowing_weights_and_llrs(h, frames=64)
+        sched = build_schedule(4.0, timesteps, 0.5, h.rate)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError,
+                                                                          match=message):
+            decode_vcdc_batch(h, weights, sched, llrs)
 
     def test_decode_allocates_one_workspace(self, ldpc_121_60):
         # the outputs, the running set's two (n, B) slabs, which also hold the

@@ -28,10 +28,9 @@ import numpy as np  # noqa: E402
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
-from vcdc import denoiser  # noqa: E402
+from vcdc import codes, denoiser  # noqa: E402
 from vcdc.bench import channel_frames  # noqa: E402
 from vcdc.channel import noise_scale  # noqa: E402
-from vcdc.cli import _load_code  # noqa: E402
 
 CSNR_DB, SEED, WEIGHT = 4.0, 0, 0.3
 
@@ -78,7 +77,7 @@ def main(argv=None):
     if frames[0] < 1 or args.repeats < 1 or args.calls < 1:
         ap.error("--frames, --repeats and --calls must be >= 1")
 
-    h = _load_code(args.code)
+    h = codes.load(args.code)
     if args.checkpoint:
         with open(args.checkpoint, "rb") as fh:
             weights = denoiser.load_checkpoint(fh.read())
