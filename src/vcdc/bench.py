@@ -122,10 +122,10 @@ def run_ber(h, decoder, csnr_db, stop_errors, max_frames, seed, code_id, batch_f
     flagged censored.  The channel CSNR is checked before the first batch,
     but a decoder's own CSNR checks, such as ``VcdcDecoder``'s schedule
     range, fail inside the first ``decode_batch``, after that batch has been
-    drawn; ``vcdc bench`` checks every channel CSNR and schedule level before
-    any work.  ``workers`` must be 1: it stays only because
-    ``perfbench/harness.py`` passes ``workers=1``, and goes with the
-    benchmark's mending (ROADMAP item 1).
+    drawn; ``vcdc bench`` checks every channel CSNR, and has each decoder
+    decode zero frames at each CSNR, before any work.  ``workers`` must be
+    1: it stays only because ``perfbench/harness.py`` passes ``workers=1``,
+    and goes with the benchmark's mending (ROADMAP item 1).
     """
     check_count("stop_errors", stop_errors)
     check_count("max_frames", max_frames)

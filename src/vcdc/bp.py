@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import hard_decide
+from .channel import hard_decide, soft_decide
 from .codebook import check_parities, degree_tables
 
 # Product clamp inside arctanh; keeps check messages finite (|u| <= ~28.4).
@@ -450,10 +450,7 @@ def decode_bp_batch(h, llrs, cfg, *, edge_index):
         """The messages ``x`` as the sweep takes them, into ``out``: clipped
         to +-MESSAGE_CLAMP, and for sum-product tanh(x / 2)."""
         np.clip(x, -MESSAGE_CLAMP, MESSAGE_CLAMP, out=out)
-        if cfg.variant == SUM_PRODUCT:
-            # x * 0.5 is x / 2.0 exactly: both round the same real number
-            np.tanh(np.multiply(out, 0.5, out=out), out=out)
-        return out
+        return soft_decide(out, out) if cfg.variant == SUM_PRODUCT else out
 
     state = rs.state
     # every edge's first message is its variable's LLR, so the first sweep's

@@ -71,3 +71,11 @@ def hard_decide(llr):
     """Hard decisions from LLRs: bit 0 where the LLR is >= 0, else bit 1."""
     # the bool decisions read as uint8 in place: numpy stores True as 1
     return (np.asarray(llr) < 0).view(np.uint8)
+
+
+def soft_decide(llr, out):
+    """Soft decisions tanh(llr / 2), the posterior mean of a bipolar symbol
+    under an LLR belief, written into ``out`` (which may be ``llr``) and
+    returned."""
+    # x * 0.5 is x / 2.0 exactly: both round the same real number
+    return np.tanh(np.multiply(llr, 0.5, out=out), out=out)

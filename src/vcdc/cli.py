@@ -20,12 +20,13 @@ from .bp import BpConfig
 from .channel import noise_scale
 from .codebook import syndrome
 from .denoiser import load_checkpoint, save_checkpoint
-from .diffusion import build_schedule
 from .train import TrainConfig, TrainingDiverged, train, write_loss_curve
 
 
 def _read_config(path):
-    values = {}
+    """The ``key=value`` lines of the config file ``path`` as a dict;
+    ValueError naming the line of one that is malformed or repeats a key."""
+    values, lines = {}, {}
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
@@ -33,8 +34,10 @@ def _read_config(path):
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in lines:  # one value would silently win over the other
+                raise ValueError(f"{path}:{lineno}: config key {key!r} repeats line {lines[key]}")
+            values[key], lines[key] = value, lineno
     return values
 
 
@@ -51,8 +54,11 @@ def _config_text(values):
 
 
 def _check_out(out_dir):
-    """ValueError when ``out_dir``, or the nearest of its parents that
-    exists, is not a directory: the run could not write its output there."""
+    """ValueError when ``out_dir`` is empty, or it or the nearest of its
+    parents that exists is not a directory: the run could not write its
+    output there."""
+    if out_dir == "":
+        raise ValueError("out (--out or config key 'out') must name a directory, got ''")
     path = out_dir
     while path and not os.path.exists(path):
         path = os.path.dirname(path)
@@ -203,11 +209,12 @@ def cmd_bench(args):
              for t in (timesteps if choice == "vcdc" else [None])]
     weights = _weights(cfg, decoder_ids)
     decoders = [_decoder(h, cfg, choice, t, weights) for choice, t in pairs]
-    # every CSNR a run will use fails before any run, the vcdc schedules' levels too
+    # every CSNR a run will use fails before any run: the channel's here, and
+    # each decoder's own, such as a vcdc schedule's levels, on zero frames
     noise_scale(np.array(csnrs), h.k, h.n)
-    for t in [t for _, t in pairs if t is not None]:
+    for decoder in decoders:
         for csnr in csnrs:
-            build_schedule(csnr, t, cfg["step_db"], h.rate)
+            decoder.decode_batch(np.empty((0, h.n)), csnr)
 
     runs = []
     max_frames = cfg["max_frames"] or max(1, 10**8 // h.n)  # 0: the 1e8-bit budget

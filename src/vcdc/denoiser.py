@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bp import RunningSet, check_minsum_terms, minsum_work_size
+from .channel import soft_decide
 from .diffusion import reverse_step
 
 
@@ -125,8 +126,8 @@ def neural_block(h, weights, zt, work):
 
     The beliefs must hold no NaN, which the min-sum kernel's contract
     excludes.  The block tests neither them nor its output, which weights
-    large enough to overflow make NaN (inf - inf) even from finite beliefs;
-    ``decode_vcdc_batch`` tests every block's output.
+    large enough to overflow make infinite, or NaN (inf - inf), even from
+    finite beliefs; ``decode_vcdc_batch`` tests every block's output.
 
     Every array the walk writes besides ``zt`` is a view of ``work``, a flat
     float64 array of at least ``B * walk_size(h)`` entries.
@@ -156,8 +157,10 @@ def decode_vcdc_batch(h, weights, sched, llrs):
     frame, is the block's walk.  Below the cleanest level zt waits in the
     spare while the block and then the estimate tanh(beliefs / 2) overwrite
     the state, and the reverse step writes z_s over the estimate for the
-    exit test.  A NaN in the final block's beliefs, as in an estimate, is
-    a ValueError; else they are tested where the block left them.
+    exit test.  A NaN in an estimate, and a NaN or an infinity in the
+    final block's beliefs, is a ValueError; else the final beliefs are
+    tested where the block left them.  An infinite belief below the
+    cleanest level is no error: its estimate is +-1.
     """
     weights.check_code(h)
     if sched.rate != h.rate:
@@ -170,14 +173,13 @@ def decode_vcdc_batch(h, weights, sched, llrs):
             return rs.outputs
         z_prev = rs.spare[:zt.size].reshape(zt.shape)
         np.copyto(z_prev, zt)
-        x_hat = neural_block(h, weights, zt, work=rs.work)
-        # x * 0.5 is x / 2.0 exactly: both round the same real number
-        np.tanh(np.multiply(x_hat, 0.5, out=x_hat), out=x_hat)
+        x_hat = soft_decide(neural_block(h, weights, zt, work=rs.work), zt)
         zt = rs.settle(reverse_step(sched, t_index, z_prev, x_hat), len(sched) - t_index)
     if zt.shape[1]:  # the final block, at the cleanest level, gives the outputs
         beliefs = neural_block(h, weights, zt, work=rs.work)
-        if np.isnan(beliefs.max()):  # max is NaN when any entry is
-            raise ValueError("the final block's beliefs hold NaN: its weights overflow")
+        # max is NaN when any entry is, and +inf (min -inf) when one is
+        if not (np.isfinite(beliefs.max()) and np.isfinite(beliefs.min())):
+            raise ValueError("the final block's beliefs are not finite: its weights overflow")
         rs.settle(beliefs, len(sched) - 1, last=True)
     return rs.outputs
 

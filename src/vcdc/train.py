@@ -24,6 +24,7 @@ import numpy as np
 from .bench import channel_frames
 from .bp import RunningSet, _pairwise_sum, check_count
 from .channel import noise_scale
+from .codebook import bipolar
 from .denoiser import NeuralBlockWeights, block_layers, walk_size
 
 
@@ -35,8 +36,9 @@ class TrainingDiverged(RuntimeError):
 def loss_with_adjoint(beliefs, x_b):
     """Mean binary cross-entropy between sigmoid(beliefs) and 1 - x_b
     (positive belief is evidence for bit 0), the mean of softplus(-sym * b)
-    with sym = 1 - 2 x_b, and its gradient -sym * sigmoid(-sym * b) / size."""
-    sym = 1.0 - 2.0 * np.asarray(x_b, dtype=np.float64)
+    with sym = bipolar(x_b), and its gradient -sym * sigmoid(-sym * b) /
+    size; ValueError when x_b holds other values than 0 and 1."""
+    sym = bipolar(x_b)
     z = -sym * beliefs
     # softplus(z) and sigmoid(z) via the non-overflowing branch of exp
     ez = np.exp(-np.abs(z))

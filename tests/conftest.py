@@ -119,6 +119,16 @@ def overflowing_weights_and_llrs(h, frames):
     return NeuralBlockWeights(values, h.n, h.k), rng.normal(2.0, np.sqrt(2.0), (frames, h.n))
 
 
+def infinite_weights_and_llrs(h, frames):
+    """Weights 0.3 but check 0's 1e308, which a checkpoint accepts, and
+    ``frames`` rows of N(2, 2) LLRs: a block on these overflows the beliefs
+    of some frames to +-inf with no inf - inf, so with no NaN."""
+    values = np.full(h.num_checks, 0.3)
+    values[0] = 1e308
+    llrs = np.random.default_rng(0).normal(2.0, np.sqrt(2.0), (frames, h.n))
+    return NeuralBlockWeights(values, h.n, h.k), llrs
+
+
 @pytest.fixture(scope="session")
 def hamming():
     return codes.load("hamming_7_4")

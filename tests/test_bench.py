@@ -176,6 +176,27 @@ class TestRunBer:
         with pytest.raises(ValueError, match="CSNR 3499.5 dB is out of range"):
             dec.decode_batch(llrs, 0.0)
 
+    @pytest.mark.parametrize("make", [
+        lambda h: BpDecoder(h, BpConfig()), lambda h: BpDecoder(h, BpConfig(variant=MIN_SUM)),
+        lambda h: VcdcDecoder(h, zero_weights(h), timesteps=20), IdentityDecoder],
+        ids=["bp-sum-product", "bp-min-sum", "vcdc", "identity"])
+    def test_every_decoder_decodes_zero_frames(self, ldpc_49_24, make):
+        # vcdc bench checks each decoder's own CSNR rule on zero frames
+        h = ldpc_49_24
+        bits, steps = make(h).decode_batch(np.empty((0, h.n)), 4.0)
+        assert bits.shape == (0, h.n) and bits.dtype == np.uint8
+        assert steps.shape == (0,) and steps.dtype == np.int64
+
+    def test_vcdc_decoder_names_the_range_on_zero_frames_as_on_one(self, hamming):
+        dec = VcdcDecoder(hamming, zero_weights(hamming), timesteps=7000)
+        messages = []
+        for frames in (0, 1):
+            with pytest.raises(ValueError) as exc:
+                dec.decode_batch(np.zeros((frames, hamming.n)), 0.0)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("CSNR 3499.5 dB is out of range")
+
     @pytest.mark.parametrize("timesteps, step_db, match", [
         *((t, 0.5, "steps") for t in (0, -1, 1.5, True)),
         *((20, s, "step_db") for s in (0.0, -0.5, math.nan, math.inf))])

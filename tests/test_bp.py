@@ -118,6 +118,22 @@ class TestCheckUpdates:
         assert check_update_minsum([-3.0, -4.0]) == 3.0
 
 
+def test_numpy_buffers_exactly_the_broadcast_rows_below_broadcast_row():
+    # the rule bp.BROADCAST_ROW encodes, and every traced-peak bound of the
+    # layer walk rests on: numpy copies a broadcast row shorter than
+    # BROADCAST_ROW into its ufunc buffer (66,640 B traced at 4,096 rows on
+    # numpy 2.4.6) and reads a row that long directly (1,104 B at 4,097)
+    peaks = {}
+    for rows in (BROADCAST_ROW - 1, BROADCAST_ROW):
+        a, row = np.ones((3, rows)), np.ones(rows)
+        peaks[rows] = traced_peak(lambda: np.minimum(a, row, out=a))
+    assert peaks[BROADCAST_ROW - 1] > 32 * 1024 and peaks[BROADCAST_ROW] < 8 * 1024, (
+        f"numpy {np.__version__} no longer buffers exactly the broadcast rows shorter than "
+        f"bp.BROADCAST_ROW = {BROADCAST_ROW} (traced bytes by row length: {peaks}); "
+        f"re-measure the rule, as README's note on numpy upgrades says, before reading a "
+        f"failed traced-peak bound as a regression")
+
+
 # whole numbers, both zeros and both infinities force tied magnitudes, zero
 # and infinite magnitudes and every sign pattern; other floats fill the rest
 MINSUM_ENTRIES = (st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, np.inf, -np.inf])

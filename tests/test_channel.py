@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vcdc.bp import LLR_CLAMP
-from vcdc.channel import hard_decide, noise_scale, to_llr, transmit
+from vcdc.channel import hard_decide, noise_scale, soft_decide, to_llr, transmit
 
 from conftest import assert_same_bits
 
@@ -149,6 +149,33 @@ class TestHardDecide:
         bits = rng.integers(0, 2, 100).astype(np.uint8)
         l = (1.0 - 2.0 * bits) * 1e6
         assert np.array_equal(hard_decide(l), bits)
+
+
+class TestSoftDecide:
+    # signed zeros and infinities, NaN, the subnormals at either end, the
+    # least normal and the greatest finite value, and values where tanh
+    # saturates, of both signs
+    SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072009e-308,
+               -2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308, 40.0, -40.0, 1e300, -1e300]
+
+    def llrs(self):
+        # the special values and normals spread over every binary exponent
+        rng = np.random.default_rng(14)
+        spread = np.ldexp(rng.uniform(-1.0, 1.0, 4096), rng.integers(-1074, 1024, 4096))
+        return np.concatenate([self.SPECIAL, spread, rng.normal(0.0, 20.0, 4096)])
+
+    def test_is_tanh_of_half_bit_for_bit_into_out(self):
+        llr = self.llrs()
+        out = np.full_like(llr, 7.0)
+        assert soft_decide(llr, out) is out
+        assert_same_bits(out, np.tanh(llr / 2.0))
+        assert_same_bits(llr, self.llrs())
+
+    def test_works_in_place(self):
+        llr = self.llrs()
+        assert soft_decide(llr, llr) is llr
+        assert_same_bits(llr, np.tanh(self.llrs() / 2.0))
 
 
 class TestLlrStatistics:

@@ -19,8 +19,8 @@ from vcdc.codebook import ParityCheckMatrix, bipolar, encode
 from vcdc.denoiser import load_checkpoint, save_checkpoint
 from vcdc.train import TrainConfig
 
-from conftest import (load_tool, overflowing_weights_and_llrs, read_results_csv,
-                      zero_weights)
+from conftest import (infinite_weights_and_llrs, load_tool, overflowing_weights_and_llrs,
+                      read_results_csv, zero_weights)
 
 make_codes = load_tool("make_codes")
 serialize_alist = make_codes.serialize_alist
@@ -353,16 +353,28 @@ class TestDecode:
 
     def test_weights_that_overflow_exit_two(self, tmp_path, capsys):
         # one level: the final block's NaN beliefs were once decoded as bits
+        self.assert_overflow_exits_two(tmp_path, capsys, overflowing_weights_and_llrs, 0)
+
+    def test_weights_that_overflow_to_infinity_exit_two(self, tmp_path, capsys):
+        # one level: frame 42's infinite final beliefs once exited 0 with
+        # "syndrome: zero"
+        self.assert_overflow_exits_two(tmp_path, capsys, infinite_weights_and_llrs, 42)
+
+    @staticmethod
+    def assert_overflow_exits_two(tmp_path, capsys, weights_and_llrs, frame):
+        """``vcdc decode`` at T = 1 on frame ``frame`` of ``weights_and_llrs``
+        on ldpc_49_24 exits 2 naming the final block's beliefs."""
         h = codes.load("ldpc_49_24")
-        weights, llrs = overflowing_weights_and_llrs(h, frames=1)
+        weights, llrs = weights_and_llrs(h, frames=frame + 1)
         ckpt, llr_file = tmp_path / "huge.vcdc", tmp_path / "word.llr"
         ckpt.write_bytes(save_checkpoint(weights))
-        llr_file.write_text(" ".join(repr(float(v)) for v in llrs[0]), encoding="ascii")
+        llr_file.write_text(" ".join(repr(float(v)) for v in llrs[frame]), encoding="ascii")
         with np.errstate(over="ignore", invalid="ignore"):
             assert run_cli("decode", "--code", "ldpc_49_24", "--llr", llr_file,
                            "--decoder", "vcdc", "--checkpoint", ckpt, "--timesteps", 1) == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: the final block's beliefs hold NaN: its weights overflow\n"
+        assert captured.err == ("error: the final block's beliefs are not finite: its weights "
+                                "overflow\n")
         assert captured.out == ""
 
     @pytest.mark.parametrize("csnr, timesteps", [(c, t) for c in ("nan", "inf", "4000", "-4000")
@@ -606,6 +618,51 @@ class TestRejections:
         assert captured.out == "" and calls == []
         assert os.listdir(tmp_path) == ["afile"]
         assert afile.read_bytes() == b"not a directory\n"
+
+    # an empty out once ran the whole job, every training iteration or BER
+    # run, and then failed to write into ''
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command, flags, work", [
+        ("bench", ("--decoders", "bp", "--csnr", 3, "--stop-errors", 5), (bench, "run_ber")),
+        ("train", ("--iterations", 50, "--batch-size", 8), (cli, "train")),
+    ])
+    def test_empty_out_is_rejected_before_any_work(self, tmp_path, monkeypatch, capsys,
+                                                   command, flags, work, source):
+        monkeypatch.chdir(tmp_path)
+        calls = []
+        real = getattr(*work)
+        monkeypatch.setattr(*work, lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        out = ("--out", "")
+        if source == "config":
+            Path("run.config").write_text("out=\n", encoding="ascii")
+            out = ("--config", "run.config")
+        assert run_cli(command, "--code", "hamming_7_4", *flags, *out) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: out (--out or config key 'out') must name a directory, "
+                                "got ''\n")
+        assert captured.out == "" and calls == []
+        assert os.listdir(tmp_path) == (["run.config"] if source == "config" else [])
+
+    # a repeated key once kept its last value silently: bench ran and
+    # captured csnr=4 alone
+    @pytest.mark.parametrize("command, text, message", [
+        ("bench", "code=hamming_7_4\ncsnr=3\ncsnr=4\n",
+         "run.config:3: config key 'csnr' repeats line 2"),
+        ("train", "iterations=30\n# a comment\n\n iterations = 30 \ncode=hamming_7_4\n",
+         "run.config:4: config key 'iterations' repeats line 1"),
+    ], ids=["bench", "train"])
+    def test_repeated_config_key_names_both_lines(self, tmp_path, monkeypatch, capsys, command,
+                                                  text, message):
+        monkeypatch.chdir(tmp_path)
+        calls = []
+        for work in ((bench, "run_ber"), (cli, "train")):
+            monkeypatch.setattr(*work, lambda *a, **kw: calls.append(a))
+        Path("run.config").write_text(text, encoding="ascii")
+        assert run_cli(command, "--config", "run.config") == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == "" and calls == []
+        assert os.listdir(tmp_path) == ["run.config"]
 
     # the schedule's length is the count --timesteps gives; its check once
     # named it "steps"

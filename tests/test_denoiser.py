@@ -16,8 +16,9 @@ from vcdc.train import block_gradients
 import serial
 import tape
 from analysis import model_size_bytes
-from conftest import (assert_same_bits, make_tree_code, overflowing_weights_and_llrs,
-                      random_layered_code, traced_peak, zero_weights)
+from conftest import (assert_same_bits, infinite_weights_and_llrs, make_tree_code,
+                      overflowing_weights_and_llrs, random_layered_code, traced_peak,
+                      zero_weights)
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -476,7 +477,7 @@ class TestDecodeVcdc:
 
 
     @pytest.mark.parametrize("timesteps, message", [
-        (1, "the final block's beliefs hold NaN: its weights overflow"),
+        (1, "the final block's beliefs are not finite: its weights overflow"),
         (2, r"x_hat entries must lie in \[-1, 1\]")])
     def test_weights_that_overflow_raise(self, ldpc_49_24, timesteps, message):
         # finite weights, which a checkpoint accepts, whose products overflow
@@ -487,6 +488,24 @@ class TestDecodeVcdc:
         sched = build_schedule(4.0, timesteps, 0.5, h.rate)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError,
                                                                           match=message):
+            decode_vcdc_batch(h, weights, sched, llrs)
+
+    @pytest.mark.parametrize("timesteps", [1, 2, 20])
+    def test_weights_that_overflow_to_infinity_raise(self, ldpc_49_24, timesteps):
+        # finite weights whose products overflow to +-inf but never to
+        # inf - inf: the final block's infinite beliefs were once settled and
+        # reported, some as syndrome_zero (of 64 frames, 3 with 2 flagged at
+        # T = 1, 16 with 7 at T = 2 and 30 with 1 at T = 20), since only a
+        # NaN was tested for
+        h = ldpc_49_24
+        weights, llrs = infinite_weights_and_llrs(h, frames=64)
+        with np.errstate(over="ignore"):
+            beliefs = neural_block(h, weights, np.ascontiguousarray(llrs.T),
+                                   np.empty(len(llrs) * walk_size(h)))
+        assert np.isinf(beliefs).any() and not np.isnan(beliefs).any()
+        sched = build_schedule(4.0, timesteps, 0.5, h.rate)
+        message = "the final block's beliefs are not finite: its weights overflow"
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=message):
             decode_vcdc_batch(h, weights, sched, llrs)
 
     def test_decode_allocates_one_workspace(self, ldpc_121_60):

@@ -98,6 +98,14 @@ class TestBlockGradients:
         with pytest.raises(ValueError, match=f"expected 3 layer weights, got {count}"):
             block_gradients(hamming, np.zeros(count), llr, np.zeros(llr.shape, dtype=np.uint8))
 
+    def test_codeword_that_is_not_bits_rejected(self, hamming):
+        # the loss once read a 2 as the symbol -3 and returned a value
+        llr = np.ones((1, hamming.n))
+        x_b = np.zeros(llr.shape, dtype=np.uint8)
+        x_b[0, 3] = 2
+        with pytest.raises(ValueError, match="codeword entries must be 0 or 1"):
+            block_gradients(hamming, np.zeros(hamming.num_checks), llr, x_b)
+
     def test_full_block_matches_finite_differences(self, hamming):
         rng = np.random.default_rng(3)
         for _ in range(20):
