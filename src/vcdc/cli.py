@@ -10,6 +10,7 @@ a value that file could not carry back.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -119,12 +120,8 @@ def _resolve(args, defaults):
     return resolved
 
 
-# the CLI key of each TrainConfig field; TrainConfig and BpConfig own the defaults
-TRAIN_KEYS = {"seed": "seed", "iterations": "iterations", "batch_size": "batch_size",
-              "learning_rate": "learning_rate", "csnr_low_db": "csnr_low",
-              "csnr_high_db": "csnr_high", "all_zero_codewords": "all_zero"}
-TRAIN_DEFAULTS = {"code": "", "out": "train_out",
-                  **{key: getattr(TrainConfig(), field) for field, key in TRAIN_KEYS.items()}}
+# TrainConfig's fields are train's keys; TrainConfig and BpConfig own the defaults
+TRAIN_DEFAULTS = {"code": "", "out": "train_out", **dataclasses.asdict(TrainConfig())}
 
 _DECODER_DEFAULTS = {  # step_db is VcdcDecoder's default and the BP knobs BpConfig's
     "step_db": bench.STEP_DB, "bp_iters": BpConfig().max_iters, "bp_variant": BpConfig().variant}
@@ -154,9 +151,8 @@ def _setup(args, command, defaults):
 
 def cmd_train(args):
     cfg, config, h = _setup(args, "train", TRAIN_DEFAULTS)
-    train_cfg = TrainConfig(**{field: cfg[key] for field, key in TRAIN_KEYS.items()})
-    with np.errstate(over="ignore", invalid="ignore"):  # the divergence guard reports these
-        result = train(h, train_cfg)
+    train_cfg = TrainConfig(**{f.name: cfg[f.name] for f in dataclasses.fields(TrainConfig)})
+    result = train(h, train_cfg)
     # only a run that trained leaves an output directory
     _capture_config(cfg["out"], "train", config)
     ckpt_path = os.path.join(cfg["out"], "weights.vcdc")
@@ -297,7 +293,10 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # overflow and inf - inf are reported by the checks that meet them:
+        # training's divergence guard and the decoder's belief tests
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (ValueError, OSError, TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

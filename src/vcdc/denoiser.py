@@ -158,9 +158,10 @@ def decode_vcdc_batch(h, weights, sched, llrs):
     spare while the block and then the estimate tanh(beliefs / 2) overwrite
     the state, and the reverse step writes z_s over the estimate for the
     exit test.  A NaN in an estimate, and a NaN or an infinity in the
-    final block's beliefs, is a ValueError; else the final beliefs are
-    tested where the block left them.  An infinite belief below the
-    cleanest level is no error: its estimate is +-1.
+    final block's beliefs, is a ValueError naming the weights' overflow;
+    else the final beliefs are tested where the block left them.  An
+    infinite belief below the cleanest level is no error: its estimate is
+    +-1.
     """
     weights.check_code(h)
     if sched.rate != h.rate:
@@ -174,7 +175,11 @@ def decode_vcdc_batch(h, weights, sched, llrs):
         z_prev = rs.spare[:zt.size].reshape(zt.shape)
         np.copyto(z_prev, zt)
         x_hat = soft_decide(neural_block(h, weights, zt, work=rs.work), zt)
-        zt = rs.settle(reverse_step(sched, t_index, z_prev, x_hat), len(sched) - t_index)
+        try:  # the step rejects only a NaN estimate: its other inputs are the walk's own
+            z_s = reverse_step(sched, t_index, z_prev, x_hat)
+        except ValueError:
+            raise ValueError("a block's beliefs hold NaN: its weights overflow") from None
+        zt = rs.settle(z_s, len(sched) - t_index)
     if zt.shape[1]:  # the final block, at the cleanest level, gives the outputs
         beliefs = neural_block(h, weights, zt, work=rs.work)
         # max is NaN when any entry is, and +inf (min -inf) when one is

@@ -166,27 +166,27 @@ class Adam:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """One run's protocol; each example's CSNR is uniform over [csnr_low_db, csnr_high_db]."""
+    """One run's protocol; each example's CSNR is uniform over [csnr_low, csnr_high], in dB."""
 
     learning_rate: float = 0.001
     batch_size: int = 256
     iterations: int = 20000
-    csnr_low_db: float = 4.0
-    csnr_high_db: float = 6.0
+    csnr_low: float = 4.0
+    csnr_high: float = 6.0
     seed: int = 0
-    all_zero_codewords: bool = False
+    all_zero: bool = False
 
     def __post_init__(self):
         check_count("batch_size", self.batch_size)
         check_count("iterations", self.iterations)
-        for name in ("learning_rate", "csnr_low_db", "csnr_high_db"):
+        for name in ("learning_rate", "csnr_low", "csnr_high"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate!r}")
-        if self.csnr_high_db < self.csnr_low_db:
-            raise ValueError("empty CSNR range")
+        if self.csnr_high < self.csnr_low:
+            raise ValueError(f"csnr_high {self.csnr_high!r} is below csnr_low {self.csnr_low!r}")
 
 
 @dataclass(frozen=True)
@@ -213,18 +213,18 @@ def _smooth(raw):
 def train(h, cfg):
     """Train block weights from scratch on single-step denoising batches."""
     # the channel's range is one interval, so its bounds check every draw
-    noise_scale(np.array([cfg.csnr_low_db, cfg.csnr_high_db]), h.k, h.n)
+    noise_scale(np.array([cfg.csnr_low, cfg.csnr_high]), h.k, h.n)
     rng = np.random.default_rng(cfg.seed)
     params = np.zeros(h.num_checks)
     adam = Adam(cfg.learning_rate, h.num_checks)
     raw = np.empty(cfg.iterations)
     for it in range(cfg.iterations):
-        csnr = rng.uniform(cfg.csnr_low_db, cfg.csnr_high_db, size=cfg.batch_size)
+        csnr = rng.uniform(cfg.csnr_low, cfg.csnr_high, size=cfg.batch_size)
         w = noise_scale(csnr, h.k, h.n)
         # the all-zero mode draws no messages: its noise follows the CSNRs.
         # The messages live only through the call, as in run_ber
         code, llrs = channel_frames(
-            h, np.zeros((cfg.batch_size, h.k), dtype=np.uint8) if cfg.all_zero_codewords
+            h, np.zeros((cfg.batch_size, h.k), dtype=np.uint8) if cfg.all_zero
             else rng.integers(0, 2, size=(cfg.batch_size, h.k)), w[:, None], rng)
         value, grads = block_gradients(h, params, llrs, code)
         if not np.isfinite(value):

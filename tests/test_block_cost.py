@@ -56,6 +56,15 @@ def test_rejects_a_count_below_one(flag, capsys):
     assert "must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("frames", ["1,,16", "x"])
+def test_rejects_frames_that_are_not_integers(frames, capsys):
+    # an empty entry or a word once ended in int()'s ValueError traceback
+    with pytest.raises(SystemExit) as exc:
+        block_cost.main(TOY + ["--frames", frames])
+    assert exc.value.code == 2
+    assert f"--frames must be comma-separated integers, got {frames!r}" in capsys.readouterr().err
+
+
 def test_fit_is_the_least_squares_line():
     fixed, per_frame = block_cost.fit({1: 0.3, 2: 0.5, 4: 0.9})
     assert fixed == pytest.approx(0.1) and per_frame == pytest.approx(0.2)

@@ -37,6 +37,16 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
+def run_cli_process(*argv):
+    """``vcdc`` in a child process with a timeout, on this checkout's
+    package; its stderr holds every line the command prints, warnings too."""
+    env = dict(os.environ)
+    src = str(Path(vcdc.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "vcdc.cli", *(str(a) for a in argv)],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
 # values that train and bench reject, since their captured config would read
 # them back otherwise: '#' starts a comment, a line break ends the entry,
 # spaces at either end are stripped, and the file is ASCII
@@ -167,7 +177,15 @@ class TestTrain:
         out = tmp_path / "o"
         assert run_cli("train", "--code", "hamming_7_4", "--out", out,
                        "--iterations", 5, flag, value) == 2
-        assert "error:" in capsys.readouterr().err
+        key = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err == f"error: {key} must be finite, got {value}\n"
+        assert not out.exists()
+
+    def test_empty_csnr_range_exits_two_naming_its_keys(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run_cli("train", "--code", "hamming_7_4", "--out", out,
+                       "--csnr-low", 6, "--csnr-high", 4, "--iterations", 2) == 2
+        assert capsys.readouterr().err == "error: csnr_high 4.0 is below csnr_low 6.0\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("csnr", ["4000", "-4000"])
@@ -360,6 +378,22 @@ class TestDecode:
         # "syndrome: zero"
         self.assert_overflow_exits_two(tmp_path, capsys, infinite_weights_and_llrs, 42)
 
+    @pytest.mark.parametrize("flags", [(), ("--timesteps", 2)])
+    def test_weights_that_overflow_exit_two_with_one_line(self, tmp_path, flags):
+        # in a child process, which shows every line printed: at T >= 2 the
+        # NaN estimate once reached the reverse step, whose error named x_hat,
+        # and at T = 20 two RuntimeWarnings came before it
+        h = codes.load("ldpc_49_24")
+        weights, llrs = overflowing_weights_and_llrs(h, frames=1)
+        ckpt, llr_file = tmp_path / "over.vcdc", tmp_path / "word.llr"
+        ckpt.write_bytes(save_checkpoint(weights))
+        llr_file.write_text(" ".join(repr(float(v)) for v in llrs[0]), encoding="ascii")
+        proc = run_cli_process("decode", "--code", "ldpc_49_24", "--llr", llr_file,
+                               "--decoder", "vcdc", "--checkpoint", ckpt, *flags)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: a block's beliefs hold NaN: its weights overflow\n"
+        assert proc.stdout == ""
+
     @staticmethod
     def assert_overflow_exits_two(tmp_path, capsys, weights_and_llrs, frame):
         """``vcdc decode`` at T = 1 on frame ``frame`` of ``weights_and_llrs``
@@ -369,9 +403,8 @@ class TestDecode:
         ckpt, llr_file = tmp_path / "huge.vcdc", tmp_path / "word.llr"
         ckpt.write_bytes(save_checkpoint(weights))
         llr_file.write_text(" ".join(repr(float(v)) for v in llrs[frame]), encoding="ascii")
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert run_cli("decode", "--code", "ldpc_49_24", "--llr", llr_file,
-                           "--decoder", "vcdc", "--checkpoint", ckpt, "--timesteps", 1) == 2
+        assert run_cli("decode", "--code", "ldpc_49_24", "--llr", llr_file,
+                       "--decoder", "vcdc", "--checkpoint", ckpt, "--timesteps", 1) == 2
         captured = capsys.readouterr()
         assert captured.err == ("error: the final block's beliefs are not finite: its weights "
                                 "overflow\n")
@@ -464,14 +497,8 @@ class TestBench:
 
     def test_zero_batch_frames_exits_two(self, tmp_path):
         # in a child process with a timeout: an empty batch once looped forever
-        env = dict(os.environ)
-        src = str(Path(vcdc.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-m", "vcdc.cli", "bench", "--code", "hamming_7_4",
-             "--out", str(tmp_path / "bench"), "--decoders", "identity", "--csnr", "2",
-             "--batch-frames", "0"],
-            env=env, capture_output=True, text=True, timeout=120)
+        proc = run_cli_process("bench", "--code", "hamming_7_4", "--out", tmp_path / "bench",
+                               "--decoders", "identity", "--csnr", "2", "--batch-frames", "0")
         assert proc.returncode == 2
         assert "batch_frames" in proc.stderr
 
@@ -824,15 +851,9 @@ class TestDefaults:
     configs stay as they were."""
 
     def test_train_defaults_are_train_config_defaults(self):
-        # each TrainConfig field under its CLI key; a new field fails here
-        key = {"learning_rate": "learning_rate", "batch_size": "batch_size",
-               "iterations": "iterations", "csnr_low_db": "csnr_low",
-               "csnr_high_db": "csnr_high", "seed": "seed",
-               "all_zero_codewords": "all_zero"}
-        defaults = TrainConfig()
-        for field in dataclasses.fields(TrainConfig):
-            value = TRAIN_DEFAULTS[key[field.name]]
-            assert value == getattr(defaults, field.name), field.name
+        # each TrainConfig field is a key of train, under its own name
+        assert TRAIN_DEFAULTS == {"code": "", "out": "train_out",
+                                  **dataclasses.asdict(TrainConfig())}
 
     @pytest.mark.parametrize("command", ["bench", "decode"])
     def test_decoder_defaults_are_the_library_defaults(self, command):

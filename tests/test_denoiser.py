@@ -478,11 +478,12 @@ class TestDecodeVcdc:
 
     @pytest.mark.parametrize("timesteps, message", [
         (1, "the final block's beliefs are not finite: its weights overflow"),
-        (2, r"x_hat entries must lie in \[-1, 1\]")])
+        (2, "a block's beliefs hold NaN: its weights overflow")])
     def test_weights_that_overflow_raise(self, ldpc_49_24, timesteps, message):
         # finite weights, which a checkpoint accepts, whose products overflow
         # to inf and then inf - inf: with one level the final block's NaN
-        # beliefs were once settled and reported, some as syndrome_zero
+        # beliefs were once settled and reported, some as syndrome_zero, and
+        # with two the reverse step's rejection of the NaN estimate named x_hat
         h = ldpc_49_24
         weights, llrs = overflowing_weights_and_llrs(h, frames=64)
         sched = build_schedule(4.0, timesteps, 0.5, h.rate)

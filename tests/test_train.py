@@ -167,7 +167,7 @@ class TestTrainLoop:
     def test_zero_noise_data_keeps_weights_near_zero(self, hamming):
         # at 60 dB the LLRs are about 2e6, so loss and gradients are exactly 0
         cfg = TrainConfig(iterations=50, batch_size=32, seed=2,
-                          csnr_low_db=60.0, csnr_high_db=60.0)
+                          csnr_low=60.0, csnr_high=60.0)
         result = train(hamming, cfg)
         assert result.raw_loss[0] < 1e-6
         assert np.abs(result.weights.values).max() < 1e-2
@@ -180,17 +180,17 @@ class TestTrainLoop:
         assert np.array_equal(r1.weights.values, r2.weights.values)
 
     def test_all_zero_codeword_mode(self, hamming):
-        cfg = TrainConfig(iterations=10, batch_size=8, seed=4, all_zero_codewords=True)
+        cfg = TrainConfig(iterations=10, batch_size=8, seed=4, all_zero=True)
         result = train(hamming, cfg)
         assert np.isfinite(result.raw_loss).all()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(iterations=0)
-        with pytest.raises(ValueError):
-            TrainConfig(csnr_low_db=6.0, csnr_high_db=4.0)
+        with pytest.raises(ValueError, match="^csnr_high 4.0 is below csnr_low 6.0$"):
+            TrainConfig(csnr_low=6.0, csnr_high=4.0)
         # a non-finite value would reach the CSNR draw or the first Adam step
-        for key in ("learning_rate", "csnr_low_db", "csnr_high_db"):
+        for key in ("learning_rate", "csnr_low", "csnr_high"):
             for bad in (np.nan, np.inf, -np.inf):
                 with pytest.raises(ValueError, match=key):
                     TrainConfig(**{key: bad})
@@ -214,7 +214,7 @@ class TestTrainLoop:
             return step(self, params, grads)
 
         monkeypatch.setattr(Adam, "step", counted_step)
-        cfg = TrainConfig(iterations=50, batch_size=4, csnr_low_db=0.0, csnr_high_db=4000.0)
+        cfg = TrainConfig(iterations=50, batch_size=4, csnr_low=0.0, csnr_high=4000.0)
         with pytest.raises(ValueError, match="^CSNR 4000 dB is out of range"):
             train(hamming, cfg)
         assert steps == []

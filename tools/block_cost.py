@@ -73,7 +73,10 @@ def main(argv=None):
     ap.add_argument("--repeats", type=int, default=7)
     ap.add_argument("--calls", type=int, default=50, help="timed calls per repeat")
     args = ap.parse_args(argv)
-    frames = sorted({int(f) for f in args.frames.split(",")})
+    try:
+        frames = sorted({int(f) for f in args.frames.split(",")})
+    except ValueError:
+        ap.error(f"--frames must be comma-separated integers, got {args.frames!r}")
     if frames[0] < 1 or args.repeats < 1 or args.calls < 1:
         ap.error("--frames, --repeats and --calls must be >= 1")
 
