@@ -57,11 +57,13 @@ class NeuralBlockWeights:
 
 
 def walk_size(h, keep=False):
-    """Float64 entries per frame of the ``work`` ``block_layers`` needs,
-    with or without ``keep``; without it, all the caller work of the block
-    and its decoder.  A walk over B frames needs B times as many."""
+    """Float64 entries per frame of the ``work`` ``block_layers`` needs:
+    the kernel's workspace and a gathered block for the largest group, then
+    the messages of the largest group, or with ``keep`` of every group, one
+    entry per edge.  Without ``keep``, all the caller work of the block and
+    its decoder.  A walk over B frames needs B times as many."""
     edges = [table.size for _, table in h.layer_groups]
-    return minsum_work_size(max(edges)) + 2 * (sum(edges) if keep else max(edges))
+    return minsum_work_size(max(edges)) + max(edges) + (sum(edges) if keep else max(edges))
 
 
 def block_layers(h, w, xt, work, keep=False):
@@ -87,15 +89,18 @@ def block_layers(h, w, xt, work, keep=False):
 
     Every array the walk writes besides ``xt`` is a view of ``work``, a flat
     float64 array of at least ``B * walk_size(h, keep)`` entries: the
-    kernel's workspace for the largest group, then slots of a gathered block
-    and its messages.  Without ``keep`` every group reuses one slot, sized
-    for the largest group, so a group's xc and u hold only until the walk
-    resumes; with ``keep`` each group has its own slot at its edge offset,
-    and all of them stay valid.
+    kernel's workspace for the largest group, then one slot for a gathered
+    block, which every group reuses, so a group's xc holds only until the
+    walk resumes, in both modes.  Then come the messages: without ``keep``
+    one slot sized for the largest group, which every group reuses, so u too
+    holds only until the walk resumes; with ``keep`` a slot for each group
+    at its edge offset, so every group's u stays valid.
     """
     frames = xt.shape[1]
-    at = frames * minsum_work_size(max(table.size for _, table in h.layer_groups))
+    most = max(table.size for _, table in h.layer_groups)
+    at = frames * minsum_work_size(most)
     kernel = work[:at]
+    msg_at = at + frames * most
     for checks, table in h.layer_groups:
         (d, g), size = table.shape, table.size * frames
         block = work[at:at + size].reshape(d, g, frames)
@@ -104,7 +109,7 @@ def block_layers(h, w, xt, work, keep=False):
         xc = block.reshape(d, -1).T
         # the C-ordered (d, g B) message slot, which the multiply reads as
         # (d, g, B)
-        msgs = work[at + size:at + 2 * size].reshape(d, -1)
+        msgs = work[msg_at:msg_at + size].reshape(d, -1)
         u = check_minsum_terms(xc, out=msgs.T, work=kernel)
         # the kernel's magnitudes are spent: they take the step block + w u
         step, w_col = kernel[:size].reshape(block.shape), w[checks, None]
@@ -116,7 +121,7 @@ def block_layers(h, w, xt, work, keep=False):
         xt[table] = step
         yield checks, table, xc, u
         if keep:
-            at += 2 * size
+            msg_at += size
 
 
 def neural_block(h, weights, zt, work):

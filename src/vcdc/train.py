@@ -38,40 +38,40 @@ def loss_with_adjoint(beliefs, x_b):
     (positive belief is evidence for bit 0), the mean of softplus(-sym * b)
     with sym = bipolar(x_b), and its gradient -sym * sigmoid(-sym * b) /
     size; ValueError when x_b holds other values than 0 and 1."""
-    sym = bipolar(x_b)
-    z = -sym * beliefs
+    neg_sym = bipolar(x_b)
+    np.negative(neg_sym, out=neg_sym)
+    z = neg_sym * beliefs
     # softplus(z) and sigmoid(z) via the non-overflowing branch of exp
-    ez = np.exp(-np.abs(z))
-    sig = np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
-    return float(np.mean(np.maximum(z, 0.0) + np.log1p(ez))), -sym * sig / beliefs.size
+    ez = np.abs(z)
+    np.negative(ez, out=ez)
+    np.exp(ez, out=ez)
+    den = 1.0 + ez
+    sig = np.where(z >= 0, 1.0, ez)
+    sig /= den
+    # z and den are spent: softplus(z) = max(z, 0) + log1p(ez) takes them
+    np.maximum(z, 0.0, out=z)
+    z += np.log1p(ez, out=den)
+    sig *= neg_sym
+    sig /= beliefs.size
+    return float(np.mean(z)), sig
 
 
-def minsum_backward(g, xc, u):
-    """Adjoint of checks' beliefs ``xc`` (rows, d) given the adjoint ``g`` of
-    their min-sum messages ``u`` from ``check_minsum_terms``, as an array
-    whose transpose is a C-ordered (d, rows) array.
+def minsum_routing(xc, u):
+    """Where the min-sum backward sends each adjoint of checks' beliefs
+    ``xc`` (rows, d) and their messages ``u`` from ``check_minsum_terms``:
+    (idx, signs), two (2, rows) arrays.  idx holds i1 and i2 as flat indices
+    into the (d, rows) transposes, and signs the factor of each, -1 where
+    its belief is negative and +1 else, either zero included.
 
-    Each outgoing adjoint routes to the variable whose magnitude attained
-    the (extrinsic) minimum, scaled by that variable's sign, with the sign
-    product held constant.  The forward keeps only ``u``, so the routing is
-    rebuilt from it here: i1 is the first magnitude argmin of a row, every
-    edge but i1 carries m1 = |x_i1|, edge i1 carries m2 = |u_i1|, and i2 is
-    the first j != i1 with |x_j| == m2.  ``u`` is a nonnegative magnitude
-    times the exclusive sign product (the forward builds its sign bit as
-    the xor of the entry's sign and the row's), so g with u's sign bit
-    xor-ed in, which the spent magnitudes take, has the bits of g times
-    that product for every g but NaN, either zero included.
-
-    The work runs on the (d, rows) transposes, which it indexes with flat
-    indices through ``take`` and ``put``, and the sum of a row's d adjoints
-    is ``_pairwise_sum`` over all d of them: term for term the sum numpy
-    takes along the last axis of a C-ordered (rows, d) array.
+    i1 is the first magnitude argmin of a row.  Every edge but i1 carries
+    m1 = |x_i1|, and edge i1 carries m2 = |u_i1|, so i2 is the first
+    j != i1 with |x_j| == m2.  The routing reads xc, which the walk
+    overwrites when it resumes, so the forward builds it.
     """
-    gt, xt, ut = g.T, xc.T, u.T
+    xt, ut = xc.T, u.T
     rows = xt.shape[1]
     offsets = np.arange(rows)
     mags = np.abs(xt)
-    # i1 and i2 as flat indices into the (d, rows) arrays, one row each
     idx = np.empty((2, rows), dtype=np.intp)
     i1, i2 = idx
     mags.argmin(axis=0, out=i1)
@@ -82,15 +82,39 @@ def minsum_backward(g, xc, u):
     np.equal(mags, m2).argmax(axis=0, out=i2)
     i2 *= rows
     i2 += offsets
-    bits = np.bitwise_and(ut.view(np.uint64), np.uint64(1 << 63), out=mags.view(np.uint64))
+    return idx, np.where(xt.take(idx) < 0, -1.0, 1.0)
+
+
+def minsum_backward(g, u, routing):
+    """Adjoint of checks' beliefs (rows, d) given the adjoint ``g`` of their
+    min-sum messages ``u`` from ``check_minsum_terms`` and the
+    ``minsum_routing`` of the two, as an array whose transpose is a
+    C-ordered (d, rows) array.
+
+    Each outgoing adjoint routes to the variable whose magnitude attained
+    the (extrinsic) minimum, scaled by that variable's sign, with the sign
+    product held constant.  ``u`` is a nonnegative magnitude times the
+    exclusive sign product (the forward builds its sign bit as the xor of
+    the entry's sign and the row's), so g with u's sign bit xor-ed in has
+    the bits of g times that product for every g but NaN, either zero
+    included.
+
+    The work runs on the (d, rows) transposes, which it indexes with flat
+    indices through ``take`` and ``put``, and the sum of a row's d adjoints
+    is ``_pairwise_sum`` over all d of them: term for term the sum numpy
+    takes along the last axis of a C-ordered (rows, d) array.
+    """
+    idx, signs = routing
+    gt, ut = g.T, u.T
+    bits = np.bitwise_and(ut.view(np.uint64), np.uint64(1 << 63))
     gs = np.bitwise_xor(bits, gt.view(np.uint64), out=bits).view(np.float64)
     # edge i1 takes the adjoints of every other edge, which select
     # magnitude |x_i1|, and edge i2 the adjoint of edge i1, which selects
     # |x_i2|; each times the sign of its belief
-    routed = np.empty((2, rows))
-    gs.take(i1, out=routed[1])
+    routed = np.empty(idx.shape)
+    gs.take(idx[0], out=routed[1])
     np.subtract(_pairwise_sum(gs), routed[1], out=routed[0])
-    routed *= np.where(xt.take(idx) < 0, -1.0, 1.0)
+    routed *= signs
     # as in the argmin form, i2's adjoint adds to a zero: -0.0 becomes +0.0
     routed[1] += 0.0
     grad = np.zeros(gs.shape)
@@ -105,15 +129,16 @@ def block_gradients(h, weights, llrs, x_b):
     rejects non-finite ones and clamps the others into its (n, B) state.
 
     Runs the block forward once on frames-as-columns (n, B) beliefs,
-    keeping each layer group's gathered beliefs and min-sum messages u_l,
-    then walks the groups in reverse: layer l's weight gradient is the
-    adjoint on its check's columns dotted with u_l, and the adjoint of the
-    layer input (but the first group's) adds the min-sum backward of w_l
-    times that adjoint.  The checks of a group share no variable, so
-    neither step of one check reads what another check of its group
-    writes, and a group steps back at once exactly as its checks would one
-    by one.  The walk's work is the set's, walk_size(h, keep=True) entries
-    a frame.
+    keeping each layer group's min-sum messages u_l and, but for the first
+    group, whose input adjoint nothing reads, the ``minsum_routing`` of its
+    gathered beliefs, built as the walk yields them.  It then walks the
+    groups in reverse: layer l's weight gradient is the adjoint on its
+    check's columns dotted with u_l, and the adjoint of the layer input
+    (but the first group's) adds the min-sum backward of w_l times that
+    adjoint.  The checks of a group share no variable, so neither step of
+    one check reads what another check of its group writes, and a group
+    steps back at once exactly as its checks would one by one.  The walk's
+    work is the set's, walk_size(h, keep=True) entries a frame.
 
     Every reduction keeps one fixed order: the loss is the mean over a
     C-ordered (B, n) array, each check's gradient the sum over a C-ordered
@@ -124,20 +149,21 @@ def block_gradients(h, weights, llrs, x_b):
     if weights.size != h.num_checks:
         raise ValueError(f"expected {h.num_checks} layer weights, got {weights.size}")
     rs = RunningSet(h, llrs, h.n, walk_size(h, keep=True))
-    layers = list(block_layers(h, weights, rs.state, rs.work, keep=True))
+    layers = [(checks, table, u, minsum_routing(xc, u) if checks.start else None)
+              for checks, table, xc, u in block_layers(h, weights, rs.state, rs.work, keep=True)]
     value, g = loss_with_adjoint(np.ascontiguousarray(rs.state.T), x_b)
     gt = np.array(g.T, order="C")
     grads = np.empty(h.num_checks)
-    for checks, table, xc, u in reversed(layers):
+    for checks, table, u, routing in reversed(layers):
         g_cols = gt.take(table, axis=0)  # (d, g, B)
         p = np.ascontiguousarray((g_cols * u.T.reshape(g_cols.shape)).transpose(1, 2, 0))
         grads[checks] = p.sum(axis=(1, 2))
-        if checks.start == 0:  # nothing reads the first group's input adjoint
+        if routing is None:  # the first group
             break
         # p is spent: its memory takes the adjoint of the messages, w times g
         wg = np.multiply(g_cols, weights[checks, None], out=p.reshape(g_cols.shape))
         wg = wg.reshape(len(g_cols), -1).T
-        g_cols += minsum_backward(wg, xc, u).T.reshape(g_cols.shape)
+        g_cols += minsum_backward(wg, u, routing).T.reshape(g_cols.shape)
         gt[table] = g_cols
     return value, grads
 

@@ -110,6 +110,13 @@ def zero_weights(h):
     return NeuralBlockWeights(values=np.zeros(h.num_checks), n=h.n, k=h.k)
 
 
+def tied_rows(rng, rows, d):
+    """``rows`` check rows of degree ``d`` drawn from both zeros and four
+    other values of two magnitudes: most rows tie their least magnitudes,
+    and many hold a zero of either sign."""
+    return rng.choice([0.0, -0.0, 1.5, -1.5, 2.0, -2.0], (rows, d))
+
+
 def overflowing_weights_and_llrs(h, frames):
     """Weights drawn from +-1e300 and +-1e200 and ``frames`` rows of N(2, 2)
     LLRs: one block on these overflows to NaN beliefs in every frame that

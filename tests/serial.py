@@ -16,10 +16,10 @@ two to agree bit for bit.
 The walk runs on its own min-sum kernel, ``check_minsum_terms``: the
 argmin form that builds every index term the backward reads, against which
 ``vcdc.bp.check_minsum_terms`` (the two-minimum form) and
-``vcdc.train.minsum_backward`` (which rebuilds the index terms from the
-messages) are checked bit for bit.  ``two_least`` is the sequential scan
-for a row's two least magnitudes, the reference for the halving tournament
-of ``vcdc.bp._two_least``.
+``vcdc.train.minsum_backward`` (on the index terms ``minsum_routing``
+rebuilds from the beliefs and the messages) are checked bit for bit.
+``two_least`` is the sequential scan for a row's two least magnitudes, the
+reference for the halving tournament of ``vcdc.bp._two_least``.
 
 ``grouped_block_layers``, ``block_gradients`` and ``decode_vcdc_batch``
 run the layer groups on frame-major rows: each group's beliefs are gathered
@@ -192,8 +192,8 @@ def grouped_block_layers(h, w, x):
 
 
 def grouped_minsum_backward(g, xc, u):
-    """``vcdc.train.minsum_backward`` on C-ordered (rows, d) arrays, each
-    row's adjoints summed along the last axis."""
+    """``vcdc.train.minsum_backward`` of ``minsum_routing`` on C-ordered
+    (rows, d) arrays, each row's adjoints summed along the last axis."""
     rows = np.arange(xc.shape[0])
     mags = np.abs(xc)
     i1 = mags.argmin(axis=1)

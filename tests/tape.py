@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from serial import check_columns as _check_columns, kernel
-from vcdc.train import loss_with_adjoint, minsum_backward
+from vcdc.train import loss_with_adjoint, minsum_backward, minsum_routing
 
 
 def _unbroadcast(grad, shape):
@@ -188,14 +188,17 @@ def bce_with_logits(beliefs, x_b):
 
 
 def minsum_extrinsic(xc):
-    """Tape node for the min-sum check update on beliefs ``xc`` (B, d).
+    """Tape node for the min-sum check update on beliefs ``xc`` (B, d), whose
+    routing the forward records, as ``vcdc.train.block_gradients`` does.
 
     ``serial.kernel`` gives ``u`` the layout of its input, and the weight
     adjoint sums over ``u`` in memory order, so the input is C-ordered: the
     order in which ``vcdc.train.block_gradients`` sums a check's products."""
-    u = kernel(np.ascontiguousarray(xc.value))
+    x = np.ascontiguousarray(xc.value)
+    u = kernel(x)
+    routing = minsum_routing(x, u)
     out = Var(u, (xc,))
-    out._backward = lambda g: xc._accumulate(minsum_backward(g, xc.value, u))
+    out._backward = lambda g: xc._accumulate(minsum_backward(g, u, routing))
     return out
 
 

@@ -13,11 +13,11 @@ from vcdc.bp import (ATANH_EPS, BROADCAST_ROW, LLR_CLAMP, BpConfig, EdgeIndex, M
                      minsum_work_size)
 from vcdc.codebook import ParityCheckMatrix, _row_reduce, bipolar, encode, syndrome
 from vcdc.channel import hard_decide, noise_scale
-from vcdc.train import minsum_backward
+from vcdc.train import minsum_backward, minsum_routing
 
 import serial
 from conftest import (adjacency, assert_same_bits, bundled_codes, make_tree_code, map_marginals,
-                      traced_peak)
+                      tied_rows, traced_peak)
 
 
 # Per-edge BP update rules as scalar functions: the semantics the batch
@@ -158,10 +158,26 @@ class TestMinsumKernel:
         u = serial.kernel(xc)
         assert_same_bits(u, terms[0])
         assert_same_bits(serial.kernel(xc[None]), u[None])
-        assert_same_bits(minsum_backward(g, xc, u), serial.minsum_backward(g, terms))
+        assert_same_bits(minsum_backward(g, u, minsum_routing(xc, u)),
+                         serial.minsum_backward(g, terms))
         for r in range(rows):
             for j in range(d):
                 assert_same_bits(check_update_minsum(np.delete(xc[r], j)), u[r, j])
+
+    @pytest.mark.parametrize("d", [2, 3, 11])
+    @pytest.mark.parametrize("fortran", [False, True])
+    def test_backward_matches_argmin_reference_on_tied_rows(self, d, fortran):
+        # hundreds of rows, most with tied least magnitudes and zeros of
+        # either sign, and adjoints with signed zeros of their own
+        rng = np.random.default_rng(d)
+        xc = tied_rows(rng, 300, d)
+        if fortran:
+            xc = np.asfortranarray(xc)
+        g = rng.normal(size=xc.shape)
+        g.flat[::7], g.flat[3::7] = 0.0, -0.0
+        u = serial.kernel(xc)
+        assert_same_bits(minsum_backward(g, u, minsum_routing(xc, u)),
+                         serial.minsum_backward(g, serial.check_minsum_terms(xc)))
 
     @pytest.mark.parametrize("d, checks, frames", [(2, 1, 1), (3, 4, 5), (11, 10, 64)])
     def test_output_keeps_the_layout_of_the_input(self, d, checks, frames):

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vcdc import denoiser
+from vcdc import codes, denoiser
 from vcdc.bench import VcdcDecoder, channel_frames
-from vcdc.bp import LLR_CLAMP, MIN_SUM, SUM_PRODUCT, BpConfig
+from vcdc.bp import LLR_CLAMP, MIN_SUM, SUM_PRODUCT, BpConfig, minsum_work_size
 from vcdc.channel import hard_decide, noise_scale
 from vcdc.codebook import ParityCheckMatrix, bipolar, encode, syndrome
 from vcdc.denoiser import (CheckpointError, NeuralBlockWeights, decode_vcdc_batch,
@@ -109,6 +109,35 @@ class TestNeuralBlock:
         zt = np.ascontiguousarray(rng.normal(2.0, 2.0, (64, h.n)).T)
         work = np.full(zt.shape[1] * walk_size(h), np.nan)
         assert traced_peak(lambda: neural_block(h, w, zt, work=work)) < 32 * 1024
+
+    @pytest.mark.parametrize("keep", [False, True])
+    @pytest.mark.parametrize("name", ["hamming_7_4", "polar_64_32", "ldpc_121_60"])
+    def test_walk_stays_inside_its_size(self, name, keep):
+        # the kernel's workspace and a gathered block for the largest group,
+        # then the largest group's messages, or with keep every group's;
+        # with keep each group's u outlives the walk, and xc never does
+        h = codes.load(name)
+        most = max(table.size for _, table in h.layer_groups)
+        entries = h.num_edges if keep else most
+        assert walk_size(h, keep) == minsum_work_size(most) + most + entries
+        rng = np.random.default_rng(15)
+        w = rng.normal(0, 0.4, h.num_checks)
+        llrs = rng.normal(1.0, 3.0, (6, h.n))
+        xt = np.ascontiguousarray(llrs.T)
+        size = len(llrs) * walk_size(h, keep)
+        buf = np.full(size + 1024, np.nan)
+        work = buf[:size]
+        kept, blocks = [], set()
+        for _, _, xc, u in denoiser.block_layers(h, w, xt, work, keep=keep):
+            assert np.shares_memory(xc, work) and np.shares_memory(u, work)
+            blocks.add(xc.__array_interface__["data"][0])
+            kept.append((u, u.copy()))
+        assert np.isnan(buf[size:]).all()
+        assert len(blocks) == 1  # every group gathers into one slot
+        assert_same_bits(xt.T, serial.neural_block(h, NeuralBlockWeights(w, h.n, h.k), llrs)[0])
+        if keep:
+            for u, at_yield in kept:
+                assert_same_bits(u, at_yield)
 
     def test_weight_count_mismatch_rejected(self, hamming, ldpc_49_24):
         # weights for another code, or for hamming's (n, k) with a weight

@@ -2,15 +2,18 @@ import numpy as np
 import pytest
 
 from vcdc import codes
+from vcdc.bench import channel_frames
+from vcdc.channel import noise_scale
 from vcdc import train as vtrain
 from vcdc.denoiser import NeuralBlockWeights
 from vcdc.train import (Adam, TrainConfig, TrainingDiverged, block_gradients, minsum_backward,
-                        train, write_loss_curve)
+                        minsum_routing, train, write_loss_curve)
 
 import serial
 import tape
 from analysis import loss
-from conftest import assert_same_bits, bundled_codes, numeric_grad, random_layered_code
+from conftest import (assert_same_bits, bundled_codes, numeric_grad, random_layered_code,
+                      tied_rows, traced_peak)
 from tape import Var, bce_with_logits, minsum_extrinsic
 
 
@@ -56,7 +59,8 @@ class TestMinsumOp:
         for _ in range(20):
             xc0 = rng.normal(0, 2, (3, 4))
             g0 = rng.normal(size=(3, 4))
-            grad = minsum_backward(g0, xc0, serial.kernel(xc0))
+            u = serial.kernel(xc0)
+            grad = minsum_backward(g0, u, minsum_routing(xc0, u))
             # minsum_backward is the gradient of <g0, u(xc)>
             fd = numeric_grad(lambda xv: float((serial.kernel(xv) * g0).sum()), xc0)
             np.testing.assert_allclose(grad, fd, atol=1e-5)
@@ -64,9 +68,27 @@ class TestMinsumOp:
     def test_tie_broken_toward_lowest_index(self):
         # both magnitudes equal; the subgradient must route to index 0
         xc0 = np.array([[2.0, 2.0, 5.0]])
-        grad = minsum_backward(np.array([[0.0, 0.0, 1.0]]), xc0, serial.kernel(xc0))
+        u = serial.kernel(xc0)
+        grad = minsum_backward(np.array([[0.0, 0.0, 1.0]]), u, minsum_routing(xc0, u))
         # outgoing edge 2 uses min over {|x0|, |x1|} = attained at index 0
         np.testing.assert_allclose(grad, [[1.0, 0.0, 0.0]])
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_routing_outlives_the_beliefs_it_reads(self, d):
+        # the walk's layout, (g B, d) rows of a (d, g, B) block, with ties
+        # and zeros of either sign; the routing is built before the walk
+        # overwrites the block, as block_gradients builds it
+        rng = np.random.default_rng(10 + d)
+        block = np.ascontiguousarray(tied_rows(rng, 3 * 40, d).T).reshape(d, 3, 40)
+        xc = block.reshape(d, -1).T
+        ref_xc = xc.copy()
+        u = serial.kernel(xc)
+        routing = minsum_routing(xc, u)
+        block.fill(np.nan)
+        g = rng.normal(size=u.shape)
+        g.flat[::5], g.flat[2::5] = 0.0, -0.0
+        assert_same_bits(minsum_backward(g, u, routing),
+                         serial.minsum_backward(g, serial.check_minsum_terms(ref_xc)))
 
 
 # (seed, n, m) of random codes whose layer groups mix single checks and runs,
@@ -122,6 +144,21 @@ class TestBlockGradients:
             assert value == pytest.approx(f(wvals), rel=1e-12)
             fd = numeric_grad(f, wvals, eps=1e-5)
             np.testing.assert_allclose(grads, fd, rtol=1e-4, atol=1e-7)
+
+    def test_allocates_less_than_25_belief_arrays(self, polar_64_32):
+        # polar_64_32 at B = 256, in (n, B) float64 arrays: the running set's
+        # two slabs and its outputs (3.1), the walk with every group's
+        # messages (11.1: 712 entries a frame), the routing of 31 groups
+        # (1.9) and the loss, its adjoint and their temporaries come to
+        # 22.5; a walk that also kept every group's gathered beliefs (8
+        # arrays more on polar's 576 edges) traced 30.4
+        h = polar_64_32
+        rng = np.random.default_rng(9)
+        code, llrs = channel_frames(h, rng.integers(0, 2, (256, h.k)),
+                                    noise_scale(rng.uniform(4.0, 6.0, 256), h.k, h.n)[:, None],
+                                    rng)
+        w = rng.normal(0.3, 0.1, h.num_checks)
+        assert traced_peak(lambda: block_gradients(h, w, llrs, code)) < 25 * llrs.nbytes
 
     def test_symmetric_input_gives_equal_layer_gradients(self, hamming):
         # at zero weights every layer sees the same constant beliefs, so all
