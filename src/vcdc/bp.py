@@ -2,8 +2,9 @@
 
 Flooding schedule with sum-product (exact, tanh/arctanh) or min-sum check
 updates and syndrome-based early exit, vectorized over a batch of frames.
-The min-sum check kernel ``check_minsum_terms`` is shared with the neural
-block and its training.
+The min-sum check kernel ``check_minsum_terms`` and its backward
+(``minsum_routing``, ``minsum_backward``) are shared with the neural block
+and its training.
 """
 
 from __future__ import annotations
@@ -328,6 +329,73 @@ def check_minsum_terms(xc, out, work):
     bits <<= _SIGN_SHIFT
     bits |= mags.view(np.uint64)
     return out
+
+
+# The min-sum backward reads the kernel's exact output bits, on one contract:
+# - every edge but a row's first least magnitude i1 carries m1 = |x_i1|,
+#   and edge i1 carries m2, the least of the others;
+# - ties go to the lowest index;
+# - u's sign bit is the entry's sign bit xor its row's sign parity;
+# - the backward treats sign factors as constants.
+
+
+def minsum_routing(xc, u):
+    """Where the min-sum backward sends each adjoint of checks' beliefs
+    ``xc`` (rows, d) and their messages ``u`` from ``check_minsum_terms``:
+    (idx, signs), two (2, rows) arrays.  idx holds i1 and i2 as flat indices
+    into the (d, rows) transposes, and signs the factor of each, -1 where
+    its belief is negative and +1 else, either zero included.
+
+    Edge i1 carries m2 = |u_i1|, so i2 is the first j != i1 with
+    |x_j| == m2.  The routing reads xc, which the walk overwrites when it
+    resumes, so the forward builds it.
+    """
+    xt, ut = xc.T, u.T
+    rows = xt.shape[1]
+    offsets = np.arange(rows)
+    mags = np.abs(xt)
+    idx = np.empty((2, rows), dtype=np.intp)
+    i1, i2 = idx
+    mags.argmin(axis=0, out=i1)
+    i1 *= rows
+    i1 += offsets
+    m2 = np.abs(ut.take(i1))
+    mags.put(i1, np.nan)  # equal to nothing, so i2 skips i1
+    np.equal(mags, m2).argmax(axis=0, out=i2)
+    i2 *= rows
+    i2 += offsets
+    return idx, np.where(xt.take(idx) < 0, -1.0, 1.0)
+
+
+def minsum_backward(g, u, routing):
+    """Adjoint of checks' beliefs (rows, d) given the adjoint ``g`` of their
+    min-sum messages ``u`` from ``check_minsum_terms`` and the
+    ``minsum_routing`` of the two, as an array whose transpose is a
+    C-ordered (d, rows) array.
+
+    By the sign rule above, g with u's sign bit xor-ed in has the bits of g
+    times the other entries' sign product, for every g but NaN, either zero
+    included.  The work runs on the (d, rows) transposes, which it indexes
+    with flat indices through ``take`` and ``put``, and the sum of a row's d
+    adjoints is ``_pairwise_sum`` over all d of them: term for term the sum
+    numpy takes along the last axis of a C-ordered (rows, d) array.
+    """
+    idx, signs = routing
+    gt, ut = g.T, u.T
+    bits = np.bitwise_and(ut.view(np.uint64), np.uint64(1 << 63))
+    gs = np.bitwise_xor(bits, gt.view(np.uint64), out=bits).view(np.float64)
+    # edge i1 takes the adjoints of every other edge, which select
+    # magnitude |x_i1|, and edge i2 the adjoint of edge i1, which selects
+    # |x_i2|; each times the sign of its belief
+    routed = np.empty(idx.shape)
+    gs.take(idx[0], out=routed[1])
+    np.subtract(_pairwise_sum(gs), routed[1], out=routed[0])
+    routed *= signs
+    # as in the argmin form, i2's adjoint adds to a zero: -0.0 becomes +0.0
+    routed[1] += 0.0
+    grad = np.zeros(gs.shape)
+    grad.put(idx, routed)
+    return grad.T
 
 
 def _check_sweep_minsum(v2c, ei, c2v, work):

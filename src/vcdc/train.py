@@ -1,4 +1,4 @@
-"""Training for the neural block: loss, hand-written backward, Adam, the loop.
+"""Training for the neural block: loss, hand-written block backward, Adam, the loop.
 
 Each iteration draws a fresh batch - per-example CSNR uniform over the
 configured range, then random messages (zero messages, so the all-zero
@@ -8,10 +8,7 @@ denoising prediction, and applies one Adam update to the layer
 weights, one per check.  Everything is driven by one seeded generator,
 so a fixed config reproduces the loss curve exactly.
 
-Backward-pass conventions: the min inside the min-sum check update uses
-the subgradient of the attained minimizer with ties broken toward the
-lowest edge index, and sign factors are treated as constants, so gradient
-flows only through the minimum-magnitude path and the residual sum.
+The min-sum backward lives with its kernel in ``vcdc.bp``.
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bench import channel_frames
-from .bp import RunningSet, _pairwise_sum, check_count
+from .bp import RunningSet, check_count, minsum_backward, minsum_routing
 from .channel import noise_scale
 from .codebook import bipolar
 from .denoiser import NeuralBlockWeights, block_layers, walk_size
@@ -54,72 +51,6 @@ def loss_with_adjoint(beliefs, x_b):
     sig *= neg_sym
     sig /= beliefs.size
     return float(np.mean(z)), sig
-
-
-def minsum_routing(xc, u):
-    """Where the min-sum backward sends each adjoint of checks' beliefs
-    ``xc`` (rows, d) and their messages ``u`` from ``check_minsum_terms``:
-    (idx, signs), two (2, rows) arrays.  idx holds i1 and i2 as flat indices
-    into the (d, rows) transposes, and signs the factor of each, -1 where
-    its belief is negative and +1 else, either zero included.
-
-    i1 is the first magnitude argmin of a row.  Every edge but i1 carries
-    m1 = |x_i1|, and edge i1 carries m2 = |u_i1|, so i2 is the first
-    j != i1 with |x_j| == m2.  The routing reads xc, which the walk
-    overwrites when it resumes, so the forward builds it.
-    """
-    xt, ut = xc.T, u.T
-    rows = xt.shape[1]
-    offsets = np.arange(rows)
-    mags = np.abs(xt)
-    idx = np.empty((2, rows), dtype=np.intp)
-    i1, i2 = idx
-    mags.argmin(axis=0, out=i1)
-    i1 *= rows
-    i1 += offsets
-    m2 = np.abs(ut.take(i1))
-    mags.put(i1, np.nan)  # equal to nothing, so i2 skips i1
-    np.equal(mags, m2).argmax(axis=0, out=i2)
-    i2 *= rows
-    i2 += offsets
-    return idx, np.where(xt.take(idx) < 0, -1.0, 1.0)
-
-
-def minsum_backward(g, u, routing):
-    """Adjoint of checks' beliefs (rows, d) given the adjoint ``g`` of their
-    min-sum messages ``u`` from ``check_minsum_terms`` and the
-    ``minsum_routing`` of the two, as an array whose transpose is a
-    C-ordered (d, rows) array.
-
-    Each outgoing adjoint routes to the variable whose magnitude attained
-    the (extrinsic) minimum, scaled by that variable's sign, with the sign
-    product held constant.  ``u`` is a nonnegative magnitude times the
-    exclusive sign product (the forward builds its sign bit as the xor of
-    the entry's sign and the row's), so g with u's sign bit xor-ed in has
-    the bits of g times that product for every g but NaN, either zero
-    included.
-
-    The work runs on the (d, rows) transposes, which it indexes with flat
-    indices through ``take`` and ``put``, and the sum of a row's d adjoints
-    is ``_pairwise_sum`` over all d of them: term for term the sum numpy
-    takes along the last axis of a C-ordered (rows, d) array.
-    """
-    idx, signs = routing
-    gt, ut = g.T, u.T
-    bits = np.bitwise_and(ut.view(np.uint64), np.uint64(1 << 63))
-    gs = np.bitwise_xor(bits, gt.view(np.uint64), out=bits).view(np.float64)
-    # edge i1 takes the adjoints of every other edge, which select
-    # magnitude |x_i1|, and edge i2 the adjoint of edge i1, which selects
-    # |x_i2|; each times the sign of its belief
-    routed = np.empty(idx.shape)
-    gs.take(idx[0], out=routed[1])
-    np.subtract(_pairwise_sum(gs), routed[1], out=routed[0])
-    routed *= signs
-    # as in the argmin form, i2's adjoint adds to a zero: -0.0 becomes +0.0
-    routed[1] += 0.0
-    grad = np.zeros(gs.shape)
-    grad.put(idx, routed)
-    return grad.T
 
 
 def block_gradients(h, weights, llrs, x_b):

@@ -16,7 +16,7 @@ two to agree bit for bit.
 The walk runs on its own min-sum kernel, ``check_minsum_terms``: the
 argmin form that builds every index term the backward reads, against which
 ``vcdc.bp.check_minsum_terms`` (the two-minimum form) and
-``vcdc.train.minsum_backward`` (on the index terms ``minsum_routing``
+``vcdc.bp.minsum_backward`` (on the index terms ``minsum_routing``
 rebuilds from the beliefs and the messages) are checked bit for bit.
 ``two_least`` is the sequential scan for a row's two least magnitudes, the
 reference for the halving tournament of ``vcdc.bp._two_least``.
@@ -26,10 +26,11 @@ run the layer groups on frame-major rows: each group's beliefs are gathered
 from a (B, n) array into C-ordered (B g, d) rows, and the backward
 (``grouped_minsum_backward``) sums each row's adjoints along its contiguous
 last axis.  They are the reference for the frames-as-columns walk, kernel
-call and backward of ``vcdc.denoiser`` and ``vcdc.train``, which must keep
-every bit, reduction orders included.  ``decode_vcdc_batch`` writes the
-reverse update z + (alpha_{t-1} - alpha_t) x_hat itself, as the reference
-for ``vcdc.diffusion.reverse_step``.
+call and backward of ``vcdc.denoiser``, ``vcdc.bp`` and ``vcdc.train``,
+which must keep every bit, reduction orders included.
+``decode_vcdc_batch`` writes the reverse update
+z + (alpha_{t-1} - alpha_t) x_hat itself, as the reference for
+``vcdc.diffusion.reverse_step``.
 
 ``SortedLayout`` builds ``vcdc.bp.EdgeIndex``'s message rows by sorting the
 edges (``np.bincount`` for the variable degrees, a three-key ``np.lexsort``
@@ -192,7 +193,7 @@ def grouped_block_layers(h, w, x):
 
 
 def grouped_minsum_backward(g, xc, u):
-    """``vcdc.train.minsum_backward`` of ``minsum_routing`` on C-ordered
+    """``vcdc.bp.minsum_backward`` of ``minsum_routing`` on C-ordered
     (rows, d) arrays, each row's adjoints summed along the last axis."""
     rows = np.arange(xc.shape[0])
     mags = np.abs(xc)

@@ -3,9 +3,10 @@
 ``vcdc.train.block_gradients`` differentiates the neural block by hand;
 ``block_gradients`` here records the same forward pass on a general tape
 and lets the chain rule run, so tests can require the two to agree bit
-for bit.  The local rules of the two custom nodes (the loss adjoint and the
-min-sum backward) are the library's own, checked against finite
-differences in test_train.py.
+for bit.  The local rules of the two custom nodes are the library's own:
+the loss adjoint ``vcdc.train.loss_with_adjoint`` and the min-sum backward
+``vcdc.bp.minsum_backward`` on ``vcdc.bp.minsum_routing``, checked against
+finite differences in test_train.py.
 
 Nodes wrap numpy arrays (scalars included), record their parents and a
 local backward closure, and ``backward()`` walks the tape once in reverse
@@ -20,7 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from serial import check_columns as _check_columns, kernel
-from vcdc.train import loss_with_adjoint, minsum_backward, minsum_routing
+from vcdc.bp import minsum_backward, minsum_routing
+from vcdc.train import loss_with_adjoint
 
 
 def _unbroadcast(grad, shape):

@@ -10,10 +10,9 @@ from vcdc import bp, codes
 from vcdc.bench import channel_frames
 from vcdc.bp import (ATANH_EPS, BROADCAST_ROW, LLR_CLAMP, BpConfig, EdgeIndex, MIN_SUM,
                      SUM_PRODUCT, RunningSet, _two_least, check_minsum_terms, decode_bp_batch,
-                     minsum_work_size)
+                     minsum_backward, minsum_routing, minsum_work_size)
 from vcdc.codebook import ParityCheckMatrix, _row_reduce, bipolar, encode, syndrome
 from vcdc.channel import hard_decide, noise_scale
-from vcdc.train import minsum_backward, minsum_routing
 
 import serial
 from conftest import (adjacency, assert_same_bits, bundled_codes, make_tree_code, map_marginals,
@@ -178,6 +177,20 @@ class TestMinsumKernel:
         u = serial.kernel(xc)
         assert_same_bits(minsum_backward(g, u, minsum_routing(xc, u)),
                          serial.minsum_backward(g, serial.check_minsum_terms(xc)))
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_backward_at_every_degree(self, rows):
+        # every d up to 140, so each row's adjoint sum runs every branch of
+        # _pairwise_sum: in order below 8, 8 partial sums to 128 and halves
+        # above; tied least magnitudes and signed zeros in beliefs and adjoints
+        rng = np.random.default_rng(41 + rows)
+        for d in range(2, 141):
+            xc = tied_rows(rng, rows, d)
+            g = rng.normal(size=xc.shape)
+            g.flat[::5], g.flat[2::5] = 0.0, -0.0
+            u = serial.kernel(xc)
+            assert_same_bits(minsum_backward(g, u, minsum_routing(xc, u)),
+                             serial.minsum_backward(g, serial.check_minsum_terms(xc)))
 
     @pytest.mark.parametrize("d, checks, frames", [(2, 1, 1), (3, 4, 5), (11, 10, 64)])
     def test_output_keeps_the_layout_of_the_input(self, d, checks, frames):

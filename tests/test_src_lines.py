@@ -1,5 +1,6 @@
-"""tools/src_lines.py on small synthetic modules."""
+"""tools/src_lines.py on small synthetic modules, and the import rule of src/vcdc."""
 
+import ast
 import textwrap
 from pathlib import Path
 
@@ -127,3 +128,17 @@ def test_default_counts_every_file_of_the_package(capsys):
     assert capsys.readouterr().out == (f"lines {total}\ncode_lines {code}\n"
                                        f"optional_params {optional}\n"
                                        f"config_fields {config}\n")
+
+
+def test_no_module_imports_a_private_name_of_a_sibling():
+    # a name with a leading underscore belongs to its module: a second
+    # module that needs it means the code around it has two owners
+    package = Path(src_lines.SRC).resolve()
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == package.name):
+                found += [f"{path.relative_to(package)}: {alias.name}"
+                          for alias in node.names if alias.name.startswith("_")]
+    assert found == []

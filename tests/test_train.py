@@ -6,8 +6,9 @@ from vcdc.bench import channel_frames
 from vcdc.channel import noise_scale
 from vcdc import train as vtrain
 from vcdc.denoiser import NeuralBlockWeights
-from vcdc.train import (Adam, TrainConfig, TrainingDiverged, block_gradients, minsum_backward,
-                        minsum_routing, train, write_loss_curve)
+from vcdc.bp import minsum_backward, minsum_routing
+from vcdc.train import (Adam, TrainConfig, TrainingDiverged, block_gradients, train,
+                        write_loss_curve)
 
 import serial
 import tape
@@ -274,6 +275,27 @@ class TestTrainLoop:
                     train(hamming, cfg)
             else:
                 assert train(hamming, cfg).final_smoothed() == np.log(2)
+
+    @pytest.mark.parametrize("name", ["polar_64_32", "ldpc_121_60"])
+    def test_backward_runs_through_train_s_names_for_it(self, name, monkeypatch):
+        # train calls the min-sum backward through its own module's names,
+        # where a caller's wrapper sees every call, once per layer group and
+        # iteration but for the first group, whose input adjoint nothing reads
+        h = codes.load(name)
+        calls = {"minsum_routing": 0, "minsum_backward": 0}
+
+        def counting(f):
+            def counted(*args):
+                calls[f.__name__] += 1
+                return f(*args)
+            return counted
+
+        for attr in calls:
+            monkeypatch.setattr(vtrain, attr, counting(getattr(vtrain, attr)))
+        iterations = 2
+        train(h, TrainConfig(iterations=iterations, batch_size=16, seed=0))
+        expected = (len(h.layer_groups) - 1) * iterations
+        assert calls == {"minsum_routing": expected, "minsum_backward": expected}
 
     def test_loss_curve_csv_format(self, hamming, tmp_path):
         result = train(hamming, TrainConfig(iterations=5, batch_size=8, seed=5))
