@@ -2,9 +2,9 @@
 
 Flooding schedule with sum-product (exact, tanh/arctanh) or min-sum check
 updates and syndrome-based early exit, vectorized over a batch of frames.
-The min-sum check kernel ``check_minsum_terms`` and its backward
-(``minsum_routing``, ``minsum_backward``) are shared with the neural block
-and its training.
+The min-sum check kernel ``check_minsum_terms``, whose routed form also
+returns the routing of its backward ``minsum_backward``, is shared with the
+neural block and its training.
 """
 
 from __future__ import annotations
@@ -292,7 +292,46 @@ def minsum_work_size(size):
     return size + -(-size // 8)
 
 
-def check_minsum_terms(xc, out, work):
+# The min-sum backward reads the kernel's exact output bits, on one contract:
+# - every edge but a row's first least magnitude i1 carries m1 = |x_i1|,
+#   and edge i1 carries m2, the least of the others;
+# - ties go to the lowest index;
+# - u's sign bit is the entry's sign bit xor its row's sign parity;
+# - the backward treats sign factors as constants.
+# The kernel's routed stage, ``_route_least``, alone finds i1 and i2 by index.
+
+
+def _route_least(mags, neg):
+    """The min-sum backward's routing of the (d, rows) magnitudes ``mags``
+    and signs ``neg`` (True where negative), which overwrites ``mags`` with
+    u's magnitudes: m1 on every edge but i1, m2 on i1.
+
+    Returns (idx, signs), two (2, rows) arrays: idx holds i1 and i2, the
+    first j != i1 with |x_j| == m2, as flat indices into the (d, rows)
+    transposes, and signs the factor of each, -1 where its belief is
+    negative and +1 else, either zero included.
+    """
+    rows = mags.shape[1]
+    offsets = np.arange(rows)
+    idx = np.empty((2, rows), dtype=np.intp)
+    i1, i2 = idx
+    mags.argmin(axis=0, out=i1)
+    i1 *= rows
+    i1 += offsets
+    m1 = mags.take(i1)
+    # equal to nothing, so i2 skips i1; an inf mask would tie [1, inf, inf]
+    mags.put(i1, np.nan)
+    m2 = np.fmin.reduce(mags, axis=0)
+    np.equal(mags, m2).argmax(axis=0, out=i2)
+    i2 *= rows
+    i2 += offsets
+    signs = np.where(neg.take(idx), -1.0, 1.0)
+    np.copyto(mags, m1)
+    mags.put(i1, m2)
+    return idx, signs
+
+
+def check_minsum_terms(xc, out, work, route=False):
     """Min-sum extrinsic messages of checks from their variables' beliefs.
 
     ``xc`` is a float64 array of shape (..., d), d >= 2, one check per row
@@ -314,6 +353,10 @@ def check_minsum_terms(xc, out, work):
     halving tournament and of ``_exclude_least`` before it takes the
     messages, whose bits are built by bit operations: the magnitude's bits
     or'ed with a sign bit, the entry's sign xor its row's sign product.
+
+    With ``route`` the two least are found by index, by ``_route_least``,
+    and the call returns ``(out, routing)`` for ``minsum_backward``; its
+    arg-reductions take a transposed copy of the magnitudes.
     """
     x, ut = xc.T, out.T
     size, shape = x.size, x.shape
@@ -321,57 +364,21 @@ def check_minsum_terms(xc, out, work):
     # -0.0 < 0 is false, so either zero counts as positive
     neg = np.less(x, _ZERO, out=work[size:].view(bool)[:size].reshape(shape))
     odd = np.logical_xor.reduce(neg, axis=0)
-    _exclude_least(mags, ut)
+    routing = _route_least(mags, neg) if route else _exclude_least(mags, ut)
     # x_j's sign xor the row's sign product is the sign of the other entries;
     # copyto casts the bools without the buffer a casting ufunc would take
     bits = ut.view(np.uint64)
     np.copyto(bits, np.not_equal(neg, odd, out=neg))
     bits <<= _SIGN_SHIFT
     bits |= mags.view(np.uint64)
-    return out
-
-
-# The min-sum backward reads the kernel's exact output bits, on one contract:
-# - every edge but a row's first least magnitude i1 carries m1 = |x_i1|,
-#   and edge i1 carries m2, the least of the others;
-# - ties go to the lowest index;
-# - u's sign bit is the entry's sign bit xor its row's sign parity;
-# - the backward treats sign factors as constants.
-
-
-def minsum_routing(xc, u):
-    """Where the min-sum backward sends each adjoint of checks' beliefs
-    ``xc`` (rows, d) and their messages ``u`` from ``check_minsum_terms``:
-    (idx, signs), two (2, rows) arrays.  idx holds i1 and i2 as flat indices
-    into the (d, rows) transposes, and signs the factor of each, -1 where
-    its belief is negative and +1 else, either zero included.
-
-    Edge i1 carries m2 = |u_i1|, so i2 is the first j != i1 with
-    |x_j| == m2.  The routing reads xc, which the walk overwrites when it
-    resumes, so the forward builds it.
-    """
-    xt, ut = xc.T, u.T
-    rows = xt.shape[1]
-    offsets = np.arange(rows)
-    mags = np.abs(xt)
-    idx = np.empty((2, rows), dtype=np.intp)
-    i1, i2 = idx
-    mags.argmin(axis=0, out=i1)
-    i1 *= rows
-    i1 += offsets
-    m2 = np.abs(ut.take(i1))
-    mags.put(i1, np.nan)  # equal to nothing, so i2 skips i1
-    np.equal(mags, m2).argmax(axis=0, out=i2)
-    i2 *= rows
-    i2 += offsets
-    return idx, np.where(xt.take(idx) < 0, -1.0, 1.0)
+    return (out, routing) if route else out
 
 
 def minsum_backward(g, u, routing):
     """Adjoint of checks' beliefs (rows, d) given the adjoint ``g`` of their
-    min-sum messages ``u`` from ``check_minsum_terms`` and the
-    ``minsum_routing`` of the two, as an array whose transpose is a
-    C-ordered (d, rows) array.
+    min-sum messages ``u`` from ``check_minsum_terms`` and the routing it
+    returns with ``route``, as an array whose transpose is a C-ordered (d,
+    rows) array.
 
     By the sign rule above, g with u's sign bit xor-ed in has the bits of g
     times the other entries' sign product, for every g but NaN, either zero

@@ -70,10 +70,11 @@ def block_layers(h, w, xt, work, keep=False):
     """Run the layers over the beliefs ``xt`` in place, with layer weights
     ``w``, one layer group of ``h.layer_groups`` at a time.  ``xt`` is a
     C-ordered (n, B) array, frames as columns.  Yields each group's (slice
-    of checks, (d, g) table, gathered beliefs xc, min-sum messages u), as the
-    training backward reads them: xc and u are (g B, d) rows, row i B + b
-    holding check i of frame b, whose transposes are C-ordered (d, g B)
-    arrays.
+    of checks, (d, g) table, gathered beliefs xc, min-sum messages u,
+    routing): xc and u are (g B, d) rows, row i B + b holding check i of
+    frame b, whose transposes are C-ordered (d, g B) arrays.  With ``keep``,
+    as training walks, the kernel runs in its routed form and the routing
+    is the one its backward reads; without, it is None.
 
     A group of g checks of degree d takes whole belief rows into one
     (d, g, B) block, slab j holding the j-th variable of every check, hands
@@ -110,7 +111,8 @@ def block_layers(h, w, xt, work, keep=False):
         # the C-ordered (d, g B) message slot, which the multiply reads as
         # (d, g, B)
         msgs = work[msg_at:msg_at + size].reshape(d, -1)
-        u = check_minsum_terms(xc, out=msgs.T, work=kernel)
+        terms = check_minsum_terms(xc, out=msgs.T, work=kernel, route=keep)
+        u, routing = terms if keep else (terms, None)
         # the kernel's magnitudes are spent: they take the step block + w u
         step, w_col = kernel[:size].reshape(block.shape), w[checks, None]
         if g > 1:  # a (g, 1) column would be buffered: spread it
@@ -119,7 +121,7 @@ def block_layers(h, w, xt, work, keep=False):
         np.multiply(msgs.reshape(block.shape), w_col, out=step)
         step += block
         xt[table] = step
-        yield checks, table, xc, u
+        yield checks, table, xc, u, routing
         if keep:
             msg_at += size
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bench import channel_frames
-from .bp import RunningSet, check_count, minsum_backward, minsum_routing
+from .bp import RunningSet, check_count, minsum_backward
 from .channel import noise_scale
 from .codebook import bipolar
 from .denoiser import NeuralBlockWeights, block_layers, walk_size
@@ -60,9 +60,8 @@ def block_gradients(h, weights, llrs, x_b):
     rejects non-finite ones and clamps the others into its (n, B) state.
 
     Runs the block forward once on frames-as-columns (n, B) beliefs,
-    keeping each layer group's min-sum messages u_l and, but for the first
-    group, whose input adjoint nothing reads, the ``minsum_routing`` of its
-    gathered beliefs, built as the walk yields them.  It then walks the
+    keeping each layer group's min-sum messages u_l and their backward's
+    routing, which the walk's routed kernel returns.  It then walks the
     groups in reverse: layer l's weight gradient is the adjoint on its
     check's columns dotted with u_l, and the adjoint of the layer input
     (but the first group's) adds the min-sum backward of w_l times that
@@ -80,16 +79,15 @@ def block_gradients(h, weights, llrs, x_b):
     if weights.size != h.num_checks:
         raise ValueError(f"expected {h.num_checks} layer weights, got {weights.size}")
     rs = RunningSet(h, llrs, h.n, walk_size(h, keep=True))
-    layers = [(checks, table, u, minsum_routing(xc, u) if checks.start else None)
-              for checks, table, xc, u in block_layers(h, weights, rs.state, rs.work, keep=True)]
+    layers = list(block_layers(h, weights, rs.state, rs.work, keep=True))
     value, g = loss_with_adjoint(np.ascontiguousarray(rs.state.T), x_b)
     gt = np.array(g.T, order="C")
     grads = np.empty(h.num_checks)
-    for checks, table, u, routing in reversed(layers):
+    for checks, table, _, u, routing in reversed(layers):
         g_cols = gt.take(table, axis=0)  # (d, g, B)
         p = np.ascontiguousarray((g_cols * u.T.reshape(g_cols.shape)).transpose(1, 2, 0))
         grads[checks] = p.sum(axis=(1, 2))
-        if routing is None:  # the first group
+        if not checks.start:  # the first group
             break
         # p is spent: its memory takes the adjoint of the messages, w times g
         wg = np.multiply(g_cols, weights[checks, None], out=p.reshape(g_cols.shape))

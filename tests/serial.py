@@ -14,10 +14,11 @@ check per layer, as the model defines the block, so tests can require the
 two to agree bit for bit.
 
 The walk runs on its own min-sum kernel, ``check_minsum_terms``: the
-argmin form that builds every index term the backward reads, against which
-``vcdc.bp.check_minsum_terms`` (the two-minimum form) and
-``vcdc.bp.minsum_backward`` (on the index terms ``minsum_routing``
-rebuilds from the beliefs and the messages) are checked bit for bit.
+stable-argsort form that builds every index term the backward reads,
+against which ``vcdc.bp.check_minsum_terms`` (the two-minimum form, and
+the routed form that finds i1 and i2 by index) and
+``vcdc.bp.minsum_backward`` (on the routed form's routing) are checked
+bit for bit.
 ``two_least`` is the sequential scan for a row's two least magnitudes, the
 reference for the halving tournament of ``vcdc.bp._two_least``.
 
@@ -58,11 +59,12 @@ from vcdc.train import loss_with_adjoint
 
 # the fast paths on new buffers ----------------------------------------------
 
-def kernel(xc):
+def kernel(xc, route=False):
     """``vcdc.bp.check_minsum_terms`` into a new array with the memory
-    layout of ``xc``, on a new workspace."""
+    layout of ``xc``, on a new workspace; with ``route`` the routed form,
+    which returns (u, routing)."""
     return bp.check_minsum_terms(xc, np.empty_like(xc, dtype=np.float64),
-                                 np.empty(bp.minsum_work_size(xc.size)))
+                                 np.empty(bp.minsum_work_size(xc.size)), route=route)
 
 
 def belief_sums(ei, c2v):
@@ -193,8 +195,9 @@ def grouped_block_layers(h, w, x):
 
 
 def grouped_minsum_backward(g, xc, u):
-    """``vcdc.bp.minsum_backward`` of ``minsum_routing`` on C-ordered
-    (rows, d) arrays, each row's adjoints summed along the last axis."""
+    """``vcdc.bp.minsum_backward`` of the routed kernel's routing, on
+    C-ordered (rows, d) arrays, each row's adjoints summed along the last
+    axis; it finds i1 and i2 as the routed kernel finds them."""
     rows = np.arange(xc.shape[0])
     mags = np.abs(xc)
     i1 = mags.argmin(axis=1)

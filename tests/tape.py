@@ -5,8 +5,9 @@
 and lets the chain rule run, so tests can require the two to agree bit
 for bit.  The local rules of the two custom nodes are the library's own:
 the loss adjoint ``vcdc.train.loss_with_adjoint`` and the min-sum backward
-``vcdc.bp.minsum_backward`` on ``vcdc.bp.minsum_routing``, checked against
-finite differences in test_train.py.
+``vcdc.bp.minsum_backward`` on the routing ``vcdc.bp.check_minsum_terms``
+returns in its routed form, checked against finite differences in
+test_train.py.
 
 Nodes wrap numpy arrays (scalars included), record their parents and a
 local backward closure, and ``backward()`` walks the tape once in reverse
@@ -21,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from serial import check_columns as _check_columns, kernel
-from vcdc.bp import minsum_backward, minsum_routing
+from vcdc.bp import minsum_backward
 from vcdc.train import loss_with_adjoint
 
 
@@ -191,14 +192,14 @@ def bce_with_logits(beliefs, x_b):
 
 def minsum_extrinsic(xc):
     """Tape node for the min-sum check update on beliefs ``xc`` (B, d), whose
-    routing the forward records, as ``vcdc.train.block_gradients`` does.
+    routing the forward's routed kernel returns, as in
+    ``vcdc.train.block_gradients``.
 
     ``serial.kernel`` gives ``u`` the layout of its input, and the weight
     adjoint sums over ``u`` in memory order, so the input is C-ordered: the
     order in which ``vcdc.train.block_gradients`` sums a check's products."""
     x = np.ascontiguousarray(xc.value)
-    u = kernel(x)
-    routing = minsum_routing(x, u)
+    u, routing = kernel(x, route=True)
     out = Var(u, (xc,))
     out._backward = lambda g: xc._accumulate(minsum_backward(g, u, routing))
     return out

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from vcdc import codes
+from vcdc import train as vtrain
 from vcdc.denoiser import NeuralBlockWeights, save_checkpoint
 
 from conftest import TOOLS, load_tool
@@ -26,6 +27,27 @@ def test_prints_the_time_at_each_frame_count_and_the_fit(capsys):
     assert all(float(ms) > 0 for _, ms in rows)
     assert lines[4].startswith("fit: ") and lines[4].endswith(" us/frame")
     assert len(lines) == 5
+
+
+def test_train_times_a_training_step_on_the_same_frames(monkeypatch, capsys):
+    # block_gradients at each frame count, on the LLRs the block would run
+    # and the codewords they were made from, with the same table and fit
+    h, seen, step = codes.load("hamming_7_4"), [], vtrain.block_gradients
+
+    def recording(h_, weights, llrs, x_b):
+        seen.append((llrs.copy(), x_b.copy()))
+        return step(h_, weights, llrs, x_b)
+
+    monkeypatch.setattr(vtrain, "block_gradients", recording)
+    assert block_cost.main(TOY + ["--train"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith("median of 2 repeats of 2 calls of train.block_gradients")
+    assert lines[1] == "frames  ms/call" and lines[4].startswith("fit: ") and len(lines) == 5
+    assert [len(llrs) for llrs, _ in seen] == [1, 1, 4, 4] * 2
+    llrs, x_b = seen[2]
+    assert not (h.rows.astype(np.int64) @ x_b.T.astype(np.int64) % 2).any()
+    # at 4 dB the LLRs' hard decisions are mostly the codeword's bits
+    assert ((llrs < 0) == x_b.astype(bool)).mean() > 0.9
 
 
 def test_reads_the_weights_of_a_checkpoint(tmp_path, capsys):

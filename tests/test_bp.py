@@ -10,7 +10,7 @@ from vcdc import bp, codes
 from vcdc.bench import channel_frames
 from vcdc.bp import (ATANH_EPS, BROADCAST_ROW, LLR_CLAMP, BpConfig, EdgeIndex, MIN_SUM,
                      SUM_PRODUCT, RunningSet, _two_least, check_minsum_terms, decode_bp_batch,
-                     minsum_backward, minsum_routing, minsum_work_size)
+                     minsum_backward, minsum_work_size)
 from vcdc.codebook import ParityCheckMatrix, _row_reduce, bipolar, encode, syndrome
 from vcdc.channel import hard_decide, noise_scale
 
@@ -157,8 +157,9 @@ class TestMinsumKernel:
         u = serial.kernel(xc)
         assert_same_bits(u, terms[0])
         assert_same_bits(serial.kernel(xc[None]), u[None])
-        assert_same_bits(minsum_backward(g, u, minsum_routing(xc, u)),
-                         serial.minsum_backward(g, terms))
+        routed, routing = serial.kernel(xc, route=True)
+        assert_same_bits(routed, u)
+        assert_same_bits(minsum_backward(g, u, routing), serial.minsum_backward(g, terms))
         for r in range(rows):
             for j in range(d):
                 assert_same_bits(check_update_minsum(np.delete(xc[r], j)), u[r, j])
@@ -174,23 +175,38 @@ class TestMinsumKernel:
             xc = np.asfortranarray(xc)
         g = rng.normal(size=xc.shape)
         g.flat[::7], g.flat[3::7] = 0.0, -0.0
-        u = serial.kernel(xc)
-        assert_same_bits(minsum_backward(g, u, minsum_routing(xc, u)),
+        u, routing = serial.kernel(xc, route=True)
+        assert_same_bits(minsum_backward(g, u, routing),
                          serial.minsum_backward(g, serial.check_minsum_terms(xc)))
 
     @pytest.mark.parametrize("rows", [1, 3])
     def test_backward_at_every_degree(self, rows):
         # every d up to 140, so each row's adjoint sum runs every branch of
         # _pairwise_sum: in order below 8, 8 partial sums to 128 and halves
-        # above; tied least magnitudes and signed zeros in beliefs and adjoints
+        # above; tied least magnitudes and signed zeros in beliefs and
+        # adjoints, then rows whose entries but the least are all +-inf,
+        # which an inf mask at i1 would tie.  The routed kernel gives the
+        # messages of the two-minimum form and the reference's stable-argsort
+        # i1 and i2 with their signs, and the backward keeps every bit
         rng = np.random.default_rng(41 + rows)
         for d in range(2, 141):
-            xc = tied_rows(rng, rows, d)
-            g = rng.normal(size=xc.shape)
-            g.flat[::5], g.flat[2::5] = 0.0, -0.0
-            u = serial.kernel(xc)
-            assert_same_bits(minsum_backward(g, u, minsum_routing(xc, u)),
-                             serial.minsum_backward(g, serial.check_minsum_terms(xc)))
+            inf_rows = rng.choice([np.inf, -np.inf], (rows, d))
+            least = rng.integers(0, d, rows)
+            inf_rows[np.arange(rows), least] = rng.choice([0.0, -0.0, 1.5, -1.5, np.inf], rows)
+            for xc in (tied_rows(rng, rows, d), inf_rows):
+                g = rng.normal(size=xc.shape)
+                g.flat[::5], g.flat[2::5] = 0.0, -0.0
+                u, (idx, signs) = serial.kernel(xc, route=True)
+                assert_same_bits(u, serial.kernel(xc))
+                _, ref_signs, _, i1, i2 = terms = serial.check_minsum_terms(xc)
+                ref_idx = np.hstack([i1, i2])
+                # flat indices into the (d, rows) transpose: j rows + r
+                slot, row = np.divmod(idx, rows)
+                assert (row == np.arange(rows)).all()
+                np.testing.assert_array_equal(slot, ref_idx.T)
+                assert_same_bits(signs, np.take_along_axis(ref_signs, ref_idx, 1).T)
+                assert_same_bits(minsum_backward(g, u, (idx, signs)),
+                                 serial.minsum_backward(g, terms))
 
     @pytest.mark.parametrize("d, checks, frames", [(2, 1, 1), (3, 4, 5), (11, 10, 64)])
     def test_output_keeps_the_layout_of_the_input(self, d, checks, frames):
@@ -242,6 +258,21 @@ class TestMinsumKernel:
         xc = np.random.default_rng(2).normal(size=(d, rows)).T
         out, work = np.empty((d, rows)).T, np.empty(minsum_work_size(xc.size))
         assert traced_peak(lambda: check_minsum_terms(xc, out=out, work=work)) < xc.nbytes // 4
+
+    @pytest.mark.parametrize("d, rows", [(8, 256), (16, 256), (32, 256), (64, 256),
+                                         (11, 2816), (11, 5632)])
+    def test_routed_form_takes_one_transposed_copy(self, d, rows):
+        # training's groups: polar_64_32's single checks at B=256 and
+        # ldpc_121_60's groups of 11 checks at B=256 and 512.  The
+        # arg-reductions copy the magnitudes transposed; on numpy 2.4.6 the
+        # peak read 1.06-1.91 xc.nbytes at (8..64, 256) and 1.29 at
+        # (11, 5,632), where a separate routing pass peaked at 2.05-2.75.
+        # Half an xc and six entries a row over the copy leave room for the
+        # per-row vectors, and a second full-size temporary fails
+        xc = np.random.default_rng(d).normal(size=(d, rows)).T
+        out, work = np.empty((d, rows)).T, np.empty(minsum_work_size(xc.size))
+        peak = traced_peak(lambda: check_minsum_terms(xc, out=out, work=work, route=True))
+        assert peak < 1.5 * xc.nbytes + 6 * 8 * rows
 
     @pytest.mark.parametrize("d", [2, 3, 11])
     @pytest.mark.parametrize("offset", [-2, -1, 0])

@@ -115,7 +115,8 @@ class TestNeuralBlock:
     def test_walk_stays_inside_its_size(self, name, keep):
         # the kernel's workspace and a gathered block for the largest group,
         # then the largest group's messages, or with keep every group's;
-        # with keep each group's u outlives the walk, and xc never does
+        # with keep each group's u outlives the walk, and xc never does, and
+        # the walk yields each group's routing, else None
         h = codes.load(name)
         most = max(table.size for _, table in h.layer_groups)
         entries = h.num_edges if keep else most
@@ -128,8 +129,14 @@ class TestNeuralBlock:
         buf = np.full(size + 1024, np.nan)
         work = buf[:size]
         kept, blocks = [], set()
-        for _, _, xc, u in denoiser.block_layers(h, w, xt, work, keep=keep):
+        for _, table, xc, u, routing in denoiser.block_layers(h, w, xt, work, keep=keep):
             assert np.shares_memory(xc, work) and np.shares_memory(u, work)
+            if keep:
+                idx, signs = routing
+                assert idx.shape == signs.shape == (2, table.shape[1] * len(llrs))
+                assert idx.dtype == np.intp and not np.shares_memory(idx, work)
+            else:
+                assert routing is None
             blocks.add(xc.__array_interface__["data"][0])
             kept.append((u, u.copy()))
         assert np.isnan(buf[size:]).all()

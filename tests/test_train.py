@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from vcdc import codes
+from vcdc import codes, denoiser
 from vcdc.bench import channel_frames
 from vcdc.channel import noise_scale
 from vcdc import train as vtrain
 from vcdc.denoiser import NeuralBlockWeights
-from vcdc.bp import minsum_backward, minsum_routing
+from vcdc.bp import minsum_backward
 from vcdc.train import (Adam, TrainConfig, TrainingDiverged, block_gradients, train,
                         write_loss_curve)
 
@@ -60,8 +60,8 @@ class TestMinsumOp:
         for _ in range(20):
             xc0 = rng.normal(0, 2, (3, 4))
             g0 = rng.normal(size=(3, 4))
-            u = serial.kernel(xc0)
-            grad = minsum_backward(g0, u, minsum_routing(xc0, u))
+            u, routing = serial.kernel(xc0, route=True)
+            grad = minsum_backward(g0, u, routing)
             # minsum_backward is the gradient of <g0, u(xc)>
             fd = numeric_grad(lambda xv: float((serial.kernel(xv) * g0).sum()), xc0)
             np.testing.assert_allclose(grad, fd, atol=1e-5)
@@ -69,22 +69,21 @@ class TestMinsumOp:
     def test_tie_broken_toward_lowest_index(self):
         # both magnitudes equal; the subgradient must route to index 0
         xc0 = np.array([[2.0, 2.0, 5.0]])
-        u = serial.kernel(xc0)
-        grad = minsum_backward(np.array([[0.0, 0.0, 1.0]]), u, minsum_routing(xc0, u))
+        u, routing = serial.kernel(xc0, route=True)
+        grad = minsum_backward(np.array([[0.0, 0.0, 1.0]]), u, routing)
         # outgoing edge 2 uses min over {|x0|, |x1|} = attained at index 0
         np.testing.assert_allclose(grad, [[1.0, 0.0, 0.0]])
 
     @pytest.mark.parametrize("d", [2, 3, 8])
     def test_routing_outlives_the_beliefs_it_reads(self, d):
         # the walk's layout, (g B, d) rows of a (d, g, B) block, with ties
-        # and zeros of either sign; the routing is built before the walk
-        # overwrites the block, as block_gradients builds it
+        # and zeros of either sign; the routed kernel builds the routing
+        # before the walk overwrites the block, as in block_gradients
         rng = np.random.default_rng(10 + d)
         block = np.ascontiguousarray(tied_rows(rng, 3 * 40, d).T).reshape(d, 3, 40)
         xc = block.reshape(d, -1).T
         ref_xc = xc.copy()
-        u = serial.kernel(xc)
-        routing = minsum_routing(xc, u)
+        u, routing = serial.kernel(xc, route=True)
         block.fill(np.nan)
         g = rng.normal(size=u.shape)
         g.flat[::5], g.flat[2::5] = 0.0, -0.0
@@ -278,24 +277,27 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("name", ["polar_64_32", "ldpc_121_60"])
     def test_backward_runs_through_train_s_names_for_it(self, name, monkeypatch):
-        # train calls the min-sum backward through its own module's names,
-        # where a caller's wrapper sees every call, once per layer group and
-        # iteration but for the first group, whose input adjoint nothing reads
+        # train calls the min-sum backward through its own module's name and
+        # the routed kernel through the walk's, where a caller's wrapper sees
+        # every call: the kernel once per layer group and iteration, the
+        # backward but for the first group, whose input adjoint nothing reads
         h = codes.load(name)
-        calls = {"minsum_routing": 0, "minsum_backward": 0}
+        calls = {"check_minsum_terms": 0, "minsum_backward": 0}
 
         def counting(f):
-            def counted(*args):
-                calls[f.__name__] += 1
-                return f(*args)
+            def counted(*args, **kwargs):
+                # a kernel call counts only in its routed form
+                calls[f.__name__] += kwargs.get("route", True)
+                return f(*args, **kwargs)
             return counted
 
-        for attr in calls:
-            monkeypatch.setattr(vtrain, attr, counting(getattr(vtrain, attr)))
+        for module, attr in ((denoiser, "check_minsum_terms"), (vtrain, "minsum_backward")):
+            monkeypatch.setattr(module, attr, counting(getattr(module, attr)))
         iterations = 2
         train(h, TrainConfig(iterations=iterations, batch_size=16, seed=0))
-        expected = (len(h.layer_groups) - 1) * iterations
-        assert calls == {"minsum_routing": expected, "minsum_backward": expected}
+        groups = len(h.layer_groups)
+        assert calls == {"check_minsum_terms": groups * iterations,
+                         "minsum_backward": (groups - 1) * iterations}
 
     def test_loss_curve_csv_format(self, hamming, tmp_path):
         result = train(hamming, TrainConfig(iterations=5, batch_size=8, seed=5))

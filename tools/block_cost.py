@@ -2,7 +2,7 @@
 """Time one neural block call against the number of frames it runs.
 
     python3 tools/block_cost.py [--code ldpc_121_60] [--checkpoint FILE]
-        [--frames 1,16,64,256,512] [--repeats 7] [--calls 50]
+        [--frames 1,16,64,256,512] [--repeats 7] [--calls 50] [--train]
 
 Runs ``denoiser.neural_block`` on channel-LLR beliefs at 4 dB (seed 0) of
 the code, a bundled name or an alist path, with the weights of
@@ -12,6 +12,10 @@ fresh copy of the same beliefs (the copy is not timed); a frame count's
 time is the median over the repeats of its mean time per call.  Prints the
 ms per call at each frame count and the least-squares fit of that time as
 a fixed cost per call plus a cost per frame.
+
+With ``--train`` it times ``train.block_gradients`` instead, one training
+step's forward and backward, on the same LLRs and the codewords
+``channel_frames`` made them from, with the same table and fit.
 """
 
 import argparse
@@ -29,21 +33,30 @@ import numpy as np  # noqa: E402
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
 from vcdc import codes, denoiser  # noqa: E402
+from vcdc import train as vtrain  # noqa: E402
 from vcdc.bench import channel_frames  # noqa: E402
 from vcdc.channel import noise_scale  # noqa: E402
 
 CSNR_DB, SEED, WEIGHT = 4.0, 0, 0.3
 
 
-def block_times(h, weights, frames, repeats, calls):
-    """{frame count: median ms per ``neural_block`` call}."""
+def block_times(h, weights, frames, repeats, calls, train=False):
+    """{frame count: median ms per ``neural_block`` call}, or with ``train``
+    per ``train.block_gradients`` call."""
     rng = np.random.default_rng(SEED)
     most = max(frames)
-    _, llrs = channel_frames(h, rng.integers(0, 2, (most, h.k), dtype=np.uint8),
-                             noise_scale(CSNR_DB, h.k, h.n), rng)
+    code, llrs = channel_frames(h, rng.integers(0, 2, (most, h.k), dtype=np.uint8),
+                                noise_scale(CSNR_DB, h.k, h.n), rng)
     beliefs = {b: np.ascontiguousarray(llrs[:b].T) for b in frames}
     zts = {b: np.empty_like(z) for b, z in beliefs.items()}
     work = np.empty(most * denoiser.walk_size(h))
+
+    def call(b):
+        if train:  # its running set copies the LLRs, as every training step does
+            vtrain.block_gradients(h, weights.values, llrs[:b], code[:b])
+        else:
+            denoiser.neural_block(h, weights, zts[b], work)
+
     times = {b: [] for b in frames}
     for _ in range(repeats):
         for b in frames:
@@ -51,7 +64,7 @@ def block_times(h, weights, frames, repeats, calls):
             for _ in range(calls):
                 np.copyto(zts[b], beliefs[b])
                 start = time.perf_counter_ns()
-                denoiser.neural_block(h, weights, zts[b], work)
+                call(b)
                 spent += time.perf_counter_ns() - start
             times[b].append(spent / calls / 1e6)
     return {b: statistics.median(t) for b, t in times.items()}
@@ -72,6 +85,8 @@ def main(argv=None):
     ap.add_argument("--frames", default="1,16,64,256,512", help="comma-separated frame counts")
     ap.add_argument("--repeats", type=int, default=7)
     ap.add_argument("--calls", type=int, default=50, help="timed calls per repeat")
+    ap.add_argument("--train", action="store_true",
+                    help="time train.block_gradients, a training step, instead of the block")
     args = ap.parse_args(argv)
     try:
         frames = sorted({int(f) for f in args.frames.split(",")})
@@ -88,9 +103,10 @@ def main(argv=None):
     else:
         weights = denoiser.NeuralBlockWeights(np.full(h.num_checks, WEIGHT), h.n, h.k)
         source = f"constant {WEIGHT:g}"
-    times = block_times(h, weights, frames, args.repeats, args.calls)
+    times = block_times(h, weights, frames, args.repeats, args.calls, args.train)
     print(f"code {args.code} ({h.n},{h.k}), {len(h.layer_groups)} layer groups, "
-          f"weights {source}, median of {args.repeats} repeats of {args.calls} calls")
+          f"weights {source}, median of {args.repeats} repeats of {args.calls} calls"
+          + (" of train.block_gradients" if args.train else ""))
     print("frames  ms/call")
     for b, ms in times.items():
         print(f"{b:6d}  {ms:.4f}")
